@@ -36,17 +36,6 @@ FAMILIES = ("PSL", "PSU", "PSp", "POmega", "POmega+", "POmega-")
 _ORTHOGONAL = ("POmega", "POmega+", "POmega-")
 
 
-def _prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            return (p, e) if q == 1 else None
-    return None
-
-
 @dataclass(frozen=True)
 class GroupId:
     """An almost simple classical group, identified by socle parameters."""
@@ -58,7 +47,7 @@ class GroupId:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if _prime_power(self.q) is None:
+        if nt.prime_power(self.q) is None:
             raise ValueError(f"{self.q} is not a prime power")
         n, q = self.n, self.q
         fam = self.family
@@ -79,11 +68,11 @@ class GroupId:
 
     @property
     def p(self):
-        return _prime_power(self.q)[0]
+        return nt.prime_power(self.q)[0]
 
     @property
     def e(self):
-        return _prime_power(self.q)[1]
+        return nt.prime_power(self.q)[1]
 
     @property
     def q0(self):
@@ -138,7 +127,7 @@ def group_order(gid: GroupId) -> int:
 
 def _out_order(gid: GroupId) -> int:
     n, q = gid.n, gid.q
-    p, e = _prime_power(q)
+    p, e = nt.prime_power(q)
     fam = gid.family
     if fam == "PSL":
         return math.gcd(n, q - 1) * e * (2 if n >= 3 else 1)
@@ -312,7 +301,7 @@ def casevi_fpr_bound(m: int, q: int, c: int, epsilon: str) -> Fraction:
     of Sp_{2m}(q), q even, with c = dim C_V(x)."""
     if m < 3:
         raise ValueError("need m >= 3")
-    pe = _prime_power(q)
+    pe = nt.prime_power(q)
     if pe is None or pe[0] != 2:
         raise ValueError("need q a power of 2")
     if not 0 <= c <= 2 * m:
@@ -496,7 +485,7 @@ def _omega_front(gid: GroupId, arg: int, exact_up_to: int):
 
 def _s1_s2_case_i(gid: GroupId):
     n, q = gid.n, gid.q
-    p, e = _prime_power(q)
+    p, e = nt.prime_power(q)
     fam = gid.family
     if fam == "PSp":
         raise ValueError("all 1-subspaces of a symplectic space are "
@@ -562,7 +551,7 @@ def _unitary_ns1_front(gid: GroupId) -> Fraction:
 
 def _s1_s2_case_ii(gid: GroupId):
     n, q = gid.n, gid.q
-    p, e = _prime_power(q)
+    p, e = nt.prime_power(q)
     fam = gid.family
     if fam == "PSU":
         if n == 5:
@@ -605,7 +594,7 @@ def _s1_s2_case_ii(gid: GroupId):
 
 def _s1_s2_case_iv(gid: GroupId):
     n, q = gid.n, gid.q
-    p, e = _prime_power(q)
+    p, e = nt.prime_power(q)
     if gid.family not in _ORTHOGONAL:
         raise ValueError("case iv needs an orthogonal family")
     if n < 7:
@@ -634,7 +623,7 @@ def _s1_s2_case_iv(gid: GroupId):
 
 def _s1_s2_case_vi(gid: GroupId):
     n, q = gid.n, gid.q
-    p, e = _prime_power(q)
+    p, e = nt.prime_power(q)
     if gid.family != "PSp" or p != 2:
         raise ValueError("case vi needs PSp in characteristic 2")
     if n < 6:
@@ -707,7 +696,7 @@ def _refine_case_ii_orthogonal(gid: GroupId):
     exact omega(ep(q-1)) in S1, and in S2 each residual prime contributes
     at most 36/(13 q^2) since l >= 2 always."""
     q = gid.q
-    p, e = _prime_power(q)
+    p, e = nt.prime_power(q)
     arg = e * p * (q - 1)
     s1_primes = set(nt.factorize(arg).primes())
     residual = sorted(group_prime_set(gid) - s1_primes)
@@ -780,7 +769,7 @@ def _certify_case_iii(gid: GroupId, tables: ExternalTables) -> BoundReport:
 def triality_bound(q: int) -> BoundReport:
     """Bound for the novelty point actions of POmega+_8(q) coming from
     triality: S <= omega(6ep(q^2-1)) * 4/(3q), exact."""
-    pe = _prime_power(q)
+    pe = nt.prime_power(q)
     if pe is None:
         raise ValueError(f"{q} is not a prime power")
     p, e = pe
@@ -795,7 +784,7 @@ def triality_bound(q: int) -> BoundReport:
 def line22_contradiction(m: int, q: int) -> bool:
     """True iff the maximal element order bound q**(m+1)/(q-1) is smaller
     than the totally singular complement count q**(m(m-1)/2)."""
-    if m < 1 or _prime_power(q) is None:
+    if m < 1 or nt.prime_power(q) is None:
         raise ValueError("need m >= 1 and q a prime power")
     return q**(m + 1) < (q - 1) * q**(m * (m - 1) // 2)
 
@@ -806,7 +795,7 @@ def line22_contradiction(m: int, q: int) -> bool:
 def _prime_powers_from(lo: int):
     q = lo
     while True:
-        if _prime_power(q) is not None:
+        if nt.prime_power(q) is not None:
             yield q
         q += 1
 

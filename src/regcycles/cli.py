@@ -20,11 +20,9 @@ import json
 import sys
 
 from . import bounds, geometry, perm, regcycle
-from .perm import CapExceeded, GroupFileError
+from .perm import (DEFAULT_DOMAIN_CAP, DEFAULT_ELEMENT_CAP, CapExceeded,
+                   GroupFileError)
 from .geometry import DomainNotPreservedError, MatrixFileError
-
-DEFAULT_ELEMENT_CAP = 10**7
-DEFAULT_DOMAIN_CAP = 10**6
 
 
 class InputError(Exception):
@@ -68,33 +66,30 @@ def _emit(args, data, text_lines):
 
 def _cmd_check(args):
     G = _load_group(args.group)
-    if args.element is not None:
-        try:
-            g = perm.parse_cycles(args.element, G.degree)
-        except ValueError as exc:
-            raise InputError(f"bad --element: {exc}") from exc
-        elements = [g]
-    else:
-        try:
-            arr = G.element_array(args.cap)
-        except CapExceeded as exc:
-            raise InputError(str(exc)) from exc
-        elements = [perm.Permutation(row.tolist()) for row in arr]
-    witness = None
-    for g in elements:
-        report = regcycle.fix_union_test(g)
-        direct = perm.has_regular_cycle_direct(g)
-        if report.has_regular_cycle != direct:
-            raise AssertionError("fixed-set union test and direct cycle "
-                                 "test disagree; this is a bug")
-        if not report.has_regular_cycle and witness is None:
-            witness = (g, report)
-    if witness is None:
+    try:
+        if args.element is None:
+            verified = regcycle.verify_all_elements(G, cap=args.cap,
+                                                    max_witnesses=1)
+            checked, witnesses = verified.checked, verified.witnesses
+        else:
+            try:
+                g = perm.parse_cycles(args.element, G.degree)
+            except ValueError as exc:
+                raise InputError(f"bad --element: {exc}") from exc
+            if not G.contains(g, args.cap):
+                raise InputError(f"--element {args.element} is not in "
+                                 "the group")
+            checked = 1
+            witnesses = () if perm.has_regular_cycle_direct(g) else (g,)
+    except CapExceeded as exc:
+        raise InputError(str(exc)) from exc
+    if not witnesses:
         _emit(args, {"schema": 1, "verdict": "all-regular",
-                     "checked": len(elements)},
-              [f"all {len(elements)} element(s) have a regular cycle"])
+                     "checked": checked},
+              [f"all {checked} element(s) have a regular cycle"])
         return 0
-    g, report = witness
+    g = witnesses[0]
+    report = regcycle.fix_union_test(g)
     data = report.to_json_dict()
     data["element"] = perm.cycle_string(g)
     _emit(args, data,

@@ -24,8 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .numtheory import is_prime
-from .perm import PermGroup, Permutation
+from .numtheory import is_prime, prime_power
+from .perm import DEFAULT_DOMAIN_CAP, PermGroup, Permutation
 
 # Largest field order we will build tables for.
 FIELD_CAP = 512
@@ -589,7 +589,7 @@ def standard_form(kind, n, q, epsilon=None, modulus=None) -> FormSpace:
     with Q(sum x_i e_i + y_i f_i) = sum x_i y_i plus an anisotropic tail;
     hermitian Gram matrix is the identity.
     """
-    fact = _prime_power(q)
+    fact = prime_power(q)
     if fact is None:
         raise ValueError(f"{q} is not a prime power")
     p, e = fact
@@ -631,17 +631,6 @@ def standard_form(kind, n, q, epsilon=None, modulus=None) -> FormSpace:
         upper[n - 1][n - 1] = a
     return FormSpace("quadratic", n, field, epsilon,
                      upper=tuple(tuple(r) for r in upper))
-
-
-def _prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            return (p, e) if q == 1 else None
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1036,7 +1025,7 @@ def k_set_labels(m: int, k: int):
 
 
 def product_action(base: PermGroup, r: int,
-                   cap: int = 10**6) -> PermGroup:
+                   cap: int = DEFAULT_DOMAIN_CAP) -> PermGroup:
     """Wreath product of the base group with Sym(r) in product action.
 
     Degree is (base degree)**r.  Generators: each base generator acting on

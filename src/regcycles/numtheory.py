@@ -128,6 +128,23 @@ def factorize(n: int) -> Factorization:
     return Factorization(tuple(sorted(factors.items())))
 
 
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, e) with q == p**e and p prime, or None if q is not a prime power.
+
+    Exact trial division up to isqrt(q); None for every q < 2.
+    """
+    if q < 2:
+        return None
+    for p in range(2, math.isqrt(q) + 1):
+        if q % p == 0:
+            e = 0
+            while q % p == 0:
+                q //= p
+                e += 1
+            return (p, e) if q == 1 else None
+    return (q, 1)
+
+
 def omega(n: int) -> int:
     """Number of distinct prime divisors of n (omega(1) = 0)."""
     return len(factorize(n))

@@ -147,13 +147,31 @@ def cycle_decomposition(g: Permutation) -> list[tuple[int, ...]]:
     return cycles
 
 
+def cycle_lengths(images) -> list[int]:
+    """Cycle lengths of an image sequence (no Permutation object needed)."""
+    d = len(images)
+    seen = bytearray(d)
+    lengths = []
+    for start in range(d):
+        if seen[start]:
+            continue
+        n = 1
+        seen[start] = 1
+        x = images[start]
+        while x != start:
+            seen[x] = 1
+            n += 1
+            x = images[x]
+        lengths.append(n)
+    return lengths
+
+
 def cycle_type(g: Permutation) -> CycleType:
-    lengths = sorted((len(c) for c in cycle_decomposition(g)), reverse=True)
-    return CycleType(tuple(lengths))
+    return CycleType(tuple(sorted(cycle_lengths(g.images), reverse=True)))
 
 
 def element_order(g: Permutation) -> int:
-    return math.lcm(*(len(c) for c in cycle_decomposition(g)))
+    return math.lcm(*cycle_lengths(g.images))
 
 
 def has_regular_cycle_direct(g: Permutation) -> bool:
@@ -162,9 +180,8 @@ def has_regular_cycle_direct(g: Permutation) -> bool:
     The identity has order 1 and fixes every point, so on a nonempty domain
     it has a regular cycle by convention (a fixed point is a 1-cycle).
     """
-    cycles = cycle_decomposition(g)
-    order = math.lcm(*(len(c) for c in cycles))
-    return any(len(c) == order for c in cycles)
+    lengths = cycle_lengths(g.images)
+    return math.lcm(*lengths) in lengths
 
 
 def cycle_string(g: Permutation, one_based: bool = True) -> str:
@@ -219,7 +236,6 @@ class PermGroup:
         self.degree = degree
         self.generators = generators
         self._elem_array: np.ndarray | None = None
-        self._elem_cap = 0
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
@@ -237,7 +253,7 @@ class PermGroup:
             return self._elem_array
         d = self.degree
         # Big-endian rows make tobytes() ordering match lexicographic order.
-        dtype = np.uint8 if d <= 255 else np.dtype(">u2")
+        dtype = np.dtype("u1" if d <= 256 else ">u2" if d <= 65536 else ">u4")
         gens = [np.array(g.images, dtype=dtype) for g in self.generators]
         ident = np.arange(d, dtype=dtype)
         seen = {ident.tobytes()}
@@ -261,11 +277,25 @@ class PermGroup:
         data = b"".join(sorted(seen))
         arr = np.frombuffer(data, dtype=dtype).reshape(-1, d)
         self._elem_array = arr
-        self._elem_cap = cap
         return arr
 
     def order(self, cap: int = DEFAULT_ELEMENT_CAP) -> int:
         return self.element_array(cap).shape[0]
+
+    def contains(self, g: Permutation, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
+        """True iff g is an element of the group.
+
+        Searches the enumeration (so raises CapExceeded like element_array),
+        narrowing the candidate rows one column at a time.
+        """
+        if g.degree != self.degree:
+            return False
+        rows = self.element_array(cap)
+        for j, x in enumerate(g.images):
+            rows = rows[rows[:, j] == x]
+            if not len(rows):
+                return False
+        return True
 
     # -- orbit structure ----------------------------------------------------
 
@@ -369,11 +399,6 @@ def enumerate_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP):
     """All elements of G as Permutation objects, lexicographically sorted."""
     arr = G.element_array(cap)
     return [Permutation(tuple(int(v) for v in row)) for row in arr]
-
-
-def conjugacy_class_representatives(G: PermGroup,
-                                    cap: int = DEFAULT_ELEMENT_CAP):
-    return [rep for rep, _size in G.conjugacy_classes(cap)]
 
 
 # -- group file format -------------------------------------------------------

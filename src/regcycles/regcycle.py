@@ -19,6 +19,7 @@ cycle, a suitable power of square-free order also has none.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -27,9 +28,11 @@ from fractions import Fraction
 
 from . import numtheory
 from .perm import (
+    DEFAULT_ELEMENT_CAP,
     PermGroup,
     Permutation,
     cycle_decomposition,
+    cycle_lengths,
     cycle_string,
     power,
 )
@@ -75,32 +78,13 @@ def fpr_exact(x: Permutation) -> Fraction:
     return Fraction(fix_set(x).bit_count(), x.degree)
 
 
-def _cycle_lengths(images) -> list[int]:
-    """Cycle lengths of an image sequence (no Permutation object needed)."""
-    d = len(images)
-    seen = bytearray(d)
-    lengths = []
-    for start in range(d):
-        if seen[start]:
-            continue
-        n = 1
-        seen[start] = 1
-        x = images[start]
-        while x != start:
-            seen[x] = 1
-            n += 1
-            x = images[x]
-        lengths.append(n)
-    return lengths
-
-
 def count_regular_cycles(g) -> int:
     """Number of cycles of g of length exactly the order of g.
 
     Accepts a Permutation or a raw image sequence.
     """
     images = g.images if isinstance(g, Permutation) else g
-    lengths = _cycle_lengths(images)
+    lengths = cycle_lengths(images)
     order = math.lcm(*lengths)
     return sum(1 for n in lengths if n == order)
 
@@ -143,14 +127,6 @@ def _square_free(n: int) -> bool:
     return all(e == 1 for _p, e in numtheory.factorize(n))
 
 
-def _square_free_part_power(g: Permutation, order: int) -> Permutation:
-    """g**k with |g**k| the square-free radical of |g|."""
-    rad = 1
-    for p, _e in numtheory.factorize(order):
-        rad *= p
-    return power(g, order // rad)
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     """Bulk verdict over a whole group."""
@@ -177,7 +153,7 @@ class VerifyReport:
         }
 
 
-def verify_all_elements(G: PermGroup, cap: int = 10**7,
+def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
                         square_free_only: bool = False,
                         max_witnesses: int = 5) -> VerifyReport:
     """Check every element of G (or every square-free-order element).
@@ -188,13 +164,14 @@ def verify_all_elements(G: PermGroup, cap: int = 10**7,
     among the elements actually checked.
     """
     arr = G.element_array(cap)
+    square_free = functools.cache(_square_free)  # per call: one test per order
     witnesses: list[Permutation] = []
     checked = 0
     for row in arr:
         images = row.tolist()
-        lengths = _cycle_lengths(images)
+        lengths = cycle_lengths(images)
         order = math.lcm(*lengths)
-        if square_free_only and not _square_free(order):
+        if square_free_only and not square_free(order):
             continue
         checked += 1
         if order not in lengths and len(witnesses) < max_witnesses:

@@ -125,8 +125,13 @@ class TestCorpusAgreement:
         for name, G in corpus:
             for row in G.element_array(MAX_ORDER + 1):
                 g = Permutation(row.tolist())
-                assert fix_union_test(g).has_regular_cycle \
-                    == has_regular_cycle_direct(g), (name, row)
+                report = fix_union_test(g)
+                direct = has_regular_cycle_direct(g)
+                assert report.has_regular_cycle == direct, (name, row)
+                if not g.is_identity():
+                    # the covering criterion, read from fixed sets alone
+                    covered = report.fix_union_size == G.degree
+                    assert covered == (not direct), (name, row)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +460,7 @@ class TestCertificationFrontiers:
             == "delegated-external"
 
     def test_triality_frontier(self):
-        flagged = [q for q in range(2, 129) if bd._prime_power(q)
+        flagged = [q for q in range(2, 129) if nt.prime_power(q)
                    and bd.triality_bound(q).verdict != "certified"]
         assert flagged == [2, 4]
         assert bd.triality_bound(4).total == 1  # exactly 1: not certified

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from regcycles import bounds as bd
+from regcycles import numtheory as nt
 from regcycles.bounds import GroupId
 
 
@@ -111,7 +112,7 @@ class TestANQ:
         grid += [("POmega", 7), ("POmega", 9)]
         for n in (8, 10):
             grid += [("POmega+", n), ("POmega-", n)]
-        qs = [q for q in range(2, 65) if bd._prime_power(q)]
+        qs = [q for q in range(2, 65) if nt.prime_power(q)]
         for family, n in grid:
             for q in qs:
                 try:
@@ -396,7 +397,7 @@ class TestCaseIII:
 
 class TestTriality:
     def test_frontier(self):
-        flagged = [q for q in range(2, 129) if bd._prime_power(q)
+        flagged = [q for q in range(2, 129) if nt.prime_power(q)
                    and bd.triality_bound(q).verdict != "certified"]
         assert flagged == [2, 4]
 

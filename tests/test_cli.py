@@ -60,6 +60,32 @@ class TestCheck:
     def test_missing_file(self, capsys):
         assert main(["check", "--group", "/no/such/file.grp"]) == 2
 
+    def test_element_outside_group(self, tmp_path, capsys):
+        path = tmp_path / "v4.grp"
+        path.write_text("degree 4\n(1 2)(3 4)\n")
+        code = main(["check", "--group", str(path), "--element", "(1 2 3)"])
+        assert code == 2
+        assert "not in the group" in capsys.readouterr().err
+
+    def test_element_cap(self, alt8_file, capsys):
+        code = main(["check", "--group", alt8_file, "--cap", "100",
+                     "--element", "(1 2 3)"])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_whole_group_witness_matches_verify(self, alt8_file, capsys):
+        assert main(["check", "--group", alt8_file, "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert not data["has_regular_cycle"]
+        assert main(["verify", "--group", alt8_file, "--json"]) == 1
+        verified = json.loads(capsys.readouterr().out)
+        assert data["element"] == verified["witness_cycles"][0]
+
+    def test_whole_group_checked_count(self, alt5_file, capsys):
+        assert main(["check", "--group", alt5_file, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data == {"schema": 1, "verdict": "all-regular", "checked": 60}
+
 
 class TestVerify:
     def test_alt5_all_regular(self, alt5_file):

@@ -53,6 +53,29 @@ class TestFactorize:
         assert len(set(primes)) == len(primes)
 
 
+class TestPrimePower:
+    def test_against_smallest_prime_factor_sieve(self):
+        limit = 2**16 + 1
+        spf = list(range(limit))
+        for p in range(2, math.isqrt(limit) + 1):
+            if spf[p] == p:
+                for k in range(p * p, limit, p):
+                    if spf[k] == k:
+                        spf[k] = p
+        for q in range(-5, limit):
+            expected = None
+            if q >= 2:
+                p, e, m = spf[q], 0, q
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                expected = (p, e) if m == 1 else None
+            assert nt.prime_power(q) == expected, q
+
+    def test_large_prime(self):
+        assert nt.prime_power(100000007) == (100000007, 1)
+
+
 class TestOmega:
     def test_small_values(self):
         assert nt.omega(1) == 0

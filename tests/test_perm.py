@@ -118,6 +118,15 @@ class TestGroups:
         with pytest.raises(CapExceeded):
             symmetric_group(9).element_array(cap=10**4)
 
+    def test_contains(self):
+        G = PermGroup(4, [parse_cycles("(1 2)(3 4)", 4)])
+        assert G.contains(parse_cycles("(1 2)(3 4)", 4))
+        assert G.contains(identity(4))
+        assert not G.contains(parse_cycles("(1 2 3)", 4))
+        assert not G.contains(identity(5))
+        with pytest.raises(CapExceeded):
+            symmetric_group(9).contains(identity(9), cap=10**4)
+
     def test_enumeration_sorted_and_closed(self):
         G = symmetric_group(4)
         elems = enumerate_elements(G)

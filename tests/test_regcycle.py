@@ -6,12 +6,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regcycles import numtheory
 from regcycles import regcycle as rc
 from regcycles.perm import (
     PermGroup,
     Permutation,
     alternating_group,
     cycle_type,
+    element_order,
     enumerate_elements,
     has_regular_cycle_direct,
     identity,
@@ -117,6 +119,27 @@ class TestVerifyAllElements:
             reduced = rc.verify_all_elements(G, square_free_only=True)
             assert full.all_regular == reduced.all_regular
             assert reduced.checked <= full.checked
+
+    def test_square_free_factors_once_per_order(self, monkeypatch):
+        G = symmetric_group(6)
+        orders = {element_order(g) for g in enumerate_elements(G)}
+        calls = []
+        factorize = numtheory.factorize
+
+        def counting(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(numtheory, "factorize", counting)
+        rep = rc.verify_all_elements(G, square_free_only=True)
+        assert rep.group_order == 720
+        assert len(calls) <= len(orders)
+
+    def test_degree_above_65535(self):
+        swap = Permutation([1, 0] + list(range(2, 70000)))
+        rep = rc.verify_all_elements(PermGroup(70000, [swap]))
+        assert rep.all_regular
+        assert rep.group_order == 2
 
     def test_witness_is_lexicographically_least(self):
         rep = rc.verify_all_elements(symmetric_group(5))
