@@ -452,14 +452,17 @@ def _geom_weight_sum(q: int, start: int) -> Fraction:
 def _tail_terms(t: int, coeff: Fraction, window, start: int = 2):
     """Terms bounding sum_{l >= start} coeff * omega_t(t**l - 1) / t**l.
 
-    For l in `window` the exact primitive-prime-divisor count is used; the
-    remaining l are bounded by omega_t(t**l - 1) <= l * log2(t).
+    For l in `window` with t**l within the factorization cap the exact
+    primitive-prime-divisor count is used; every other l is bounded by
+    omega_t(t**l - 1) <= l * log2(t) in the log tail.
     """
     terms = []
     covered = Fraction(0)
     for ell in sorted(window):
         if ell < start:
             raise ValueError("window entry below the start index")
+        if t**ell > nt.FACTOR_CAP:
+            continue  # left to the log tail
         count = nt.primitive_prime_divisor_count(t, ell)
         terms.append(BoundTerm(f"exact ppd count at l={ell}: {count}",
                                coeff * Fraction(count, t**ell)))
@@ -642,12 +645,28 @@ def _s1_s2_case_vi(gid: GroupId):
         s1 = [BoundTerm(f"exact omega(2e(q-1)) = {w} times 4/(3q)",
                         Fraction(4 * w, 3 * q))]
     s2 = _tail_terms(q, Fraction(4), window=(2, 3, 4))
-    fixed_free = nt.primitive_prime_divisor_count(q, 2 * m)
+    if q**(2 * m) <= nt.FACTOR_CAP:
+        fixed_free = nt.primitive_prime_divisor_count(q, 2 * m)
+        count = f"{fixed_free}"
+    else:
+        fixed_free = _ppd_count_bound(q, 2 * m)
+        count = f"at most {fixed_free}"
     s2.append(BoundTerm(
-        f"fixed-point-free classes (l = 2m): {fixed_free} times "
+        f"fixed-point-free classes (l = 2m): {count} times "
         f"4/(q^m(q^m-1))",
         Fraction(4 * fixed_free, q**(2 * m) * (q**m - 1))))
     return s1, s2
+
+
+def _ppd_count_bound(t: int, ell: int) -> int:
+    """floor(log_{l+1}(t**l - 1)), an upper bound for the number of
+    primitive prime divisors of t**l - 1: each is 1 mod l, so at least
+    l + 1, and their product divides t**l - 1.  Integers only."""
+    n, k, power = t**ell - 1, 0, ell + 1
+    while power <= n:
+        k += 1
+        power *= ell + 1
+    return k
 
 
 _S1S2 = {"i": _s1_s2_case_i, "ii": _s1_s2_case_ii,

@@ -2,9 +2,11 @@
 the bound pipeline.
 
 Everything here is deterministic: trial division up to a fixed limit, then a
-deterministic strong-pseudoprime test (valid far beyond 2**64) plus
-Pollard-rho splitting with a fixed polynomial schedule.  No randomness, so
-repeated runs factor an integer identically.
+strong-pseudoprime test to the 13 prime bases up to 41, plus Pollard-rho
+splitting with a fixed polynomial schedule.  No randomness, so repeated runs
+factor an integer identically.  The primality test is proven only for
+n < 3317044064679887385961981 (about 3.317e24; Sorenson and Webster 2015);
+above that, up to FACTOR_CAP, a composite could in principle pass it.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ class Factorization:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (strong pseudoprime to fixed bases)."""
+    """Strong-pseudoprime test to the bases 2..41: a proof of primality for
+    n < 3.317e24 (Sorenson-Webster), only probable above that."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -4,10 +4,12 @@ Points are 0-based internally.  The text file format and all cycle notation
 accepted/emitted by the CLI are 1-based, matching the usual convention for
 writing permutations as products of disjoint cycles.
 
-Group enumeration is a breadth-first closure over generator multiplication
-with a hash set of image arrays -- no stabilizer chains.  That keeps results
-exactly reproducible and is plenty for desk-scale groups (the default caps
-are 10**7 elements and 10**6 points).  The hot loop is vectorized with numpy.
+A group is held as a stabilizer chain (``StabChain``), built lazily by a
+deterministic Schreier-Sims algorithm on numpy image arrays.  It gives the
+order without enumeration, membership by sifting, and the elements as
+products of transversal elements, so results are exactly reproducible.
+Every question that needs the chain raises CapExceeded iff the group order
+exceeds its element cap (defaults: 10**7 elements and 10**6 points).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ DEFAULT_DOMAIN_CAP = 10**6
 
 
 class CapExceeded(Exception):
-    """Enumeration passed its element cap without closing."""
+    """The group order exceeds the element cap of the request."""
 
 
 class GroupFileError(ValueError):
@@ -223,8 +225,204 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     return Permutation(images)
 
 
+# Schreier generators are formed and sifted in arrays of about this many
+# entries, which bounds memory on large domains.
+_SCHREIER_ENTRIES = 1 << 22
+
+
+class _Level:
+    """One level of a stabilizer chain: a base point, the strong generators
+    that fix every earlier base point, and the orbit of the point under them
+    with a transversal (row k of ``trans`` maps the point to ``orbit[k]``,
+    row k of ``inv`` is its inverse; ``pos`` maps a point to its row, or
+    -1 off the orbit)."""
+
+    __slots__ = ("point", "gens", "gen_lists", "orbit", "pos", "trans", "inv",
+                 "_points")
+
+    def __init__(self, point: int, gens: np.ndarray):
+        d = gens.shape[1]
+        self.point = point
+        self.gens = gens
+        self.gen_lists = gens.tolist()
+        self.orbit = np.array([point])
+        self.pos = np.full(d, -1)
+        self.pos[point] = 0
+        self.trans = np.arange(d)[None]
+        self.inv = self.trans
+        self._points = [point]
+        self._grow()
+
+    def add_gen(self, h: np.ndarray) -> None:
+        self.gens = np.vstack([self.gens, h])
+        self.gen_lists.append(h.tolist())
+        self._grow()
+
+    def _grow(self) -> None:
+        """Close the orbit under the generators, breadth-first over points
+        (each new point y = s(x) records x and s), then build the new
+        transversal rows u_y = (u_x then s) by pointer doubling: row y holds
+        a map taking u_{up[y]} to u_y, and each round composes it with its
+        pointer's map and doubles the pointer, until every pointer is the
+        base point."""
+        points = self._points
+        old = len(points)
+        depth = dict.fromkeys(points, 0)
+        src, via = [0] * old, []
+        for i, x in enumerate(points):
+            for a, s in enumerate(self.gen_lists):
+                y = s[x]
+                if y not in depth:
+                    depth[y] = depth[x] + 1
+                    points.append(y)
+                    src.append(i)
+                    via.append(a)
+        m = len(points)
+        if m == old:
+            return
+        trans = np.concatenate([self.trans, self.gens[via]])
+        up = np.array(src)
+        rows = np.arange(m)[:, None]
+        for _ in range(depth[points[-1]].bit_length()):
+            trans = trans[rows, trans[up]]
+            up = up[up]
+        self.inv = np.empty_like(trans)
+        self.inv[rows, trans] = np.arange(trans.shape[1])
+        self.orbit = np.array(points)
+        self.pos[self.orbit[old:]] = np.arange(old, m)
+        self.trans = trans
+
+    def schreier_generators(self):
+        """u_beta * s * u_{s(beta)}^-1 for every orbit point and generator,
+        one row per pair, each fixing the base point: one array per run of
+        generators whose rows hold about _SCHREIER_ENTRIES entries (all of
+        them at once for small groups)."""
+        d = self.gens.shape[1]
+        step = max(1, _SCHREIER_ENTRIES // (len(self.orbit) * d))
+        for a in range(0, len(self.gens), step):
+            gens = self.gens[a:a + step]
+            moved = gens[:, self.trans].reshape(-1, d)  # u_beta then s
+            back = self.pos[gens[:, self.orbit]].reshape(-1, 1)
+            yield self.inv[back, moved]
+
+
+class StabChain:
+    """Base, strong generating set and transversals of a permutation group,
+    from a deterministic Schreier-Sims algorithm (Sims 1970; Seress,
+    *Permutation Group Algorithms*, ch. 4).
+
+    The first base point is the least point the group moves (0 for the
+    trivial group); each later one is the least point moved by the sift
+    residue that opened its level.  Each level's Schreier generators are
+    formed and sifted as one array (split only past _SCHREIER_ENTRIES
+    entries); the first that does not sift to the identity becomes a new
+    strong generator, and the levels below it are checked again before the
+    level itself (Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*, 4.4).  Construction raises CapExceeded as soon as the product
+    of the orbit lengths, a lower bound for the group order, passes ``cap``.
+    """
+
+    def __init__(self, degree: int, generators, cap: int):
+        ident = tuple(range(degree))
+        gens = [g.images for g in generators if g.images != ident]
+        first = min((next(x for x, y in enumerate(g) if x != y) for g in gens),
+                    default=0)
+        self.degree = degree
+        self.levels = [_Level(first, np.array(gens, dtype=np.intp)
+                              .reshape(-1, degree))]
+        self._check_order(cap)
+        i = 0
+        while i >= 0:
+            found = None
+            for rows in self.levels[i].schreier_generators():
+                found = self._residue(rows, i + 1)
+                if found is not None:
+                    break
+            if found is None:
+                i -= 1
+                continue
+            h, j = found
+            if j == len(self.levels):
+                point = int(np.flatnonzero(h != np.arange(degree))[0])
+                self.levels.append(_Level(point, h[None]))
+            else:
+                self.levels[j].add_gen(h)
+            for lev in self.levels[i + 1:j]:
+                lev.add_gen(h)
+            self._check_order(cap)
+            i = j
+        self.order = math.prod(len(lev.orbit) for lev in self.levels)
+        self._stab_rows: np.ndarray | None = None
+
+    def _check_order(self, cap: int) -> None:
+        if math.prod(len(lev.orbit) for lev in self.levels) > cap:
+            raise CapExceeded(f"more than {cap} elements")
+
+    @property
+    def base(self) -> list[int]:
+        return [lev.point for lev in self.levels]
+
+    def _residue(self, rows: np.ndarray, start: int):
+        """Sift the rows through the levels from ``start`` on; return
+        (residue, level) for one row that fails, or None if all sift to the
+        identity.  The row is the first to leave the chain at the first
+        level where one does (its image of that base point is outside the
+        level's orbit: pos is -1), else the first nonidentity residue, with
+        level len(levels)."""
+        for k in range(start, len(self.levels)):
+            lev = self.levels[k]
+            p = lev.pos[rows[:, lev.point]]
+            if p.min() < 0:
+                return rows[p.argmin()], k
+            rows = lev.inv[p[:, None], rows]
+        moved = rows != np.arange(self.degree)
+        if not moved.any():
+            return None
+        return rows[moved.any(axis=1).argmax()], len(self.levels)
+
+    def contains(self, images) -> bool:
+        return self._residue(np.array([images], dtype=np.intp), 0) is None
+
+    def stabilizer_rows(self) -> np.ndarray:
+        """Every element of G_b (b the first base point) as an unsorted
+        (|G_b| x degree) array of transversal products; cached."""
+        if self._stab_rows is None:
+            rows = np.arange(self.degree)[None]
+            for lev in reversed(self.levels[1:]):
+                # h then u_beta, for every u_beta and every h below
+                rows = lev.trans[:, rows].reshape(-1, self.degree)
+            self._stab_rows = rows
+        return self._stab_rows
+
+    def cosets(self, betas) -> np.ndarray:
+        """The cosets {g : g(b) = beta}, one unsorted (|G_b| x degree)
+        block per beta."""
+        top = self.levels[0]
+        return top.trans[top.pos[betas]][:, self.stabilizer_rows()]
+
+    def stabilizer_orbits(self) -> list[list[int]]:
+        """Orbits of G_b on b^G, ordered by least point, each starting at
+        its least point."""
+        gens = self.levels[1].gen_lists if len(self.levels) > 1 else []
+        seen: set[int] = set()
+        out = []
+        for start in sorted(self.levels[0].orbit.tolist()):
+            if start in seen:
+                continue
+            seen.add(start)
+            orbit = [start]
+            for x in orbit:
+                for s in gens:
+                    if s[x] not in seen:
+                        seen.add(s[x])
+                        orbit.append(s[x])
+            out.append(orbit)
+        return out
+
+
 class PermGroup:
-    """Finitely generated permutation group with bounded enumeration caches."""
+    """Finitely generated permutation group with a lazily built, cached
+    stabilizer chain."""
 
     def __init__(self, degree: int, generators):
         if degree < 1:
@@ -235,67 +433,55 @@ class PermGroup:
                 raise ValueError("generator degree mismatch")
         self.degree = degree
         self.generators = generators
-        self._elem_array: np.ndarray | None = None
+        self._chain: StabChain | None = None
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
-    # -- enumeration -------------------------------------------------------
+    # -- the stabilizer chain ----------------------------------------------
+
+    def stabilizer_chain(self, cap: int = DEFAULT_ELEMENT_CAP) -> StabChain:
+        """The group's stabilizer chain; CapExceeded iff |G| > cap.
+
+        The chain is cap-independent and cached once complete; a build cut
+        short by a smaller cap is not kept.
+        """
+        if self._chain is None:
+            self._chain = StabChain(self.degree, self.generators, cap)
+        if self._chain.order > cap:
+            raise CapExceeded(f"more than {cap} elements")
+        return self._chain
 
     def element_array(self, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
         """All elements as a lexicographically sorted (|G| x degree) array.
 
-        Raises CapExceeded if the closure passes ``cap`` elements.  The
-        result is cached; a cache built under a smaller cap is reused only
-        if it closed successfully (the closure is cap-independent).
+        Every element fixes the points below the first base point b, so
+        lexicographic order is by g(b) first: the rows are built one coset
+        {g : g(b) = beta} at a time, beta ascending, and sorted within it.
+        Raises CapExceeded iff |G| > cap.
         """
-        if self._elem_array is not None:
-            return self._elem_array
+        chain = self.stabilizer_chain(cap)
         d = self.degree
-        # Big-endian rows make tobytes() ordering match lexicographic order.
+        # Big-endian rows make byte order match lexicographic order.
         dtype = np.dtype("u1" if d <= 256 else ">u2" if d <= 65536 else ">u4")
-        gens = [np.array(g.images, dtype=dtype) for g in self.generators]
-        ident = np.arange(d, dtype=dtype)
-        seen = {ident.tobytes()}
-        frontier = ident.reshape(1, d)
-        while frontier.size:
-            fresh: list[bytes] = []
-            for gi in gens:
-                comp = gi[frontier]  # row i = (frontier[i] then g)
-                for row in comp:
-                    b = row.tobytes()
-                    if b not in seen:
-                        seen.add(b)
-                        fresh.append(b)
-            if len(seen) > cap:
-                raise CapExceeded(f"more than {cap} elements")
-            if fresh:
-                frontier = np.frombuffer(b"".join(fresh), dtype=dtype)
-                frontier = frontier.reshape(-1, d)
-            else:
-                frontier = np.empty((0, d), dtype=dtype)
-        data = b"".join(sorted(seen))
-        arr = np.frombuffer(data, dtype=dtype).reshape(-1, d)
-        self._elem_array = arr
-        return arr
+        row = np.dtype((np.void, d * dtype.itemsize))
+        out = np.empty((chain.order, d), dtype=dtype)
+        n = len(chain.stabilizer_rows())
+        for k, beta in enumerate(sorted(chain.levels[0].orbit.tolist())):
+            block = np.ascontiguousarray(chain.cosets([beta])[0], dtype=dtype)
+            out[k * n:(k + 1) * n] = np.sort(block.view(row).ravel()) \
+                .view(dtype).reshape(n, d)
+        return out
 
     def order(self, cap: int = DEFAULT_ELEMENT_CAP) -> int:
-        return self.element_array(cap).shape[0]
+        return self.stabilizer_chain(cap).order
 
     def contains(self, g: Permutation, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
-        """True iff g is an element of the group.
-
-        Searches the enumeration (so raises CapExceeded like element_array),
-        narrowing the candidate rows one column at a time.
-        """
+        """True iff g is an element of the group, decided by sifting g
+        through the stabilizer chain (CapExceeded iff |G| > cap)."""
         if g.degree != self.degree:
             return False
-        rows = self.element_array(cap)
-        for j, x in enumerate(g.images):
-            rows = rows[rows[:, j] == x]
-            if not len(rows):
-                return False
-        return True
+        return self.stabilizer_chain(cap).contains(g.images)
 
     # -- orbit structure ----------------------------------------------------
 

@@ -11,10 +11,12 @@ being < 1 forces a regular cycle.  The identity is handled by convention: a
 fixed point is a cycle of length |1| = 1, so the identity *has* a regular
 cycle on any nonempty domain (reports carry this convention explicitly).
 
-Fixed-point sets are packed bitsets (Python ints) keyed by the domain; the
-bulk verifier only visits elements of square-free order when asked to, which
-is sound for the "all-regular" verdict: if some element has no regular
-cycle, a suitable power of square-free order also has none.
+Fixed-point sets are packed bitsets (Python ints) keyed by the domain.  The
+bulk verifier reads cycle types from one coset of the first point
+stabilizer per stabilizer orbit (cycle type is a class function), and only
+counts elements of square-free order when asked to, which is sound for the
+"all-regular" verdict: if some element has no regular cycle, a suitable
+power of square-free order also has none.
 """
 
 from __future__ import annotations
@@ -123,6 +125,11 @@ def fix_union_test(g: Permutation) -> RegCycleReport:
     )
 
 
+# verify_all_elements gathers small cosets in batches of about this many
+# rows, one numpy gather per batch, and larger cosets one at a time.
+_BATCH_ROWS = 4096
+
+
 def _square_free(n: int) -> bool:
     return all(e == 1 for _p, e in numtheory.factorize(n))
 
@@ -158,26 +165,68 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
                         max_witnesses: int = 5) -> VerifyReport:
     """Check every element of G (or every square-free-order element).
 
+    The elements are split into the cosets {g : g(b) = beta}, b the first
+    base point of G's stabilizer chain and beta in b^G.  Conjugation by
+    h in G_b maps the coset of beta onto that of h(beta) and keeps cycle
+    types, so one coset per G_b-orbit is checked row by row and its counts
+    are weighted by the orbit length.  Witnesses are the lexicographically
+    least failures: every element fixes the points below b, so they are
+    read from the cosets of failing orbits in ascending beta, as many
+    cosets as hold max_witnesses failures (each holds as many as its
+    orbit's representative).
+
     The "all-regular" verdict of the square-free-only run equals that of the
     exhaustive run: an element without a regular cycle powers down to a
     square-free-order element without one.  Witnesses, however, are reported
-    among the elements actually checked.
+    among the elements actually checked.  Raises CapExceeded iff |G| > cap.
     """
-    arr = G.element_array(cap)
+    chain = G.stabilizer_chain(cap)
     square_free = functools.cache(_square_free)  # per call: one test per order
-    witnesses: list[Permutation] = []
+    n = len(chain.stabilizer_rows())
+    per_batch = max(1, _BATCH_ROWS // n)
+
+    def batches(items):
+        return (items[i:i + per_batch] for i in range(0, len(items), per_batch))
+
+    def scan(betas):
+        """Rows checked in the coset of each beta, and every failing row
+        as (index of its beta, images)."""
+        counts, failing = [0] * len(betas), []
+        rows = chain.cosets(betas).reshape(-1, G.degree).tolist()
+        for r, images in enumerate(rows):
+            lengths = cycle_lengths(images)
+            order = math.lcm(*lengths)
+            if square_free_only and not square_free(order):
+                continue
+            counts[r // n] += 1
+            if order not in lengths:
+                failing.append((r // n, images))
+        return counts, failing
+
     checked = 0
-    for row in arr:
-        images = row.tolist()
-        lengths = cycle_lengths(images)
-        order = math.lcm(*lengths)
-        if square_free_only and not square_free(order):
-            continue
-        checked += 1
-        if order not in lengths and len(witnesses) < max_witnesses:
-            witnesses.append(Permutation(images))  # rows arrive in lex order
-    verdict = "all-regular" if not witnesses else "failures"
-    return VerifyReport(verdict, checked, arr.shape[0], tuple(witnesses),
+    failures: dict[int, int] = {}  # beta -> failing rows in its coset
+    for batch in batches(chain.stabilizer_orbits()):
+        counts, failing = scan([orbit[0] for orbit in batch])
+        checked += sum(c * len(orbit) for c, orbit in zip(counts, batch))
+        per_rep: dict[int, int] = {}
+        for k, _ in failing:
+            per_rep[k] = per_rep.get(k, 0) + 1
+        for k, count in per_rep.items():
+            failures.update(dict.fromkeys(batch[k], count))
+    # the fewest cosets, in ascending beta, that hold max_witnesses failures;
+    # every row fixes the points below b and maps b to its beta, so sorting
+    # their failing rows sorts by beta first
+    wanted, found = [], 0
+    for beta in sorted(failures):
+        if found >= max_witnesses:
+            break
+        wanted.append(beta)
+        found += failures[beta]
+    least = sorted(images for batch in batches(wanted)
+                   for _, images in scan(batch)[1])
+    witnesses = tuple(map(Permutation, least[:max_witnesses]))
+    verdict = "all-regular" if not failures else "failures"
+    return VerifyReport(verdict, checked, chain.order, witnesses,
                         square_free_only)
 
 

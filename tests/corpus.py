@@ -3,7 +3,8 @@ order <= 10**5) used by the bulk equivalence and reduction tests.
 
 The mix deliberately includes intransitive, imprimitive (wreath),
 product-action, affine, and projective examples so the regular-cycle
-tests see many different cycle structures.
+tests see many different cycle structures, and groups that fix the first
+points of their domain, whose stabilizer chains start past point 0.
 """
 
 import itertools
@@ -106,6 +107,11 @@ def direct_sum(G: PermGroup, H: PermGroup) -> PermGroup:
     return PermGroup(d, gens)
 
 
+def fixing(k: int, G: PermGroup) -> PermGroup:
+    """G on the points k, k+1, ...; the first k points are fixed."""
+    return direct_sum(PermGroup(k, [perm.identity(k)]), G)
+
+
 def two_cycle_group(a: int, b: int) -> PermGroup:
     """Cyclic group generated by an a-cycle next to a b-cycle."""
     images = [(x + 1) % a for x in range(a)]
@@ -160,3 +166,6 @@ def corpus_groups():
     for a, b in ((2, 3), (3, 4), (4, 5), (3, 5), (5, 6), (2, 5), (3, 7),
                  (4, 7), (5, 7), (6, 7)):
         yield f"two-cycles-{a}-{b}", two_cycle_group(a, b)
+    for k, m in ((1, 4), (2, 5), (3, 6)):
+        yield f"fixed-{k}-plus-sym-{m}", fixing(k, perm.symmetric_group(m))
+    yield "fixed-1-plus-alt-7", fixing(1, perm.alternating_group(7))

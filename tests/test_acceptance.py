@@ -7,6 +7,7 @@ enumeration, closed-form counts, random sampling with fixed seeds) and
 compare against the library's answers.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -145,6 +146,58 @@ class TestSquareFreeReduction:
                                           square_free_only=True)
             assert full.verdict == reduced.verdict, name
             assert reduced.checked <= full.checked
+
+
+# ---------------------------------------------------------------------------
+# 3b. one coset per stabilizer orbit stands for the whole group
+
+def brute_force_verify(G, max_witnesses=5):
+    """{square_free_only: (checked, verdict, witnesses)} from one scan of
+    every row of the sorted enumeration, with its own cycle walk."""
+    out = {sf: [0, 0, []] for sf in (False, True)}  # checked, failing, least
+    for row in G.element_array(MAX_ORDER + 1).tolist():
+        seen = [False] * len(row)
+        lengths = []
+        for start in range(len(row)):
+            n, x = 0, start
+            while not seen[x]:
+                seen[x] = True
+                x = row[x]
+                n += 1
+            if n:
+                lengths.append(n)
+        order = math.lcm(*lengths)
+        square_free = all(order % (p * p) for p in range(2, order + 1))
+        for sf in (False, True):
+            if sf and not square_free:
+                continue
+            tally = out[sf]
+            tally[0] += 1
+            if order not in lengths:
+                tally[1] += 1
+                if len(tally[2]) < max_witnesses:
+                    tally[2].append(tuple(row))
+    return {sf: (checked, "failures" if failures else "all-regular",
+                 tuple(witnesses))
+            for sf, (checked, failures, witnesses) in out.items()}
+
+
+class TestOrbitRepresentativeReduction:
+    def test_matches_brute_force_scan_on_whole_corpus(self, corpus):
+        late_base_with_failures = []
+        for name, G in corpus:
+            expected = brute_force_verify(G)
+            for sf in (False, True):
+                report = verify_all_elements(G, cap=MAX_ORDER + 1,
+                                             square_free_only=sf)
+                got = (report.checked, report.verdict,
+                       tuple(w.images for w in report.witnesses))
+                assert got == expected[sf], (name, sf)
+            if (G.stabilizer_chain().base[0] > 0
+                    and expected[False][1] == "failures"):
+                late_base_with_failures.append(name)
+        assert any(not G.is_transitive() for _, G in corpus)
+        assert late_base_with_failures
 
 
 # ---------------------------------------------------------------------------

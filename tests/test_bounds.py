@@ -372,6 +372,30 @@ class TestCaseVI:
         with pytest.raises(ValueError):
             bd.certify_case("vi", gid("PSp", 6, 9))
 
+    def test_ppd_count_bound_covers_exact_counts(self):
+        for t in (2, 3, 4, 5, 8, 16):
+            for ell in range(1, 25):
+                if t**ell <= 10**20:
+                    assert bd._ppd_count_bound(t, ell) \
+                        >= nt.primitive_prime_divisor_count(t, ell), (t, ell)
+
+    def test_fixed_free_term_past_the_factorization_cap(self):
+        # q**(2m) = 8**44 > 2**128: the l = 2m count is bounded, not factored
+        report = bd.certify_case("vi", gid("PSp", 44, 8))
+        assert report.verdict == "certified"
+        label = report.s2_terms[-1].label
+        assert "at most" in label
+        assert f"at most {bd._ppd_count_bound(8, 44)} " in label
+
+
+class TestTailTerms:
+    def test_window_entries_past_the_cap_join_the_log_tail(self):
+        t = 10**16  # t**2 is within 2**128, t**3 is not
+        terms = bd._tail_terms(t, Fraction(2), window=(2, 3))
+        assert terms == bd._tail_terms(t, Fraction(2), window=(2,))
+        assert terms[0].label == (f"exact ppd count at l=2: "
+                                  f"{nt.primitive_prime_divisor_count(t, 2)}")
+
 
 class TestCaseIII:
     def test_default_max_order_flags_dagger_members(self):

@@ -132,6 +132,19 @@ class TestCertify:
     def test_missing_family(self):
         assert main(["certify", "--case", "i", "--q", "3"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--case", "vi", "--family", "PSp", "--n", "44", "--q", "8"],
+        ["--case", "ii", "--family", "PSU", "--n", "6", "--q", "100000007"],
+    ])
+    def test_powers_past_the_factorization_cap(self, argv, capsys):
+        # some q**l here exceeds numtheory.FACTOR_CAP, so it cannot be factored
+        code = main(["certify", "--json"] + argv)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        data = json.loads(out)
+        assert data["verdict"] in ("certified", "inconclusive")
+        assert code == (0 if data["verdict"] == "certified" else 1)
+
     def test_tables_file(self, tmp_path, capsys):
         tables = tmp_path / "tables.json"
         tables.write_text('{"PSp:6:2": {"max_order": 3}}')

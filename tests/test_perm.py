@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regcycles import perm
@@ -194,6 +194,71 @@ class TestGroups:
 
     def test_conjugacy_classes_cyclic6(self):
         assert len(perm.cyclic_group(6).conjugacy_classes()) == 6
+
+
+def closure(degree, gens):
+    """Brute-force closure of the generators: every product, as tuples."""
+    elems = {tuple(range(degree))}
+    frontier = list(elems)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in gens:
+                b = tuple(g.images[x] for x in a)  # a, then g
+                if b not in elems:
+                    elems.add(b)
+                    fresh.append(b)
+        frontier = fresh
+    return elems
+
+
+generator_sets = st.integers(min_value=1, max_value=7).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(
+        st.permutations(range(d)).map(Permutation), max_size=3)))
+
+
+class TestStabilizerChain:
+    @given(generator_sets, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_chain_matches_brute_force_closure(self, case, data):
+        degree, gens = case
+        elems = closure(degree, gens)
+        G = PermGroup(degree, gens)
+        assert G.order() == len(elems)
+        assert [tuple(row) for row in G.element_array().tolist()] \
+            == sorted(elems)
+        members = sorted(elems)[:50]
+        assert all(G.contains(Permutation(e)) for e in members)
+        probes = data.draw(st.lists(st.permutations(range(degree)),
+                                    max_size=10))
+        for images in probes:
+            assert G.contains(Permutation(images)) == (tuple(images)
+                                                       in elems)
+        assert not G.contains(identity(degree + 1))
+
+    @given(generator_sets, st.integers(min_value=1, max_value=6000))
+    @settings(max_examples=150, deadline=None)
+    def test_cap_exceeded_iff_order_above_cap(self, case, cap):
+        degree, gens = case
+        order = len(closure(degree, gens))
+        calls = (lambda G: G.order(cap), lambda G: G.element_array(cap),
+                 lambda G: G.contains(identity(degree), cap))
+        for call in calls:
+            fresh, built = PermGroup(degree, gens), PermGroup(degree, gens)
+            built.order()  # chain built and cached before the capped call
+            for G in (fresh, built):
+                if order > cap:
+                    with pytest.raises(CapExceeded):
+                        call(G)
+                else:
+                    call(G)
+
+    def test_first_base_point_is_least_moved_point(self):
+        gens = [parse_cycles("(3 5)(4 6)", 6), parse_cycles("(4 5 6)", 6)]
+        chain = PermGroup(6, gens).stabilizer_chain()
+        assert chain.base[0] == 2
+        assert chain.order == len(closure(6, gens))
+        assert PermGroup(3, [identity(3)]).stabilizer_chain().base == [0]
 
 
 class TestGroupFile:
