@@ -11,13 +11,13 @@ remaining primes, all of which act semisimply with an eigenvalue field of
 degree l >= 2; their ratios decay like q0**(-l) and are summed with exact
 primitive-prime-divisor counts for small l and a log tail beyond.
 
-All algebraic terms are exact rationals; terms that genuinely involve a
-logarithm are floats, and in that case "less than 1" requires a clearance
-of 2**-40 so rounding can never flip a verdict.  Data the pipeline cannot
-derive (maximal element orders, minimal degrees, amended fixed-point-ratio
-bounds) comes from pluggable external tables; missing entries force
-conservative defaults or the "delegated-external" verdict, never a
-silently weaker bound.
+Every term is an exact rational upper bound (a logarithm enters through
+numtheory.log2_upper, a half-integer power of q through an integer square
+root), so a verdict is the one exact comparison total < 1.  Data the
+pipeline cannot derive (maximal element orders, minimal degrees, amended
+fixed-point-ratio bounds) comes from pluggable external tables; missing
+entries force conservative defaults or the "delegated-external" verdict,
+never a silently weaker bound.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import numtheory as nt
-
-GUARD = Fraction(1, 2**40)
 
 FAMILIES = ("PSL", "PSU", "PSp", "POmega", "POmega+", "POmega-")
 
@@ -351,10 +349,35 @@ class ExternalTables:
         return None
 
 
+def _is_int(value, least=None) -> bool:
+    """value is a JSON integer (not a bool) and at least `least`."""
+    return type(value) is int and (least is None or value >= least)
+
+
 def load_external_tables(text: str) -> ExternalTables:
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("external tables must be a JSON object")
+    """Parse and validate a tables file: an object of per-group objects,
+    with integer `max_order`/`min_degree` >= 1 and each `*_num`/`*_den`
+    pair given together as integers with den >= 1 (ValueError otherwise).
+    """
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("external tables nest too deeply") from exc
+    if not isinstance(data, dict) or not all(
+            isinstance(entry, dict) for entry in data.values()):
+        raise ValueError("external tables must be a JSON object of objects")
+    for key, entry in data.items():
+        for name in ("max_order", "min_degree"):
+            if name in entry and not _is_int(entry[name], 1):
+                raise ValueError(f"{key}: {name} must be an integer >= 1")
+        stems = {name[:-4] for name in entry
+                 if name.endswith(("_num", "_den"))}
+        for stem in sorted(stems):
+            if not (_is_int(entry.get(stem + "_num"))
+                    and _is_int(entry.get(stem + "_den"), 1)):
+                raise ValueError(f"{key}: {stem}_num and {stem}_den must be "
+                                 f"given together as integers, with "
+                                 f"{stem}_den >= 1")
     return ExternalTables(data)
 
 
@@ -364,11 +387,7 @@ def load_external_tables(text: str) -> ExternalTables:
 @dataclass(frozen=True)
 class BoundTerm:
     label: str
-    value: object  # Fraction (exact) or float (log-based)
-
-    @property
-    def exact(self):
-        return isinstance(self.value, Fraction)
+    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -383,10 +402,7 @@ class BoundReport:
 
     @staticmethod
     def _total(terms):
-        total = Fraction(0)
-        for t in terms:
-            total = total + t.value
-        return total
+        return sum((t.value for t in terms), Fraction(0))
 
     @property
     def s1_bound(self):
@@ -402,16 +418,18 @@ class BoundReport:
 
     def to_json_dict(self):
         def term(t):
-            return {"label": t.label, "value": float(t.value),
-                    "exact": t.exact}
+            return {"label": t.label, "value": float(t.value)}
+        total = self.total
         return {
-            "schema": 1,
+            "schema": 2,
             "case": self.case,
             "group": str(self.group),
             "verdict": self.verdict,
             "s1_bound": float(self.s1_bound),
             "s2_bound": float(self.s2_bound),
-            "total": float(self.total),
+            "total": float(total),
+            "total_num": total.numerator,
+            "total_den": total.denominator,
             "s1_terms": [term(t) for t in self.s1_terms],
             "s2_terms": [term(t) for t in self.s2_terms],
             "refinements": list(self.refinements),
@@ -419,19 +437,9 @@ class BoundReport:
         }
 
 
-def _verdict_from(terms_total) -> str:
-    if isinstance(terms_total, Fraction):
-        return "certified" if terms_total < 1 else "inconclusive"
-    return "certified" if terms_total < float(1 - GUARD) else "inconclusive"
-
-
 def _verdict(s1_terms, s2_terms) -> str:
-    total = Fraction(0)
-    exact = True
-    for t in list(s1_terms) + list(s2_terms):
-        total = total + t.value
-        exact = exact and t.exact
-    return _verdict_from(total if exact else float(total))
+    total = BoundReport._total([*s1_terms, *s2_terms])
+    return "certified" if total < 1 else "inconclusive"
 
 
 def _delegated(case, gid, note) -> BoundReport:
@@ -468,22 +476,21 @@ def _tail_terms(t: int, coeff: Fraction, window, start: int = 2):
                                coeff * Fraction(count, t**ell)))
         covered += Fraction(ell, t**ell)
     rest = _geom_weight_sum(t, start) - covered
-    terms.append(BoundTerm(
-        f"log tail over remaining l >= {start}",
-        float(coeff) * math.log2(t) * float(rest)))
+    terms.append(BoundTerm(f"log tail over remaining l >= {start}",
+                           coeff * nt.log2_upper(t) * rest))
     return terms
 
 
 # ---------------------------------------------------------------------------
 # per-case S1/S2
 
-def _omega_front(gid: GroupId, arg: int, exact_up_to: int):
+def _omega_front(gid: GroupId, arg: int):
     """(value, label) bounding the number of primes dividing `arg`:
-    exact for small q, log2(arg) beyond."""
-    if gid.q <= exact_up_to:
+    exact for q <= 16, an upper bound for log2(arg) beyond."""
+    if gid.q <= 16:
         w = nt.omega(arg)
         return Fraction(w), f"exact omega({arg}) = {w}"
-    return math.log2(arg), f"log2({arg})"
+    return nt.log2_upper(arg), f"log2({arg})"
 
 
 def _s1_s2_case_i(gid: GroupId):
@@ -508,11 +515,8 @@ def _s1_s2_case_i(gid: GroupId):
         if n == 5:
             if q <= 4:
                 return None  # delegated
-            wv, wl = _omega_front(gid, arg, exact_up_to=16)
-            front = Fraction(4, 3 * q)
-            s1 = [BoundTerm(f"{wl} times 4/(3q)",
-                            wv * front if isinstance(wv, Fraction)
-                            else wv * float(front))]
+            wv, wl = _omega_front(gid, arg)
+            s1 = [BoundTerm(f"{wl} times 4/(3q)", wv * Fraction(4, 3 * q))]
             s2 = _tail_terms(q**2, Fraction(2), window=())
             return s1, s2
         if n < 6:
@@ -520,10 +524,8 @@ def _s1_s2_case_i(gid: GroupId):
         ms, mh = mstar_msharp(gid)
         front = (Fraction(2, _q0_pow(gid, ms))
                  + Fraction(1, q**mh.numerator) + Fraction(1, q**2))
-        wv, wl = _omega_front(gid, arg, exact_up_to=16)
-        s1 = [BoundTerm(f"{wl} times front factor {front}",
-                        wv * front if isinstance(wv, Fraction)
-                        else wv * float(front))]
+        wv, wl = _omega_front(gid, arg)
+        s1 = [BoundTerm(f"{wl} times front factor {front}", wv * front)]
         s2 = _tail_terms(q**2, Fraction(2), window=(2, 3))
         return s1, s2
     # orthogonal
@@ -533,10 +535,8 @@ def _s1_s2_case_i(gid: GroupId):
     ms, mh = mstar_msharp(gid)
     front = (Fraction(2, _q0_pow(gid, ms))
              + Fraction(1, _q0_pow(gid, mh)) + Fraction(1, q))
-    wv, wl = _omega_front(gid, arg, exact_up_to=16)
-    s1 = [BoundTerm(f"{wl} times front factor {front}",
-                    wv * front if isinstance(wv, Fraction)
-                    else wv * float(front))]
+    wv, wl = _omega_front(gid, arg)
+    s1 = [BoundTerm(f"{wl} times front factor {front}", wv * front)]
     s2 = _tail_terms(q, Fraction(2), window=(2, 3, 4, 5, 6))
     return s1, s2
 
@@ -567,10 +567,8 @@ def _s1_s2_case_ii(gid: GroupId):
         if n < 6:
             raise ValueError("case ii unitary pipeline needs n >= 5")
         front = _unitary_ns1_front(gid)
-        wv, wl = _omega_front(gid, e * p * (q**2 - 1), exact_up_to=16)
-        s1 = [BoundTerm(f"{wl} times front factor {front}",
-                        wv * front if isinstance(wv, Fraction)
-                        else wv * float(front))]
+        wv, wl = _omega_front(gid, e * p * (q**2 - 1))
+        s1 = [BoundTerm(f"{wl} times front factor {front}", wv * front)]
         s2 = _tail_terms(q**2, Fraction(2), window=(2, 3))
         return s1, s2
     if fam not in _ORTHOGONAL:
@@ -590,9 +588,14 @@ def _s1_s2_case_ii(gid: GroupId):
                         f"{front}", w * front)]
     else:
         s1 = [BoundTerm(f"log2({arg}) times front factor {front}",
-                        math.log2(arg) * float(front))]
+                        nt.log2_upper(arg) * front)]
     s2 = _tail_terms(q, Fraction(36, 13), window=(2, 3, 4, 5, 6))
     return s1, s2
+
+
+def _inverse_sqrt_upper(x: int) -> Fraction:
+    """An upper bound for x**(-1/2), exact when x is a perfect square."""
+    return Fraction(1 << nt.LOG2_BITS, math.isqrt(x << 2 * nt.LOG2_BITS))
 
 
 def _s1_s2_case_iv(gid: GroupId):
@@ -604,23 +607,23 @@ def _s1_s2_case_iv(gid: GroupId):
         raise ValueError("case iv needs n >= 7")
     if q == 2:
         return None
-    # f(n,q) = 3/q**(n/2-2) + 1/q**(n/2-1) + 1/q**2 (half-integer
-    # exponents for odd n, so this term is a float)
-    f_nq = (3 / q**(n / 2 - 2) + 1 / q**(n / 2 - 1) + 1 / q**2)
+    # f(n,q) = 3/q**(n/2-2) + 1/q**(n/2-1) + 1/q**2, rounded up for odd n
+    f_nq = (3 * _inverse_sqrt_upper(q**(n - 4))
+            + _inverse_sqrt_upper(q**(n - 2)) + Fraction(1, q**2))
     arg = e * p * (q**2 - 1)
     if q <= 9:
         w = nt.omega(arg)
         s1 = [BoundTerm(f"exact omega({arg}) = {w} times f(n,q) "
-                        f"= {f_nq:.6g}", w * f_nq)]
+                        f"= {float(f_nq):.6g}", w * f_nq)]
     else:
-        s1 = [BoundTerm(f"log2(q^3) bound times f(n,q) = {f_nq:.6g}",
-                        math.log2(q**3) * f_nq)]
+        s1 = [BoundTerm(f"log2(q^3) bound times f(n,q) = {float(f_nq):.6g}",
+                        nt.log2_upper(q**3) * f_nq)]
     # semisimple classes here always have l >= 3, with ratios below
     # 4/q**(2l); the prime counts are bounded by l * log2(q)
     rest = nt.weighted_geometric_sum(q**2) - Fraction(1, q**2) \
         - Fraction(2, q**4)
     s2 = [BoundTerm("log tail over l >= 3 (base q^2)",
-                    4 * math.log2(q) * float(rest))]
+                    4 * nt.log2_upper(q) * rest)]
     return s1, s2
 
 
@@ -737,7 +740,7 @@ def certify_case(case: str, gid: GroupId,
                  tables: ExternalTables | None = None) -> BoundReport:
     """Evaluate the case pipeline and return a full report.
 
-    Verdicts: "certified" (bound total < 1 under the guard band),
+    Verdicts: "certified" (the exact bound total is < 1),
     "inconclusive", or "delegated-external" for the parameter ranges the
     sources resolve by direct computation or citation.
     """
@@ -775,10 +778,10 @@ def _certify_case_iii(gid: GroupId, tables: ExternalTables) -> BoundReport:
         ms, mh = mstar_msharp(gid)
         front = Fraction(2, _q0_pow(gid, ms)) + Fraction(1, _q0_pow(gid, mh))
         s1 = [BoundTerm(f"log2({o_label}) times (2/q0^m* + 1/q0^m#) "
-                        f"= {front}", math.log2(o) * float(front))]
+                        f"= {front}", nt.log2_upper(o) * front)]
     elif gid.family == "PSU" and gid.n == 5:
         s1 = [BoundTerm(f"log2({o_label}) times 4/(3q)",
-                        math.log2(o) * 4 / (3 * gid.q))]
+                        nt.log2_upper(o) * Fraction(4, 3 * gid.q))]
     else:
         raise ValueError(f"case iii needs Witt index >= 3 (or PSU_5); "
                          f"{gid} has m = {m}")
@@ -908,9 +911,9 @@ def nonsubspace_scan(tables: ExternalTables | None = None):
 
 
 def dagger_scan(tables: ExternalTables | None = None):
-    """Symplectic/orthogonal groups whose maximal-totally-singular action
-    is not certified by log2(o) * (2/q^m* + 1/q^m#) with the conservative
-    default max order o = q^n."""
+    """Symplectic/orthogonal groups, q <= 16, whose maximal-totally-singular
+    action case iii does not certify (default max order q^n unless
+    tabulated)."""
     tables = tables or ExternalTables()
     ranges = [("PSp", range(6, 17, 2)), ("POmega", range(7, 16, 2)),
               ("POmega+", range(8, 17, 2)), ("POmega-", range(8, 17, 2))]
@@ -924,14 +927,8 @@ def dagger_scan(tables: ExternalTables | None = None):
                     gid = GroupId(family, n, q)
                 except ValueError:
                     continue
-                if gid.m < 3:
-                    continue
-                o = tables.max_order(gid) or q**n
-                ms, mh = mstar_msharp(gid)
-                bound = math.log2(o) * float(
-                    Fraction(2, _q0_pow(gid, ms))
-                    + Fraction(1, _q0_pow(gid, mh)))
-                if bound >= 1:
+                if gid.m >= 3 and (_certify_case_iii(gid, tables).verdict
+                                   != "certified"):
                     flagged.append(gid)
     return sorted(flagged, key=lambda g: (FAMILIES.index(g.family),
                                           g.n, g.q))

@@ -16,6 +16,7 @@ input error.  ``--json`` emits a machine-readable report on stdout
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -49,7 +50,7 @@ def _load_tables(path):
         return None
     try:
         return bounds.load_external_tables(_read(path))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise InputError(f"{path}: bad external tables: {exc}") from exc
 
 
@@ -266,7 +267,10 @@ def _cmd_compare(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and reused by every
+    `main` call (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="regcycles",
         description="Regular-cycle detection and certification for "

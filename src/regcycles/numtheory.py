@@ -21,6 +21,8 @@ FACTOR_CAP = 1 << 128
 
 _TRIAL_LIMIT = 10**6
 
+LOG2_BITS = 32  # log2_upper returns multiples of 2**-LOG2_BITS
+
 # Witnesses proving strong-pseudoprime compositeness for every n < 3.3e24
 # (standard deterministic Miller-Rabin base set).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -162,6 +164,25 @@ def robin_bound(n: int) -> float:
     if n < 26:
         raise ValueError(f"robin_bound needs n >= 26, got {n}")
     return math.log(n) / (math.log(math.log(n)) - 1.1714)
+
+
+def log2_upper(x: int) -> Fraction:
+    """Upper bound for log2(x), x >= 1, in integers only: x <= 2**n * y
+    with y in [1, 2] (top 64 bits, rounded up), then LOG2_BITS squarings
+    rounded up, each square >= 2 halved for a 1 bit.  It exceeds log2(x)
+    by at most 2**-LOG2_BITS + 2**-60."""
+    if x < 1:
+        raise ValueError(f"log2_upper needs x >= 1, got {x}")
+    n = x.bit_length() - 1
+    y = -(-x >> (n - 63)) if n > 63 else x << (63 - n)  # y / 2**63
+    bits = 0
+    for _ in range(LOG2_BITS):
+        y = -(-y * y >> 63)
+        bits <<= 1
+        if y >= 1 << 64:
+            y = (y + 1) >> 1
+            bits |= 1
+    return n + Fraction(bits + 1, 1 << LOG2_BITS)
 
 
 def primitive_prime_divisor_count(t: int, ell: int) -> int:

@@ -6,9 +6,12 @@ tests).  The verdict frontiers pin down exactly which parameters each
 pipeline can and cannot certify.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regcycles import bounds as bd
 from regcycles import numtheory as nt
@@ -207,6 +210,31 @@ class TestScopeGuard:
             bd.certify_case("i", gid("PSp", 6, 3))
 
 
+def exact_grid_reports():
+    """Non-delegated reports of every case on both sides of q = 16."""
+    reports = []
+    for q in (3, 4, 5, 7, 8, 9, 11, 16, 17, 25, 27, 32, 49, 81, 125):
+        reports.append(bd.certify_case("ii", gid("PSU", 6, q)))
+        reports.append(bd.certify_case("iii", gid("PSU", 6, q)))
+        reports.append(bd.triality_bound(q))
+        for n in (7, 9):
+            if q % 2:
+                reports.append(bd.certify_case("iv", gid("POmega", n, q)))
+                reports.append(bd.certify_case("ii", gid("POmega", n, q)))
+        for n in (8, 10):
+            reports.append(bd.certify_case("iv", gid("POmega+", n, q)))
+            reports.append(bd.certify_case("i", gid("POmega-", n, q)))
+            reports.append(bd.certify_case("iii", gid("POmega-", n, q)))
+        if q >= 5:
+            reports.append(bd.certify_case("i", gid("PSU", 5, q)))
+            reports.append(bd.certify_case("iii", gid("PSU", 5, q)))
+        reports.append(bd.certify_case("i", gid("PSL", 5, q)))
+        reports.append(bd.certify_case("i", gid("PSU", 7, q)))
+        if q % 2 == 0:
+            reports.append(bd.certify_case("vi", gid("PSp", 8, q)))
+    return reports
+
+
 def verdicts(case, ids):
     return {g: bd.certify_case(case, g).verdict for g in ids}
 
@@ -220,8 +248,15 @@ class TestCaseILinear:
                 assert report.verdict == "certified", (n, q, report.total)
 
     def test_bounds_are_exact_rationals(self):
-        report = bd.certify_case("i", gid("PSL", 5, 11))
-        assert isinstance(report.s1_bound, Fraction)
+        # every case, at q <= 16 (exact omega fronts) and q > 16 (log2
+        # fronts), case iv at odd n (half-integer powers) and even n
+        for report in exact_grid_reports():
+            assert report.verdict != "delegated-external", report.group
+            terms = report.s1_terms + report.s2_terms
+            assert terms
+            for t in terms:
+                assert type(t.value) is Fraction, (report.group, t.label)
+            assert type(report.total) is Fraction
 
 
 class TestCaseIUnitary:
@@ -344,7 +379,7 @@ class TestCaseIV:
     def test_8_3_certified(self):
         report = bd.certify_case("iv", gid("POmega+", 8, 3))
         assert report.verdict == "certified"
-        assert 0.98 < report.total < 1  # tight but clears the guard band
+        assert 0.98 < report.total < 1  # tight: margin about 0.0065
 
 
 class TestCaseVI:
@@ -386,6 +421,17 @@ class TestCaseVI:
         label = report.s2_terms[-1].label
         assert "at most" in label
         assert f"at most {bd._ppd_count_bound(8, 44)} " in label
+
+
+class TestHalfPowers:
+    @given(st.integers(min_value=2, max_value=10**6),
+           st.integers(min_value=1, max_value=40))
+    @settings(max_examples=200, deadline=None)
+    def test_inverse_sqrt_bound_squared_covers(self, q, k):
+        bound = bd._inverse_sqrt_upper(q**k)
+        assert bound**2 >= Fraction(1, q**k)
+        if k % 2 == 0:
+            assert bound == Fraction(1, q**(k // 2))
 
 
 class TestTailTerms:
@@ -465,6 +511,15 @@ TABLE_NONSUBSPACE = (
        ("POmega-", 10, 2)]
 )
 
+# every group the dagger scan flags, in its output order
+DAGGER_ALL = (
+    [("PSp", 6, q) for q in (2, 3, 4)] + [("PSp", 8, 2), ("PSp", 10, 2)]
+    + [("POmega", 7, 3)]
+    + [("POmega+", 8, q) for q in (2, 3, 4, 5)]
+    + [("POmega+", 10, 2), ("POmega+", 12, 2)]
+    + [("POmega-", 8, 2), ("POmega-", 10, 2)]
+)
+
 DAGGER = [("PSp", 6, 2), ("PSp", 8, 2), ("PSp", 6, 3),
           ("POmega+", 8, 2), ("POmega+", 10, 2), ("POmega+", 12, 2),
           ("POmega+", 8, 4), ("POmega+", 8, 3), ("POmega-", 8, 2),
@@ -503,16 +558,68 @@ class TestScans:
             assert GroupId(family, n, q) in flagged, (family, n, q)
         assert GroupId("PSp", 6, 16) not in flagged
 
+    def test_dagger_flags_exactly(self):
+        assert bd.dagger_scan() == [GroupId(*g) for g in DAGGER_ALL]
+
+    def test_dagger_is_case_iii_not_certified(self):
+        tables = bd.load_external_tables('{"PSp:6:2": {"max_order": 3}}')
+        flagged = bd.dagger_scan(tables)
+        assert GroupId("PSp", 6, 2) not in flagged
+        assert flagged == [GroupId(*g) for g in DAGGER_ALL[1:]]
+
+
+class TestExternalTables:
+    @pytest.mark.parametrize("text", [
+        '[1]',
+        '{"PSp:6:2": 5}',
+        '{"PSp:6:2": {"max_order": "abc"}}',
+        '{"PSp:6:2": {"max_order": 2.5}}',
+        '{"PSp:6:2": {"max_order": 0}}',
+        '{"PSp:6:2": {"max_order": true}}',
+        '{"PSL:6:11": {"min_degree": -3}}',
+        '{"PSL:6:11": {"iota_num": 1, "iota_den": 0}}',
+        '{"PSL:6:11": {"iota_num": 1}}',
+        '{"PSL:6:11": {"iota_den": 4}}',
+        '{"PSL:6:11": {"iota_num": 0.5, "iota_den": 2}}',
+        '{"PSL:6:11": {"amended_fpr_num": 1, "amended_fpr_den": false}}',
+        pytest.param('{"a":' * 100000 + '1' + '}' * 100000,
+                     id="deep-nesting"),
+    ])
+    def test_rejects_malformed(self, text):
+        with pytest.raises(ValueError):
+            bd.load_external_tables(text)
+
+    def test_accepts_well_formed(self):
+        tables = bd.load_external_tables(
+            '{"PSL:6:11": {"min_degree": 100, "iota_num": -1, '
+            '"iota_den": 4, "amended_fpr_num": 1, "amended_fpr_den": 9}, '
+            '"PSp:6:2": {"max_order": 15}}')
+        assert tables.iota(gid("PSL", 6, 11)) == Fraction(-1, 4)
+        assert tables.amended_fpr(gid("PSL", 6, 11)) == Fraction(1, 9)
+        assert tables.max_order(gid("PSp", 6, 2)) == 15
+
 
 class TestReportSerialization:
     def test_json_shape(self):
         report = bd.certify_case("ii", gid("POmega", 7, 7))
         data = report.to_json_dict()
-        assert data["schema"] == 1
+        assert data["schema"] == 2
         assert data["verdict"] == "certified"
         assert data["group"] == "POmega_7(7)"
         assert data["s1_terms"] and data["s2_terms"]
         assert data["total"] < 1
+
+    def test_exact_total_decides_the_verdict(self):
+        reports = exact_grid_reports()
+        assert {r.verdict for r in reports} == {"certified", "inconclusive"}
+        for report in reports:
+            data = json.loads(json.dumps(report.to_json_dict()))
+            total = Fraction(data["total_num"], data["total_den"])
+            assert total == report.total
+            assert (total < 1) == (data["verdict"] == "certified"), \
+                report.group
+            assert all("exact" not in t
+                       for t in data["s1_terms"] + data["s2_terms"])
 
     def test_delegated_report(self):
         data = bd.certify_case("iv", gid("POmega+", 8, 2)).to_json_dict()

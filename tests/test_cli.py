@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from regcycles import perm
+from regcycles import cli, perm
 from regcycles.cli import main
 
 
@@ -153,6 +153,34 @@ class TestCertify:
         assert code == 0
 
 
+class TestMalformedTables:
+    """Each of these tables once ended in a traceback or, for a
+    non-integer max order, in a certificate; now each is an input error."""
+
+    CERTIFY = ["certify", "--case", "iii", "--family", "PSp", "--n", "6",
+               "--q", "2"]
+    NONSUBSPACE = ["scan", "--theorem", "nonsubspace"]
+
+    @pytest.mark.parametrize("text, argv", [
+        ('{"PSp:6:2": 5}', CERTIFY),
+        ('{"PSp:6:2": 5}', NONSUBSPACE),
+        ('{"PSp:6:2": {"max_order": "abc"}}', CERTIFY),
+        ('{"PSL:6:11": {"min_degree": 100, "iota_num": 1, "iota_den": 0}}',
+         NONSUBSPACE),
+        ('{"PSp:6:2": {"max_order": 2.5}}', CERTIFY),
+        ('{"a":' * 100000 + '1' + '}' * 100000, NONSUBSPACE),
+    ], ids=["entry-not-object-certify", "entry-not-object-scan",
+            "string-order", "zero-den", "float-order", "deep-nesting"])
+    def test_one_line_error_exit_2(self, tmp_path, capsys, text, argv):
+        tables = tmp_path / "tables.json"
+        tables.write_text(text)
+        assert main(argv + ["--tables", str(tables)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "bad external tables" in err
+
+
 class TestScan:
     def test_small_dim_jsonl(self, capsys):
         assert main(["scan", "--theorem", "small-dim", "--json"]) == 0
@@ -249,6 +277,29 @@ class TestCompare:
         a2.write_text(perm.emit_group_file(perm.symmetric_group(4)))
         assert main(["compare", "--action1", str(a1),
                      "--action2", str(a2)]) == 2
+
+
+class TestParserReuse:
+    def test_bad_argv_leaves_later_calls_unchanged(self, alt8_file, capsys):
+        valid = [["verify", "--group", alt8_file, "--json"],
+                 ["certify", "--case", "ii", "--family", "POmega-",
+                  "--n", "8", "--q", "11", "--json"]]
+
+        def run_valid():
+            results = []
+            for argv in valid:
+                code = main(argv)
+                results.append((code, capsys.readouterr()))
+            return results
+
+        cli._build_parser.cache_clear()
+        fresh = run_valid()
+        assert main(["certify", "--json", "--case", "ii", "--n", "8"]) == 2
+        assert main(["verify", "--group", alt8_file, "--bogus"]) == 2
+        capsys.readouterr()
+        assert run_valid() == fresh
+        assert [code for code, _ in fresh] == [1, 0]
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestUsage:

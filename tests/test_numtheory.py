@@ -1,6 +1,7 @@
 """Oracle tests for factorization, omega, and the two analytic bounds."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -143,3 +144,44 @@ class TestWeightedGeometricSum:
     def test_partial_sum_oracle(self):
         partial = sum(Fraction(ell, 2**ell) for ell in range(61))
         assert abs(nt.weighted_geometric_sum(2) - partial) < Fraction(1, 2**50)
+
+
+def log2_oracle(x):
+    """log2(x) to 60 significant digits, by the decimal module."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(x).ln() / Decimal(2).ln()
+
+
+def as_decimal(frac):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(frac.numerator) / Decimal(frac.denominator)
+
+
+class TestLog2Upper:
+    # the oracle is accurate to about 1e-57 here; x = 2**k - 1 sits closer
+    # than that below k, the bound those inputs get
+    ORACLE_SLACK = Decimal("1e-50")
+
+    @given(st.one_of(st.integers(min_value=1, max_value=2**400),
+                     st.integers(min_value=0, max_value=400).map(
+                         lambda k: 2**k),
+                     st.integers(min_value=1, max_value=400).map(
+                         lambda k: 2**k - 1)))
+    @settings(max_examples=400, deadline=None)
+    def test_upper_bound_within_2_to_minus_30(self, x):
+        bound = nt.log2_upper(x)
+        assert isinstance(bound, Fraction)
+        excess = as_decimal(bound) - log2_oracle(x)
+        assert excess >= -self.ORACLE_SLACK, x
+        assert excess <= Decimal(2) ** -30, x
+
+    def test_powers_of_two(self):
+        for k in range(0, 200):
+            assert k < nt.log2_upper(2**k) <= k + Fraction(1, 2**30)
+
+    def test_rejects_below_one(self):
+        for x in (0, -5):
+            with pytest.raises(ValueError):
+                nt.log2_upper(x)
