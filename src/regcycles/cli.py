@@ -23,7 +23,7 @@ import sys
 from . import bounds, geometry, perm, regcycle
 from .perm import (DEFAULT_DOMAIN_CAP, DEFAULT_ELEMENT_CAP, CapExceeded,
                    GroupFileError)
-from .geometry import DomainNotPreservedError, MatrixFileError
+from .geometry import MatrixFileError
 
 
 class InputError(Exception):
@@ -67,23 +67,20 @@ def _emit(args, data, text_lines):
 
 def _cmd_check(args):
     G = _load_group(args.group)
-    try:
-        if args.element is None:
-            verified = regcycle.verify_all_elements(G, cap=args.cap,
-                                                    max_witnesses=1)
-            checked, witnesses = verified.checked, verified.witnesses
-        else:
-            try:
-                g = perm.parse_cycles(args.element, G.degree)
-            except ValueError as exc:
-                raise InputError(f"bad --element: {exc}") from exc
-            if not G.contains(g, args.cap):
-                raise InputError(f"--element {args.element} is not in "
-                                 "the group")
-            checked = 1
-            witnesses = () if perm.has_regular_cycle_direct(g) else (g,)
-    except CapExceeded as exc:
-        raise InputError(str(exc)) from exc
+    if args.element is None:
+        verified = regcycle.verify_all_elements(G, cap=args.cap,
+                                                max_witnesses=1)
+        checked, witnesses = verified.checked, verified.witnesses
+    else:
+        try:
+            g = perm.parse_cycles(args.element, G.degree)
+        except ValueError as exc:
+            raise InputError(f"bad --element: {exc}") from exc
+        if not G.contains(g, args.cap):
+            raise InputError(f"--element {args.element} is not in "
+                             "the group")
+        checked = 1
+        witnesses = () if perm.has_regular_cycle_direct(g) else (g,)
     if not witnesses:
         _emit(args, {"schema": 1, "verdict": "all-regular",
                      "checked": checked},
@@ -101,11 +98,8 @@ def _cmd_check(args):
 
 def _cmd_verify(args):
     G = _load_group(args.group)
-    try:
-        report = regcycle.verify_all_elements(
-            G, cap=args.cap, square_free_only=args.square_free_only)
-    except CapExceeded as exc:
-        raise InputError(str(exc)) from exc
+    report = regcycle.verify_all_elements(
+        G, cap=args.cap, square_free_only=args.square_free_only)
     lines = [f"group order {report.group_order}, degree {G.degree}",
              f"checked {report.checked} element(s): {report.verdict}"]
     for w in report.witnesses:
@@ -116,17 +110,14 @@ def _cmd_verify(args):
 
 def _cmd_certify(args):
     tables = _load_tables(args.tables)
-    try:
-        if args.case == "triality":
-            report = bounds.triality_bound(args.q)
-        else:
-            if args.family is None or args.n is None:
-                raise InputError("--family and --n are required for "
-                                 f"case {args.case}")
-            gid = bounds.GroupId(args.family, args.n, args.q)
-            report = bounds.certify_case(args.case, gid, tables)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if args.case == "triality":
+        report = bounds.triality_bound(args.q)
+    else:
+        if args.family is None or args.n is None:
+            raise InputError("--family and --n are required for "
+                             f"case {args.case}")
+        gid = bounds.GroupId(args.family, args.n, args.q)
+        report = bounds.certify_case(args.case, gid, tables)
     lines = [f"{report.group} case {report.case}: {report.verdict}"]
     if report.verdict != "delegated-external":
         lines.append(f"  S1 <= {float(report.s1_bound):.6f}, "
@@ -167,10 +158,7 @@ def _cmd_scan(args):
 
 def _matrix_domain(args):
     if args.builtin:
-        try:
-            space, gens = geometry.builtin_matrix_group(args.builtin)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        space, gens = geometry.builtin_matrix_group(args.builtin)
     elif args.matrix:
         try:
             space, gens = geometry.parse_matrix_file(_read(args.matrix))
@@ -210,11 +198,7 @@ def _cmd_build_action(args):
         if args.m is None or args.r is None:
             raise InputError("--type product needs --m and --r")
         base = perm.symmetric_group(args.m)
-        try:
-            G = geometry.product_action(base, args.r,
-                                        cap=args.domain_cap)
-        except OverflowError as exc:
-            raise InputError(str(exc)) from exc
+        G = geometry.product_action(base, args.r, cap=args.domain_cap)
         labels = geometry.product_labels(
             [str(i + 1) for i in range(args.m)], args.r)
     else:
@@ -222,10 +206,7 @@ def _cmd_build_action(args):
         if domain.degree > args.domain_cap:
             raise InputError(f"domain size {domain.degree} exceeds cap "
                              f"{args.domain_cap}")
-        try:
-            G = geometry.perm_image(gens, domain)
-        except DomainNotPreservedError as exc:
-            raise InputError(str(exc)) from exc
+        G = geometry.perm_image(gens, domain)
         labels = domain.label_lines()
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -356,7 +337,10 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except InputError as exc:
+    # every library input error: ValueError covers GroupFileError,
+    # MatrixFileError and DomainNotPreservedError, ArithmeticError covers
+    # the OverflowError of an enumeration past its cap
+    except (InputError, ValueError, ArithmeticError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,9 @@ The module provides:
   * constructors for the point/subspace/form domains that classical groups
     act on (singular points, non-degenerate 1- and 2-subspaces, anisotropic
     2-subspaces, maximal totally singular subspaces, polarizing quadratic
-    forms in characteristic 2, flag and complement pairs);
+    forms in characteristic 2, flag and complement pairs).  Every point and
+    subspace domain is a filter over the one enumerator `subspaces`, which
+    yields each k-subspace once in reduced row-echelon form;
   * conversion of matrix/semilinear generators into `perm.PermGroup`
     instances acting on those domains, with a strict domain-preservation
     check;
@@ -422,7 +424,7 @@ class FormSpace:
     """
 
     def __init__(self, kind, n, field: Fq, epsilon=None, upper=None,
-                 gram=None, check_witt=True):
+                 gram=None):
         if kind not in ("trivial", "symplectic", "hermitian", "quadratic"):
             raise ValueError(f"unknown form kind {kind!r}")
         if kind == "quadratic" and epsilon not in _QUAD_KINDS:
@@ -442,13 +444,6 @@ class FormSpace:
         self.upper = upper
         self.gram = gram if gram is not None else self._derive_gram()
         self.witt_index = self._expected_witt()
-        if check_witt and self.kind != "trivial" \
-                and field.q**n <= VECTOR_ENUM_CAP:
-            found = len(self._greedy_totally_singular())
-            if found != self.witt_index:
-                raise AssertionError(
-                    f"Witt index mismatch: expected {self.witt_index}, "
-                    f"greedy chain reached {found}")
 
     # -- form values -------------------------------------------------------
 
@@ -537,33 +532,6 @@ class FormSpace:
         if self.kind == "hermitian":
             return n // 2
         return {"+": n // 2, "-": n // 2 - 1, "o": (n - 1) // 2}[self.epsilon]
-
-    def _greedy_totally_singular(self):
-        """Greedily extend a totally singular subspace to a maximal one.
-        All maximal totally singular subspaces of a non-degenerate form
-        share the Witt index as dimension, so the chain length is exact."""
-        K = self.field
-        chain: list[tuple[int, ...]] = []
-        while True:
-            current = span(K, chain) if chain else None
-            candidates = self.perp(current) if current else None
-            vectors = (candidates.vectors(K) if candidates
-                       else itertools.product(range(K.q), repeat=self.n))
-            ext = None
-            for v in vectors:
-                v = tuple(v)
-                if not any(v) or not self.is_singular_vector(v):
-                    continue
-                if current is not None and current.contains(K, v):
-                    continue
-                if current is not None and self.kind == "hermitian" and any(
-                        self.bilinear(b, v) for b in chain):
-                    continue
-                ext = v
-                break
-            if ext is None:
-                return chain
-            chain.append(ext)
 
     def perp(self, sub: Subspace) -> Subspace:
         """Orthogonal complement with respect to the (polar) form."""
@@ -710,14 +678,39 @@ def _canonical_point(K, v):
     return vec_scale(K, c, v)
 
 
-def _projective_points(space: FormSpace):
+def subspaces(space: FormSpace, k: int, row_ok=None):
+    """Every k-subspace of the underlying vector space, each exactly once,
+    as its reduced row-echelon `Subspace`.
+
+    For each choice of pivot columns the rows are filled in order: row i
+    has a 1 in its pivot column, zeros before it and in the other pivot
+    columns, and free entries elsewhere.  `row_ok(rows, v)` prunes: when it
+    rejects the next row v of the partial basis `rows`, every completion of
+    rows + [v] is skipped.
+    """
     K, n = space.field, space.n
     if K.q ** n > VECTOR_ENUM_CAP:
-        raise OverflowError("projective point enumeration exceeds cap")
-    for lead in range(n):
-        prefix = (0,) * lead + (1,)
-        for rest in itertools.product(range(K.q), repeat=n - lead - 1):
-            yield prefix + rest
+        raise OverflowError("subspace enumeration exceeds cap")
+    for pivots in itertools.combinations(range(n), k):
+        yield from _rref_completions(K, n, pivots, [], row_ok)
+
+
+def _rref_completions(K, n, pivots, rows, row_ok):
+    i = len(rows)
+    if i == len(pivots):
+        yield Subspace(tuple(rows))
+        return
+    row = [0] * n
+    row[pivots[i]] = 1
+    free = [c for c in range(pivots[i] + 1, n) if c not in pivots]
+    for values in itertools.product(range(K.q), repeat=len(free)):
+        for c, x in zip(free, values):
+            row[c] = x
+        v = tuple(row)
+        if row_ok is None or row_ok(rows, v):
+            rows.append(v)
+            yield from _rref_completions(K, n, pivots, rows, row_ok)
+            rows.pop()
 
 
 class ActionDomain:
@@ -819,8 +812,8 @@ def perm_image(generators, domain: ActionDomain) -> PermGroup:
 def singular_points(space: FormSpace) -> ActionDomain:
     """Totally singular 1-subspaces (all projective points for trivial and
     symplectic forms)."""
-    labels = [v for v in _projective_points(space)
-              if space.is_singular_vector(v)]
+    labels = [sub.basis[0] for sub in subspaces(
+        space, 1, lambda rows, v: space.is_singular_vector(v))]
     return ActionDomain(f"singular-points[{space.kind},{space.n},{space.q}]",
                         "point", space, labels)
 
@@ -834,8 +827,8 @@ def nondegenerate_points(space: FormSpace):
     single orbit; returns one domain.
     """
     K = space.field
-    labels = [v for v in _projective_points(space)
-              if space.is_nondegenerate_point(v)]
+    labels = [sub.basis[0] for sub in subspaces(
+        space, 1, lambda rows, v: space.is_nondegenerate_point(v))]
     base = f"{space.kind},{space.n},{space.q}"
     if space.kind == "quadratic" and K.q % 2:
         plus = [v for v in labels if K.is_square(space.quad_value(v))]
@@ -845,32 +838,24 @@ def nondegenerate_points(space: FormSpace):
     return ActionDomain(f"ns1[{base}]", "point", space, labels)
 
 
-def _two_subspaces_with(space: FormSpace, point_ok, subspace_ok):
-    """2-subspaces spanned by admissible points and passing a predicate."""
-    K = space.field
-    points = [v for v in _projective_points(space) if point_ok(v)]
-    seen = set()
-    for i, u in enumerate(points):
-        for v in points[i + 1:]:
-            sub = span(K, [u, v])
-            if sub.dim != 2 or sub in seen:
-                continue
-            if subspace_ok(sub):
-                seen.add(sub)
-    return seen
-
-
 def anisotropic_2_subspaces(space: FormSpace) -> ActionDomain:
     """2-subspaces containing no nonzero singular vector (quadratic only)."""
     if space.kind != "quadratic":
         raise ValueError("anisotropic 2-subspaces need a quadratic space")
     K = space.field
 
-    def aniso(sub):
-        return all(not any(v) or space.quad_value(v) != 0
-                   for v in sub.vectors(K))
+    def anisotropic(sub):
+        # the points of <u, v> are <v> (Q(v) != 0 already) and the
+        # <u + t v>, with Q(u + t v) = Q(u) + t (B(u, v) + t Q(v))
+        u, v = sub.basis
+        a, b = space.quad_value(u), space.bilinear(u, v)
+        c = space.quad_value(v)
+        return all(K.add(a, K.mul(t, K.add(b, K.mul(t, c))))
+                   for t in range(K.q))
 
-    labels = _two_subspaces_with(space, space.is_nondegenerate_point, aniso)
+    labels = [sub for sub in subspaces(
+        space, 2, lambda rows, v: space.quad_value(v) != 0)
+        if anisotropic(sub)]
     return ActionDomain(f"aniso2[{space.epsilon},{space.n},{space.q}]",
                         "subspace", space, labels)
 
@@ -883,46 +868,22 @@ def nondegenerate_2_subspaces(space: FormSpace) -> ActionDomain:
         rows = [[space.bilinear(a, b) for b in sub.basis] for a in sub.basis]
         return mat_rank(K, rows) == 2
 
-    labels = _two_subspaces_with(space, lambda v: True, nondeg)
+    labels = [sub for sub in subspaces(space, 2) if nondeg(sub)]
     return ActionDomain(f"nondeg2[{space.kind},{space.n},{space.q}]",
                         "subspace", space, labels)
-
-
-def totally_singular_subspaces(space: FormSpace, k: int):
-    """All totally singular k-subspaces, by breadth-first extension."""
-    K = space.field
-    level = {Subspace(())}
-    for _ in range(k):
-        nxt = set()
-        for sub in level:
-            candidates = space.perp(sub) if sub.basis else None
-            vectors = (candidates.vectors(K) if candidates
-                       else _projective_points(space))
-            for v in vectors:
-                v = tuple(v)
-                if not any(v) or not _extends_totally_singular(space, sub, v):
-                    continue
-                nxt.add(span(K, list(sub.basis) + [v]))
-        level = nxt
-    return level
-
-
-def _extends_totally_singular(space: FormSpace, sub: Subspace, v) -> bool:
-    """Can the totally singular subspace `sub` be extended by v?  Candidates
-    already lie in the perp of sub, so only singularity of v itself and
-    novelty need checking."""
-    if not space.is_singular_vector(v):
-        return False
-    if sub.basis and sub.contains(space.field, v):
-        return False
-    return True
 
 
 def maximal_totally_singular(space: FormSpace) -> ActionDomain:
     """Totally singular subspaces of dimension equal to the Witt index."""
     if space.kind == "trivial":
         raise ValueError("need a non-trivial form")
-    labels = totally_singular_subspaces(space, space.witt_index)
+
+    def extends(rows, v):
+        # singular rows, pairwise orthogonal, span a totally singular space
+        return space.is_singular_vector(v) and not any(
+            space.bilinear(u, v) for u in rows)
+
+    labels = list(subspaces(space, space.witt_index, extends))
     return ActionDomain(f"maxts[{space.kind},{space.epsilon},"
                         f"{space.n},{space.q}]", "subspace", space, labels)
 
@@ -933,7 +894,9 @@ def quadratic_forms_polarizing(space: FormSpace, epsilon: str) -> ActionDomain:
 
     A form is labeled by its values on the basis vectors; the symplectic
     group acts by Q -> Q o g^{-1}.  The two types together exhaust the
-    q**n polarizing forms.
+    q**n polarizing forms.  The type is the Arf invariant: on the
+    hyperbolic pairs (e_2i, e_2i+1), Q is of + type iff the absolute trace
+    of sum_i Q(e_2i) Q(e_2i+1) is 0.
     """
     K = space.field
     if space.kind != "symplectic" or K.p != 2:
@@ -942,21 +905,18 @@ def quadratic_forms_polarizing(space: FormSpace, epsilon: str) -> ActionDomain:
     if epsilon not in ("+", "-"):
         raise ValueError("epsilon must be '+' or '-'")
     n, q = space.n, K.q
-    m = n // 2
-    # singular-vector counts (including 0) for the two types
-    count_plus = q**(n - 1) + q**m - q**(m - 1)
-    count_minus = q**(n - 1) - q**m + q**(m - 1)
+    if q**n > VECTOR_ENUM_CAP:
+        raise OverflowError("polarizing form enumeration exceeds cap")
     labels = []
     for diag in itertools.product(range(q), repeat=n):
-        zeros = sum(1 for v in itertools.product(range(q), repeat=n)
-                    if _polarized_quad_value(space, diag, v) == 0)
-        if zeros == count_plus:
-            etype = "+"
-        elif zeros == count_minus:
-            etype = "-"
-        else:  # pragma: no cover - would indicate a degenerate form
-            raise AssertionError("polarizing form of unexpected type")
-        if etype == epsilon:
+        arf = 0
+        for i in range(0, n, 2):
+            arf = K.add(arf, K.mul(diag[i], diag[i + 1]))
+        trace = 0
+        for _ in range(K.e):
+            trace = K.add(trace, arf)
+            arf = K.mul(arf, arf)
+        if (trace == 0) == (epsilon == "+"):
             labels.append(diag)
     return ActionDomain(f"forms{epsilon}[{space.n},{space.q}]",
                         "form", space, labels)
@@ -969,8 +929,8 @@ def pair_domains(space: FormSpace, k: int):
     if not 1 <= k < n / 2:
         raise ValueError("need 1 <= k < n/2")
     K = space.field
-    small = all_subspaces(space, k)
-    big = all_subspaces(space, n - k)
+    small = list(subspaces(space, k))
+    big = list(subspaces(space, n - k))
     leq, direct = [], []
     for w in small:
         wrows = list(w.basis)
@@ -983,20 +943,6 @@ def pair_domains(space: FormSpace, k: int):
     base = f"{n},{k},{space.q}"
     return (ActionDomain(f"pairs-le[{base}]", "pair", space, leq),
             ActionDomain(f"pairs-perp[{base}]", "pair", space, direct))
-
-
-def all_subspaces(space: FormSpace, k: int):
-    """All k-subspaces of the underlying vector space."""
-    K = space.field
-    level = {Subspace(())}
-    for _ in range(k):
-        nxt = set()
-        for sub in level:
-            for v in _projective_points(space):
-                if not sub.basis or not sub.contains(K, v):
-                    nxt.add(span(K, list(sub.basis) + [v]))
-        level = nxt
-    return level
 
 
 # ---------------------------------------------------------------------------
@@ -1130,8 +1076,9 @@ def parse_matrix_file(text: str):
 
     lineno, dim_line = take("dim")
     parts = dim_line.split()
-    if parts[0] != "dim" or len(parts) != 2 or not parts[1].isdigit():
-        raise MatrixFileError(lineno, "expected 'dim n'")
+    if parts[0] != "dim" or len(parts) != 2 or not parts[1].isdigit() \
+            or int(parts[1]) < 1:
+        raise MatrixFileError(lineno, "expected 'dim n' with n >= 1")
     n = int(parts[1])
 
     lineno, form_line = take("form")
@@ -1141,17 +1088,11 @@ def parse_matrix_file(text: str):
     kind = parts[1]
     epsilon = parts[2] if len(parts) == 3 else None
     try:
-        if kind == "quadratic":
-            q = field.q
-            space = standard_form(kind, n, q, epsilon,
-                                  modulus=modulus)
-        elif kind == "hermitian":
-            if field.e % 2:
-                raise ValueError("hermitian form needs GF(q**2)")
-            space = FormSpace(kind, n, field)
-        else:
-            space = FormSpace(kind, n, field)
-    except (ValueError, AssertionError) as exc:
+        if kind == "hermitian" and field.e % 2:
+            raise ValueError("hermitian form needs GF(q**2)")
+        q = field.p**(field.e // 2 if kind == "hermitian" else field.e)
+        space = standard_form(kind, n, q, epsilon, modulus=modulus)
+    except ValueError as exc:
         raise MatrixFileError(lineno, str(exc)) from None
 
     gens = []

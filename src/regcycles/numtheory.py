@@ -11,7 +11,10 @@ above that, up to FACTOR_CAP, a composite could in principle pass it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,6 +109,25 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho schedule exhausted on {n}")  # pragma: no cover
 
 
+@functools.cache
+def _primes_below(limit: int) -> array:
+    """The primes below limit (sieve of Eratosthenes), as unsigned ints."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return array("I", itertools.compress(range(limit), sieve))
+
+
+def _trial_primes():
+    """The primes below _TRIAL_LIMIT in ascending order.  The full table is
+    built (once) only when trial division gets past 1000."""
+    small = _primes_below(1000)
+    yield from small
+    yield from itertools.islice(_primes_below(_TRIAL_LIMIT), len(small), None)
+
+
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 into prime powers.  factorize(1) is the empty product."""
     if n < 1:
@@ -113,7 +135,7 @@ def factorize(n: int) -> Factorization:
     if n > FACTOR_CAP:
         raise OverflowError(f"{n} exceeds factorization cap 2**128")
     factors: dict[int, int] = {}
-    for p in range(2, _TRIAL_LIMIT):
+    for p in _trial_primes():
         if p * p > n:
             break
         while n % p == 0:

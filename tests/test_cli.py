@@ -252,6 +252,35 @@ class TestBuildAction:
                      "nope", "--out", "/tmp/x.grp"]) == 2
 
 
+class TestErrorTable:
+    """Library errors raised under build-action end in one line, exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--type", "ksets", "--m", "3", "--k", "5"],
+        ["--type", "ksets", "--m", "0", "--k", "0"],
+        ["--type", "product", "--m", "0", "--r", "2"],
+        ["--type", "ns1", "--builtin", "sp6_2"],
+        ["--type", "aniso2", "--builtin", "sp6_2"],
+        ["--type", "pairs-le", "--builtin", "sp6_2", "--k", "3"],
+        ["--type", "singular-points", "--matrix", "SP20_2"],
+        ["--type", "maxts", "--matrix", "SP20_2"],
+    ], ids=["ksets-k-above-m", "ksets-zero", "product-zero", "ns1-symplectic",
+            "aniso2-symplectic", "pairs-k-too-large",
+            "singular-points-past-cap", "maxts-past-cap"])
+    def test_one_line_error_exit_2(self, tmp_path, capsys, argv):
+        # a dim-20 GF(2) symplectic space: 2**20 vectors, past the cap
+        sp20 = tmp_path / "sp20_2.mat"
+        sp20.write_text("GF 2 1\ndim 20\nform symplectic\ngen\n" + "".join(
+            " ".join("1" if j == i else "0" for j in range(20)) + "\n"
+            for i in range(20)))
+        argv = [str(sp20) if a == "SP20_2" else a for a in argv]
+        out = str(tmp_path / "out.grp")
+        assert main(["build-action", *argv, "--out", out]) == 2
+        _out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestCompare:
     def test_monotone_pair(self, tmp_path, capsys):
         # Sym(5) on points vs on 2-sets: the point character is contained

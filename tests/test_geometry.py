@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regcycles import geometry as ge
+from regcycles import numtheory as nt
 from regcycles.geometry import (
     DomainNotPreservedError,
     MatrixFileError,
@@ -106,6 +107,22 @@ class TestStandardForms:
         assert standard_form("hermitian", 5, 2).witt_index == 2
         assert standard_form("quadratic", 8, 2, "+").witt_index == 4
 
+    def test_witt_index_is_the_maximal_singular_dimension(self):
+        for F in _standard_forms():
+            def singular(rows, v, F=F):
+                return F.is_singular_vector(v) and not any(
+                    F.bilinear(u, v) for u in rows)
+
+            w = F.witt_index
+            label = (F.kind, F.epsilon, F.n, F.q)
+            assert next(ge.subspaces(F, w, singular), None) is not None, \
+                label
+            # the search for a (w+1)-space is exhaustive; in dimension 12
+            # (q = 2) it walks millions of partial bases, so stop at 10
+            if F.n <= 10:
+                assert next(ge.subspaces(F, w + 1, singular), None) is None, \
+                    label
+
     def test_incompatible_parameters(self):
         with pytest.raises(ValueError):
             standard_form("symplectic", 5, 2)
@@ -127,6 +144,63 @@ class TestStandardForms:
         for v in itertools.product(range(4), repeat=4):
             h = F.bilinear(v, v)
             assert F.conj(h) == h
+
+
+def _standard_forms():
+    """Every standard non-trivial form of dimension >= 1 with at most 4096
+    vectors."""
+    for q in range(2, 65):
+        if nt.prime_power(q) is None:
+            continue
+        for n in range(1, 13):
+            if q**n <= 4096:
+                if n % 2 == 0:
+                    yield standard_form("symplectic", n, q)
+                    yield standard_form("quadratic", n, q, "+")
+                    yield standard_form("quadratic", n, q, "-")
+                elif q % 2:
+                    yield standard_form("quadratic", n, q, "o")
+            if q * q <= ge.FIELD_CAP and q**(2 * n) <= 4096:
+                yield standard_form("hermitian", n, q)
+
+
+def _gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q**(n - i) - 1
+        den *= q**(i + 1) - 1
+    return num // den
+
+
+class TestSubspaceEnumerator:
+    @given(st.integers(1, 5), st.sampled_from([2, 3, 4, 5]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_each_subspace_once_in_rref(self, n, q, data):
+        k = data.draw(st.integers(0, n))
+        F = standard_form("trivial", n, q)
+        subs = list(ge.subspaces(F, k))
+        assert len(subs) == _gaussian_binomial(n, k, q)
+        assert len(set(subs)) == len(subs)
+        for sub in subs:
+            assert sub.dim == k
+            assert span(F.field, sub.basis) == sub
+
+    def test_row_filter_prunes_partial_bases(self):
+        F = standard_form("trivial", 4, 3)
+
+        def first_coordinate_zero(rows, v):
+            assert all(u[0] == 0 for u in rows)  # rejected rows never grow
+            return v[0] == 0
+
+        subs = list(ge.subspaces(F, 2, first_coordinate_zero))
+        # the 2-subspaces of the hyperplane x_0 = 0
+        assert len(subs) == _gaussian_binomial(3, 2, 3) == 13
+        assert all(row[0] == 0 for sub in subs for row in sub.basis)
+
+    def test_cap(self):
+        F = standard_form("trivial", 20, 2)
+        with pytest.raises(OverflowError):
+            next(ge.subspaces(F, 1))
 
 
 class TestPointCounts:
@@ -233,6 +307,33 @@ class TestPolarizingForms:
         # the all-zero diagonal is the standard hyperbolic form sum x_i y_i
         assert (0,) * 6 in plus.index
 
+    @pytest.mark.parametrize("n, q", [(4, 2), (6, 2), (4, 4)])
+    def test_arf_type_matches_the_zero_count(self, n, q):
+        F = standard_form("symplectic", n, q)
+        m = n // 2
+        zeros = {"+": q**(n - 1) + q**m - q**(m - 1),
+                 "-": q**(n - 1) - q**m + q**(m - 1)}
+        total = 0
+        for eps in "+-":
+            labels = ge.quadratic_forms_polarizing(F, eps).labels
+            total += len(labels)
+            for diag in labels:
+                assert sum(1 for v in itertools.product(range(q), repeat=n)
+                           if ge._polarized_quad_value(F, diag, v) == 0) \
+                    == zeros[eps]
+        assert total == q**n
+
+    def test_sp6_4_domains(self):
+        F = standard_form("symplectic", 6, 4)
+        # |Sp6(4)| / |GO6^eps(4)| = q**3 (q**3 + eps 1) / 2
+        assert ge.quadratic_forms_polarizing(F, "+").degree == 2080
+        assert ge.quadratic_forms_polarizing(F, "-").degree == 2016
+
+    def test_cap(self):
+        F = standard_form("symplectic", 20, 2)
+        with pytest.raises(OverflowError):
+            ge.quadratic_forms_polarizing(F, "+")
+
     def test_rejects_odd_characteristic(self):
         K = field_build(3, 1)
         F = ge.FormSpace("symplectic", 4, K)
@@ -250,7 +351,7 @@ class TestPairsAndDuality:
     def test_duality_is_involution(self):
         F = standard_form("trivial", 5, 2)
         tau = duality_map(F)
-        subs = list(ge.all_subspaces(F, 2))[:100]
+        subs = list(ge.subspaces(F, 2))[:100]
         for s in subs:
             t = tau.apply_subspace(F, s)
             assert t.dim == 3
@@ -387,6 +488,13 @@ class TestMatrixFiles:
         with pytest.raises(MatrixFileError):
             ge.parse_matrix_file(
                 "GF 2 1\ndim 2\nform trivial\ngen\n1 1\n1 1\n")  # singular
+        with pytest.raises(MatrixFileError) as exc:
+            ge.parse_matrix_file("GF 2 1\ndim 5\nform symplectic\ngen\n"
+                                 + "1 0 0 0 0\n" * 5)  # odd dimension
+        assert exc.value.lineno == 3
+        with pytest.raises(MatrixFileError) as exc:
+            ge.parse_matrix_file("GF 2 1\ndim 0\nform trivial\ngen\n")
+        assert exc.value.lineno == 2
 
     def test_twist_and_duality_lines(self):
         text = ("GF 2 2 1 1 1\ndim 2\nform trivial\n"

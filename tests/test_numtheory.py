@@ -44,6 +44,20 @@ class TestFactorize:
         p, q = 1000003, 1000033
         assert nt.factorize(p * q).pairs == ((p, 1), (q, 1))
 
+    def test_prime_cofactor_above_the_trial_limit(self):
+        p = 10**12 + 39  # prime
+        assert nt.factorize(6 * p).pairs == ((2, 1), (3, 1), (p, 1))
+
+    def test_square_of_the_largest_trial_prime(self):
+        assert nt.factorize(999983**2).pairs == ((999983, 2),)
+
+    def test_small_inputs_leave_the_prime_table_unbuilt(self):
+        nt._primes_below.cache_clear()
+        # trial division ends at 997, the last prime below 1000
+        assert nt.factorize(2**5 * 991 * 997).pairs == \
+            ((2, 5), (991, 1), (997, 1))
+        assert nt._primes_below.cache_info().currsize == 1
+
     @given(st.integers(min_value=1, max_value=10**12))
     @settings(max_examples=200, deadline=None)
     def test_reconstruction(self, n):
