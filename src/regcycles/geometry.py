@@ -14,7 +14,12 @@ The module provides:
     yields each k-subspace once in reduced row-echelon form;
   * conversion of matrix/semilinear generators into `perm.PermGroup`
     instances acting on those domains, with a strict domain-preservation
-    check;
+    check.  Each generator is computed once as a permutation of the
+    projective points (`ProjectivePoints`, numpy arrays over the field
+    tables); a subspace is held as the sorted array of its point indices,
+    so every point, subspace and pair domain is mapped by array gathers
+    through that one permutation, and duality through one point
+    orthogonality table.  Form domains are mapped label by label;
   * a plain text file format for matrix generators.
 
 All domains are sorted lists of canonical labels, so repeated runs build
@@ -25,6 +30,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache, cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 from .numtheory import is_prime, prime_power
 from .perm import DEFAULT_DOMAIN_CAP, PermGroup, Permutation
@@ -364,9 +373,10 @@ def nullspace(K, M):
     return rref(K, basis)[0]
 
 
-@dataclass(frozen=True, order=True)
-class Subspace:
-    """Subspace given by its unique reduced row-echelon basis."""
+class Subspace(NamedTuple):
+    """Subspace given by its unique reduced row-echelon basis.  A named
+    tuple, so that large domains of subspaces and pairs of them sort and
+    hash as plain tuples."""
 
     basis: tuple[tuple[int, ...], ...]
 
@@ -396,10 +406,6 @@ class Subspace:
 
 def span(K, vectors) -> Subspace:
     return Subspace(rref(K, list(vectors))[0])
-
-
-def subspace_intersection_dim(K, a: Subspace, b: Subspace) -> int:
-    return a.dim + b.dim - mat_rank(K, list(a.basis) + list(b.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +539,18 @@ class FormSpace:
             return n // 2
         return {"+": n // 2, "-": n // 2 - 1, "o": (n - 1) // 2}[self.epsilon]
 
+    @cached_property
+    def point_orthogonality(self):
+        """0/1 matrix (N, N) over the projective points: entry [a, b] is 1
+        when bilinear(a, b) = 0, i.e. a G conj(b) = 0."""
+        pts = projective_points(self.field, self.n)
+        conj = np.array([self.conj(a) for a in range(self.field.q)],
+                        dtype=np.int16)
+        gram = np.array(self.gram, dtype=np.int16)
+        values = pts.combine(pts.combine(pts.vectors, gram),
+                             conj[pts.vectors].T)
+        return (values == 0).astype(np.int32)
+
     def perp(self, sub: Subspace) -> Subspace:
         """Orthogonal complement with respect to the (polar) form."""
         K = self.field
@@ -619,63 +637,121 @@ class SemilinearMap:
             v = tuple(K.frobenius(x, self.twist) for x in v)
         return vec_mat(K, v, self.matrix)
 
-    def apply_subspace(self, space: FormSpace, sub: Subspace) -> Subspace:
-        mapped = span(space.field,
-                      [self.apply_vector(space, b) for b in sub.basis])
-        return space.perp(mapped) if self.duality else mapped
-
 
 def duality_map(space: FormSpace) -> SemilinearMap:
     """The involution W -> W^perp (with respect to space.gram)."""
     return SemilinearMap(mat_identity(space.n), duality=True)
 
 
-def map_order(space: FormSpace, g: SemilinearMap, cap: int = 10**6) -> int:
-    """Order of a twist-free, duality-free map, by repeated multiplication."""
-    if g.twist or g.duality:
-        raise ValueError("order is only computed for plain matrices")
-    K = space.field
-    ident = mat_identity(space.n)
-    m = g.matrix
-    for k in range(1, cap + 1):
-        if m == ident:
-            return k
-        m = mat_mul(K, m, g.matrix)
-    raise ArithmeticError("order exceeds cap")
-
-
-def semisimple_decomposition(x: SemilinearMap, space: FormSpace):
-    """(C_V(x), [V, x], l') for a semisimple matrix x.
-
-    C_V(x) is the kernel of x - 1, [V, x] its image, and l' = dim [V, x] is
-    the rank of x - 1.  Requires the order of x to be coprime to the field
-    characteristic (otherwise V need not split as the direct sum).
-    """
-    if x.twist or x.duality:
-        raise ValueError("decomposition needs a plain matrix")
-    K = space.field
-    order = map_order(space, x)
-    if order % K.p == 0:
-        raise ValueError(f"order {order} divisible by the characteristic "
-                         f"{K.p}: element is not semisimple")
-    n = space.n
-    diff = tuple(tuple(K.sub(x.matrix[i][j], 1 if i == j else 0)
-                       for j in range(n)) for i in range(n))
-    image = Subspace(rref(K, diff)[0])
-    kernel = Subspace(nullspace(K, diff))
-    assert kernel.dim + image.dim == n
-    return kernel, image, image.dim
-
-
 # ---------------------------------------------------------------------------
 # action domains
 
-def _canonical_point(K, v):
-    lead = next(x for x in v if x)
-    if lead == 1:
-        return tuple(v)
-    c = K.inv(lead)
-    return vec_scale(K, c, v)
+class ProjectivePoints:
+    """The (q**n - 1)/(q - 1) points of PG(n-1, q), as numpy arrays.
+
+    `vectors[i]` is the canonical vector of point i (first nonzero entry
+    1); the points are in lexicographic order of these vectors.  `index`
+    maps the base-q code of any vector (first entry most significant) to
+    the point it spans, and the zero vector to -1.  Field entries are
+    int16 and point indices int32.
+    """
+
+    def __init__(self, field: Fq, n: int):
+        q = field.q
+        if q**n > VECTOR_ENUM_CAP:
+            raise OverflowError("point enumeration exceeds cap")
+        self.field, self.n = field, n
+        self._add = np.array(field._add, dtype=np.int16)
+        self._mul = np.array(field._mul, dtype=np.int16)
+        self._weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        # the canonical vectors with their leading 1 in column j have the
+        # codes q**(n-1-j) + r, r < q**(n-1-j); listed from j = n - 1 down
+        # they come out in increasing order
+        codes = np.concatenate([q**t + np.arange(q**t) for t in range(n)])
+        self.vectors = (codes[:, None] // self._weights % q).astype(np.int16)
+        self.index = np.full(q**n, -1, dtype=np.int32)
+        for c in range(1, q):
+            self.index[self.codes(self._mul[c][self.vectors])] = \
+                np.arange(len(codes), dtype=np.int32)
+        # shared by every caller through the cache below
+        self.vectors.flags.writeable = self.index.flags.writeable = False
+
+    def codes(self, vectors):
+        return vectors @ self._weights
+
+    def combine(self, coeffs, rows):
+        """sum_i coeffs[..., i] * rows[..., i, :] over the field, with numpy
+        broadcasting between the leading axes."""
+        out = np.zeros(np.broadcast_shapes(coeffs.shape[:-1] + (1,),
+                                           rows.shape[:-2] + rows.shape[-1:]),
+                       dtype=np.int16)
+        for i in range(coeffs.shape[-1]):
+            out = self._add[out, self._mul[coeffs[..., i, None],
+                                           rows[..., i, :]]]
+        return out
+
+    def image(self, g: SemilinearMap):
+        """The permutation of the points induced by v -> v^(p^twist) M."""
+        vectors = self.vectors
+        if g.twist:
+            frob = np.array([self.field.frobenius(a, g.twist)
+                             for a in range(self.field.q)], dtype=np.int16)
+            vectors = frob[vectors]
+        return self.index[self.codes(
+            self.combine(vectors, np.array(g.matrix, dtype=np.int16)))]
+
+    def span(self, bases):
+        """Sorted point indices of the spans of k-row bases, (S, k, n) ->
+        (S, (q**k - 1)/(q - 1)): the canonical coefficient vectors of
+        PG(k-1, q) times each basis."""
+        coeffs = projective_points(self.field, bases.shape[1]).vectors
+        vectors = self.combine(coeffs[None], bases[:, None])
+        return np.sort(self.index[self.codes(vectors)], axis=1)
+
+    def incidence(self, rows):
+        """0/1 matrix (S, N) of the point sets given as index rows."""
+        inc = np.zeros((len(rows), len(self.vectors)), dtype=np.int32)
+        np.put_along_axis(inc, rows, 1, axis=1)
+        return inc
+
+
+@cache
+def projective_points(field: Fq, n: int) -> ProjectivePoints:
+    return ProjectivePoints(field, n)
+
+
+def _perp_points(space: FormSpace, rows):
+    """Point sets of the perps of the subspaces with the given point sets:
+    the points orthogonal to every point of the subspace."""
+    pts = projective_points(space.field, space.n)
+    met = pts.incidence(rows) @ space.point_orthogonality
+    return np.nonzero(met == rows.shape[1])[1].reshape(len(rows), -1) \
+        .astype(np.int32)
+
+
+def _bases(subs):
+    return np.array([sub.basis for sub in subs], dtype=np.int16)
+
+
+class _RowIndex:
+    """Exact lookup of integer rows in a table of distinct rows (each row
+    compared as one opaque byte string)."""
+
+    def __init__(self, rows):
+        keys = _row_keys(rows)
+        self.order = np.argsort(keys)
+        self.keys = keys[self.order]
+
+    def find(self, rows):
+        """Table position of each row, -1 where the table lacks it."""
+        keys = _row_keys(rows)
+        pos = np.searchsorted(self.keys, keys).clip(max=len(self.keys) - 1)
+        return np.where(self.keys[pos] == keys, self.order[pos], -1)
+
+
+def _row_keys(rows):
+    rows = np.ascontiguousarray(rows, dtype=np.int32)
+    return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
 
 
 def subspaces(space: FormSpace, k: int, row_ok=None):
@@ -730,42 +806,89 @@ class ActionDomain:
     def degree(self):
         return len(self.labels)
 
-    def _apply(self, g: SemilinearMap, label, minv):
-        space, K = self.space, self.space.field
-        if self.kind == "point":
-            if g.duality:
-                raise DomainNotPreservedError(
-                    f"duality does not act on the point domain {self.name}")
-            return _canonical_point(K, g.apply_vector(space, label))
-        if self.kind == "subspace":
-            return g.apply_subspace(space, label)
+    @cached_property
+    def _parts(self):
+        """The labels as point sets.  A label is a tuple of r subspaces
+        (r = 2 for pairs, else 1).  For each position: the distinct
+        subspaces found there, as sorted point-index rows, and their
+        lookup; then the (degree, r) array of each label's members and its
+        lookup."""
+        pts = projective_points(self.space.field, self.space.n)
         if self.kind == "pair":
-            a, b = (g.apply_subspace(space, s) for s in label)
-            return (a, b) if (a.dim, a.basis) <= (b.dim, b.basis) else (b, a)
-        if self.kind == "form":
-            if g.twist or g.duality:
-                raise DomainNotPreservedError(
-                    "form domains only support plain matrix generators")
-            # Q -> Q o g^{-1}; the polar form is preserved, so the image is
-            # again determined by its values on the basis vectors.
-            return tuple(_polarized_quad_value(space, label,
-                                               minv[i])
-                         for i in range(space.n))
-        raise ValueError(f"unknown domain kind {self.kind!r}")
+            columns = list(zip(*self.labels))
+        elif self.kind == "subspace":
+            columns = [self.labels]
+        else:
+            columns = [[Subspace((v,)) for v in self.labels]]
+        parts, members = [], []
+        for column in columns:
+            distinct = {}
+            members.append(np.fromiter(
+                (distinct.setdefault(sub, len(distinct)) for sub in column),
+                dtype=np.int32, count=len(column)))
+            rows = pts.span(_bases(distinct))
+            parts.append((rows, _RowIndex(rows)))
+        members = np.stack(members, axis=1)
+        return parts, members, _RowIndex(members)
 
     def permutation(self, g: SemilinearMap) -> Permutation:
-        minv = None
+        """The permutation g induces on the labels.  Point, subspace and
+        pair domains map the point sets of their labels through the one
+        point permutation of g; form domains map each label."""
         if self.kind == "form":
-            minv = mat_inv(self.space.field, g.matrix)
-        images = [0] * self.degree
-        for i, lab in enumerate(self.labels):
-            out = self._apply(g, lab, minv)
-            j = self.index.get(out)
+            return self._form_permutation(g)
+        if self.kind not in ("point", "subspace", "pair"):
+            raise ValueError(f"unknown domain kind {self.kind!r}")
+        if g.duality and self.kind == "point":
+            raise DomainNotPreservedError(
+                f"duality does not act on the point domain {self.name}")
+        if not self.labels:
+            return Permutation([])
+        parts, members, lookup = self._parts
+        point_perm = projective_points(self.space.field,
+                                       self.space.n).image(g)
+        if point_perm.min() < 0:
+            raise DomainNotPreservedError(
+                f"a singular generator does not act on {self.name}")
+        moved = []
+        for j, (_, target) in enumerate(parts):
+            # duality sends W to W^perp, which swaps the halves of a pair
+            i = len(parts) - 1 - j if g.duality else j
+            rows = np.sort(point_perm[parts[i][0]], axis=1)
+            if g.duality:
+                rows = _perp_points(self.space, rows)
+            moved.append(target.find(rows)[members[:, i]])
+        images = lookup.find(np.stack(moved, axis=1))
+        outside = np.flatnonzero(images < 0)
+        if outside.size:
+            raise DomainNotPreservedError(
+                f"generator maps label {self.labels[outside[0]]!r} of domain "
+                f"{self.name} outside the domain")
+        # the index's own ints, so that the image tuples of all generators
+        # share one int object per label
+        return Permutation(map(self._label_ints.__getitem__, images.tolist()))
+
+    @cached_property
+    def _label_ints(self):
+        return list(self.index.values())
+
+    def _form_permutation(self, g: SemilinearMap) -> Permutation:
+        if g.twist or g.duality:
+            raise DomainNotPreservedError(
+                "form domains only support plain matrix generators")
+        # Q -> Q o g^{-1}; the polar form is preserved, so the image is
+        # again determined by its values on the basis vectors.
+        space = self.space
+        minv = mat_inv(space.field, g.matrix)
+        images = []
+        for lab in self.labels:
+            j = self.index.get(tuple(_polarized_quad_value(space, lab, row)
+                                     for row in minv))
             if j is None:
                 raise DomainNotPreservedError(
                     f"generator maps label {lab!r} of domain {self.name} "
                     f"outside the domain")
-            images[i] = j
+            images.append(j)
         return Permutation(images)
 
     def label_lines(self):
@@ -928,18 +1051,16 @@ def pair_domains(space: FormSpace, k: int):
     n = space.n
     if not 1 <= k < n / 2:
         raise ValueError("need 1 <= k < n/2")
-    K = space.field
+    pts = projective_points(space.field, n)
     small = list(subspaces(space, k))
     big = list(subspaces(space, n - k))
-    leq, direct = [], []
-    for w in small:
-        wrows = list(w.basis)
-        for u in big:
-            r = mat_rank(K, wrows + list(u.basis))
-            if r == u.dim:
-                leq.append((w, u))
-            elif r == n and w.dim + u.dim == n:
-                direct.append((w, u))
+    # |pts(W) & pts(U)| for every W, U: W <= U when it is all of pts(W),
+    # and, as dim W + dim U = n, W + U = V when it is 0
+    small_pts = pts.span(_bases(small))
+    meet = pts.incidence(small_pts) @ pts.incidence(pts.span(_bases(big))).T
+    leq = [(small[i], big[j])
+           for i, j in zip(*np.nonzero(meet == small_pts.shape[1]))]
+    direct = [(small[i], big[j]) for i, j in zip(*np.nonzero(meet == 0))]
     base = f"{n},{k},{space.q}"
     return (ActionDomain(f"pairs-le[{base}]", "pair", space, leq),
             ActionDomain(f"pairs-perp[{base}]", "pair", space, direct))

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from corpus import MAX_DEGREE, MAX_ORDER, corpus_groups
+from geometry_reference import (map_order, semisimple_decomposition,
+                                subspace_intersection_dim)
 from regcycles import bounds as bd
 from regcycles import geometry as geo
 from regcycles import numtheory as nt
@@ -263,7 +265,7 @@ def semisimple_sample(space, gens, excluded_primes, want):
     cur = ident
     for _ in range(4000):
         cur = geo.mat_mul(K, cur, rng.choice(mats))
-        order = geo.map_order(space, geo.SemilinearMap(cur), cap=10**5)
+        order = map_order(space, geo.SemilinearMap(cur), cap=10**5)
         for r in nt.factorize(order).primes():
             if r not in excluded_primes:
                 m = mat_pow(K, cur, order // r)
@@ -309,7 +311,7 @@ class TestSemisimpleFixedPoints:
         gid = GroupId("PSL", 5, 2)
         sample = semisimple_sample(space, gens, {2}, 6)
         for m in sample:
-            kernel, _, ellp = geo.semisimple_decomposition(
+            kernel, _, ellp = semisimple_decomposition(
                 geo.SemilinearMap(m), space)
             count = check_fixed_set(space, dom, m, kernel)
             assert count == 2**(5 - ellp) - 1
@@ -325,7 +327,7 @@ class TestSemisimpleFixedPoints:
         sample = semisimple_sample(space, gens, {2, 3}, 7)
         seen = set()
         for m in sample:
-            kernel, _, ellp = geo.semisimple_decomposition(
+            kernel, _, ellp = semisimple_decomposition(
                 geo.SemilinearMap(m), space)
             seen.add(ellp)
             d = n - ellp
@@ -352,7 +354,7 @@ class TestSemisimpleFixedPoints:
         doms_ii = list(nd) if isinstance(nd, tuple) else [nd]
         sample = semisimple_sample(space, gens, excluded, 7)
         for m in sample:
-            kernel, _, ellp = geo.semisimple_decomposition(
+            kernel, _, ellp = semisimple_decomposition(
                 geo.SemilinearMap(m), space)
             d = n - ellp
             count = check_fixed_set(space, dom_i, m, kernel)
@@ -644,8 +646,7 @@ class TestTotallySingularComplements:
         fixed = dom.labels[0]
         count = sum(
             1 for other in dom.labels
-            if geo.subspace_intersection_dim(space.field, fixed,
-                                             other) == 0)
+            if subspace_intersection_dim(space.field, fixed, other) == 0)
         assert count == expect == q**3  # q^(m(m-1)/2) with m = 3
 
     def test_duality_extended_pair_action_is_all_regular_sampled(self):

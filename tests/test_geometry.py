@@ -1,13 +1,23 @@
 """Oracle tests for fields, forms, domains, and matrix-group plumbing."""
 
+import hashlib
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geometry_reference import (
+    apply_subspace,
+    map_order,
+    reference_permutation,
+    semisimple_decomposition,
+)
 from regcycles import geometry as ge
 from regcycles import numtheory as nt
+from regcycles import perm
 from regcycles.geometry import (
     DomainNotPreservedError,
     MatrixFileError,
@@ -18,7 +28,6 @@ from regcycles.geometry import (
     mat_inv,
     mat_mul,
     perm_image,
-    semisimple_decomposition,
     span,
     standard_form,
 )
@@ -353,9 +362,9 @@ class TestPairsAndDuality:
         tau = duality_map(F)
         subs = list(ge.subspaces(F, 2))[:100]
         for s in subs:
-            t = tau.apply_subspace(F, s)
+            t = apply_subspace(tau, F, s)
             assert t.dim == 3
-            assert tau.apply_subspace(F, t) == s
+            assert apply_subspace(tau, F, t) == s
 
     def test_duality_acts_on_pairs(self):
         F = standard_form("trivial", 5, 2)
@@ -383,7 +392,7 @@ class TestSemisimpleDecomposition:
         F = standard_form("trivial", 4, 2)
         x = SemilinearMap(((0, 1, 0, 0), (1, 1, 0, 0),
                            (0, 0, 1, 0), (0, 0, 0, 1)))
-        assert ge.map_order(F, x) == 3
+        assert map_order(F, x) == 3
         cv, comm, ell = semisimple_decomposition(x, F)
         assert ell == 2 and cv.dim == 2
 
@@ -392,7 +401,7 @@ class TestSemisimpleDecomposition:
         # companion matrix of x**4 + x**3 + x**2 + x + 1
         x = SemilinearMap(((0, 1, 0, 0), (0, 0, 1, 0),
                            (0, 0, 0, 1), (1, 1, 1, 1)))
-        assert ge.map_order(F, x) == 5
+        assert map_order(F, x) == 5
         cv, comm, ell = semisimple_decomposition(x, F)
         assert ell == 4 and cv.dim == 0
 
@@ -426,6 +435,296 @@ class TestPermImage:
         dom = ge.singular_points(F)
         with pytest.raises(DomainNotPreservedError):
             dom.permutation(duality_map(F))
+
+    @pytest.mark.parametrize("build", [ge.maximal_totally_singular,
+                                       ge.nondegenerate_2_subspaces])
+    def test_non_isometry_rejected_on_subspaces(self, build):
+        F = standard_form("symplectic", 6, 2)
+        dom = build(F)
+        # e_0 -> e_0 + e_2 breaks B(e_0, e_3) = 0
+        shear = SemilinearMap(tuple(
+            tuple(1 if i == j or (i, j) == (0, 2) else 0 for j in range(6))
+            for i in range(6)))
+        with pytest.raises(DomainNotPreservedError):
+            dom.permutation(shear)
+        with pytest.raises(DomainNotPreservedError):
+            reference_permutation(dom, shear)
+
+    def test_singular_generator_rejected(self):
+        F = standard_form("trivial", 5, 2)
+        _le, perp = ge.pair_domains(F, 1)
+        singular = ((1, 0, 0, 0, 0),) * 5
+        for g in (SemilinearMap(singular),
+                  SemilinearMap(singular, duality=True)):
+            with pytest.raises(DomainNotPreservedError):
+                perp.permutation(g)
+
+
+# -- the induced point action against the per-label reference ----------------
+
+_DOMAIN_KINDS = ("point", "ns1", "aniso2", "nd2", "maxts", "pairs-le",
+                 "pairs-perp")
+# the reference maps every label with its own row reductions, so the
+# domains stay small: the Gaussian binomials of the dimensions the builder
+# enumerates bound the degree
+_MAX_LABELS = 1100
+
+
+def _small_spaces():
+    """(kind, n, q, epsilon) for every standard form space, the trivial
+    one included, over a field of order 2, 3, 4 or 5 with at most 1024
+    vectors."""
+    for q in (2, 3, 4, 5):
+        for n in range(1, 11):
+            if q**n <= 1024:
+                if n >= 2:
+                    yield ("trivial", n, q, None)
+                if n % 2 == 0:
+                    yield ("symplectic", n, q, None)
+                    yield ("quadratic", n, q, "+")
+                    yield ("quadratic", n, q, "-")
+                elif q % 2 and n >= 3:
+                    yield ("quadratic", n, q, "o")
+            if (q * q)**n <= 1024 and n >= 2:  # hermitian: over GF(q**2)
+                yield ("hermitian", n, q, None)
+
+
+def _domain_dims(kind, space):
+    """Dimensions of the subspaces a domain label is made of."""
+    if kind in ("point", "ns1"):
+        return [1]
+    if kind in ("aniso2", "nd2"):
+        return [2]
+    if kind == "maxts":
+        return [space.witt_index]
+    return [1, space.n - 1]  # pairs with k = 1
+
+
+def _applies(kind, space):
+    if kind == "ns1":
+        return space.kind in ("quadratic", "hermitian")
+    if kind == "aniso2":
+        return space.kind == "quadratic"
+    if kind == "nd2":  # GL does not preserve it under the dot product
+        return space.kind != "trivial"
+    if kind == "maxts":
+        return space.kind != "trivial" and space.witt_index >= 1
+    if kind in ("pairs-le", "pairs-perp"):
+        return space.n >= 3
+    return True
+
+
+def _reference_cases(kind):
+    cases = []
+    for params in _small_spaces():
+        space = standard_form(*params)
+        if _applies(kind, space) and math.prod(
+                _gaussian_binomial(space.n, d, space.field.q)
+                for d in _domain_dims(kind, space)) <= _MAX_LABELS:
+            cases.append(params)
+    return cases
+
+
+_domain_cache: dict = {}
+
+
+def _domain(kind, params):
+    key = (kind, params)
+    if key not in _domain_cache:
+        space = standard_form(*params)
+        if kind == "point":
+            dom = ge.singular_points(space)
+        elif kind == "ns1":
+            dom = ge.nondegenerate_points(space)
+            dom = dom[0] if isinstance(dom, tuple) else dom
+        elif kind == "aniso2":
+            dom = ge.anisotropic_2_subspaces(space)
+        elif kind == "nd2":
+            dom = ge.nondegenerate_2_subspaces(space)
+        elif kind == "maxts":
+            dom = ge.maximal_totally_singular(space)
+        else:
+            le, perp = ge.pair_domains(space, 1)
+            dom = le if kind == "pairs-le" else perp
+        _domain_cache[key] = dom
+    return _domain_cache[key]
+
+
+def _is_isometry(space, m):
+    n = space.n
+    basis = mat_identity(n)
+    images = [ge.vec_mat(space.field, b, m) for b in basis]
+    if space.kind == "quadratic" and any(
+            space.quad_value(images[i]) != space.quad_value(basis[i])
+            for i in range(n)):
+        return False
+    return all(space.bilinear(images[i], images[j])
+               == space.bilinear(basis[i], basis[j])
+               for i in range(n) for j in range(n))
+
+
+def _random_generators(space, rng, count=3):
+    """Random invertible matrices for the trivial form; otherwise random
+    isometries x -> x + c B(x, v) v (symplectic transvections, orthogonal
+    reflections, unitary transvections and quasi-reflections)."""
+    K, n = space.field, space.n
+    gens = []
+    while len(gens) < count:
+        if space.kind == "trivial":
+            m = tuple(tuple(rng.randrange(K.q) for _ in range(n))
+                      for _ in range(n))
+            if ge.mat_rank(K, m) == n:
+                gens.append(m)
+            continue
+        v = tuple(rng.randrange(K.q) for _ in range(n))
+        c = rng.randrange(1, K.q)
+        # B(x, v) = x . w with w = G conj(v)
+        w = [0] * n
+        for i in range(n):
+            for j in range(n):
+                w[i] = K.add(w[i], K.mul(space.gram[i][j], space.conj(v[j])))
+        m = tuple(tuple(K.add(1 if i == j else 0, K.mul(c, K.mul(w[i], v[j])))
+                        for j in range(n)) for i in range(n))
+        if any(v) and m != mat_identity(n) and _is_isometry(space, m):
+            gens.append(m)
+    return gens
+
+
+def _admits_twist(space):
+    """The Frobenius map preserves the form when its coefficients lie in
+    the prime field."""
+    coeffs = [x for row in space.gram for x in row]
+    if space.upper is not None:
+        coeffs += [x for row in space.upper for x in row]
+    return space.field.e > 1 and all(x < space.field.p for x in coeffs)
+
+
+def _admits_duality(kind, space):
+    """W -> W^perp maps pairs to pairs, and a maximal totally singular
+    subspace of half the dimension to itself."""
+    return kind in ("pairs-le", "pairs-perp") or (
+        kind == "maxts" and 2 * space.witt_index == space.n)
+
+
+class TestInducedPointAction:
+    @pytest.mark.parametrize("kind", _DOMAIN_KINDS)
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_permutation_matches_reference(self, kind, data):
+        params = data.draw(st.sampled_from(_reference_cases(kind)))
+        dom = _domain(kind, params)
+        space = dom.space
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        gens = _random_generators(space, rng)
+        word = mat_identity(space.n)
+        for _ in range(data.draw(st.integers(1, 4))):
+            word = mat_mul(space.field, word, rng.choice(gens))
+        twist = data.draw(st.integers(0, space.field.e - 1)) \
+            if _admits_twist(space) else 0
+        duality = data.draw(st.booleans()) \
+            if _admits_duality(kind, space) else False
+        g = SemilinearMap(word, twist, duality)
+        assert dom.permutation(g) == reference_permutation(dom, g)
+
+    def test_every_space_kind_is_covered(self):
+        kinds = {(params[0], params[3]) for kind in _DOMAIN_KINDS
+                 for params in _reference_cases(kind)}
+        assert kinds == {("trivial", None), ("symplectic", None),
+                         ("hermitian", None), ("quadratic", "+"),
+                         ("quadratic", "-"), ("quadratic", "o")}
+        assert all(_reference_cases(kind) for kind in _DOMAIN_KINDS)
+
+
+
+# (builtin, action, argument, degree, SHA-256 of emit_group_file of the
+# perm_image, SHA-256 of the label lines as `build-action` writes them),
+# recorded with the per-label implementation; the point-action rewrite
+# must reproduce them byte for byte
+_GOLDEN = [
+    ('sp6_2', 'singular-points', None, 63,
+     "942f66513e70b1952d0a5be7ae9e3cc06f134e0b0ce2f649624c653943220b41",
+     "3e33eae1e649b7bafdd0496e63ef1ea954e29586c522d267ae31f02cd15dacef"),
+    ('sp6_2', 'maxts', None, 135,
+     "14b4b5abd9ee6161721068358ae54aa648791a140698368c61b189351113fd7c",
+     "539c25818653b8774ca7a8588e028337c744c6ab59399599a516292561ccdf2c"),
+    ('sp6_2', 'forms', '+', 36,
+     "3829c2f06287ec683026fc3105031287d393ee3a7813a0dab5b0f89778525111",
+     "f76d47650c649b4f1ccc726a910b90d32aa4323354be7b9a85e0706ec45b1330"),
+    ('sp6_2', 'forms', '-', 28,
+     "1d08980d7650a3cb7e6268fce2e84a591f5d7cb73a937fdba9ab2c8949c0ba9c",
+     "f0f5fecb3b95bcaa272b3792bf76dff02cf1df9253c0d671833deac4b8aeb85b"),
+    ('sp6_2', 'pairs-le', 1, 1953,
+     "d4ab40b910227aa52b5f5017bfe2f4396601b1cf028ad0d78006f6de9a0944e0",
+     "8cdee308ebc6ebd5d5b494ab59a833d247b9bcc6bf8e72743fdcc3c8148f3939"),
+    ('o8p_2', 'singular-points', None, 135,
+     "e535fc6470c83946a6f97f2683f68ff3708589a2594a52e45e9d9d89259cc731",
+     "eea2fec711f24ef6e6a2c221cd854cc272185c1c5acc33403e184cffbecb6d62"),
+    ('o8p_2', 'ns1', None, 120,
+     "38722b943b0d99eb9a067845079a6a35b39bc77cfa80da430f61c83621147360",
+     "7c1b77133ed236084a3a713ba0ab9c381d93a679d7f5252751d220664adc1ca8"),
+    ('o8p_2', 'aniso2', None, 1120,
+     "2ba8f6f05e12dc9b50af030d1244e07c56320e616b07a1564286a70226b036ea",
+     "6d26de9e12aacca8b33cdf09461919334804bbd9a486e255c74974def9e53bc1"),
+    ('su5_2', 'singular-points', None, 165,
+     "1f3d36c4eb65661ec5f9e5be8b33b2b6e411eeda7603f3bf1649b9b97e3372f6",
+     "8516f130a8782b9967af4d29a83ee813fc1d835b3c3c178a930c6298abf80fe5"),
+    ('su5_2', 'ns1', None, 176,
+     "d71e2fb348715ac861a1953738468d4fc37580eacdd8d49a1fb580b75144c77a",
+     "f044c17f7dea5a26c4579651994a8432e7183b41eae8ab91589a8906b3abcee0"),
+    ('su5_2', 'maxts', None, 297,
+     "c80296417d1ec535a66b93619ebfb6c5c49a184580b65cbd083ef098467e6445",
+     "b8d4a1ff7524035d53ca4da5b314bc07d6af6fe8022cbc0bbfcd26b1c545e0d9"),
+    ('o7_3', 'singular-points', None, 364,
+     "19e23bbf942cb1501bf870d721751ebb7ed47cebfef7f439344cb93c9a98ca2b",
+     "48f4a39bffb0d349634b328a071e66d05a3c856f37ac04949e2ec97f24e5d5dc"),
+    ('o7_3', 'ns1', 'plus', 378,
+     "1ccfe7a29344c18bd99d15aa4f6b517419f1befda6e507da2a6ea3511ed1cdc8",
+     "3fc3294bb5605c3f2adfa13f68f6ab0e1c63ead08632414c9915c3fa9c41624f"),
+    ('o7_3', 'ns1', 'minus', 351,
+     "3da186d653ff327610464965b7f649218b61e5e3ded3d65d410787f15843d256",
+     "fedfd58d1faed2ec5ccda8b4b1e9a529a098585afee8f39ce9b24c87801fa008"),
+    ('sp6_2', 'nd2', None, 336,
+     "4784024ccd67195823153aae9f91c230680f09b8b8370b77f06ffb89b6aba211",
+     "073652ef1eff71bc3150fe1855cf7da8cac5666a8fc1c45c21695ecf66e538ec"),
+    ('o8p_2', 'nd2', None, 5440,
+     "ff4c18ba138f4a8a4f7c2c0dd9af30bbe5bd53506790ba0ec53d873fb96f063e",
+     "60d5a3bf306b735d385b569b6a25977724721e548aa7b742654c1bf72af91b26"),
+]
+
+
+class TestGoldenOutputs:
+    @staticmethod
+    def _domain(space, action, arg):
+        if action == "singular-points":
+            return ge.singular_points(space)
+        if action == "ns1":
+            dom = ge.nondegenerate_points(space)
+            return dom[0 if arg == "plus" else 1] \
+                if isinstance(dom, tuple) else dom
+        if action == "aniso2":
+            return ge.anisotropic_2_subspaces(space)
+        if action == "maxts":
+            return ge.maximal_totally_singular(space)
+        if action == "forms":
+            return ge.quadratic_forms_polarizing(space, arg)
+        if action == "nd2":
+            return ge.nondegenerate_2_subspaces(space)
+        le, perp = ge.pair_domains(space, arg)
+        return le if action == "pairs-le" else perp
+
+    @pytest.mark.parametrize("name, action, arg, degree, grp, labels",
+                             _GOLDEN, ids=[f"{name}-{action}-{arg}"
+                                           for name, action, arg, *_
+                                           in _GOLDEN])
+    def test_outputs_are_byte_identical(self, name, action, arg, degree,
+                                        grp, labels):
+        space, gens = ge.builtin_matrix_group(name)
+        dom = self._domain(space, action, arg)
+        text = perm.emit_group_file(perm_image(gens, dom))
+        lines = "\n".join(dom.label_lines()) + "\n"
+        assert dom.degree == degree
+        assert hashlib.sha256(text.encode()).hexdigest() == grp
+        assert hashlib.sha256(lines.encode()).hexdigest() == labels
 
 
 class TestCombinatorialActions:
