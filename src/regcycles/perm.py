@@ -57,9 +57,11 @@ class Permutation:
     __slots__ = ("images", "_hash")
 
     def __init__(self, images):
-        images = tuple(int(x) for x in images)
+        images = tuple(map(int, images))
+        # d distinct images, all in range(d)
         d = len(images)
-        if sorted(images) != list(range(d)):
+        if d and (min(images) < 0 or max(images) >= d
+                  or len(set(images)) != d):
             raise ValueError("images do not form a bijection of 0..d-1")
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_hash", hash(images))

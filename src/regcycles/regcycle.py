@@ -11,12 +11,13 @@ being < 1 forces a regular cycle.  The identity is handled by convention: a
 fixed point is a cycle of length |1| = 1, so the identity *has* a regular
 cycle on any nonempty domain (reports carry this convention explicitly).
 
-Fixed-point sets are packed bitsets (Python ints) keyed by the domain.  The
-bulk verifier reads cycle types from one coset of the first point
-stabilizer per stabilizer orbit (cycle type is a class function), and only
-counts elements of square-free order when asked to, which is sound for the
-"all-regular" verdict: if some element has no regular cycle, a suitable
-power of square-free order also has none.
+Fixed-point counts come from one cycle decomposition: Fix(g**m) is the
+union of the cycles of g whose length divides m.  The bulk verifier reads
+cycle types from one coset of the first point stabilizer per stabilizer
+orbit (cycle type is a class function), and only counts elements of
+square-free order when asked to, which is sound for the "all-regular"
+verdict: if some element has no regular cycle, a suitable power of
+square-free order also has none.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .perm import (
     cycle_decomposition,
     cycle_lengths,
     cycle_string,
-    power,
 )
 
 
@@ -66,18 +66,10 @@ class RegCycleReport:
         }
 
 
-def fix_set(x: Permutation) -> int:
-    """Fixed points of x as a packed bitset (bit i set iff i is fixed)."""
-    bits = 0
-    for i, img in enumerate(x.images):
-        if img == i:
-            bits |= 1 << i
-    return bits
-
-
 def fpr_exact(x: Permutation) -> Fraction:
     """Exact fixed-point ratio |Fix(x)| / degree."""
-    return Fraction(fix_set(x).bit_count(), x.degree)
+    return Fraction(sum(1 for i, img in enumerate(x.images) if img == i),
+                    x.degree)
 
 
 def count_regular_cycles(g) -> int:
@@ -100,27 +92,24 @@ def fix_union_test(g: Permutation) -> RegCycleReport:
     """
     d = g.degree
     cycles = cycle_decomposition(g)
-    order = math.lcm(*(len(c) for c in cycles))
-    witness = None
-    for c in cycles:
-        if len(c) == order:
-            witness = (c[0], order)
-            break
+    lengths = [len(c) for c in cycles]
+    order = math.lcm(*lengths)
+    witness = next(((c[0], order) for c in cycles if len(c) == order), None)
     if order == 1:
         return RegCycleReport(True, 1, witness, Fraction(0), d, d,
                               identity_convention=True)
-    union = 0
+    # Fix(g**(|g|/r)) is the union of the cycles whose length divides
+    # |g|/r; over all primes r these are the cycles shorter than |g|
     s_value = Fraction(0)
     for r in numtheory.factorize(order).primes():
-        fb = fix_set(power(g, order // r))
-        union |= fb
-        s_value += Fraction(fb.bit_count(), d)
+        s_value += Fraction(sum(L for L in lengths if (order // r) % L == 0),
+                            d)
     return RegCycleReport(
         has_regular_cycle=witness is not None,
         order=order,
         witness=witness,
         s_value=s_value,
-        fix_union_size=union.bit_count(),
+        fix_union_size=sum(L for L in lengths if L < order),
         degree=d,
     )
 

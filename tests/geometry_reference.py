@@ -1,10 +1,11 @@
 """Per-label linear algebra over the geometry module, as test oracles.
 
 The library maps point, subspace and pair domains through one induced
-permutation of the projective points.  The helpers here do the same work
-the direct way, one label at a time, with `vec_mat`, `span` and
-`FormSpace.perp`, and also hold the matrix helpers that only the tests
-need.
+permutation of the projective points, and form domains through one table
+of form values.  The helpers here do the same work the direct way, one
+label at a time, with `vec_mat`, `span`, `perp` and the scalar
+`FormSpace.quad_value` and `FormSpace.bilinear`, and also hold the matrix
+helpers that only the tests need.
 """
 
 from regcycles.geometry import (
@@ -13,21 +14,82 @@ from regcycles.geometry import (
     SemilinearMap,
     Subspace,
     mat_identity,
+    mat_inv,
     mat_mul,
-    mat_rank,
-    nullspace,
+    mat_transpose,
     rref,
     span,
+    vec_mat,
     vec_scale,
 )
 from regcycles.perm import Permutation
+
+
+def mat_rank(K, M):
+    return len(rref(K, M)[0])
+
+
+def nullspace(K, M):
+    """Canonical basis of the left null space {v : v M = 0}."""
+    reduced, pivots = rref(K, mat_transpose(M))
+    n = len(M)
+    basis = []
+    pivot_set = set(pivots)
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        v = [0] * n
+        v[f] = 1
+        for i, p in enumerate(pivots):
+            v[p] = K.neg(reduced[i][f])
+        basis.append(tuple(v))
+    return rref(K, basis)[0]
+
+
+def perp(space: FormSpace, sub: Subspace) -> Subspace:
+    """Orthogonal complement with respect to the (polar) form."""
+    K, n = space.field, space.n
+    if not sub.basis:
+        return span(K, [tuple(1 if j == i else 0 for j in range(n))
+                        for i in range(n)])
+    # v in perp iff for each basis row b: sum_j (b G)_j conj(v_j) = 0;
+    # applying conj to the equation turns it into a linear system in v.
+    rows = [tuple(map(space.conj, vec_mat(K, b, space.gram)))
+            for b in sub.basis]
+    return Subspace(nullspace(K, mat_transpose(rows)))
+
+
+def is_singular_vector(space: FormSpace, v):
+    """Whether v is singular: Q(v) = 0 for quadratic spaces, B(v, v) = 0
+    for hermitian ones; every vector of a symplectic or trivial space."""
+    if space.kind == "quadratic":
+        return space.quad_value(v) == 0
+    if space.kind == "hermitian":
+        return space.bilinear(v, v) == 0
+    return True
+
+
+def polarized_quad_value(space: FormSpace, diag, v):
+    """Value at v of the quadratic form with polarization space.gram and
+    the given values on the basis vectors (characteristic 2)."""
+    K = space.field
+    total = 0
+    n = space.n
+    for i in range(n):
+        if v[i]:
+            total = K.add(total, K.mul(diag[i], K.mul(v[i], v[i])))
+            for j in range(i + 1, n):
+                if v[j] and space.gram[i][j]:
+                    total = K.add(total, K.mul(space.gram[i][j],
+                                               K.mul(v[i], v[j])))
+    return total
 
 
 def apply_subspace(g: SemilinearMap, space: FormSpace, sub: Subspace):
     """The image of a subspace: the span of its mapped basis, then its
     perp when g carries the duality."""
     mapped = span(space.field, [g.apply_vector(space, b) for b in sub.basis])
-    return space.perp(mapped) if g.duality else mapped
+    return perp(space, mapped) if g.duality else mapped
 
 
 def _canonical_point(K, v):
@@ -47,15 +109,23 @@ def _apply_label(domain, g, label):
     if domain.kind == "pair":
         a, b = (apply_subspace(g, space, s) for s in label)
         return (a, b) if (a.dim, a.basis) <= (b.dim, b.basis) else (b, a)
+    if domain.kind == "form":
+        # Q -> Q o g^{-1}; the polar form is preserved, so the image is
+        # again determined by its values on the basis vectors
+        if g.twist or g.duality:
+            raise DomainNotPreservedError(
+                "form domains only support plain matrix generators")
+        return tuple(polarized_quad_value(space, label, row)
+                     for row in mat_inv(space.field, g.matrix))
     raise ValueError(f"no reference action for {domain.kind!r} domains")
 
 
 def reference_permutation(domain, g: SemilinearMap) -> Permutation:
-    """The permutation g induces on a point, subspace or pair domain,
-    computed label by label."""
+    """The permutation g induces on a domain, computed label by label."""
+    index = {label: i for i, label in enumerate(domain.labels)}
     images = []
     for label in domain.labels:
-        j = domain.index.get(_apply_label(domain, g, label))
+        j = index.get(_apply_label(domain, g, label))
         if j is None:
             raise DomainNotPreservedError(
                 f"generator maps label {label!r} of domain {domain.name} "

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from corpus import MAX_DEGREE, MAX_ORDER, corpus_groups
-from geometry_reference import (map_order, semisimple_decomposition,
+from geometry_reference import (map_order, polarized_quad_value,
+                                semisimple_decomposition,
                                 subspace_intersection_dim)
 from regcycles import bounds as bd
 from regcycles import geometry as geo
@@ -400,7 +401,7 @@ class TestSymplecticFormDomains:
         # value table of each quadratic form on the 63 nonzero vectors
         def masks(form_dom):
             return np.array(
-                [[geo._polarized_quad_value(space, diag, v)
+                [[polarized_quad_value(space, diag, v)
                   for v in dom.labels] for diag in form_dom.labels],
                 dtype=np.uint8)
 

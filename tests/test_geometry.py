@@ -1,9 +1,12 @@
 """Oracle tests for fields, forms, domains, and matrix-group plumbing."""
 
 import hashlib
+import importlib.util
 import itertools
 import math
 import random
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,12 @@ from hypothesis import strategies as st
 
 from geometry_reference import (
     apply_subspace,
+    is_singular_vector,
     map_order,
+    mat_rank,
+    nullspace,
+    perp,
+    polarized_quad_value,
     reference_permutation,
     semisimple_decomposition,
 )
@@ -102,7 +110,7 @@ class TestLinearAlgebra:
     def test_nullspace_orthogonal(self):
         K = field_build(3, 1)
         M = ((1, 2, 0), (0, 1, 1), (1, 0, 1))
-        ns = ge.nullspace(K, ((1, 2, 0), (2, 1, 0), (0, 0, 0)))
+        ns = nullspace(K, ((1, 2, 0), (2, 1, 0), (0, 0, 0)))
         for v in ns:
             assert not any(ge.vec_mat(K, v, ((1, 2, 0), (2, 1, 0),
                                              (0, 0, 0))))
@@ -119,7 +127,7 @@ class TestStandardForms:
     def test_witt_index_is_the_maximal_singular_dimension(self):
         for F in _standard_forms():
             def singular(rows, v, F=F):
-                return F.is_singular_vector(v) and not any(
+                return is_singular_vector(F, v) and not any(
                     F.bilinear(u, v) for u in rows)
 
             w = F.witt_index
@@ -171,6 +179,20 @@ def _standard_forms():
                     yield standard_form("quadratic", n, q, "o")
             if q * q <= ge.FIELD_CAP and q**(2 * n) <= 4096:
                 yield standard_form("hermitian", n, q)
+
+
+class TestPointTables:
+    def test_point_values_match_the_scalar_forms(self):
+        for F in _standard_forms():
+            vectors = ge.projective_points(F.field, F.n).vectors.tolist()
+            if F.kind == "quadratic":
+                expect = [F.quad_value(v) for v in vectors]
+            elif F.kind == "hermitian":
+                expect = [F.bilinear(v, v) for v in vectors]
+            else:
+                expect = [0] * len(vectors)
+            assert F.point_values.tolist() == expect, \
+                (F.kind, F.epsilon, F.n, F.q)
 
 
 def _gaussian_binomial(n, k, q):
@@ -284,10 +306,10 @@ class TestSubspaceDomains:
             assert sub.dim == F.witt_index
             assert all(F.quad_value(v) == 0 for v in sub.vectors(K))
             # no singular extension exists in the perp
-            perp = F.perp(sub)
+            complement = perp(F, sub)
             assert not any(F.quad_value(v) == 0 and any(v)
                            and not sub.contains(K, v)
-                           for v in perp.vectors(K))
+                           for v in complement.vectors(K))
 
     def test_nondegenerate_2_subspaces_sp6(self):
         F = standard_form("symplectic", 6, 2)
@@ -314,7 +336,7 @@ class TestPolarizingForms:
         F = standard_form("symplectic", 6, 2)
         plus = ge.quadratic_forms_polarizing(F, "+")
         # the all-zero diagonal is the standard hyperbolic form sum x_i y_i
-        assert (0,) * 6 in plus.index
+        assert (0,) * 6 in plus.labels
 
     @pytest.mark.parametrize("n, q", [(4, 2), (6, 2), (4, 4)])
     def test_arf_type_matches_the_zero_count(self, n, q):
@@ -328,7 +350,7 @@ class TestPolarizingForms:
             total += len(labels)
             for diag in labels:
                 assert sum(1 for v in itertools.product(range(q), repeat=n)
-                           if ge._polarized_quad_value(F, diag, v) == 0) \
+                           if polarized_quad_value(F, diag, v) == 0) \
                     == zeros[eps]
         assert total == q**n
 
@@ -543,6 +565,8 @@ def _domain(kind, params):
             dom = ge.nondegenerate_2_subspaces(space)
         elif kind == "maxts":
             dom = ge.maximal_totally_singular(space)
+        elif kind.startswith("forms"):
+            dom = ge.quadratic_forms_polarizing(space, kind[-1])
         else:
             le, perp = ge.pair_domains(space, 1)
             dom = le if kind == "pairs-le" else perp
@@ -573,7 +597,7 @@ def _random_generators(space, rng, count=3):
         if space.kind == "trivial":
             m = tuple(tuple(rng.randrange(K.q) for _ in range(n))
                       for _ in range(n))
-            if ge.mat_rank(K, m) == n:
+            if mat_rank(K, m) == n:
                 gens.append(m)
             continue
         v = tuple(rng.randrange(K.q) for _ in range(n))
@@ -635,11 +659,36 @@ class TestInducedPointAction:
         assert all(_reference_cases(kind) for kind in _DOMAIN_KINDS)
 
 
+    @given(st.sampled_from([(n, q, eps) for n in (2, 4, 6) for q in (2, 4)
+                            for eps in "+-"]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_form_action_matches_reference(self, case, data):
+        n, q, eps = case
+        dom = _domain(f"forms{eps}", ("symplectic", n, q, None))
+        space = dom.space
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        gens = _random_generators(space, rng)
+        word = mat_identity(n)
+        for _ in range(data.draw(st.integers(1, 4))):
+            word = mat_mul(space.field, word, rng.choice(gens))
+        g = SemilinearMap(word)
+        assert dom.permutation(g) == reference_permutation(dom, g)
+
+    def test_form_action_rejects_twist_and_duality(self):
+        dom = _domain("forms-", ("symplectic", 4, 4, None))
+        for g in (SemilinearMap(mat_identity(4), twist=1),
+                  SemilinearMap(mat_identity(4), duality=True)):
+            with pytest.raises(DomainNotPreservedError):
+                dom.permutation(g)
+            with pytest.raises(DomainNotPreservedError):
+                reference_permutation(dom, g)
+
 
 # (builtin, action, argument, degree, SHA-256 of emit_group_file of the
 # perm_image, SHA-256 of the label lines as `build-action` writes them),
-# recorded with the per-label implementation; the point-action rewrite
-# must reproduce them byte for byte
+# recorded with the per-label implementation (the last two with the scalar
+# form filters); every rewrite of the domains must reproduce them byte for
+# byte
 _GOLDEN = [
     ('sp6_2', 'singular-points', None, 63,
      "942f66513e70b1952d0a5be7ae9e3cc06f134e0b0ce2f649624c653943220b41",
@@ -689,6 +738,12 @@ _GOLDEN = [
     ('o8p_2', 'nd2', None, 5440,
      "ff4c18ba138f4a8a4f7c2c0dd9af30bbe5bd53506790ba0ec53d873fb96f063e",
      "60d5a3bf306b735d385b569b6a25977724721e548aa7b742654c1bf72af91b26"),
+    ('su5_2', 'nd2', None, 3520,
+     "834ffdbedbd23e25ba2ebbcd847a1653e5b07bcac00511bf49ca679a12b37616",
+     "c673bdc182aac9ced67dfe2187c50bb590ee2cfbe3f3547a0805646ccdfcf41f"),
+    ('o7_3', 'aniso2', None, 22113,
+     "6531a0909fba2036addb1f3e5f4662adf9a4402615b9a42f7d37d710570a3621",
+     "58be0914431c243f2311175319df48ce8442cf97cdb9fc3eda7ad7ca462509d8"),
 ]
 
 
@@ -759,6 +814,18 @@ class TestMatrixFiles:
             space2, gens2 = ge.parse_matrix_file(text)
             assert gens2 == gens
             assert space2.kind == space.kind and space2.n == space.n
+
+    def test_generator_script_reproduces_the_builtins(self):
+        path = Path(__file__).parents[1] / "scripts"
+        spec = importlib.util.spec_from_file_location(
+            "make_generator_files", path / "make_generator_files.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        for name in ("sp6_2", "o8p_2", "o7_3", "su5_2"):
+            space, gens = getattr(script, f"build_{name}")()
+            shipped = resources.files("regcycles").joinpath(
+                "data", f"{name}.mat").read_text(encoding="utf-8")
+            assert ge.emit_matrix_file(space, gens) == shipped, name
 
     def test_builtin_sp6_order(self):
         space, gens = ge.builtin_matrix_group("sp6_2")

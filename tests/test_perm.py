@@ -54,6 +54,15 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             compose(identity(3), identity(4))
 
+    @given(st.lists(st.integers(min_value=-2, max_value=7), max_size=6))
+    @settings(max_examples=300)
+    def test_accepts_exactly_the_bijections(self, images):
+        if sorted(images) == list(range(len(images))):
+            assert Permutation(images).images == tuple(images)
+        else:
+            with pytest.raises(ValueError):
+                Permutation(images)
+
     @given(st.permutations(range(9)).map(Permutation),
            st.permutations(range(9)).map(Permutation),
            st.permutations(range(9)).map(Permutation))

@@ -12,12 +12,14 @@ from regcycles.perm import (
     PermGroup,
     Permutation,
     alternating_group,
+    cycle_decomposition,
     cycle_type,
     element_order,
     enumerate_elements,
     has_regular_cycle_direct,
     identity,
     parse_cycles,
+    power,
     symmetric_group,
 )
 
@@ -29,10 +31,29 @@ class TestFixAndFpr:
     def test_double_transposition(self):
         g = parse_cycles("(1 2)(3 4)", 5)
         assert rc.fpr_exact(g) == Fraction(1, 5)
-        assert rc.fix_set(g) == 0b10000
 
     def test_fixed_point_free(self):
         assert rc.fpr_exact(parse_cycles("(1 2 3)(4 5)(6 7)", 7)) == 0
+
+
+def _reference_fix_union_test(g):
+    """The fixed-point union test the direct way: one power of g per prime
+    r dividing |g|, and its fixed points."""
+    d = g.degree
+    order = element_order(g)
+    witness = next(((c[0], order) for c in cycle_decomposition(g)
+                    if len(c) == order), None)
+    if order == 1:
+        return rc.RegCycleReport(True, 1, witness, Fraction(0), d, d,
+                                 identity_convention=True)
+    union, s_value = set(), Fraction(0)
+    for r in numtheory.factorize(order).primes():
+        x = power(g, order // r)
+        fixed = {i for i in range(d) if x(i) == i}
+        union |= fixed
+        s_value += Fraction(len(fixed), d)
+    return rc.RegCycleReport(witness is not None, order, witness, s_value,
+                             len(union), d)
 
 
 class TestFixUnionTest:
@@ -74,6 +95,23 @@ class TestFixUnionTest:
         if rep.order > 1:
             assert (rep.fix_union_size == rep.degree) == (
                 not rep.has_regular_cycle)
+
+    @given(st.lists(st.integers(min_value=1, max_value=12), max_size=8),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=300)
+    def test_matches_the_power_reference(self, lengths, rnd):
+        # cycles of the drawn lengths on shuffled points
+        points = list(range(sum(lengths)))
+        rnd.shuffle(points)
+        images = list(range(len(points)))
+        start = 0
+        for L in lengths:
+            cycle = points[start:start + L]
+            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                images[x] = y
+            start += L
+        g = Permutation(images)
+        assert rc.fix_union_test(g) == _reference_fix_union_test(g)
 
     def test_json_record(self):
         rep = rc.fix_union_test(parse_cycles("(1 2 3)(4 5)(6 7)", 7))
