@@ -95,32 +95,32 @@ class GroupId:
 # ---------------------------------------------------------------------------
 # orders
 
-def group_order(gid: GroupId) -> int:
+def _order_factors(gid: GroupId):
+    """(a, pieces, d) with |G0| = q**a * prod(pieces) / d: the one list of
+    the cyclotomic-type factors q**i - 1, q**i - (-1)**i, q**(2i) - 1 and
+    q**m -+ 1 of each family."""
     n, q = gid.n, gid.q
     fam = gid.family
-    if fam == "PSL":
-        prod = 1
-        for i in range(2, n + 1):
-            prod *= q**i - 1
-        return q**(n * (n - 1) // 2) * prod // math.gcd(n, q - 1)
-    if fam == "PSU":
-        prod = 1
-        for i in range(2, n + 1):
-            prod *= q**i - (-1)**i
-        return q**(n * (n - 1) // 2) * prod // math.gcd(n, q + 1)
-    if fam in ("PSp", "POmega"):
-        m = n // 2
-        prod = 1
-        for i in range(1, m + 1):
-            prod *= q**(2 * i) - 1
-        return q**(m * m) * prod // math.gcd(2, q - 1)
-    # POmega+/-
     m = n // 2
-    eps = 1 if fam == "POmega+" else -1
-    prod = 1
-    for i in range(1, m):
-        prod *= q**(2 * i) - 1
-    return q**(m * (m - 1)) * (q**m - eps) * prod // math.gcd(4, q**m - eps)
+    if fam == "PSL":
+        return (n * (n - 1) // 2, [q**i - 1 for i in range(2, n + 1)],
+                math.gcd(n, q - 1))
+    if fam == "PSU":
+        return (n * (n - 1) // 2,
+                [q**i - (-1)**i for i in range(2, n + 1)],
+                math.gcd(n, q + 1))
+    if fam in ("PSp", "POmega"):
+        return (m * m, [q**(2 * i) - 1 for i in range(1, m + 1)],
+                math.gcd(2, q - 1))
+    # POmega+/-
+    top = q**m - (1 if fam == "POmega+" else -1)
+    return (m * (m - 1), [q**(2 * i) - 1 for i in range(1, m)] + [top],
+            math.gcd(4, top))
+
+
+def group_order(gid: GroupId) -> int:
+    a, pieces, d = _order_factors(gid)
+    return gid.q**a * math.prod(pieces) // d
 
 
 def _out_order(gid: GroupId) -> int:
@@ -154,20 +154,8 @@ def p_prime_part(x: int, p: int) -> int:
 def group_prime_set(gid: GroupId) -> frozenset:
     """Exact set of primes dividing |G0| (factoring the order piecewise,
     so huge orders stay within the factorization cap)."""
-    n, q = gid.n, gid.q
-    fam = gid.family
     primes = {gid.p}
-    if fam == "PSL":
-        pieces = [q**i - 1 for i in range(2, n + 1)]
-    elif fam == "PSU":
-        pieces = [q**i - (-1)**i for i in range(2, n + 1)]
-    elif fam in ("PSp", "POmega"):
-        pieces = [q**(2 * i) - 1 for i in range(1, n // 2 + 1)]
-    else:
-        m = n // 2
-        pieces = [q**(2 * i) - 1 for i in range(1, m)]
-        pieces.append(q**m - (1 if fam == "POmega+" else -1))
-    for piece in pieces:
+    for piece in _order_factors(gid)[1]:
         primes.update(nt.factorize(piece).primes())
     return frozenset(primes)
 

@@ -9,23 +9,27 @@ The module provides:
   * constructors for the point/subspace/form domains that classical groups
     act on (singular points, non-degenerate 1- and 2-subspaces, anisotropic
     2-subspaces, maximal totally singular subspaces, polarizing quadratic
-    forms in characteristic 2, flag and complement pairs).  Point domains
-    are masks over the form values of the projective points; every
-    subspace domain filters the one enumerator `subspaces`, which yields
-    each k-subspace once in reduced row-echelon form, by the same numpy
-    evaluation of the form;
+    forms in characteristic 2, flag and complement pairs).  Every domain
+    is held as numpy arrays: point domains are masks over the form values
+    of the projective points, and every subspace domain comes from the one
+    enumerator `subspaces`, which returns the reduced row-echelon bases of
+    all k-subspaces as one array, pruned row by row and then masked by the
+    same numpy evaluation of the form;
   * conversion of matrix/semilinear generators into `perm.PermGroup`
     instances acting on those domains, with a strict domain-preservation
     check.  Each generator is computed once as a permutation of the
     projective points (`ProjectivePoints`, numpy arrays over the field
     tables); a subspace is held as the sorted array of its point indices,
     so every point, subspace and pair domain is mapped by array gathers
-    through that one permutation, and duality through one point
-    orthogonality table.  Form domains map their table of labels at once;
+    through that one permutation.  Duality maps each image basis to the
+    points orthogonal to all its rows.  Form domains map their table of
+    values at once;
   * a plain text file format for matrix generators.
 
-All domains are sorted lists of canonical labels, so repeated runs build
-identical permutation groups.
+Every domain lists its labels in sorted order, so repeated runs build
+identical permutation groups.  The label text of `label_lines` formats each
+distinct point, basis or form once; the Python label objects (`labels`)
+are built only when read.
 """
 
 from __future__ import annotations
@@ -352,8 +356,8 @@ def mat_inv(K, M):
 
 class Subspace(NamedTuple):
     """Subspace given by its unique reduced row-echelon basis.  A named
-    tuple, so that large domains of subspaces and pairs of them sort and
-    hash as plain tuples."""
+    tuple, so that subspaces and pairs of them sort and hash as plain
+    tuples."""
 
     basis: tuple[tuple[int, ...], ...]
 
@@ -529,14 +533,11 @@ class FormSpace:
             return np.zeros(len(vectors), dtype=np.int16)
         return self._products(vectors, matrix, right[..., None])[:, 0]
 
-    @cached_property
-    def point_orthogonality(self):
-        """0/1 matrix (N, N) over the projective points: entry [a, b] is 1
-        when bilinear(a, b) = 0, i.e. a G conj(b) = 0."""
-        vectors = projective_points(self.field, self.n).vectors
+    def _orthogonal(self, bases, vectors):
+        """(S, C) mask: whether each of the (C, n) vectors v is orthogonal
+        to every row b of each of the (S, k, n) bases, b G conj(v) = 0."""
         gram, conj = self._tables
-        values = self._products(vectors, gram, conj[vectors].T)
-        return (values == 0).astype(np.int32)
+        return ~self._products(bases, gram, conj[vectors].T).any(axis=1)
 
 
 def standard_form(kind, n, q, epsilon=None, modulus=None) -> FormSpace:
@@ -618,6 +619,14 @@ def duality_map(space: FormSpace) -> SemilinearMap:
 # ---------------------------------------------------------------------------
 # action domains
 
+def _digits(codes, q, width):
+    """The base-q digits of integer codes, first digit most significant, as
+    an (len(codes), width) int16 array; `_digits(np.arange(q**w), q, w)`
+    lists every vector of length w in lexicographic order."""
+    return (codes[:, None] // q ** np.arange(width - 1, -1, -1)
+            % q).astype(np.int16)
+
+
 class ProjectivePoints:
     """The (q**n - 1)/(q - 1) points of PG(n-1, q), as numpy arrays.
 
@@ -640,7 +649,7 @@ class ProjectivePoints:
         # codes q**(n-1-j) + r, r < q**(n-1-j); listed from j = n - 1 down
         # they come out in increasing order
         codes = np.concatenate([q**t + np.arange(q**t) for t in range(n)])
-        self.vectors = (codes[:, None] // self._weights % q).astype(np.int16)
+        self.vectors = _digits(codes, q, n)
         self.index = np.full(q**n, -1, dtype=np.int32)
         for c in range(1, q):
             self.index[self.codes(self._mul[c][self.vectors])] = \
@@ -650,14 +659,6 @@ class ProjectivePoints:
 
     def codes(self, vectors):
         return vectors @ self._weights
-
-    def point(self, v):
-        """The index of the point one nonzero vector (a sequence of ints)
-        spans."""
-        code = 0
-        for x in v:
-            code = code * self.field.q + x
-        return self.index[code]
 
     def combine(self, coeffs, rows):
         """sum_i coeffs[..., i] * rows[..., i, :] over the field, with numpy
@@ -670,15 +671,17 @@ class ProjectivePoints:
                                            rows[..., i, :]]]
         return out
 
-    def image(self, g: SemilinearMap):
-        """The permutation of the points induced by v -> v^(p^twist) M."""
-        vectors = self.vectors
+    def apply(self, g: SemilinearMap, vectors):
+        """v -> v^(p^twist) M for every vector of an (..., n) array."""
         if g.twist:
             frob = np.array([self.field.frobenius(a, g.twist)
                              for a in range(self.field.q)], dtype=np.int16)
             vectors = frob[vectors]
-        return self.index[self.codes(
-            self.combine(vectors, np.array(g.matrix, dtype=np.int16)))]
+        return self.combine(vectors, np.array(g.matrix, dtype=np.int16))
+
+    def image(self, g: SemilinearMap):
+        """The permutation of the points induced by v -> v^(p^twist) M."""
+        return self.index[self.codes(self.apply(g, self.vectors))]
 
     def span(self, bases):
         """Sorted point indices of the spans of k-row bases, (S, k, n) ->
@@ -700,17 +703,12 @@ def projective_points(field: Fq, n: int) -> ProjectivePoints:
     return ProjectivePoints(field, n)
 
 
-def _perp_points(space: FormSpace, rows):
-    """Point sets of the perps of the subspaces with the given point sets:
-    the points orthogonal to every point of the subspace."""
+def _perp_points(space: FormSpace, bases):
+    """Sorted point indices of the perps of the spans of (S, k, n) bases of
+    rank k: the points orthogonal to every basis row."""
     pts = projective_points(space.field, space.n)
-    met = pts.incidence(rows) @ space.point_orthogonality
-    return np.nonzero(met == rows.shape[1])[1].reshape(len(rows), -1) \
-        .astype(np.int32)
-
-
-def _bases(subs):
-    return np.array([sub.basis for sub in subs], dtype=np.int16)
+    _, points = np.nonzero(space._orthogonal(bases, pts.vectors))
+    return points.reshape(len(bases), -1).astype(np.int32)
 
 
 class _RowIndex:
@@ -723,8 +721,11 @@ class _RowIndex:
         self.keys = keys[self.order]
 
     def find(self, rows):
-        """Table position of each row, -1 where the table lacks it."""
+        """Table position of each row, -1 where the table lacks it (every
+        row of another width)."""
         keys = _row_keys(rows)
+        if keys.dtype != self.keys.dtype:
+            return np.full(len(keys), -1)
         pos = np.searchsorted(self.keys, keys).clip(max=len(self.keys) - 1)
         return np.where(self.keys[pos] == keys, self.order[pos], -1)
 
@@ -734,91 +735,119 @@ def _row_keys(rows):
     return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
 
 
+def _lex_sorted(rows):
+    """The order that sorts an array by its entries after the first axis,
+    compared lexicographically, and whether two of those entries are
+    equal."""
+    flat = rows.reshape(len(rows), int(np.prod(rows.shape[1:])))
+    # entries of size 0 (the bases of the zero subspace) are all equal
+    order = np.lexsort(flat.T[::-1]) if flat.size else np.arange(len(flat))
+    flat = flat[order]
+    return order, bool((flat[1:] == flat[:-1]).all(axis=1).any())
+
+
 def subspaces(space: FormSpace, k: int, row_ok=None):
     """Every k-subspace of the underlying vector space, each exactly once,
-    as its reduced row-echelon `Subspace`.
+    as the (S, k, n) int16 array of their reduced row-echelon bases.
 
     For each choice of pivot columns the rows are filled in order: row i
     has a 1 in its pivot column, zeros before it and in the other pivot
-    columns, and free entries elsewhere.  `row_ok(rows, v)` prunes: when it
-    rejects the next row v of the partial basis `rows`, every completion of
-    rows + [v] is skipped.
+    columns, and free entries elsewhere, the first free column most
+    significant.  All partial bases of a pivot choice grow one row at a
+    time.  `row_ok(partial, rows)` prunes: it maps the (S, i, n) partial
+    bases and the (C, n) candidate next rows to an (S, C) mask (or one that
+    broadcasts to it), and a rejected row is never extended.  The kept
+    pairs, taken in row-major order, list the bases depth first.
     """
     K, n = space.field, space.n
     if K.q ** n > VECTOR_ENUM_CAP:
         raise OverflowError("subspace enumeration exceeds cap")
+    found = [np.zeros((0, k, n), dtype=np.int16)]
     for pivots in itertools.combinations(range(n), k):
-        yield from _rref_completions(K, n, pivots, [], row_ok)
-
-
-def _rref_completions(K, n, pivots, rows, row_ok):
-    i = len(rows)
-    if i == len(pivots):
-        yield Subspace(tuple(rows))
-        return
-    row = [0] * n
-    row[pivots[i]] = 1
-    free = [c for c in range(pivots[i] + 1, n) if c not in pivots]
-    for values in itertools.product(range(K.q), repeat=len(free)):
-        for c, x in zip(free, values):
-            row[c] = x
-        v = tuple(row)
-        if row_ok is None or row_ok(rows, v):
-            rows.append(v)
-            yield from _rref_completions(K, n, pivots, rows, row_ok)
-            rows.pop()
+        bases = np.zeros((1, 0, n), dtype=np.int16)
+        for c in pivots:
+            free = [j for j in range(c + 1, n) if j not in pivots]
+            rows = np.zeros((K.q ** len(free), n), dtype=np.int16)
+            rows[:, c] = 1
+            rows[:, free] = _digits(np.arange(len(rows)), K.q, len(free))
+            keep = True if row_ok is None else row_ok(bases, rows)
+            s, r = np.nonzero(np.broadcast_to(keep, (len(bases), len(rows))))
+            bases = np.concatenate([bases[s], rows[r, None]], axis=1)
+        found.append(bases)
+    return np.concatenate(found)
 
 
 class ActionDomain:
-    """A sorted list of canonical labels with a uniform action of
-    semilinear maps.  kind is one of "point", "subspace", "pair", "form"."""
+    """A sorted domain of labels with a uniform action of semilinear maps.
+    kind is one of "point", "subspace", "pair", "form".
 
-    def __init__(self, name, kind, space: FormSpace, labels):
+    A label is a tuple of r components (r = 2 for pairs, else 1): point
+    vectors, reduced row-echelon bases or form values.  The domain is
+    given, per position, an array of the distinct components found there
+    and the (degree, r) array of each label's component indices.  It keeps
+    each component array sorted lexicographically (as (m, rows, n) bases),
+    and the index rows sorted lexicographically, so the labels come in
+    sorted order.  The Python labels (`labels`) are built only when read.
+    """
+
+    def __init__(self, name, kind, space: FormSpace, components, members):
         self.name = name
         self.kind = kind
         self.space = space
-        self.labels = tuple(sorted(labels))
-        if any(a == b for a, b in itertools.pairwise(self.labels)):
+        self.components, columns, repeats = [], [], False
+        for comps, column in zip(components, np.asarray(members).T):
+            order, repeated = _lex_sorted(comps)
+            rank = np.empty(len(order), dtype=np.int32)
+            rank[order] = np.arange(len(order), dtype=np.int32)
+            bases = comps if comps.ndim == 3 else comps[:, None]
+            self.components.append(bases[order])
+            columns.append(rank[column])
+            repeats |= repeated
+        members = np.stack(columns, axis=1)
+        order, repeated = _lex_sorted(members)
+        self.members = members[order]
+        if repeats or repeated:
             raise ValueError("duplicate labels")
 
     @property
     def degree(self):
-        return len(self.labels)
+        return len(self.members)
+
+    @cached_property
+    def labels(self):
+        """The labels in domain order: tuples of ints for point and form
+        domains, `Subspace`s, and pairs of `Subspace`s."""
+        columns = []
+        for comps, column in zip(self.components, self.members.T.tolist()):
+            if self.kind in ("point", "form"):
+                items = list(map(tuple, comps[:, 0].tolist()))
+            else:
+                items = [Subspace(tuple(map(tuple, basis)))
+                         for basis in comps.tolist()]
+            columns.append(map(items.__getitem__, column))
+        labels = zip(*columns)
+        if self.kind == "pair":
+            return tuple(labels)
+        return tuple(label for label, in labels)
 
     @cached_property
     def _parts(self):
-        """The labels as point sets.  A label is a tuple of r subspaces
-        (r = 2 for pairs, else 1).  For each position: the distinct
-        subspaces found there, their sorted point-index rows and the
-        lookup of those rows; then the (degree, r) array of each label's
-        members and its lookup.  A form domain has no positions: its labels
-        themselves are the rows."""
+        """For each position the sorted point-index rows of its components
+        and their lookup; then the lookup of the member rows.  A form domain
+        has no positions: its components themselves are looked up."""
         if self.kind == "form":
-            table = np.array(self.labels, dtype=np.int16)
-            return [], table, _RowIndex(table)
+            return [], _RowIndex(self.components[0][:, 0])
         pts = projective_points(self.space.field, self.space.n)
-        if self.kind == "pair":
-            columns = list(zip(*self.labels))
-        elif self.kind == "subspace":
-            columns = [self.labels]
-        else:
-            columns = [[Subspace((v,)) for v in self.labels]]
-        parts, members = [], []
-        for column in columns:
-            distinct = {}
-            members.append(np.fromiter(
-                (distinct.setdefault(sub, len(distinct)) for sub in column),
-                dtype=np.int32, count=len(column)))
-            subs = list(distinct)
-            rows = pts.span(_bases(subs))
-            parts.append((subs, rows, _RowIndex(rows)))
-        members = np.stack(members, axis=1)
-        return parts, members, _RowIndex(members)
+        parts = []
+        for comps in self.components:
+            rows = pts.span(comps)
+            parts.append((rows, _RowIndex(rows)))
+        return parts, _RowIndex(self.members)
 
     def permutation(self, g: SemilinearMap) -> Permutation:
         """The permutation g induces on the labels: the image of every
         label at once, then one lookup.  Point, subspace and pair domains
-        map the point sets of their labels through the one point
+        map the point sets of their components through the one point
         permutation of g; form domains map their table of values."""
         if self.kind == "form":
             if g.twist or g.duality:
@@ -829,13 +858,13 @@ class ActionDomain:
         elif g.duality and self.kind == "point":
             raise DomainNotPreservedError(
                 f"duality does not act on the point domain {self.name}")
-        if not self.labels:
+        if not self.degree:
             return Permutation([])
-        parts, members, lookup = self._parts
+        parts, lookup = self._parts
         if self.kind == "form":
-            keys = self._form_images(g, members)
+            keys = self._form_images(g, self.components[0][:, 0])
         else:
-            keys = self._member_images(g, parts, members)
+            keys = self._member_images(g, parts)
         images = lookup.find(keys)
         outside = np.flatnonzero(images < 0)
         if outside.size:
@@ -850,20 +879,23 @@ class ActionDomain:
     def _label_ints(self):
         return list(range(self.degree))
 
-    def _member_images(self, g: SemilinearMap, parts, members):
-        point_perm = projective_points(self.space.field,
-                                       self.space.n).image(g)
+    def _member_images(self, g: SemilinearMap, parts):
+        pts = projective_points(self.space.field, self.space.n)
+        point_perm = pts.image(g)
         if point_perm.min() < 0:
             raise DomainNotPreservedError(
                 f"a singular generator does not act on {self.name}")
         moved = []
-        for j, (_, _, target) in enumerate(parts):
-            # duality sends W to W^perp, which swaps the halves of a pair
+        for j, (_, target) in enumerate(parts):
+            # duality sends W to W^perp, which swaps the halves of a pair;
+            # the perp of the image is read from the image of the basis
             i = len(parts) - 1 - j if g.duality else j
-            rows = np.sort(point_perm[parts[i][1]], axis=1)
             if g.duality:
-                rows = _perp_points(self.space, rows)
-            moved.append(target.find(rows)[members[:, i]])
+                rows = _perp_points(self.space,
+                                    pts.apply(g, self.components[i]))
+            else:
+                rows = np.sort(point_perm[parts[i][0]], axis=1)
+            moved.append(target.find(rows)[self.members[:, i]])
         return np.stack(moved, axis=1)
 
     def _form_images(self, g: SemilinearMap, table):
@@ -881,15 +913,14 @@ class ActionDomain:
         return pts._add[pts.combine(table, squares.T), cross]
 
     def label_lines(self):
-        """One canonical textual label per line, for cross-tool diffing.
-        Each distinct subspace is formatted once."""
-        if self.kind == "form" or not self.labels:
-            return [" ".join(map(str, lab)) for lab in self.labels]
-        parts, members, _ = self._parts
+        """One canonical textual label per line, for cross-tool diffing:
+        the entries of a row joined by spaces, the rows of a basis by ";"
+        and the two halves of a pair by " | ".  Each distinct component is
+        formatted once."""
         columns = []
-        for (subs, _, _), column in zip(parts, members.T.tolist()):
-            text = [";".join(" ".join(map(str, row)) for row in sub.basis)
-                    for sub in subs]
+        for comps, column in zip(self.components, self.members.T.tolist()):
+            text = [";".join(" ".join(map(str, row)) for row in basis)
+                    for basis in map(np.ndarray.tolist, comps)]
             columns.append(map(text.__getitem__, column))
         return list(map(" | ".join, zip(*columns)))
 
@@ -906,33 +937,18 @@ def perm_image(generators, domain: ActionDomain) -> PermGroup:
 
 # -- the individual domains --------------------------------------------------
 
-def _points(space: FormSpace, mask):
-    """The labels of the projective points in a mask."""
-    vectors = projective_points(space.field, space.n).vectors
-    return list(map(tuple, vectors[mask].tolist()))
-
-
-# the 2-subspace filters see the enumerated bases this many at a time
-_CHUNK = 4096
-
-
-def _filter_subspaces(space: FormSpace, k: int, keep, row_ok=None):
-    """The k-subspaces of `subspaces(space, k, row_ok)` that `keep` accepts.
-    `keep` maps an (S, k, n) array of bases to a boolean mask; it sees one
-    chunk at a time, so the rejected subspaces are never all held."""
-    found = []
-    candidates = subspaces(space, k, row_ok)
-    while chunk := list(itertools.islice(candidates, _CHUNK)):
-        found += itertools.compress(chunk, keep(_bases(chunk)).tolist())
-    return found
+def _domain(name, kind, space: FormSpace, items) -> ActionDomain:
+    """The domain whose labels are the distinct items of one array."""
+    return ActionDomain(name, kind, space, [items],
+                        np.arange(len(items))[:, None])
 
 
 def singular_points(space: FormSpace) -> ActionDomain:
     """Totally singular 1-subspaces (all projective points for trivial and
     symplectic forms)."""
-    labels = _points(space, space.point_values == 0)
-    return ActionDomain(f"singular-points[{space.kind},{space.n},{space.q}]",
-                        "point", space, labels)
+    vectors = projective_points(space.field, space.n).vectors
+    return _domain(f"singular-points[{space.kind},{space.n},{space.q}]",
+                   "point", space, vectors[space.point_values == 0])
 
 
 def nondegenerate_points(space: FormSpace):
@@ -947,16 +963,15 @@ def nondegenerate_points(space: FormSpace):
         raise ValueError("non-degenerate points need a quadratic or "
                          "hermitian space")
     K = space.field
+    vectors = projective_points(K, space.n).vectors
     values = space.point_values
     base = f"{space.kind},{space.n},{space.q}"
     if space.kind == "quadratic" and K.q % 2:
         square = np.array([K.is_square(a) for a in range(K.q)])[values]
-        return (ActionDomain(f"ns1+[{base}]", "point", space,
-                             _points(space, square & (values != 0))),
-                ActionDomain(f"ns1-[{base}]", "point", space,
-                             _points(space, ~square)))
-    return ActionDomain(f"ns1[{base}]", "point", space,
-                        _points(space, values != 0))
+        return (_domain(f"ns1+[{base}]", "point", space,
+                        vectors[square & (values != 0)]),
+                _domain(f"ns1-[{base}]", "point", space, vectors[~square]))
+    return _domain(f"ns1[{base}]", "point", space, vectors[values != 0])
 
 
 def anisotropic_2_subspaces(space: FormSpace) -> ActionDomain:
@@ -966,29 +981,25 @@ def anisotropic_2_subspaces(space: FormSpace) -> ActionDomain:
         raise ValueError("anisotropic 2-subspaces need a quadratic space")
     pts = projective_points(space.field, space.n)
     values = space.point_values
-    labels = _filter_subspaces(
-        space, 2, lambda bases: (values[pts.span(bases)] != 0).all(axis=1),
-        lambda rows, v: values[pts.point(v)] != 0)
-    return ActionDomain(f"aniso2[{space.epsilon},{space.n},{space.q}]",
-                        "subspace", space, labels)
+    bases = subspaces(space, 2, lambda partial, rows:
+                      values[pts.index[pts.codes(rows)]] != 0)
+    return _domain(f"aniso2[{space.epsilon},{space.n},{space.q}]",
+                   "subspace", space,
+                   bases[(values[pts.span(bases)] != 0).all(axis=1)])
 
 
 def nondegenerate_2_subspaces(space: FormSpace) -> ActionDomain:
     """Non-degenerate 2-subspaces (the form restricts non-degenerately):
     the Gram block B(u_a, u_b) of their basis has a nonzero determinant."""
     mul = projective_points(space.field, space.n)._mul
-
-    def nondegenerate(bases):
-        # (S, 2, n) x (S, 1, n, 2) -> (S, 2, 2)
-        gram, conj = space._tables
-        block = space._products(bases, gram,
-                                conj[bases].swapaxes(1, 2)[:, None])
-        return mul[block[:, 0, 0], block[:, 1, 1]] \
-            != mul[block[:, 0, 1], block[:, 1, 0]]
-
-    return ActionDomain(f"nondeg2[{space.kind},{space.n},{space.q}]",
-                        "subspace", space,
-                        _filter_subspaces(space, 2, nondegenerate))
+    bases = subspaces(space, 2)
+    # (S, 2, n) x (S, 1, n, 2) -> (S, 2, 2)
+    gram, conj = space._tables
+    block = space._products(bases, gram, conj[bases].swapaxes(1, 2)[:, None])
+    nondegenerate = mul[block[:, 0, 0], block[:, 1, 1]] \
+        != mul[block[:, 0, 1], block[:, 1, 0]]
+    return _domain(f"nondeg2[{space.kind},{space.n},{space.q}]",
+                   "subspace", space, bases[nondegenerate])
 
 
 def maximal_totally_singular(space: FormSpace) -> ActionDomain:
@@ -996,26 +1007,16 @@ def maximal_totally_singular(space: FormSpace) -> ActionDomain:
     if space.kind == "trivial":
         raise ValueError("need a non-trivial form")
     pts = projective_points(space.field, space.n)
-    singular = (space.point_values == 0).tolist()
-    gram, conj = space._tables
-    conj_points = conj[pts.vectors].T
+    singular = space.point_values == 0
 
-    # the row of point_orthogonality of each partial-basis row u, computed
-    # when first needed: the whole table is quadratic in the number of
-    # points, which on Sp4(16) took the build from 30 MB to 157 MB
-    @cache
-    def orthogonal(u):
-        return space._products(np.array(u, dtype=np.int16), gram,
-                               conj_points) == 0
-
-    def extends(rows, v):
+    def extends(partial, rows):
         # singular rows, pairwise orthogonal, span a totally singular space
-        i = pts.point(v)
-        return singular[i] and all(orthogonal(u)[i] for u in rows)
+        return singular[pts.index[pts.codes(rows)]] \
+            & space._orthogonal(partial, rows)
 
-    labels = list(subspaces(space, space.witt_index, extends))
-    return ActionDomain(f"maxts[{space.kind},{space.epsilon},"
-                        f"{space.n},{space.q}]", "subspace", space, labels)
+    return _domain(f"maxts[{space.kind},{space.epsilon},"
+                   f"{space.n},{space.q}]", "subspace", space,
+                   subspaces(space, space.witt_index, extends))
 
 
 def quadratic_forms_polarizing(space: FormSpace, epsilon: str) -> ActionDomain:
@@ -1037,19 +1038,16 @@ def quadratic_forms_polarizing(space: FormSpace, epsilon: str) -> ActionDomain:
     n, q = space.n, K.q
     if q**n > VECTOR_ENUM_CAP:
         raise OverflowError("polarizing form enumeration exceeds cap")
-    labels = []
-    for diag in itertools.product(range(q), repeat=n):
-        arf = 0
-        for i in range(0, n, 2):
-            arf = K.add(arf, K.mul(diag[i], diag[i + 1]))
-        trace = 0
-        for _ in range(K.e):
-            trace = K.add(trace, arf)
-            arf = K.mul(arf, arf)
-        if (trace == 0) == (epsilon == "+"):
-            labels.append(diag)
-    return ActionDomain(f"forms{epsilon}[{space.n},{space.q}]",
-                        "form", space, labels)
+    pts = projective_points(K, n)
+    diag = _digits(np.arange(q**n), q, n)
+    arf = trace = np.zeros(len(diag), dtype=np.int16)
+    for i in range(0, n, 2):
+        arf = pts._add[arf, pts._mul[diag[:, i], diag[:, i + 1]]]
+    for _ in range(K.e):
+        trace = pts._add[trace, arf]
+        arf = pts._mul[arf, arf]
+    return _domain(f"forms{epsilon}[{space.n},{space.q}]", "form", space,
+                   diag[(trace == 0) == (epsilon == "+")])
 
 
 def pair_domains(space: FormSpace, k: int):
@@ -1059,18 +1057,16 @@ def pair_domains(space: FormSpace, k: int):
     if not 1 <= k < n / 2:
         raise ValueError("need 1 <= k < n/2")
     pts = projective_points(space.field, n)
-    small = list(subspaces(space, k))
-    big = list(subspaces(space, n - k))
+    small, big = subspaces(space, k), subspaces(space, n - k)
     # |pts(W) & pts(U)| for every W, U: W <= U when it is all of pts(W),
     # and, as dim W + dim U = n, W + U = V when it is 0
-    small_pts = pts.span(_bases(small))
-    meet = pts.incidence(small_pts) @ pts.incidence(pts.span(_bases(big))).T
-    leq = [(small[i], big[j])
-           for i, j in zip(*np.nonzero(meet == small_pts.shape[1]))]
-    direct = [(small[i], big[j]) for i, j in zip(*np.nonzero(meet == 0))]
+    small_pts = pts.span(small)
+    meet = pts.incidence(small_pts) @ pts.incidence(pts.span(big)).T
     base = f"{n},{k},{space.q}"
-    return (ActionDomain(f"pairs-le[{base}]", "pair", space, leq),
-            ActionDomain(f"pairs-perp[{base}]", "pair", space, direct))
+    return (ActionDomain(f"pairs-le[{base}]", "pair", space, [small, big],
+                         np.argwhere(meet == small_pts.shape[1])),
+            ActionDomain(f"pairs-perp[{base}]", "pair", space, [small, big],
+                         np.argwhere(meet == 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -406,20 +406,27 @@ class StabChain:
         """Orbits of G_b on b^G, ordered by least point, each starting at
         its least point."""
         gens = self.levels[1].gen_lists if len(self.levels) > 1 else []
-        seen: set[int] = set()
-        out = []
-        for start in sorted(self.levels[0].orbit.tolist()):
-            if start in seen:
-                continue
-            seen.add(start)
-            orbit = [start]
-            for x in orbit:
-                for s in gens:
-                    if s[x] not in seen:
-                        seen.add(s[x])
-                        orbit.append(s[x])
-            out.append(orbit)
-        return out
+        return _orbits(sorted(self.levels[0].orbit.tolist()), gens)
+
+
+def _orbits(points, gens) -> list[list[int]]:
+    """The orbits through the points under the generator image lists, in
+    the order of their first point in `points`, each listed breadth first
+    from that point."""
+    seen: set[int] = set()
+    out = []
+    for start in points:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for x in orbit:
+            for s in gens:
+                if s[x] not in seen:
+                    seen.add(s[x])
+                    orbit.append(s[x])
+        out.append(orbit)
+    return out
 
 
 class PermGroup:
@@ -489,25 +496,9 @@ class PermGroup:
 
     def orbits(self) -> list[tuple[int, ...]]:
         """Orbit partition of the domain, each orbit sorted, orbits by min."""
-        d = self.degree
-        seen = [False] * d
-        out = []
-        for start in range(d):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            queue = [start]
-            while queue:
-                x = queue.pop()
-                for g in self.generators:
-                    y = g.images[x]
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.append(y)
-                        queue.append(y)
-            out.append(tuple(sorted(orbit)))
-        return out
+        gens = [g.images for g in self.generators]
+        return [tuple(sorted(orbit))
+                for orbit in _orbits(range(self.degree), gens)]
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1

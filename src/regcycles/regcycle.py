@@ -29,6 +29,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import numtheory
 from .perm import (
     DEFAULT_ELEMENT_CAP,
@@ -237,19 +239,24 @@ class MonotonicityReport:
         }
 
 
+# sampled words have between 1 and this many letters
+MAX_WORD_LENGTH = 40
+
+
 def compare_actions_monotonic(G1: PermGroup, G2: PermGroup,
-                              samples: int = 10**4, seed: int = 1729,
-                              max_word_length: int = 40) -> MonotonicityReport:
+                              samples: int = 10**4,
+                              seed: int = 1729) -> MonotonicityReport:
     """For sampled words w: count_regular_cycles(w on Omega1) <= (w on Omega2).
 
     The two groups must be the same abstract group given by *compatible*
     generator lists (generator i of G1 corresponds to generator i of G2); the
     word is evaluated in both in lockstep.  Sampling uses a fixed seed, so
-    runs are reproducible.
+    runs are reproducible.  At least one word is sampled.
     """
     if len(G1.generators) != len(G2.generators):
         raise ValueError("generator lists must have equal length")
-    import numpy as np
+    if samples < 1:
+        raise ValueError(f"need at least 1 sample, got {samples}")
 
     ngens = len(G1.generators)
     rng = random.Random(seed)
@@ -259,7 +266,7 @@ def compare_actions_monotonic(G1: PermGroup, G2: PermGroup,
     ident2 = np.arange(G2.degree)
     violations: list[str] = []
     for _ in range(samples):
-        length = rng.randint(1, max_word_length)
+        length = rng.randint(1, MAX_WORD_LENGTH)
         word = [rng.randrange(ngens) for _ in range(length)]
         w1, w2 = ident1, ident2
         for i in word:

@@ -1,14 +1,18 @@
 """Per-label linear algebra over the geometry module, as test oracles.
 
-The library maps point, subspace and pair domains through one induced
-permutation of the projective points, and form domains through one table
-of form values.  The helpers here do the same work the direct way, one
-label at a time, with `vec_mat`, `span`, `perp` and the scalar
-`FormSpace.quad_value` and `FormSpace.bilinear`, and also hold the matrix
-helpers that only the tests need.
+The library enumerates subspaces as numpy arrays, maps point, subspace
+and pair domains through one induced permutation of the projective
+points, and form domains through one table of form values.  The helpers
+here do the same work the direct way, one label at a time, with
+`vec_mat`, `span`, `perp` and the scalar `FormSpace.quad_value` and
+`FormSpace.bilinear`, and also hold the matrix helpers that only the
+tests need.
 """
 
+import itertools
+
 from regcycles.geometry import (
+    VECTOR_ENUM_CAP,
     DomainNotPreservedError,
     FormSpace,
     SemilinearMap,
@@ -23,6 +27,42 @@ from regcycles.geometry import (
     vec_scale,
 )
 from regcycles.perm import Permutation
+
+
+def subspaces(space: FormSpace, k: int, row_ok=None):
+    """Every k-subspace, each once, as its reduced row-echelon `Subspace`,
+    lazily and depth first.
+
+    For each choice of pivot columns the rows are filled in order: row i
+    has a 1 in its pivot column, zeros before it and in the other pivot
+    columns, and free entries elsewhere, the first free column most
+    significant.  `row_ok(rows, v)` prunes: when it rejects the next row v
+    of the partial basis `rows`, every completion of rows + [v] is
+    skipped.
+    """
+    K, n = space.field, space.n
+    if K.q ** n > VECTOR_ENUM_CAP:
+        raise OverflowError("subspace enumeration exceeds cap")
+    for pivots in itertools.combinations(range(n), k):
+        yield from _rref_completions(K, n, pivots, [], row_ok)
+
+
+def _rref_completions(K, n, pivots, rows, row_ok):
+    i = len(rows)
+    if i == len(pivots):
+        yield Subspace(tuple(rows))
+        return
+    row = [0] * n
+    row[pivots[i]] = 1
+    free = [c for c in range(pivots[i] + 1, n) if c not in pivots]
+    for values in itertools.product(range(K.q), repeat=len(free)):
+        for c, x in zip(free, values):
+            row[c] = x
+        v = tuple(row)
+        if row_ok is None or row_ok(rows, v):
+            rows.append(v)
+            yield from _rref_completions(K, n, pivots, rows, row_ok)
+            rows.pop()
 
 
 def mat_rank(K, M):

@@ -299,6 +299,17 @@ class TestCompare:
         assert data["monotone"] is True
         assert data["samples"] == 300
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_are_refused(self, tmp_path, capsys, samples):
+        a1 = tmp_path / "a1.grp"
+        a1.write_text(perm.emit_group_file(perm.symmetric_group(4)))
+        assert main(["compare", "--action1", str(a1), "--action2", str(a1),
+                     "--samples", samples, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_mismatched_generators(self, tmp_path, capsys):
         a1 = tmp_path / "a1.grp"
         a1.write_text(perm.emit_group_file(perm.cyclic_group(4)))

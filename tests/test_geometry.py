@@ -8,6 +8,7 @@ import random
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from geometry_reference import (
     polarized_quad_value,
     reference_permutation,
     semisimple_decomposition,
+    subspaces,
 )
 from regcycles import geometry as ge
 from regcycles import numtheory as nt
@@ -30,6 +32,7 @@ from regcycles.geometry import (
     DomainNotPreservedError,
     MatrixFileError,
     SemilinearMap,
+    Subspace,
     duality_map,
     field_build,
     mat_identity,
@@ -132,12 +135,12 @@ class TestStandardForms:
 
             w = F.witt_index
             label = (F.kind, F.epsilon, F.n, F.q)
-            assert next(ge.subspaces(F, w, singular), None) is not None, \
+            assert next(subspaces(F, w, singular), None) is not None, \
                 label
             # the search for a (w+1)-space is exhaustive; in dimension 12
             # (q = 2) it walks millions of partial bases, so stop at 10
             if F.n <= 10:
-                assert next(ge.subspaces(F, w + 1, singular), None) is None, \
+                assert next(subspaces(F, w + 1, singular), None) is None, \
                     label
 
     def test_incompatible_parameters(self):
@@ -203,35 +206,81 @@ def _gaussian_binomial(n, k, q):
     return num // den
 
 
+# every standard form space with n <= 5 over a field of order <= 5
+_SMALL_SPACES = (
+    [("trivial", n, q) for n in range(1, 6) for q in (2, 3, 4, 5)]
+    + [("symplectic", n, q) for n in (2, 4) for q in (2, 3, 4, 5)]
+    + [("quadratic", n, q, eps) for n in (2, 4) for q in (2, 3, 4, 5)
+       for eps in "+-"]
+    + [("quadratic", n, q, "o") for n in (1, 3, 5) for q in (3, 5)]
+    + [("hermitian", n, 2) for n in range(1, 6)])
+
+
 class TestSubspaceEnumerator:
     @given(st.integers(1, 5), st.sampled_from([2, 3, 4, 5]), st.data())
     @settings(max_examples=40, deadline=None)
     def test_each_subspace_once_in_rref(self, n, q, data):
         k = data.draw(st.integers(0, n))
         F = standard_form("trivial", n, q)
-        subs = list(ge.subspaces(F, k))
-        assert len(subs) == _gaussian_binomial(n, k, q)
+        bases = ge.subspaces(F, k)
+        assert bases.shape == (_gaussian_binomial(n, k, q), k, n)
+        subs = [Subspace(tuple(map(tuple, b))) for b in bases.tolist()]
         assert len(set(subs)) == len(subs)
         for sub in subs:
-            assert sub.dim == k
             assert span(F.field, sub.basis) == sub
 
     def test_row_filter_prunes_partial_bases(self):
         F = standard_form("trivial", 4, 3)
 
-        def first_coordinate_zero(rows, v):
-            assert all(u[0] == 0 for u in rows)  # rejected rows never grow
-            return v[0] == 0
+        def first_coordinate_zero(partial, rows):
+            assert (partial[..., 0] == 0).all()  # rejected rows never grow
+            return np.broadcast_to(rows[:, 0] == 0, (len(partial), len(rows)))
 
-        subs = list(ge.subspaces(F, 2, first_coordinate_zero))
+        bases = ge.subspaces(F, 2, first_coordinate_zero)
         # the 2-subspaces of the hyperplane x_0 = 0
-        assert len(subs) == _gaussian_binomial(3, 2, 3) == 13
-        assert all(row[0] == 0 for sub in subs for row in sub.basis)
+        assert len(bases) == _gaussian_binomial(3, 2, 3) == 13
+        assert (bases[..., 0] == 0).all()
 
     def test_cap(self):
         F = standard_form("trivial", 20, 2)
         with pytest.raises(OverflowError):
-            next(ge.subspaces(F, 1))
+            ge.subspaces(F, 1)
+
+    @given(st.sampled_from(_SMALL_SPACES), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_array_enumerator_matches_the_reference(self, params, prune,
+                                                    data):
+        F = standard_form(*params)
+        k = data.draw(st.integers(0, F.n))
+
+        # the same pruning rule in both signatures: it reads the partial
+        # basis and the new row, so order and broadcasting both show
+        def reference_ok(rows, v):
+            return (sum(v) + sum(map(sum, rows))) % 3 != 1
+
+        def array_ok(partial, rows):
+            return (rows.sum(axis=1)[None]
+                    + partial.sum(axis=(1, 2))[:, None]) % 3 != 1
+
+        bases = ge.subspaces(F, k, array_ok if prune else None)
+        expect = [sub.basis for sub in
+                  subspaces(F, k, reference_ok if prune else None)]
+        assert bases.shape == (len(expect), k, F.n)
+        assert [tuple(map(tuple, b)) for b in bases.tolist()] == expect
+
+    def test_maxts_row_test_matches_the_scalar_forms(self):
+        for params in _SMALL_SPACES:
+            F = standard_form(*params)
+            if F.kind == "trivial":
+                continue
+
+            def singular(rows, v, F=F):
+                return is_singular_vector(F, v) and not any(
+                    F.bilinear(u, v) for u in rows)
+
+            expect = sorted(subspaces(F, F.witt_index, singular))
+            assert list(ge.maximal_totally_singular(F).labels) == expect, \
+                params
 
 
 class TestPointCounts:
@@ -382,7 +431,8 @@ class TestPairsAndDuality:
     def test_duality_is_involution(self):
         F = standard_form("trivial", 5, 2)
         tau = duality_map(F)
-        subs = list(ge.subspaces(F, 2))[:100]
+        subs = [Subspace(tuple(map(tuple, b)))
+                for b in ge.subspaces(F, 2)[:100].tolist()]
         for s in subs:
             t = apply_subspace(tau, F, s)
             assert t.dim == 3
@@ -401,6 +451,27 @@ class TestPairsAndDuality:
         F = standard_form("trivial", 5, 2)
         with pytest.raises(ValueError):
             ge.pair_domains(F, 3)
+
+    @pytest.mark.parametrize("params", [
+        ("trivial", 4, 3), ("trivial", 5, 2), ("symplectic", 6, 2),
+        ("hermitian", 3, 2), ("quadratic", 6, 2, "+"),
+        ("quadratic", 5, 3, "o")])
+    def test_perps_match_the_reference(self, params):
+        F = standard_form(*params)
+        pts = ge.projective_points(F.field, F.n)
+        for k in range(1, F.n):
+            bases = ge.subspaces(F, k)
+            expect = [pts.span(np.array([perp(F, Subspace(
+                tuple(map(tuple, b)))).basis], dtype=np.int16))[0].tolist()
+                for b in bases.tolist()]
+            assert ge._perp_points(F, bases).tolist() == expect, (params, k)
+
+    def test_duality_that_changes_the_dimension_is_refused(self):
+        # the perp of a maximal totally singular 2-space of SU5(2) is a
+        # 3-space, outside the domain
+        F = standard_form("hermitian", 5, 2)
+        with pytest.raises(DomainNotPreservedError):
+            ge.maximal_totally_singular(F).permutation(duality_map(F))
 
 
 class TestSemisimpleDecomposition:
@@ -744,6 +815,21 @@ _GOLDEN = [
     ('o7_3', 'aniso2', None, 22113,
      "6531a0909fba2036addb1f3e5f4662adf9a4402615b9a42f7d37d710570a3621",
      "58be0914431c243f2311175319df48ce8442cf97cdb9fc3eda7ad7ca462509d8"),
+    ('o8p_2', 'maxts', None, 270,
+     "b5415879cb45e08b485d873e59042113086e8b944162b2246519df756215e562",
+     "7ff2dca5a546a58f38e448da0309d2fb3e257f25d04caf6582de40e78a131d14"),
+    ('o7_3', 'maxts', None, 1120,
+     "e7ed302db9078d157c2b8a513cd3041d37f485e28c72a2e57fe1b70925bfb167",
+     "15282bd7afb22d994f57103f661db3826d4099dcaf02abf96b9e89ff40835bee"),
+    ('o7_3', 'nd2', None, 66339,
+     "70be37ed147fb8fc4468d2a2c5cbaded012271e496ee70febdd8e32706db94a3",
+     "2d3c706b37024cafd47e4455863afe5e9a053434fb78b669346659df74fa17bf"),
+    ('sp6_2', 'pairs-perp', 1, 2016,
+     "3842d0a4ebd54717796c8ae3d6dc25c0d2a170df7e1412a8b8ec5ed00fa5c04f",
+     "07a68c95f799d53affb83cf177a48a6e4b54ab2019cbf87a4fcf8a86dabc2b35"),
+    ('sp6_2', 'pairs-le', 2, 22785,
+     "2289a64fdd5448e894c8c13bf9ae3ea5e6e564c00082e3a59a605f7dd1db85f1",
+     "cff0db13870b65cca402fce88aa6578bcbd942af310ced615ac0cd0266d845bd"),
 ]
 
 
@@ -780,6 +866,17 @@ class TestGoldenOutputs:
         assert dom.degree == degree
         assert hashlib.sha256(text.encode()).hexdigest() == grp
         assert hashlib.sha256(lines.encode()).hexdigest() == labels
+
+    def test_labels_are_built_only_when_read(self):
+        space, gens = ge.builtin_matrix_group("o8p_2")
+        le, _perp = ge.pair_domains(standard_form("trivial", 4, 2), 1)
+        for dom in (ge.anisotropic_2_subspaces(space),
+                    ge.singular_points(space), le):
+            lines = dom.label_lines()
+            perm_image(gens if dom.kind != "pair" else [], dom)
+            assert "labels" not in vars(dom)
+            assert list(dom.labels) == sorted(dom.labels)
+            assert len(set(dom.labels)) == dom.degree == len(lines)
 
 
 class TestCombinatorialActions:

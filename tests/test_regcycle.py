@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,3 +204,9 @@ class TestCompareActions:
         r1 = rc.compare_actions_monotonic(G, G, samples=50, seed=7)
         r2 = rc.compare_actions_monotonic(G, G, samples=50, seed=7)
         assert r1 == r2
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_samples_below_one_are_refused(self, samples):
+        G = symmetric_group(4)
+        with pytest.raises(ValueError):
+            rc.compare_actions_monotonic(G, G, samples=samples)
