@@ -445,8 +445,8 @@ def _geom_weight_sum(q: int, start: int) -> Fraction:
     return total
 
 
-def _tail_terms(t: int, coeff: Fraction, window, start: int = 2):
-    """Terms bounding sum_{l >= start} coeff * omega_t(t**l - 1) / t**l.
+def _tail_terms(t: int, coeff: Fraction, window):
+    """Terms bounding sum_{l >= 2} coeff * omega_t(t**l - 1) / t**l.
 
     For l in `window` with t**l within the factorization cap the exact
     primitive-prime-divisor count is used; every other l is bounded by
@@ -455,16 +455,16 @@ def _tail_terms(t: int, coeff: Fraction, window, start: int = 2):
     terms = []
     covered = Fraction(0)
     for ell in sorted(window):
-        if ell < start:
-            raise ValueError("window entry below the start index")
+        if ell < 2:
+            raise ValueError("window entry below l = 2")
         if t**ell > nt.FACTOR_CAP:
             continue  # left to the log tail
         count = nt.primitive_prime_divisor_count(t, ell)
         terms.append(BoundTerm(f"exact ppd count at l={ell}: {count}",
                                coeff * Fraction(count, t**ell)))
         covered += Fraction(ell, t**ell)
-    rest = _geom_weight_sum(t, start) - covered
-    terms.append(BoundTerm(f"log tail over remaining l >= {start}",
+    rest = _geom_weight_sum(t, 2) - covered
+    terms.append(BoundTerm("log tail over remaining l >= 2",
                            coeff * nt.log2_upper(t) * rest))
     return terms
 

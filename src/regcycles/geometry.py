@@ -2,8 +2,11 @@
 
 The module provides:
 
-  * GF(p^e) arithmetic with elements encoded as plain ints (base-p
-    coefficient vectors, constant term least significant);
+  * GF(p^e) with elements encoded as plain ints (base-p coefficient
+    vectors, constant term least significant).  `Fq` builds the field's
+    addition, multiplication, square and Frobenius tables once, in numpy,
+    and is the one holder of field arithmetic: everything below reads
+    those tables;
   * non-degenerate symplectic, hermitian and quadratic spaces over such
     fields, with a fixed hyperbolic-basis convention;
   * constructors for the point/subspace/form domains that classical groups
@@ -67,99 +70,19 @@ class MatrixFileError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over GF(p), for building field tables
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
-def _poly_mulmod(a, b, mod, p):
-    """(a * b) mod `mod` over GF(p); coefficient lists, low degree first."""
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_modred(prod, mod, p)
-
-
-def _poly_modred(a, mod, p):
-    a = list(a)
-    d = len(mod) - 1
-    for i in range(len(a) - 1, d - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
-            for j in range(d):
-                a[i - d + j] = (a[i - d + j] - c * mod[j]) % p
-    return _poly_trim(tuple(a))
-
-
-def _poly_powmod(a, k, mod, p):
-    result = (1,)
-    base = _poly_modred(a, mod, p)
-    while k:
-        if k & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        k >>= 1
-    return result
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(tuple(a)), _poly_trim(tuple(b))
-    while b:
-        # a mod b with b made monic
-        inv = pow(b[-1], p - 2, p)
-        b_monic = tuple(c * inv % p for c in b)
-        a = _poly_modred(a, b_monic, p)
-        a, b = b, a
-    return a
-
-
-def _is_irreducible(mod, p):
-    """mod: monic coefficient list (c0..ce), degree e >= 1, over GF(p)."""
-    e = len(mod) - 1
-    if e == 1:
-        return True
-    x = (0, 1)
-    # x**(p**e) == x (mod f) and gcd(x**(p**(e/r)) - x, f) = 1 for r | e
-    xe = _poly_powmod(x, p**e, mod, p)
-    if xe != x:
-        return False
-    for r in range(2, e + 1):
-        if e % r or not is_prime(r):
-            continue
-        xr = _poly_powmod(x, p**(e // r), mod, p)
-        diff = _poly_trim(tuple((a - b) % p for a, b in
-                                itertools.zip_longest(xr, x, fillvalue=0)))
-        g = _poly_gcd(diff, mod, p)
-        if len(g) != 1:
-            return False
-    return True
-
-
-def _least_irreducible(p, e):
-    """Lexicographically least monic irreducible of degree e over GF(p),
-    coefficients compared constant-term first."""
-    for tail in itertools.product(range(p), repeat=e):
-        mod = tuple(tail) + (1,)
-        if mod[0] == 0:
-            continue  # divisible by x
-        if _is_irreducible(mod, p):
-            return mod
-    raise ArithmeticError(f"no irreducible of degree {e} over GF({p})")
-
-
-# ---------------------------------------------------------------------------
 # fields
 
 class Fq:
-    """GF(p^e).  Elements are ints in range(q) encoding base-p coefficient
-    vectors (constant term least significant).  Addition/multiplication are
-    table lookups; the tables are built once per (p, e, modulus)."""
+    """GF(p^e) = GF(p)[x]/(f) for a monic irreducible f of degree e.
+
+    Elements are ints in range(q) encoding base-p coefficient vectors
+    (constant term least significant).  The field is its tables, built once
+    in numpy: `add_table` and `mul_table` are (q, q) int16 arrays,
+    `square_mask` marks the squares and `frobenius_table(t)` maps a to
+    a**(p**t); all are read-only.  The scalar arithmetic reads Python list
+    views of the same tables.  The default modulus is the least monic
+    irreducible, coefficients compared constant term first.
+    """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -170,53 +93,56 @@ class Fq:
         if q > FIELD_CAP:
             raise OverflowError(f"field order {q} exceeds cap {FIELD_CAP}")
         if modulus is None:
-            modulus = _least_irreducible(p, e)
+            # x divides every candidate with constant term 0
+            candidates = (tail + (1,) for tail in
+                          itertools.product(range(p), repeat=e) if tail[0])
         else:
             modulus = tuple(int(c) % p for c in modulus[:-1]) + (1,)
             if len(modulus) != e + 1:
                 raise ValueError("modulus must be monic of degree e")
-            if not _is_irreducible(modulus, p):
-                raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+            candidates = [modulus]
+        digits = np.arange(q)[:, None] // p ** np.arange(e) % p
+        weights = p ** np.arange(e)
+        for modulus in candidates:
+            # the digits of x**i * b for every b.  Multiplying by x is one
+            # linear map on digit vectors: x**j goes to x**(j+1) for
+            # j < e - 1, and x**(e-1) to x**e - f
+            step = np.eye(e, k=1, dtype=np.int64)
+            step[-1] = np.negative(modulus[:-1])
+            shifts = [digits]
+            for _ in range(1, e):
+                shifts.append(shifts[-1] @ step % p)
+            # mul[a, b] = sum_i a_i * (x**i * b)
+            mul = np.einsum("ai,ibj->abj", digits, shifts) % p @ weights
+            # GF(p)[x]/(f) is a field iff f is irreducible, iff the ring
+            # has no zero divisors
+            if not (mul[1:, 1:] == 0).any():
+                break
+        else:
+            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.p, self.e, self.q = p, e, q
         self.modulus = modulus
-        self._add = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
-        self._mul = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
-        self._neg = [next(b for b in range(q) if self._add[a][b] == 0)
-                     for a in range(q)]
-        if q % 2:
-            self._squares = {self._mul[a][a] for a in range(1, q)}
+        self.add_table = ((digits[:, None] + digits) % p @ weights) \
+            .astype(np.int16)
+        self.mul_table = mul.astype(np.int16)
+        self.square_mask = np.zeros(q, dtype=bool)
+        self.square_mask[self.mul_table.diagonal()] = True
+        frob = np.empty((e, q), dtype=np.int16)
+        frob[0] = np.arange(q)
+        for t in range(1, e):
+            frob[t] = frob[t - 1]
+            for _ in range(p - 1):
+                frob[t] = self.mul_table[frob[t], frob[t - 1]]
+        self._frob = frob
+        for table in (self.add_table, self.mul_table, self.square_mask, frob):
+            table.flags.writeable = False
+        self._add = self.add_table.tolist()
+        self._mul = self.mul_table.tolist()
+        self._inv = (self.mul_table == 1).argmax(axis=1).tolist()
+        self._neg = (self.add_table == 0).argmax(axis=1).tolist()
         # sanity: the multiplicative group has order q - 1
         g = self.generator()
         assert self.elt_pow(g, q - 1) == 1
-
-    def _digits(self, a):
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _from_digits(self, ds):
-        n = 0
-        for c in reversed(ds):
-            n = n * self.p + c
-        return n
-
-    def _add_raw(self, a, b):
-        return self._from_digits([(x + y) % self.p for x, y in
-                                  zip(self._digits(a), self._digits(b))])
-
-    def _mul_raw(self, a, b):
-        prod = _poly_mulmod(_poly_trim(tuple(self._digits(a))),
-                            _poly_trim(tuple(self._digits(b))),
-                            self.modulus, self.p)
-        return self._from_digits(list(prod) + [0] * (self.e - len(prod)))
 
     def add(self, a, b):
         return self._add[a][b]
@@ -249,14 +175,16 @@ class Fq:
             k >>= 1
         return r
 
+    def frobenius_table(self, t=1):
+        """a -> a ** (p**t) for every element, as a read-only array."""
+        return self._frob[t % self.e]
+
     def frobenius(self, a, t=1):
         """a ** (p**t)."""
-        return self.elt_pow(a, self.p**(t % self.e) if self.e > 1 else self.p)
+        return int(self.frobenius_table(t)[a])
 
     def is_square(self, a):
-        if self.q % 2 == 0:
-            return True  # squaring is a bijection in characteristic 2
-        return a == 0 or a in self._squares
+        return bool(self.square_mask[a])
 
     def generator(self):
         """Least generator of the multiplicative group."""
@@ -410,8 +338,7 @@ class FormSpace:
     tail (if any).
     """
 
-    def __init__(self, kind, n, field: Fq, epsilon=None, upper=None,
-                 gram=None):
+    def __init__(self, kind, n, field: Fq, epsilon=None, upper=None):
         if kind not in ("trivial", "symplectic", "hermitian", "quadratic"):
             raise ValueError(f"unknown form kind {kind!r}")
         if kind == "quadratic" and epsilon not in _QUAD_KINDS:
@@ -429,13 +356,13 @@ class FormSpace:
             self.q = field.q
             self._conj_t = 0
         self.upper = upper
-        self.gram = gram if gram is not None else self._derive_gram()
+        self.gram = self._derive_gram()
         self.witt_index = self._expected_witt()
 
     # -- form values -------------------------------------------------------
 
     def conj(self, a):
-        return self.field.frobenius(a, self._conj_t) if self._conj_t else a
+        return self.field.frobenius(a, self._conj_t)
 
     def quad_value(self, v):
         if self.kind != "quadratic":
@@ -508,8 +435,7 @@ class FormSpace:
     def _tables(self):
         """The Gram matrix and the table of conj, as numpy arrays."""
         return (np.array(self.gram, dtype=np.int16),
-                np.array([self.conj(a) for a in range(self.field.q)],
-                         dtype=np.int16))
+                self.field.frobenius_table(self._conj_t))
 
     def _products(self, left, matrix, right):
         """sum_ij left[..., i] matrix[i, j] right[..., j, :] over the field,
@@ -642,8 +568,6 @@ class ProjectivePoints:
         if q**n > VECTOR_ENUM_CAP:
             raise OverflowError("point enumeration exceeds cap")
         self.field, self.n = field, n
-        self._add = np.array(field._add, dtype=np.int16)
-        self._mul = np.array(field._mul, dtype=np.int16)
         self._weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
         # the canonical vectors with their leading 1 in column j have the
         # codes q**(n-1-j) + r, r < q**(n-1-j); listed from j = n - 1 down
@@ -652,7 +576,7 @@ class ProjectivePoints:
         self.vectors = _digits(codes, q, n)
         self.index = np.full(q**n, -1, dtype=np.int32)
         for c in range(1, q):
-            self.index[self.codes(self._mul[c][self.vectors])] = \
+            self.index[self.codes(field.mul_table[c][self.vectors])] = \
                 np.arange(len(codes), dtype=np.int32)
         # shared by every caller through the cache below
         self.vectors.flags.writeable = self.index.flags.writeable = False
@@ -663,20 +587,17 @@ class ProjectivePoints:
     def combine(self, coeffs, rows):
         """sum_i coeffs[..., i] * rows[..., i, :] over the field, with numpy
         broadcasting between the leading axes."""
+        add, mul = self.field.add_table, self.field.mul_table
         out = np.zeros(np.broadcast_shapes(coeffs.shape[:-1] + (1,),
                                            rows.shape[:-2] + rows.shape[-1:]),
                        dtype=np.int16)
         for i in range(coeffs.shape[-1]):
-            out = self._add[out, self._mul[coeffs[..., i, None],
-                                           rows[..., i, :]]]
+            out = add[out, mul[coeffs[..., i, None], rows[..., i, :]]]
         return out
 
     def apply(self, g: SemilinearMap, vectors):
         """v -> v^(p^twist) M for every vector of an (..., n) array."""
-        if g.twist:
-            frob = np.array([self.field.frobenius(a, g.twist)
-                             for a in range(self.field.q)], dtype=np.int16)
-            vectors = frob[vectors]
+        vectors = self.field.frobenius_table(g.twist)[vectors]
         return self.combine(vectors, np.array(g.matrix, dtype=np.int16))
 
     def image(self, g: SemilinearMap):
@@ -905,12 +826,13 @@ class ActionDomain:
         # plus the cross term sum_{i < i'} G_ii' m_ji m_ji', which is the
         # same for every label
         space = self.space
-        pts = projective_points(space.field, space.n)
-        minv = np.array(mat_inv(space.field, g.matrix), dtype=np.int16)
+        K = space.field
+        minv = np.array(mat_inv(K, g.matrix), dtype=np.int16)
         cross = space._products(minv, np.triu(space._tables[0], 1),
                                 minv[..., None])[:, 0]
-        squares = pts._mul[minv, minv]
-        return pts._add[pts.combine(table, squares.T), cross]
+        squares = K.mul_table[minv, minv]
+        pts = projective_points(K, space.n)
+        return K.add_table[pts.combine(table, squares.T), cross]
 
     def label_lines(self):
         """One canonical textual label per line, for cross-tool diffing:
@@ -967,7 +889,7 @@ def nondegenerate_points(space: FormSpace):
     values = space.point_values
     base = f"{space.kind},{space.n},{space.q}"
     if space.kind == "quadratic" and K.q % 2:
-        square = np.array([K.is_square(a) for a in range(K.q)])[values]
+        square = K.square_mask[values]
         return (_domain(f"ns1+[{base}]", "point", space,
                         vectors[square & (values != 0)]),
                 _domain(f"ns1-[{base}]", "point", space, vectors[~square]))
@@ -991,7 +913,7 @@ def anisotropic_2_subspaces(space: FormSpace) -> ActionDomain:
 def nondegenerate_2_subspaces(space: FormSpace) -> ActionDomain:
     """Non-degenerate 2-subspaces (the form restricts non-degenerately):
     the Gram block B(u_a, u_b) of their basis has a nonzero determinant."""
-    mul = projective_points(space.field, space.n)._mul
+    mul = space.field.mul_table
     bases = subspaces(space, 2)
     # (S, 2, n) x (S, 1, n, 2) -> (S, 2, 2)
     gram, conj = space._tables
@@ -1038,14 +960,14 @@ def quadratic_forms_polarizing(space: FormSpace, epsilon: str) -> ActionDomain:
     n, q = space.n, K.q
     if q**n > VECTOR_ENUM_CAP:
         raise OverflowError("polarizing form enumeration exceeds cap")
-    pts = projective_points(K, n)
+    add, mul = K.add_table, K.mul_table
     diag = _digits(np.arange(q**n), q, n)
     arf = trace = np.zeros(len(diag), dtype=np.int16)
     for i in range(0, n, 2):
-        arf = pts._add[arf, pts._mul[diag[:, i], diag[:, i + 1]]]
+        arf = add[arf, mul[diag[:, i], diag[:, i + 1]]]
     for _ in range(K.e):
-        trace = pts._add[trace, arf]
-        arf = pts._mul[arf, arf]
+        trace = add[trace, arf]
+        arf = mul[arf, arf]
     return _domain(f"forms{epsilon}[{space.n},{space.q}]", "form", space,
                    diag[(trace == 0) == (epsilon == "+")])
 

@@ -158,18 +158,45 @@ def factorize(n: int) -> Factorization:
 def prime_power(q: int) -> tuple[int, int] | None:
     """(p, e) with q == p**e and p prime, or None if q is not a prime power.
 
-    Exact trial division up to isqrt(q); None for every q < 2.
+    Trial division below 1000, which decides every q < 10**6.  Past that
+    every prime factor of q exceeds 1000, so q = r**e needs e <=
+    log_1000(q), and the exact integer e-th root for the largest such e
+    decides, through is_prime(r).  Raises ValueError when that r is past
+    the proven range of is_prime.  None for every q < 2.
     """
     if q < 2:
         return None
-    for p in range(2, math.isqrt(q) + 1):
+    for p in range(2, min(math.isqrt(q), 999) + 1):
         if q % p == 0:
             e = 0
             while q % p == 0:
                 q //= p
                 e += 1
             return (p, e) if q == 1 else None
-    return (q, 1)
+    if q < 1000 * 1000:
+        return (q, 1)  # no factor up to its square root
+    top = 1
+    while 1000 ** (top + 1) <= q:
+        top += 1
+    for e in range(top, 0, -1):
+        r = _iroot(q, e)
+        if r**e == q:  # always for e = 1
+            break
+    # is_prime proves primality only below this bound
+    if r >= 3317044064679887385961981:
+        raise ValueError(f"cannot prove {r} prime: the primality test is "
+                         "proven only below 3.317e24")
+    return (r, e) if is_prime(r) else None
+
+
+def _iroot(n: int, e: int) -> int:
+    """The integer e-th root of n >= 1, rounded down (Newton's method)."""
+    x = 1 << -(-n.bit_length() // e)  # above the root
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
 
 
 def omega(n: int) -> int:

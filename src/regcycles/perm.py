@@ -188,11 +188,10 @@ def has_regular_cycle_direct(g: Permutation) -> bool:
     return math.lcm(*lengths) in lengths
 
 
-def cycle_string(g: Permutation, one_based: bool = True) -> str:
-    """Disjoint-cycle notation; 'id' for the identity."""
-    off = 1 if one_based else 0
+def cycle_string(g: Permutation) -> str:
+    """1-based disjoint-cycle notation; 'id' for the identity."""
     parts = [
-        "(" + " ".join(str(x + off) for x in c) + ")"
+        "(" + " ".join(str(x + 1) for x in c) + ")"
         for c in cycle_decomposition(g)
         if len(c) > 1
     ]
@@ -232,32 +231,36 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 _SCHREIER_ENTRIES = 1 << 22
 
 
+def _point_dtype(degree: int) -> np.dtype:
+    """The smallest unsigned integer dtype that holds the points
+    0, ..., degree - 1."""
+    return np.dtype("u1" if degree <= 256 else "u2" if degree <= 65536
+                    else "u4")
+
+
 class _Level:
     """One level of a stabilizer chain: a base point, the strong generators
     that fix every earlier base point, and the orbit of the point under them
     with a transversal (row k of ``trans`` maps the point to ``orbit[k]``,
     row k of ``inv`` is its inverse; ``pos`` maps a point to its row, or
-    -1 off the orbit)."""
+    -1 off the orbit).  ``gens``, ``trans`` and ``inv`` hold points in
+    the smallest dtype for the degree."""
 
-    __slots__ = ("point", "gens", "gen_lists", "orbit", "pos", "trans", "inv",
-                 "_points")
+    __slots__ = ("point", "gens", "orbit", "pos", "trans", "inv")
 
     def __init__(self, point: int, gens: np.ndarray):
         d = gens.shape[1]
         self.point = point
         self.gens = gens
-        self.gen_lists = gens.tolist()
         self.orbit = np.array([point])
         self.pos = np.full(d, -1)
         self.pos[point] = 0
-        self.trans = np.arange(d)[None]
+        self.trans = np.arange(d, dtype=gens.dtype)[None]
         self.inv = self.trans
-        self._points = [point]
         self._grow()
 
     def add_gen(self, h: np.ndarray) -> None:
         self.gens = np.vstack([self.gens, h])
-        self.gen_lists.append(h.tolist())
         self._grow()
 
     def _grow(self) -> None:
@@ -267,12 +270,13 @@ class _Level:
         a map taking u_{up[y]} to u_y, and each round composes it with its
         pointer's map and doubles the pointer, until every pointer is the
         base point."""
-        points = self._points
+        points = self.orbit.tolist()
         old = len(points)
         depth = dict.fromkeys(points, 0)
         src, via = [0] * old, []
+        gens = self.gens.tolist()
         for i, x in enumerate(points):
-            for a, s in enumerate(self.gen_lists):
+            for a, s in enumerate(gens):
                 y = s[x]
                 if y not in depth:
                     depth[y] = depth[x] + 1
@@ -330,8 +334,8 @@ class StabChain:
         first = min((next(x for x, y in enumerate(g) if x != y) for g in gens),
                     default=0)
         self.degree = degree
-        self.levels = [_Level(first, np.array(gens, dtype=np.intp)
-                              .reshape(-1, degree))]
+        gens = np.array(gens, dtype=_point_dtype(degree)).reshape(-1, degree)
+        self.levels = [_Level(first, gens)]
         self._check_order(cap)
         i = 0
         while i >= 0:
@@ -354,7 +358,6 @@ class StabChain:
             self._check_order(cap)
             i = j
         self.order = math.prod(len(lev.orbit) for lev in self.levels)
-        self._stab_rows: np.ndarray | None = None
 
     def _check_order(self, cap: int) -> None:
         if math.prod(len(lev.orbit) for lev in self.levels) > cap:
@@ -387,14 +390,12 @@ class StabChain:
 
     def stabilizer_rows(self) -> np.ndarray:
         """Every element of G_b (b the first base point) as an unsorted
-        (|G_b| x degree) array of transversal products; cached."""
-        if self._stab_rows is None:
-            rows = np.arange(self.degree)[None]
-            for lev in reversed(self.levels[1:]):
-                # h then u_beta, for every u_beta and every h below
-                rows = lev.trans[:, rows].reshape(-1, self.degree)
-            self._stab_rows = rows
-        return self._stab_rows
+        (|G_b| x degree) array of transversal products."""
+        rows = np.arange(self.degree)[None]
+        for lev in reversed(self.levels[1:]):
+            # h then u_beta, for every u_beta and every h below
+            rows = lev.trans[:, rows].reshape(-1, self.degree)
+        return rows
 
     def cosets(self, betas) -> np.ndarray:
         """The cosets {g : g(b) = beta}, one unsorted (|G_b| x degree)
@@ -405,7 +406,7 @@ class StabChain:
     def stabilizer_orbits(self) -> list[list[int]]:
         """Orbits of G_b on b^G, ordered by least point, each starting at
         its least point."""
-        gens = self.levels[1].gen_lists if len(self.levels) > 1 else []
+        gens = self.levels[1].gens.tolist() if len(self.levels) > 1 else []
         return _orbits(sorted(self.levels[0].orbit.tolist()), gens)
 
 
@@ -472,12 +473,15 @@ class PermGroup:
         chain = self.stabilizer_chain(cap)
         d = self.degree
         # Big-endian rows make byte order match lexicographic order.
-        dtype = np.dtype("u1" if d <= 256 else ">u2" if d <= 65536 else ">u4")
+        dtype = _point_dtype(d).newbyteorder(">")
         row = np.dtype((np.void, d * dtype.itemsize))
         out = np.empty((chain.order, d), dtype=dtype)
-        n = len(chain.stabilizer_rows())
-        for k, beta in enumerate(sorted(chain.levels[0].orbit.tolist())):
-            block = np.ascontiguousarray(chain.cosets([beta])[0], dtype=dtype)
+        top, stab = chain.levels[0], chain.stabilizer_rows()
+        n = len(stab)
+        for k, beta in enumerate(sorted(top.orbit.tolist())):
+            # the coset {g : g(b) = beta}
+            block = np.ascontiguousarray(top.trans[top.pos[beta]][stab],
+                                         dtype=dtype)
             out[k * n:(k + 1) * n] = np.sort(block.view(row).ravel()) \
                 .view(dtype).reshape(n, d)
         return out

@@ -173,7 +173,7 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     """
     chain = G.stabilizer_chain(cap)
     square_free = functools.cache(_square_free)  # per call: one test per order
-    n = len(chain.stabilizer_rows())
+    n = chain.order // len(chain.levels[0].orbit)  # |G_b|
     per_batch = max(1, _BATCH_ROWS // n)
 
     def batches(items):

@@ -6,6 +6,7 @@ on-disk file formats.
 """
 
 import json
+import time
 
 import pytest
 
@@ -144,6 +145,21 @@ class TestCertify:
         data = json.loads(out)
         assert data["verdict"] in ("certified", "inconclusive")
         assert code == (0 if data["verdict"] == "certified" else 1)
+
+    def test_large_prime_q(self, capsys):
+        start = time.perf_counter()
+        code = main(["certify", "--case", "i", "--family", "PSL", "--n", "5",
+                     "--q", "1000000000000000003"])  # 10**18 + 3, a prime
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert "certified" in capsys.readouterr().out
+
+    def test_q_past_the_proven_primality_range(self, capsys):
+        code = main(["certify", "--case", "i", "--family", "PSL", "--n", "5",
+                     "--q", str(2**89 - 1)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     def test_tables_file(self, tmp_path, capsys):
         tables = tmp_path / "tables.json"

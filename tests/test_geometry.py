@@ -93,6 +93,24 @@ class TestField:
         assert K.is_square(1) and not K.is_square(2)
 
 
+class TestFieldTables:
+    def test_every_field_matches_its_recorded_tables(self):
+        # modulus and SHA-256 digests of the add and mul tables of every
+        # field up to FIELD_CAP, as built by polynomial arithmetic
+        path = Path(__file__).with_name("field_tables.tsv")
+        rows = [line.split("\t") for line in path.read_text().splitlines()
+                if not line.startswith("#")]
+        assert [(int(p), int(e)) for p, e, *_ in rows] == [
+            nt.prime_power(q) for q in range(2, ge.FIELD_CAP + 1)
+            if nt.prime_power(q)]
+        for p, e, modulus, add, mul in rows:
+            K = ge.Fq(int(p), int(e))
+            assert " ".join(map(str, K.modulus)) == modulus, (p, e)
+            for table, digest in ((K.add_table, add), (K.mul_table, mul)):
+                data = np.asarray(table, dtype="<i2").tobytes()
+                assert hashlib.sha256(data).hexdigest() == digest, (p, e)
+
+
 class TestLinearAlgebra:
     def test_mat_inv_round_trip(self):
         K = field_build(2, 2)

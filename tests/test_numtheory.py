@@ -90,6 +90,34 @@ class TestPrimePower:
     def test_large_prime(self):
         assert nt.prime_power(100000007) == (100000007, 1)
 
+    def test_agrees_with_trial_division_to_the_square_root(self):
+        def trial_division(q):
+            if q < 2:
+                return None
+            for p in range(2, math.isqrt(q) + 1):
+                if q % p == 0:
+                    e = 0
+                    while q % p == 0:
+                        q //= p
+                        e += 1
+                    return (p, e) if q == 1 else None
+            return (q, 1)
+
+        # and across 10**6, where trial division stops deciding alone
+        for q in [*range(-3, 2 * 10**5), *range(10**6 - 10**4, 10**6 + 10**4)]:
+            assert nt.prime_power(q) == trial_division(q), q
+
+    def test_large_inputs_take_integer_roots(self):
+        assert nt.prime_power(10**18 + 3) == (10**18 + 3, 1)
+        assert nt.prime_power((10**9 + 7)**2) == (10**9 + 7, 2)
+        assert nt.prime_power(1009**5) == (1009, 5)
+        assert nt.prime_power(1009 * 1013) is None
+        assert nt.prime_power(1009**4 * 1013) is None
+
+    def test_refuses_roots_past_the_proven_primality_range(self):
+        with pytest.raises(ValueError, match="proven only below"):
+            nt.prime_power(2**89 - 1)  # a Mersenne prime, about 6.2e26
+
 
 class TestOmega:
     def test_small_values(self):

@@ -262,6 +262,22 @@ class TestStabilizerChain:
                 else:
                     call(G)
 
+    @pytest.mark.parametrize("degree, dihedral", [(256, False), (257, False),
+                                                  (257, True)])
+    def test_chain_at_the_one_byte_point_boundary(self, degree, dihedral):
+        # the chain stores points in one byte up to degree 256; on 257
+        # points a one-byte chain would wrap point 256 to 0
+        gens = [Permutation([(x + 1) % degree for x in range(degree)])]
+        if dihedral:
+            gens.append(Permutation([-x % degree for x in range(degree)]))
+        elems = closure(degree, gens)
+        G = PermGroup(degree, gens)
+        assert G.order() == len(elems) == degree * (1 + dihedral)
+        assert list(map(tuple, G.element_array().tolist())) == sorted(elems)
+        assert all(G.contains(Permutation(e)) for e in elems)
+        swap = Permutation([1, 0] + list(range(2, degree)))
+        assert not G.contains(swap)
+
     def test_first_base_point_is_least_moved_point(self):
         gens = [parse_cycles("(3 5)(4 6)", 6), parse_cycles("(4 5 6)", 6)]
         chain = PermGroup(6, gens).stabilizer_chain()
