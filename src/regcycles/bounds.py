@@ -41,12 +41,18 @@ class GroupId:
     family: str
     n: int
     q: int
+    # q = p**e, set once by __post_init__
+    p: int = field(init=False, repr=False, compare=False)
+    e: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if nt.prime_power(self.q) is None:
+        pe = nt.prime_power(self.q)
+        if pe is None:
             raise ValueError(f"{self.q} is not a prime power")
+        object.__setattr__(self, "p", pe[0])
+        object.__setattr__(self, "e", pe[1])
         n, q = self.n, self.q
         fam = self.family
         if fam == "PSL" and n < 2:
@@ -63,14 +69,6 @@ class GroupId:
                 raise ValueError("odd-dimensional orthogonal needs odd q")
         if fam in ("POmega+", "POmega-") and (n % 2 or n < 8):
             raise ValueError(f"{fam} needs even n >= 8")
-
-    @property
-    def p(self):
-        return nt.prime_power(self.q)[0]
-
-    @property
-    def e(self):
-        return nt.prime_power(self.q)[1]
 
     @property
     def q0(self):
@@ -124,8 +122,7 @@ def group_order(gid: GroupId) -> int:
 
 
 def _out_order(gid: GroupId) -> int:
-    n, q = gid.n, gid.q
-    p, e = nt.prime_power(q)
+    n, q, p, e = gid.n, gid.q, gid.p, gid.e
     fam = gid.family
     if fam == "PSL":
         return math.gcd(n, q - 1) * e * (2 if n >= 3 else 1)
@@ -482,8 +479,7 @@ def _omega_front(gid: GroupId, arg: int):
 
 
 def _s1_s2_case_i(gid: GroupId):
-    n, q = gid.n, gid.q
-    p, e = nt.prime_power(q)
+    n, q, p, e = gid.n, gid.q, gid.p, gid.e
     fam = gid.family
     if fam == "PSp":
         raise ValueError("all 1-subspaces of a symplectic space are "
@@ -540,9 +536,16 @@ def _unitary_ns1_front(gid: GroupId) -> Fraction:
             + Fraction(1, q**(2 * m)) + Fraction(1, q**2))
 
 
+def _orthogonal_ns1_front(gid: GroupId) -> Fraction:
+    """Front factor min(2/q0^m* + 2/q0^m# + 1/q, 4/(3q)) for the orthogonal
+    non-degenerate-point action."""
+    ms, mh = mstar_msharp(gid)
+    return min(Fraction(2, _q0_pow(gid, ms)) + Fraction(2, _q0_pow(gid, mh))
+               + Fraction(1, gid.q), Fraction(4, 3 * gid.q))
+
+
 def _s1_s2_case_ii(gid: GroupId):
-    n, q = gid.n, gid.q
-    p, e = nt.prime_power(q)
+    n, q, p, e = gid.n, gid.q, gid.p, gid.e
     fam = gid.family
     if fam == "PSU":
         if n == 5:
@@ -566,10 +569,7 @@ def _s1_s2_case_ii(gid: GroupId):
     if q == 2:
         return None
     arg = e * p * (q - 1)
-    ms, mh = mstar_msharp(gid)
-    f_nq = (Fraction(2, _q0_pow(gid, ms)) + Fraction(2, _q0_pow(gid, mh))
-            + Fraction(1, q))
-    front = min(f_nq, Fraction(4, 3 * q))
+    front = _orthogonal_ns1_front(gid)
     if q <= 5:
         w = nt.omega(arg)
         s1 = [BoundTerm(f"exact omega({arg}) = {w} times front factor "
@@ -587,8 +587,7 @@ def _inverse_sqrt_upper(x: int) -> Fraction:
 
 
 def _s1_s2_case_iv(gid: GroupId):
-    n, q = gid.n, gid.q
-    p, e = nt.prime_power(q)
+    n, q, p, e = gid.n, gid.q, gid.p, gid.e
     if gid.family not in _ORTHOGONAL:
         raise ValueError("case iv needs an orthogonal family")
     if n < 7:
@@ -616,8 +615,7 @@ def _s1_s2_case_iv(gid: GroupId):
 
 
 def _s1_s2_case_vi(gid: GroupId):
-    n, q = gid.n, gid.q
-    p, e = nt.prime_power(q)
+    n, q, p, e = gid.n, gid.q, gid.p, gid.e
     if gid.family != "PSp" or p != 2:
         raise ValueError("case vi needs PSp in characteristic 2")
     if n < 6:
@@ -705,14 +703,11 @@ def _refine_case_ii_orthogonal(gid: GroupId):
     """Post-hoc refinement for the orthogonal non-degenerate-point action:
     exact omega(ep(q-1)) in S1, and in S2 each residual prime contributes
     at most 36/(13 q^2) since l >= 2 always."""
-    q = gid.q
-    p, e = nt.prime_power(q)
+    q, p, e = gid.q, gid.p, gid.e
     arg = e * p * (q - 1)
     s1_primes = set(nt.factorize(arg).primes())
     residual = sorted(group_prime_set(gid) - s1_primes)
-    ms, mh = mstar_msharp(gid)
-    front = min(Fraction(2, _q0_pow(gid, ms)) + Fraction(2, _q0_pow(gid, mh))
-                + Fraction(1, q), Fraction(4, 3 * q))
+    front = _orthogonal_ns1_front(gid)
     w = len(s1_primes)
     s1 = [BoundTerm(f"exact omega({arg}) = {w} times front factor {front}",
                     w * front)]

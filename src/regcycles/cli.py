@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import bounds, geometry, perm, regcycle
@@ -188,10 +189,18 @@ def _matrix_domain(args):
     raise InputError(f"unknown action type {kind!r}")
 
 
+def _check_domain_cap(size: int, cap: int) -> None:
+    if size > cap:
+        raise InputError(f"domain size {size} exceeds cap {cap}")
+
+
 def _cmd_build_action(args):
     if args.type == "ksets":
         if args.m is None or args.k is None:
             raise InputError("--type ksets needs --m and --k")
+        # refuse before k_set_action lists every subset
+        if 1 <= args.k <= args.m:
+            _check_domain_cap(math.comb(args.m, args.k), args.domain_cap)
         G = geometry.k_set_action(args.m, args.k)
         labels = geometry.k_set_labels(args.m, args.k)
     elif args.type == "product":
@@ -203,9 +212,7 @@ def _cmd_build_action(args):
             [str(i + 1) for i in range(args.m)], args.r)
     else:
         gens, domain = _matrix_domain(args)
-        if domain.degree > args.domain_cap:
-            raise InputError(f"domain size {domain.degree} exceeds cap "
-                             f"{args.domain_cap}")
+        _check_domain_cap(domain.degree, args.domain_cap)
         G = geometry.perm_image(gens, domain)
         labels = domain.label_lines()
     try:

@@ -1,20 +1,18 @@
 """Exact integer factorization and the small counting/series facts used by
 the bound pipeline.
 
-Everything here is deterministic: trial division up to a fixed limit, then a
-strong-pseudoprime test to the 13 prime bases up to 41, plus Pollard-rho
-splitting with a fixed polynomial schedule.  No randomness, so repeated runs
-factor an integer identically.  The primality test is proven only for
-n < 3317044064679887385961981 (about 3.317e24; Sorenson and Webster 2015);
-above that, up to FACTOR_CAP, a composite could in principle pass it.
+Everything here is deterministic: trial division by the primes below 1000,
+then a strong-pseudoprime test to the 13 prime bases up to 41, plus
+Pollard-rho splitting with a fixed polynomial schedule.  No randomness, so
+repeated runs factor an integer identically.  The primality test is proven
+only for n < 3317044064679887385961981 (about 3.317e24; Sorenson and
+Webster 2015); above that, up to FACTOR_CAP, a composite could in principle
+pass it.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +20,9 @@ from fractions import Fraction
 # parameters); the cap just keeps runaway inputs from hanging a scan.
 FACTOR_CAP = 1 << 128
 
-_TRIAL_LIMIT = 10**6
+# the primes below 1000, the one trial-division table
+_SMALL_PRIMES = tuple(p for p in range(2, 1000)
+                      if all(p % d for d in range(2, math.isqrt(p) + 1)))
 
 LOG2_BITS = 32  # log2_upper returns multiples of 2**-LOG2_BITS
 
@@ -69,7 +69,7 @@ def is_prime(n: int) -> bool:
     n < 3.317e24 (Sorenson-Webster), only probable above that."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -78,8 +78,6 @@ def is_prime(n: int) -> bool:
         d //= 2
         s += 1
     for a in _MR_BASES:
-        if a % n == 0:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -109,38 +107,29 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho schedule exhausted on {n}")  # pragma: no cover
 
 
-@functools.cache
-def _primes_below(limit: int) -> array:
-    """The primes below limit (sieve of Eratosthenes), as unsigned ints."""
-    sieve = bytearray([1]) * limit
-    sieve[:2] = b"\0\0"
-    for p in range(2, math.isqrt(limit - 1) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
-    return array("I", itertools.compress(range(limit), sieve))
-
-
-def _trial_primes():
-    """The primes below _TRIAL_LIMIT in ascending order.  The full table is
-    built (once) only when trial division gets past 1000."""
-    small = _primes_below(1000)
-    yield from small
-    yield from itertools.islice(_primes_below(_TRIAL_LIMIT), len(small), None)
-
-
-def factorize(n: int) -> Factorization:
-    """Factor n >= 1 into prime powers.  factorize(1) is the empty product."""
-    if n < 1:
-        raise ValueError(f"cannot factor {n}: need n >= 1")
-    if n > FACTOR_CAP:
-        raise OverflowError(f"{n} exceeds factorization cap 2**128")
+def _trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """Divide the primes below 1000 out of n >= 1, stopping once p*p > n:
+    ({p: e}, cofactor).  The cofactor is 1, a prime, or free of every prime
+    below 1000."""
     factors: dict[int, int] = {}
-    for p in _trial_primes():
+    for p in _SMALL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
+    return factors, n
+
+
+def factorize(n: int) -> Factorization:
+    """Factor n >= 1 into prime powers; factorize(1) is the empty product.
+    Trial division by the primes below 1000, then is_prime or Pollard rho
+    on each cofactor left over."""
+    if n < 1:
+        raise ValueError(f"cannot factor {n}: need n >= 1")
+    if n > FACTOR_CAP:
+        raise OverflowError(f"{n} exceeds factorization cap 2**128")
+    factors, n = _trial_divide(n)
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -166,15 +155,11 @@ def prime_power(q: int) -> tuple[int, int] | None:
     """
     if q < 2:
         return None
-    for p in range(2, min(math.isqrt(q), 999) + 1):
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            return (p, e) if q == 1 else None
+    small, rest = _trial_divide(q)
+    if small:
+        return small.popitem() if len(small) == 1 and rest == 1 else None
     if q < 1000 * 1000:
-        return (q, 1)  # no factor up to its square root
+        return (q, 1)  # no prime factor up to its square root
     top = 1
     while 1000 ** (top + 1) <= q:
         top += 1

@@ -6,6 +6,7 @@ on-disk file formats.
 """
 
 import json
+import math
 import time
 
 import pytest
@@ -280,9 +281,12 @@ class TestErrorTable:
         ["--type", "pairs-le", "--builtin", "sp6_2", "--k", "3"],
         ["--type", "singular-points", "--matrix", "SP20_2"],
         ["--type", "maxts", "--matrix", "SP20_2"],
+        ["--type", "ksets", "--m", "8", "--k", "3", "--domain-cap", "10"],
+        ["--type", "ksets", "--m", "40", "--k", "20"],
     ], ids=["ksets-k-above-m", "ksets-zero", "product-zero", "ns1-symplectic",
             "aniso2-symplectic", "pairs-k-too-large",
-            "singular-points-past-cap", "maxts-past-cap"])
+            "singular-points-past-cap", "maxts-past-cap", "ksets-past-cap",
+            "ksets-past-default-cap"])
     def test_one_line_error_exit_2(self, tmp_path, capsys, argv):
         # a dim-20 GF(2) symplectic space: 2**20 vectors, past the cap
         sp20 = tmp_path / "sp20_2.mat"
@@ -295,6 +299,17 @@ class TestErrorTable:
         _out, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+    def test_ksets_are_refused_before_they_are_listed(self, tmp_path, capsys):
+        # C(40, 20) is about 1.4e11 subsets
+        start = time.perf_counter()
+        assert main(["build-action", "--type", "ksets", "--m", "40", "--k",
+                     "20", "--out", str(tmp_path / "out.grp")]) == 2
+        assert time.perf_counter() - start < 1
+        _out, err = capsys.readouterr()
+        assert err == (f"error: domain size {math.comb(40, 20)} exceeds cap "
+                       f"{perm.DEFAULT_DOMAIN_CAP}\n")
 
 
 class TestCompare:

@@ -21,6 +21,16 @@ def sieve_omega(limit):
     return w
 
 
+def primes_between(lo, hi):
+    """Independent oracle: the primes in (lo, hi), by a sieve."""
+    sieve = bytearray([1]) * hi
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(hi - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, hi, p)))
+    return [p for p in range(lo + 1, hi) if sieve[p]]
+
+
 class TestFactorize:
     def test_one_is_empty_product(self):
         assert nt.factorize(1).pairs == ()
@@ -52,11 +62,24 @@ class TestFactorize:
         assert nt.factorize(999983**2).pairs == ((999983, 2),)
 
     def test_small_inputs_leave_the_prime_table_unbuilt(self):
-        nt._primes_below.cache_clear()
         # trial division ends at 997, the last prime below 1000
         assert nt.factorize(2**5 * 991 * 997).pairs == \
             ((2, 5), (991, 1), (997, 1))
-        assert nt._primes_below.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("pairs", [
+        ((1009, 5),), ((997, 1), (1009, 3)), ((1009, 1), (1013, 1), (1019, 1)),
+    ])
+    def test_primes_just_past_the_trial_table(self, pairs):
+        n = math.prod(p**e for p, e in pairs)
+        assert nt.factorize(n).pairs == pairs
+
+    @given(st.lists(st.sampled_from(primes_between(1000, 10**6)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_products_of_primes_between_1000_and_10_to_6(self, primes):
+        # trial division stops at 997, so rho alone splits these
+        expected = tuple((p, primes.count(p)) for p in sorted(set(primes)))
+        assert nt.factorize(math.prod(primes)).pairs == expected
 
     @given(st.integers(min_value=1, max_value=10**12))
     @settings(max_examples=200, deadline=None)
