@@ -170,6 +170,29 @@ def cycle_lengths(images) -> list[int]:
     return lengths
 
 
+def cycle_sizes(rows) -> np.ndarray:
+    """The cycles of every row of an (r x d) array of image rows: an
+    (r x d) intp array holding each cycle's length at its least point and
+    0 at every other point.
+
+    Pointer doubling (Wyllie's list ranking): every point starts labelled
+    with itself, and each round lowers a point's label to that of the
+    point ``step`` ahead, then doubles ``step``.  After k rounds a label is
+    the least of the first 2**k points of its orbit, so the labels settle
+    on the cycles' least points after about log2 of the longest cycle
+    rounds, and a round that changes no label proves it: while a cycle is
+    longer than 2**k, the point 2**k before its least point still changes.
+    """
+    r, d = rows.shape
+    step = (rows + np.arange(0, r * d, d)[:, None]).ravel()
+    label = np.arange(r * d)
+    while True:
+        lower = np.minimum(label, label[step])
+        if np.array_equal(lower, label):
+            return np.bincount(label, minlength=r * d).reshape(r, d)
+        label, step = lower, step[step]
+
+
 def cycle_type(g: Permutation) -> CycleType:
     return CycleType(tuple(sorted(cycle_lengths(g.images), reverse=True)))
 
@@ -393,15 +416,11 @@ class StabChain:
         (|G_b| x degree) array of transversal products."""
         rows = np.arange(self.degree)[None]
         for lev in reversed(self.levels[1:]):
-            # h then u_beta, for every u_beta and every h below
-            rows = lev.trans[:, rows].reshape(-1, self.degree)
+            # h then u_beta, for every u_beta and every h below (np.take:
+            # lev.trans[:, rows] holds a second copy of the result while
+            # it builds it)
+            rows = np.take(lev.trans, rows, axis=1).reshape(-1, self.degree)
         return rows
-
-    def cosets(self, betas) -> np.ndarray:
-        """The cosets {g : g(b) = beta}, one unsorted (|G_b| x degree)
-        block per beta."""
-        top = self.levels[0]
-        return top.trans[top.pos[betas]][:, self.stabilizer_rows()]
 
     def stabilizer_orbits(self) -> list[list[int]]:
         """Orbits of G_b on b^G, ordered by least point, each starting at

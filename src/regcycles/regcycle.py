@@ -18,6 +18,17 @@ orbit (cycle type is a class function), and only counts elements of
 square-free order when asked to, which is sound for the "all-regular"
 verdict: if some element has no regular cycle, a suitable power of
 square-free order also has none.
+
+Bulk questions, the verifier's cosets and the sampled words of
+``compare_actions_monotonic``, go through one kernel, ``perm.cycle_sizes``,
+on chunks of at most _CHUNK_ENTRIES image entries.  It finds every cycle
+of every row at once by pointer doubling, and one rule reads the answers
+from the lengths without computing an order (an lcm of many cycle
+lengths can pass 2**63): g has a regular cycle iff every cycle length
+divides the longest, its regular cycles are then those of the longest
+length, and its order is square-free iff every cycle length is.  Single
+elements (``fix_union_test``, ``perm.has_regular_cycle_direct``) keep the
+scalar cycle walk.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from .perm import (
     PermGroup,
     Permutation,
     cycle_decomposition,
-    cycle_lengths,
+    cycle_sizes,
     cycle_string,
 )
 
@@ -80,9 +91,30 @@ def count_regular_cycles(g) -> int:
     Accepts a Permutation or a raw image sequence.
     """
     images = g.images if isinstance(g, Permutation) else g
-    lengths = cycle_lengths(images)
-    order = math.lcm(*lengths)
-    return sum(1 for n in lengths if n == order)
+    return int(_regular_cycles(np.array([images]))[0][0])
+
+
+def _regular_cycles(rows: np.ndarray, square_free=None):
+    """The regular-cycle count of every image row, and, given a test
+    ``square_free(n)``, the mask of rows of square-free order (else None).
+
+    One kernel call gives the cycle lengths.  A permutation's order is the
+    lcm of its cycle lengths, at least the longest one, with equality iff
+    every length divides the longest.  So a row has a regular cycle iff
+    every cycle length divides its longest, and its regular cycles are
+    then the cycles of that length.  The order is square-free iff every
+    cycle length is.
+    """
+    sizes = cycle_sizes(rows)
+    longest = sizes.max(axis=1, keepdims=True)
+    counts = (sizes == longest).sum(axis=1)
+    counts[(longest % np.maximum(sizes, 1)).any(axis=1)] = 0
+    if square_free is None:
+        return counts, None
+    lengths = np.flatnonzero(np.bincount(sizes.ravel())[1:]) + 1
+    ok = np.ones(lengths[-1] + 1, bool)  # ok[0]: the points that lead no cycle
+    ok[lengths] = [square_free(n) for n in lengths.tolist()]
+    return counts, ok[sizes].all(axis=1)
 
 
 def fix_union_test(g: Permutation) -> RegCycleReport:
@@ -116,9 +148,10 @@ def fix_union_test(g: Permutation) -> RegCycleReport:
     )
 
 
-# verify_all_elements gathers small cosets in batches of about this many
-# rows, one numpy gather per batch, and larger cosets one at a time.
-_BATCH_ROWS = 4096
+# The kernel runs on chunks of at most this many entries (rows x degree),
+# which stay in cache; verify_all_elements gathers as many small cosets
+# into one chunk as fit, and compare_actions_monotonic as many words.
+_CHUNK_ENTRIES = 1 << 15
 
 
 def _square_free(n: int) -> bool:
@@ -159,12 +192,18 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     The elements are split into the cosets {g : g(b) = beta}, b the first
     base point of G's stabilizer chain and beta in b^G.  Conjugation by
     h in G_b maps the coset of beta onto that of h(beta) and keeps cycle
-    types, so one coset per G_b-orbit is checked row by row and its counts
-    are weighted by the orbit length.  Witnesses are the lexicographically
-    least failures: every element fixes the points below b, so they are
-    read from the cosets of failing orbits in ascending beta, as many
-    cosets as hold max_witnesses failures (each holds as many as its
-    orbit's representative).
+    types, so one coset per G_b-orbit is checked and its counts are
+    weighted by the orbit length.  The cosets are gathered as image rows
+    in chunks of at most _CHUNK_ENTRIES entries (several small cosets per
+    chunk, a large one over several chunks), and each chunk goes through
+    the pointer-doubling kernel ``perm.cycle_sizes`` at once: a row has a
+    regular cycle iff each of its cycle lengths divides the longest, and
+    its order is square-free iff each length is.  Witnesses are the
+    lexicographically least failures: every element fixes the points
+    below b, so they are read from the cosets of failing orbits in
+    ascending beta, as many cosets as hold max_witnesses failures (each
+    holds as many as its orbit's representative); only failing rows
+    become lists.
 
     The "all-regular" verdict of the square-free-only run equals that of the
     exhaustive run: an element without a regular cycle powers down to a
@@ -172,38 +211,47 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     among the elements actually checked.  Raises CapExceeded iff |G| > cap.
     """
     chain = G.stabilizer_chain(cap)
-    square_free = functools.cache(_square_free)  # per call: one test per order
-    n = chain.order // len(chain.levels[0].orbit)  # |G_b|
-    per_batch = max(1, _BATCH_ROWS // n)
+    # per call: one test per cycle length seen, and only when asked for
+    square_free = functools.cache(_square_free) if square_free_only else None
+    top, stab = chain.levels[0], chain.stabilizer_rows()  # stab: G_b
+    n = len(stab)
+    per_chunk = max(1, _CHUNK_ENTRIES // G.degree)  # rows
+    per_scan = max(1, per_chunk // n)  # cosets
 
     def batches(items):
-        return (items[i:i + per_batch] for i in range(0, len(items), per_batch))
+        return (items[i:i + per_scan] for i in range(0, len(items), per_scan))
 
-    def scan(betas):
-        """Rows checked in the coset of each beta, and every failing row
-        as (index of its beta, images)."""
-        counts, failing = [0] * len(betas), []
-        rows = chain.cosets(betas).reshape(-1, G.degree).tolist()
-        for r, images in enumerate(rows):
-            lengths = cycle_lengths(images)
-            order = math.lcm(*lengths)
-            if square_free_only and not square_free(order):
-                continue
-            counts[r // n] += 1
-            if order not in lengths:
-                failing.append((r // n, images))
-        return counts, failing
+    def scan(betas, failing=None):
+        """Rows checked and rows failing in the coset of each beta; the
+        failing rows are appended to `failing` as lists, if given."""
+        n_checked = np.zeros(len(betas), np.intp)
+        n_failed = np.zeros(len(betas), np.intp)
+        reps = top.trans[top.pos[betas]]
+        for i in range(0, n, per_chunk):
+            part = stab[i:i + per_chunk]
+            rows = reps[:, part].reshape(-1, G.degree)
+            which = np.arange(len(rows)) // len(part)  # index of the beta
+            regular, kept = _regular_cycles(rows, square_free)
+            fail = regular == 0
+            if kept is None:
+                n_checked += len(part)
+            else:
+                n_checked += np.bincount(which[kept], minlength=len(betas))
+                fail &= kept
+            n_failed += np.bincount(which[fail], minlength=len(betas))
+            if failing is not None:
+                failing += rows[fail].tolist()
+        return n_checked, n_failed
 
     checked = 0
     failures: dict[int, int] = {}  # beta -> failing rows in its coset
     for batch in batches(chain.stabilizer_orbits()):
-        counts, failing = scan([orbit[0] for orbit in batch])
-        checked += sum(c * len(orbit) for c, orbit in zip(counts, batch))
-        per_rep: dict[int, int] = {}
-        for k, _ in failing:
-            per_rep[k] = per_rep.get(k, 0) + 1
-        for k, count in per_rep.items():
-            failures.update(dict.fromkeys(batch[k], count))
+        counts, fails = scan([orbit[0] for orbit in batch])
+        checked += sum(c * len(orbit)
+                       for c, orbit in zip(counts.tolist(), batch))
+        for orbit, count in zip(batch, fails.tolist()):
+            if count:
+                failures.update(dict.fromkeys(orbit, count))
     # the fewest cosets, in ascending beta, that hold max_witnesses failures;
     # every row fixes the points below b and maps b to its beta, so sorting
     # their failing rows sorts by beta first
@@ -213,9 +261,10 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
             break
         wanted.append(beta)
         found += failures[beta]
-    least = sorted(images for batch in batches(wanted)
-                   for _, images in scan(batch)[1])
-    witnesses = tuple(map(Permutation, least[:max_witnesses]))
+    least: list[list[int]] = []
+    for batch in batches(wanted):
+        scan(batch, least)
+    witnesses = tuple(map(Permutation, sorted(least)[:max_witnesses]))
     verdict = "all-regular" if not failures else "failures"
     return VerifyReport(verdict, checked, chain.order, witnesses,
                         square_free_only)
@@ -251,10 +300,15 @@ def compare_actions_monotonic(G1: PermGroup, G2: PermGroup,
     The two groups must be the same abstract group given by *compatible*
     generator lists (generator i of G1 corresponds to generator i of G2); the
     word is evaluated in both in lockstep.  Sampling uses a fixed seed, so
-    runs are reproducible.  At least one word is sampled.
+    runs are reproducible.  At least one word is sampled, and the actions
+    need at least one generator.  The words' images are counted a chunk
+    of words at a time, by the kernel that ``verify_all_elements`` uses.
     """
     if len(G1.generators) != len(G2.generators):
         raise ValueError("generator lists must have equal length")
+    if not G1.generators:
+        raise ValueError("the actions list no generators, so there are "
+                         "no words to sample")
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
 
@@ -264,17 +318,25 @@ def compare_actions_monotonic(G1: PermGroup, G2: PermGroup,
     gens2 = [np.array(g.images) for g in G2.generators]
     ident1 = np.arange(G1.degree)
     ident2 = np.arange(G2.degree)
+    per_chunk = max(1, _CHUNK_ENTRIES // max(G1.degree, G2.degree))
+    words, rows1, rows2 = [], [], []
     violations: list[str] = []
-    for _ in range(samples):
+    for k in range(samples):
         length = rng.randint(1, MAX_WORD_LENGTH)
         word = [rng.randrange(ngens) for _ in range(length)]
         w1, w2 = ident1, ident2
         for i in word:
             w1 = gens1[i][w1]  # apply w, then generator i
             w2 = gens2[i][w2]
-        if count_regular_cycles(w1.tolist()) > count_regular_cycles(w2.tolist()):
-            if len(violations) < 5:
-                violations.append("g" + " g".join(str(i) for i in word))
+        words.append(word)
+        rows1.append(w1)
+        rows2.append(w2)
+        if len(words) == per_chunk or k == samples - 1:
+            more = (_regular_cycles(np.array(rows1))[0]
+                    > _regular_cycles(np.array(rows2))[0])
+            for j in np.flatnonzero(more)[:5 - len(violations)]:
+                violations.append("g" + " g".join(str(i) for i in words[j]))
+            words, rows1, rows2 = [], [], []
     return MonotonicityReport(not violations, samples, tuple(violations))
 
 

@@ -21,7 +21,7 @@ from geometry_reference import (map_order, polarized_quad_value,
 from regcycles import bounds as bd
 from regcycles import geometry as geo
 from regcycles import numtheory as nt
-from regcycles import perm
+from regcycles import perm, regcycle
 from regcycles.bounds import GroupId
 from regcycles.perm import Permutation, has_regular_cycle_direct
 from regcycles.regcycle import (compare_actions_monotonic, fix_union_test,
@@ -201,6 +201,21 @@ class TestOrbitRepresentativeReduction:
                 late_base_with_failures.append(name)
         assert any(not G.is_transitive() for _, G in corpus)
         assert late_base_with_failures
+
+    def test_coset_over_several_kernel_chunks(self):
+        # Sym(8) on 8 points: a coset of G_b has 5,040 rows, more than one
+        # chunk of the regular-cycle kernel holds
+        G = perm.symmetric_group(8)
+        chain = G.stabilizer_chain()
+        stab_order = chain.order // len(chain.levels[0].orbit)
+        assert stab_order == 5040
+        assert stab_order * G.degree > regcycle._CHUNK_ENTRIES
+        expected = brute_force_verify(G)
+        for sf in (False, True):
+            report = verify_all_elements(G, square_free_only=sf)
+            got = (report.checked, report.verdict,
+                   tuple(w.images for w in report.witnesses))
+            assert got == expected[sf], sf
 
 
 # ---------------------------------------------------------------------------
@@ -382,22 +397,6 @@ class TestSymplecticFormDomains:
         G, arr = sp6_points
         dom = geo.singular_points(space)
 
-        # odd order <=> the 2835-th power (the odd part of the exponent
-        # of Sp6(2)) is the identity
-        ident = np.arange(63, dtype=arr.dtype)
-        res = np.tile(ident, (len(arr), 1))
-        base = arr
-        k = 2835
-        while k:
-            if k & 1:
-                res = np.take_along_axis(base, res, axis=1)
-            k >>= 1
-            if k:
-                base = np.take_along_axis(base, base, axis=1)
-        odd = (res == ident).all(axis=1)
-        rows = arr[odd]
-        assert len(rows) == 530145
-
         # value table of each quadratic form on the 63 nonzero vectors
         def masks(form_dom):
             return np.array(
@@ -407,22 +406,50 @@ class TestSymplecticFormDomains:
 
         mask_plus = masks(geo.quadratic_forms_polarizing(space, "+"))
         mask_minus = masks(geo.quadratic_forms_polarizing(space, "-"))
-        seen_c = set()
-        for p in rows:
+        col_plus, col_minus = (
+            (mask.astype(np.uint64) << np.arange(len(mask), dtype=np.uint64)
+             [:, None]).sum(axis=0, dtype=np.uint64)
+            for mask in (mask_plus, mask_minus))
+        assert (len(mask_plus), len(mask_minus)) == (36, 28)
+        ident = np.arange(63, dtype=arr.dtype)
+        odd_rows, seen_c = 0, set()
+        for start in range(0, len(arr), 4096):
+            block = arr[start:start + 4096]
+            # odd order <=> the 2835-th power (the odd part of the exponent
+            # of Sp6(2)) is the identity; each row is offset by 63 times
+            # its index and flattened, so one gather composes every row
+            flat = (block + 63 * np.arange(len(block))[:, None]).ravel()
+            res = start_points = np.arange(flat.size)
+            base = flat
+            k = 2835
+            while k:
+                if k & 1:
+                    res = base[res]
+                k >>= 1
+                if k:
+                    base = base[base]
+            odd = (res == start_points).reshape(-1, 63).all(axis=1)
+            rows = block[odd]
+            odd_rows += len(rows)
             # fixed vectors form the eigenspace, of size 2**c
-            nfixed = int((p == ident).sum()) + 1
-            c = nfixed.bit_length() - 1
-            assert 2**c == nfixed
-            seen_c.add(c)
-            fixed_plus = int((mask_plus[:, p] == mask_plus).all(axis=1)
-                             .sum())
-            fixed_minus = int((mask_minus[:, p] == mask_minus).all(axis=1)
-                              .sum())
-            assert Fraction(fixed_plus, 36) <= Fraction(2**c, 16)
-            if c > 0:
-                assert Fraction(fixed_minus, 28) <= Fraction(2**c, 16)
-            else:
-                assert Fraction(fixed_minus, 28) <= Fraction(1, 14)
+            nfixed = (rows == ident).sum(axis=1) + 1
+            c = np.frexp(nfixed)[1] - 1  # nfixed.bit_length() - 1
+            assert ((1 << c) == nfixed).all()
+            seen_c.update(c.tolist())
+            # forms whose value table each row maps onto itself: bit f of
+            # column v is form f's value at v, so the forms a row moves are
+            # the bits set in some column's XOR with its image's column
+            fixed_plus = 36 - np.bitwise_count(np.bitwise_or.reduce(
+                col_plus[rows] ^ col_plus, axis=1))
+            fixed_minus = 28 - np.bitwise_count(np.bitwise_or.reduce(
+                col_minus[rows] ^ col_minus, axis=1))
+            # fixed_plus / 36 <= 2**c / 16, and fixed_minus / 28 <= 2**c / 16
+            # for c > 0 and <= 1 / 14 for c = 0, cross-multiplied exactly
+            assert (fixed_plus * 16 <= (1 << c) * 36).all()
+            pos = c > 0
+            assert (fixed_minus[pos] * 16 <= (1 << c[pos]) * 28).all()
+            assert (fixed_minus[~pos] * 14 <= 1 * 28).all()
+        assert odd_rows == 530145
         assert 0 in seen_c and 6 in seen_c
 
 
@@ -609,6 +636,19 @@ class TestCertifiedActionsSound:
         report = verify_all_elements(G, cap=ENUM_CAP)
         assert report.all_regular
         assert report.checked == 1451520
+
+    @pytest.mark.parametrize("builder", [geo.singular_points,
+                                         geo.maximal_totally_singular])
+    def test_su5_2_actions_verify_exhaustively(self, su5, builder):
+        # |SU5(2)| = q^10 (q^2 - 1)(q^3 + 1)(q^4 - 1)(q^5 + 1) at q = 2
+        order = 2**10 * 3 * 9 * 15 * 33
+        assert order == 13685760
+        space, gens = su5
+        G = geo.perm_image(gens, builder(space))
+        assert G.degree in (165, 297)
+        report = verify_all_elements(G, cap=2 * 10**7)
+        assert report.all_regular
+        assert report.checked == report.group_order == order
 
     def test_sampled_actions_have_regular_cycles(self, su5, o8p):
         # too large to enumerate: sample random words instead

@@ -350,6 +350,18 @@ class TestCompare:
                      "--action2", str(a2)]) == 2
 
 
+    def test_generator_less_actions_are_refused(self, tmp_path, capsys):
+        a1 = tmp_path / "a1.grp"
+        a1.write_text("degree 3\n")
+        assert main(["compare", "--action1", str(a1), "--action2",
+                     str(a1)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "generators" in err
+        assert "Traceback" not in err
+
+
 class TestParserReuse:
     def test_bad_argv_leaves_later_calls_unchanged(self, alt8_file, capsys):
         valid = [["verify", "--group", alt8_file, "--json"],

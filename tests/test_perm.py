@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,8 @@ from regcycles.perm import (
     alternating_group,
     compose,
     cycle_decomposition,
+    cycle_lengths,
+    cycle_sizes,
     cycle_type,
     element_order,
     emit_group_file,
@@ -113,6 +116,48 @@ class TestCycles:
     def test_cycle_type_conjugation_invariant(self, g, h):
         conj = compose(compose(inverse(h), g), h)
         assert cycle_type(conj) == cycle_type(g)
+
+
+# (dtype, degree, rows, seed): u1 rows hold at most 256 points
+cycle_size_cases = st.sampled_from(["u1", "u2", "intp"]).flatmap(
+    lambda dtype: st.tuples(
+        st.just(dtype),
+        st.integers(min_value=1, max_value=256 if dtype == "u1" else 400),
+        st.integers(min_value=1, max_value=50),
+        st.integers(min_value=0, max_value=2**32 - 1)))
+
+
+class TestCycleSizes:
+    @given(cycle_size_cases)
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_scalar_walk(self, case):
+        dtype, degree, nrows, seed = case
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(nrows):
+            # a random power of a random permutation: short cycles too
+            p = rng.permutation(degree)
+            row = np.arange(degree)
+            for _ in range(rng.integers(1, 13)):
+                row = p[row]
+            rows.append(row)
+        rows = np.array(rows, dtype=dtype)
+        sizes = cycle_sizes(rows)
+        assert sizes.shape == (nrows, degree)
+        for images, got in zip(rows.tolist(), sizes.tolist()):
+            assert sorted(n for n in got if n) == sorted(cycle_lengths(images))
+            # each length sits at its cycle's least point
+            want = [0] * degree
+            for cycle in cycle_decomposition(Permutation(images)):
+                want[cycle[0]] = len(cycle)
+            assert got == want
+
+    def test_fixed_rows(self):
+        rows = np.array([[1, 2, 0, 4, 3, 5], [0, 1, 2, 3, 4, 5],
+                         [5, 0, 1, 2, 3, 4]], dtype="u1")
+        assert cycle_sizes(rows).tolist() == [[3, 0, 0, 2, 0, 1],
+                                              [1, 1, 1, 1, 1, 1],
+                                              [6, 0, 0, 0, 0, 0]]
 
 
 class TestGroups:

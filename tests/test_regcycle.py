@@ -1,8 +1,10 @@
 """Tests for the fixed-union regular-cycle machinery."""
 
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from regcycles.perm import (
     Permutation,
     alternating_group,
     cycle_decomposition,
+    cycle_lengths,
     cycle_type,
     element_order,
     enumerate_elements,
@@ -132,6 +135,36 @@ class TestCountRegularCycles:
     def test_no_regular_cycle(self):
         assert rc.count_regular_cycles(parse_cycles("(1 2 3)(4 5)(6 7)", 7)) == 0
 
+    def test_regular_cycles_of_the_longest_length(self):
+        # (6)(3)(2)(1): every length divides 6, one 6-cycle
+        g = parse_cycles("(1 2 3 4 5 6)(7 8 9)(10 11)", 12)
+        assert rc.count_regular_cycles(g) == 1
+        assert rc.count_regular_cycles(
+            parse_cycles("(1 2 3 4)(5 6 7 8)(9 10)", 11)) == 2
+        assert rc.count_regular_cycles(
+            parse_cycles("(1 2 3 4)(5 6 7 8 9 10)", 10)) == 0
+
+    def test_order_past_int64(self):
+        # one cycle of each of the first 16 primes, 2 + 3 + ... + 53 = 381
+        # points: the order, their product, is about 3.26e19 > 2**63
+        primes = [p for p in range(2, 54) if numtheory.is_prime(p)]
+        images, start = [], 0
+        for p in primes:
+            images += [start + (i + 1) % p for i in range(p)]
+            start += p
+        assert len(primes) == 16 and len(images) == 381
+        assert math.prod(primes) > 2**63
+        assert rc.count_regular_cycles(images) == 0
+        assert not has_regular_cycle_direct(Permutation(images))
+        # in a chunk of the bulk scan its row fails, and its order (a
+        # product of distinct primes) passes the square-free filter
+        rows = np.array([list(range(381)), images, images[::-1]])
+        counts, kept = rc._regular_cycles(rows, rc._square_free)
+        lengths = cycle_lengths(images[::-1])
+        assert counts.tolist() == [381, 0,
+                                   lengths.count(math.lcm(*lengths))]
+        assert kept[:2].tolist() == [True, True]
+
 
 class TestVerifyAllElements:
     def test_alt5_all_regular(self):
@@ -210,3 +243,8 @@ class TestCompareActions:
         G = symmetric_group(4)
         with pytest.raises(ValueError):
             rc.compare_actions_monotonic(G, G, samples=samples)
+
+    def test_actions_without_generators_are_refused(self):
+        G = PermGroup(3, [])
+        with pytest.raises(ValueError, match="no generators"):
+            rc.compare_actions_monotonic(G, G, samples=10)
