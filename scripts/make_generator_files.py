@@ -18,6 +18,8 @@ import itertools
 import os
 import sys
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from regcycles import geometry as ge  # noqa: E402
@@ -27,36 +29,37 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "src",
                         "regcycles", "data")
 
 
+def all_vectors(space):
+    """Every vector of the space, in lexicographic order, as an array."""
+    q, n = space.field.q, space.n
+    return np.array(list(itertools.product(range(q), repeat=n)),
+                    dtype=np.int16)
+
+
 def transvection(space, v, scale=1, subtract=False):
     """Matrix of x -> x +- scale * B(x, v) * v (row-vector convention)."""
     K = space.field
-    n = space.n
-    rows = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        coeff = K.mul(scale, space.bilinear(e, v))
-        if subtract:
-            coeff = K.neg(coeff)
-        rows.append(tuple(K.add(1 if j == i else 0, K.mul(coeff, v[j]))
-                          for j in range(n)))
-    return SemilinearMap(tuple(rows))
+    v = np.array(v, dtype=np.int16)
+    identity = np.eye(space.n, dtype=np.int16)
+    # B(e_i, v) for every basis vector e_i
+    coeff = K.mul_table[scale, space.pairing(identity, v[None])[:, 0]]
+    if subtract:
+        coeff = K.neg_table[coeff]
+    rows = K.add_table[identity, K.mul_table[coeff[:, None], v]]
+    return SemilinearMap(tuple(map(tuple, rows.tolist())))
 
 
 def check_preserves(space, g):
-    K = space.field
-    n = space.n
-    basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    imgs = [g.apply_vector(space, b) for b in basis]
-    for i in range(n):
-        for j in range(n):
-            if space.bilinear(imgs[i], imgs[j]) != space.bilinear(
-                    basis[i], basis[j]):
-                raise AssertionError("bilinear form not preserved")
+    matrix = np.array(g.matrix, dtype=np.int16)
+    # the images of the basis vectors have the Gram matrix of the form
+    if (space.pairing(matrix, matrix) != space.gram).any():
+        raise AssertionError("bilinear form not preserved")
     if space.kind == "quadratic":
-        for v in itertools.product(range(K.q), repeat=n):
-            if space.quad_value(g.apply_vector(space, v)) \
-                    != space.quad_value(v):
-                raise AssertionError("quadratic form not preserved")
+        vectors = all_vectors(space)
+        pts = ge.projective_points(space.field, space.n)
+        if (space.values(pts.apply(g, vectors))
+                != space.values(vectors)).any():
+            raise AssertionError("quadratic form not preserved")
 
 
 def build_sp6_2():
@@ -84,12 +87,12 @@ def build_sp6_2():
 
 def build_o8p_2():
     space = ge.standard_form("quadratic", 8, 2, "+")
-    nonsingular = [v for v in itertools.product(range(2), repeat=8)
-                   if any(v) and space.quad_value(v) == 1]
+    vectors = all_vectors(space)
+    nonsingular = vectors[space.values(vectors) == 1]
     # every basis direction should be moved by some chosen transvection;
     # a small deterministic slice of the 120 candidates suffices
-    vectors = nonsingular[::11] + nonsingular[:3]
-    gens = [transvection(space, v) for v in vectors]
+    chosen = np.concatenate([nonsingular[::11], nonsingular[:3]])
+    gens = [transvection(space, v) for v in chosen]
     for g in gens:
         check_preserves(space, g)
     G = ge.perm_image(gens, ge.singular_points(space))
@@ -102,13 +105,11 @@ def build_o8p_2():
 def build_o7_3():
     space = ge.standard_form("quadratic", 7, 3, "o")
     K = space.field
-    vectors = [v for v in itertools.product(range(3), repeat=7)
-               if any(v) and space.quad_value(v) != 0]
-    chosen = vectors[::131] + vectors[:3]
-    gens = []
-    for v in chosen:
-        scale = K.inv(space.quad_value(v))
-        gens.append(transvection(space, v, scale=scale, subtract=True))
+    vectors = all_vectors(space)
+    anisotropic = vectors[space.values(vectors) != 0]
+    chosen = np.concatenate([anisotropic[::131], anisotropic[:3]])
+    gens = [transvection(space, v, scale=K.inv_table[space.values(v)],
+                         subtract=True) for v in chosen]
     for g in gens:
         check_preserves(space, g)
     G = ge.perm_image(gens, ge.singular_points(space))
@@ -121,11 +122,11 @@ def build_o7_3():
 
 def build_su5_2():
     space = ge.standard_form("hermitian", 5, 2)
-    K = space.field
-    isotropic = [v for v in itertools.product(range(4), repeat=5)
-                 if any(v) and space.bilinear(v, v) == 0]
-    vectors = isotropic[::17] + isotropic[:3]
-    gens = [transvection(space, v) for v in vectors]
+    vectors = all_vectors(space)
+    isotropic = vectors[vectors.any(axis=1)
+                        & (space.values(vectors) == 0)]
+    chosen = np.concatenate([isotropic[::17], isotropic[:3]])
+    gens = [transvection(space, v) for v in chosen]
     for g in gens:
         check_preserves(space, g)
     G = ge.perm_image(gens, ge.singular_points(space))

@@ -206,6 +206,13 @@ def _cmd_build_action(args):
     elif args.type == "product":
         if args.m is None or args.r is None:
             raise InputError("--type product needs --m and --r")
+        # refuse before Sym(m) is built; m**r > cap for every r past
+        # cap.bit_length() (m >= 2), so then m**r is not formed
+        if args.m >= 2 and args.r >= 1 and (
+                args.r > args.domain_cap.bit_length()
+                or args.m**args.r > args.domain_cap):
+            raise InputError(f"domain size {args.m}**{args.r} exceeds cap "
+                             f"{args.domain_cap}")
         base = perm.symmetric_group(args.m)
         G = geometry.product_action(base, args.r, cap=args.domain_cap)
         labels = geometry.product_labels(

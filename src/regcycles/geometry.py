@@ -1,12 +1,16 @@
 """Finite fields, classical forms, and the permutation actions built on them.
 
-The module provides:
+The module has one linear algebra: numpy arrays of field elements, combined
+through the tables of `Fq`.  All arithmetic on vectors, matrices and forms
+runs on such arrays; the scalar algebra over tuples that the tests compare
+against lives in the tests (`tests/geometry_reference.py`).  The module
+provides:
 
   * GF(p^e) with elements encoded as plain ints (base-p coefficient
     vectors, constant term least significant).  `Fq` builds the field's
-    addition, multiplication, square and Frobenius tables once, in numpy,
-    and is the one holder of field arithmetic: everything below reads
-    those tables;
+    addition, multiplication, negation, inverse, square and Frobenius
+    tables once, in numpy, and is the one holder of field arithmetic:
+    everything below reads those tables;
   * non-degenerate symplectic, hermitian and quadratic spaces over such
     fields, with a fixed hyperbolic-basis convention;
   * constructors for the point/subspace/form domains that classical groups
@@ -26,8 +30,11 @@ The module provides:
     so every point, subspace and pair domain is mapped by array gathers
     through that one permutation.  Duality maps each image basis to the
     points orthogonal to all its rows.  Form domains map their table of
-    values at once;
-  * a plain text file format for matrix generators.
+    values at once, forward through the generator matrix itself, and
+    invert the permutation found;
+  * a plain text file format for matrix generators, whose generators are
+    checked for singularity by one batched Gaussian elimination
+    (`singular_matrices`).
 
 Every domain lists its labels in sorted order, so repeated runs build
 identical permutation groups.  The label text of `label_lines` formats each
@@ -78,13 +85,17 @@ class Fq:
     Elements are ints in range(q) encoding base-p coefficient vectors
     (constant term least significant).  The field is its tables, built once
     in numpy: `add_table` and `mul_table` are (q, q) int16 arrays,
+    `neg_table` and `inv_table` map a to -a and 1/a (0 to 0),
     `square_mask` marks the squares and `frobenius_table(t)` maps a to
-    a**(p**t); all are read-only.  The scalar arithmetic reads Python list
-    views of the same tables.  The default modulus is the least monic
+    a**(p**t); all are read-only.  The default modulus is the least monic
     irreducible, coefficients compared constant term first.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None = None):
+        # refuse before p is tested and p**e formed: both take time, and
+        # p**e digits, that grow with p and e
+        if p > FIELD_CAP or e > FIELD_CAP.bit_length():
+            raise OverflowError(f"field order exceeds cap {FIELD_CAP}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if e < 1:
@@ -127,6 +138,9 @@ class Fq:
         self.mul_table = mul.astype(np.int16)
         self.square_mask = np.zeros(q, dtype=bool)
         self.square_mask[self.mul_table.diagonal()] = True
+        # -a and 1/a for every a (and 0 for a = 0)
+        self.neg_table = (self.add_table == 0).argmax(axis=1).astype(np.int16)
+        self.inv_table = (self.mul_table == 1).argmax(axis=1).astype(np.int16)
         frob = np.empty((e, q), dtype=np.int16)
         frob[0] = np.arange(q)
         for t in range(1, e):
@@ -134,68 +148,13 @@ class Fq:
             for _ in range(p - 1):
                 frob[t] = self.mul_table[frob[t], frob[t - 1]]
         self._frob = frob
-        for table in (self.add_table, self.mul_table, self.square_mask, frob):
+        for table in (self.add_table, self.mul_table, self.square_mask,
+                      self.neg_table, self.inv_table, frob):
             table.flags.writeable = False
-        self._add = self.add_table.tolist()
-        self._mul = self.mul_table.tolist()
-        self._inv = (self.mul_table == 1).argmax(axis=1).tolist()
-        self._neg = (self.add_table == 0).argmax(axis=1).tolist()
-        # sanity: the multiplicative group has order q - 1
-        g = self.generator()
-        assert self.elt_pow(g, q - 1) == 1
-
-    def add(self, a, b):
-        return self._add[a][b]
-
-    def neg(self, a):
-        return self._neg[a]
-
-    def sub(self, a, b):
-        return self._add[a][self._neg[b]]
-
-    def mul(self, a, b):
-        return self._mul[a][b]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self._inv[a]
-
-    def div(self, a, b):
-        return self._mul[a][self.inv(b)]
-
-    def elt_pow(self, a, k):
-        if k < 0:
-            a, k = self.inv(a), -k
-        r = 1
-        while k:
-            if k & 1:
-                r = self._mul[r][a]
-            a = self._mul[a][a]
-            k >>= 1
-        return r
 
     def frobenius_table(self, t=1):
         """a -> a ** (p**t) for every element, as a read-only array."""
         return self._frob[t % self.e]
-
-    def frobenius(self, a, t=1):
-        """a ** (p**t)."""
-        return int(self.frobenius_table(t)[a])
-
-    def is_square(self, a):
-        return bool(self.square_mask[a])
-
-    def generator(self):
-        """Least generator of the multiplicative group."""
-        for g in range(2, self.q):
-            seen, x = 1, g
-            while x != 1:
-                x = self._mul[x][g]
-                seen += 1
-            if seen == self.q - 1:
-                return g
-        return 1  # q = 2
 
     def __repr__(self):
         return f"Fq({self.p}, {self.e})"
@@ -210,76 +169,28 @@ def field_build(p: int, e: int, modulus=None) -> Fq:
 
 
 # ---------------------------------------------------------------------------
-# vectors, matrices, subspaces
+# matrices and subspaces
 
-def vec_add(K, u, v):
-    return tuple(K.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(K, c, v):
-    return tuple(K.mul(c, a) for a in v)
-
-
-def vec_mat(K, v, M):
-    """Row vector times matrix."""
-    n = len(M[0])
-    out = [0] * n
-    for i, vi in enumerate(v):
-        if vi:
-            row = M[i]
-            for j in range(n):
-                if row[j]:
-                    out[j] = K.add(out[j], K.mul(vi, row[j]))
-    return tuple(out)
-
-
-def mat_mul(K, A, B):
-    return tuple(vec_mat(K, row, B) for row in A)
-
-
-def mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_transpose(M):
-    return tuple(zip(*M))
-
-
-def rref(K, rows):
-    """Reduced row-echelon form; returns (rows without zeros, pivot columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return (), ()
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = K.inv(rows[r][c])
-        rows[r] = [K.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [K.sub(x, K.mul(f, y))
-                           for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
-
-
-def mat_inv(K, M):
-    n = len(M)
-    aug = [list(M[i]) + [1 if j == i else 0 for j in range(n)]
-           for i in range(n)]
-    reduced, pivots = rref(K, aug)
-    if pivots[:n] != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
+def singular_matrices(field: Fq, matrices):
+    """Whether each of the (m, n, n) matrices over the field is singular:
+    one Gaussian elimination over the field tables for all of them."""
+    add, mul = field.add_table, field.mul_table
+    a = np.array(matrices, dtype=np.int16)
+    rows = np.arange(len(a))
+    singular = np.zeros(len(a), dtype=bool)
+    for c in range(a.shape[1]):
+        # swap the first row with a nonzero entry in column c up to row c;
+        # a matrix without one is singular, and its rows no longer matter
+        nonzero = a[:, c:, c] != 0
+        singular |= ~nonzero.any(axis=1)
+        pivot = c + nonzero.argmax(axis=1)
+        a[rows, c], a[rows, pivot] = a[rows, pivot], a[rows, c]
+        # row i -= (a_ic / a_cc) row c below the pivot
+        factor = mul[a[:, c + 1:, c], field.inv_table[a[:, c, c, None]]]
+        a[:, c + 1:] = add[a[:, c + 1:],
+                           field.neg_table[mul[factor[..., None],
+                                               a[:, c, None]]]]
+    return singular
 
 
 class Subspace(NamedTuple):
@@ -293,29 +204,6 @@ class Subspace(NamedTuple):
     def dim(self):
         return len(self.basis)
 
-    def contains(self, K, v):
-        v = list(v)
-        for row in self.basis:
-            lead = next(i for i, x in enumerate(row) if x)
-            if v[lead]:
-                c = v[lead]
-                v = [K.sub(x, K.mul(c, y)) for x, y in zip(v, row)]
-        return not any(v)
-
-    def vectors(self, K):
-        """All vectors of the subspace (q**dim of them)."""
-        n = len(self.basis[0]) if self.basis else 0
-        for coeffs in itertools.product(range(K.q), repeat=self.dim):
-            v = tuple([0] * n) if n else ()
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    v = vec_add(K, v, vec_scale(K, c, row))
-            yield v
-
-
-def span(K, vectors) -> Subspace:
-    return Subspace(rref(K, list(vectors))[0])
-
 
 # ---------------------------------------------------------------------------
 # classical form spaces
@@ -328,10 +216,11 @@ class FormSpace:
 
     kind is one of "trivial", "symplectic", "hermitian", "quadratic".  For
     quadratic spaces epsilon is "+", "-" or "o".  For hermitian spaces the
-    field is GF(q**2) and `conj` is the involutory field automorphism
-    x -> x**q; the Gram matrix is the identity.  Quadratic forms are stored
-    as an upper-triangular coefficient matrix `upper` with
-    Q(v) = sum_{i<=j} upper[i][j] v_i v_j; the polar form is derived.
+    field is GF(q**2), the form is conjugated by the involutory field
+    automorphism x -> x**q (`conj_table`), and the Gram matrix is the
+    identity.  Quadratic forms are given by an upper-triangular coefficient
+    matrix `upper` with Q(v) = sum_{i<=j} upper[i][j] v_i v_j; the polar
+    form is derived.  `gram` and `upper` are read-only (n, n) int16 arrays.
 
     Basis convention: hyperbolic pairs are interleaved, so basis vectors
     2i, 2i+1 form the i-th hyperbolic pair, followed by the anisotropic
@@ -351,73 +240,31 @@ class FormSpace:
             if field.e % 2:
                 raise ValueError("hermitian form needs a field GF(q**2)")
             self.q = field.p**(field.e // 2)
-            self._conj_t = field.e // 2
+            self.conj_table = field.frobenius_table(field.e // 2)
         else:
             self.q = field.q
-            self._conj_t = 0
+            self.conj_table = field.frobenius_table(0)
         self.upper = upper
         self.gram = self._derive_gram()
+        self.gram.flags.writeable = False
         self.witt_index = self._expected_witt()
-
-    # -- form values -------------------------------------------------------
-
-    def conj(self, a):
-        return self.field.frobenius(a, self._conj_t)
-
-    def quad_value(self, v):
-        if self.kind != "quadratic":
-            raise ValueError("not a quadratic space")
-        K = self.field
-        total = 0
-        for i in range(self.n):
-            if v[i]:
-                row = self.upper[i]
-                for j in range(i, self.n):
-                    if row[j] and v[j]:
-                        total = K.add(total, K.mul(row[j], K.mul(v[i], v[j])))
-        return total
-
-    def bilinear(self, u, v):
-        """Bilinear (or sesquilinear) form value; for quadratic spaces this
-        is the polar form Q(u+v) - Q(u) - Q(v); for trivial spaces, the
-        plain dot product (used for perps and duality)."""
-        K = self.field
-        total = 0
-        for i in range(self.n):
-            if u[i]:
-                row = self.gram[i]
-                for j in range(self.n):
-                    if row[j] and v[j]:
-                        w = self.conj(v[j])
-                        total = K.add(total, K.mul(row[j], K.mul(u[i], w)))
-        return total
 
     # -- construction helpers ----------------------------------------------
 
     def _derive_gram(self):
-        K = self.field
-        n = self.n
-        if self.kind == "trivial":
-            return mat_identity(n)  # used only for perps/duality
-        if self.kind == "hermitian":
-            return mat_identity(n)
+        K, n = self.field, self.n
+        if self.kind in ("trivial", "hermitian"):
+            # the dot product, for perps and duality, in the trivial case
+            return np.eye(n, dtype=np.int16)
         if self.kind == "symplectic":
-            g = [[0] * n for _ in range(n)]
-            for i in range(0, n, 2):
-                g[i][i + 1] = 1
-                g[i + 1][i] = K.neg(1)
-            return tuple(tuple(r) for r in g)
-        # quadratic: polar form B(u, v) = Q(u+v) - Q(u) - Q(v)
-        u = self.upper
-        g = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    g[i][j] = K.add(u[i][i], u[i][i])
-                else:
-                    a, b = min(i, j), max(i, j)
-                    g[i][j] = u[a][b]
-        return tuple(tuple(r) for r in g)
+            gram = np.zeros((n, n), dtype=np.int16)
+            pairs = np.arange(0, n, 2)
+            gram[pairs, pairs + 1] = 1
+            gram[pairs + 1, pairs] = K.neg_table[1]
+            return gram
+        # quadratic: the polar form B(u, v) = Q(u+v) - Q(u) - Q(v) has
+        # 2 upper[i][i] on the diagonal and upper[min][max] off it
+        return K.add_table[self.upper, self.upper.T]
 
     def _expected_witt(self):
         n = self.n
@@ -431,12 +278,6 @@ class FormSpace:
 
     # -- form values in bulk ------------------------------------------------
 
-    @cached_property
-    def _tables(self):
-        """The Gram matrix and the table of conj, as numpy arrays."""
-        return (np.array(self.gram, dtype=np.int16),
-                self.field.frobenius_table(self._conj_t))
-
     def _products(self, left, matrix, right):
         """sum_ij left[..., i] matrix[i, j] right[..., j, :] over the field,
         with numpy broadcasting between the leading axes: the one evaluator
@@ -444,26 +285,34 @@ class FormSpace:
         pts = projective_points(self.field, self.n)
         return pts.combine(pts.combine(left, matrix), right)
 
+    def values(self, vectors):
+        """The form value at each vector v of an (..., n) array: Q(v) for
+        quadratic spaces, B(v, v) for hermitian ones, and 0 for symplectic
+        and trivial ones, where every vector is singular."""
+        if self.kind == "quadratic":
+            matrix, right = self.upper, vectors
+        elif self.kind == "hermitian":
+            matrix, right = self.gram, self.conj_table[vectors]
+        else:
+            return np.zeros(vectors.shape[:-1], dtype=np.int16)
+        return self._products(vectors, matrix, right[..., None])[..., 0]
+
     @cached_property
     def point_values(self):
-        """The form value at each projective point's canonical vector v:
-        Q(v) for quadratic spaces, B(v, v) for hermitian ones, and 0 for
-        symplectic and trivial ones, where every point is singular."""
-        vectors = projective_points(self.field, self.n).vectors
-        gram, conj = self._tables
-        if self.kind == "quadratic":
-            matrix, right = np.array(self.upper, dtype=np.int16), vectors
-        elif self.kind == "hermitian":
-            matrix, right = gram, conj[vectors]
-        else:
-            return np.zeros(len(vectors), dtype=np.int16)
-        return self._products(vectors, matrix, right[..., None])[:, 0]
+        """The form value at each projective point's canonical vector."""
+        return self.values(projective_points(self.field, self.n).vectors)
+
+    def pairing(self, left, right):
+        """B(u, v) = u G conj(v) for every row u of the (..., k, n) array
+        left and every row v of the (..., m, n) array right, as a
+        (..., k, m) array; the leading axes broadcast."""
+        rows = self.conj_table[right].swapaxes(-1, -2)[..., None, :, :]
+        return self._products(left, self.gram, rows)
 
     def _orthogonal(self, bases, vectors):
         """(S, C) mask: whether each of the (C, n) vectors v is orthogonal
         to every row b of each of the (S, k, n) bases, b G conj(v) = 0."""
-        gram, conj = self._tables
-        return ~self._products(bases, gram, conj[vectors].T).any(axis=1)
+        return ~self.pairing(bases, vectors).any(axis=1)
 
 
 def standard_form(kind, n, q, epsilon=None, modulus=None) -> FormSpace:
@@ -499,23 +348,22 @@ def standard_form(kind, n, q, epsilon=None, modulus=None) -> FormSpace:
         raise ValueError(f"epsilon {epsilon!r} needs even dimension")
     if epsilon == "o" and p == 2:
         raise ValueError("odd-dimensional quadratic spaces need odd q")
-    upper = [[0] * n for _ in range(n)]
+    upper = np.zeros((n, n), dtype=np.int16)
     pairs = n // 2 if epsilon == "+" else (n - 1) // 2 if epsilon == "o" \
         else n // 2 - 1
-    for i in range(pairs):
-        upper[2 * i][2 * i + 1] = 1
+    upper[2 * np.arange(pairs), 2 * np.arange(pairs) + 1] = 1
     if epsilon == "o":
-        upper[n - 1][n - 1] = 1
+        upper[n - 1, n - 1] = 1
     elif epsilon == "-":
         # anisotropic plane: z1**2 + z1 z2 + a z2**2 with t**2 + t + a
-        # irreducible; pick the least such a
-        a = next(a for a in range(1, K.q)
-                 if all(K.add(K.add(K.mul(t, t), t), a) for t in range(K.q)))
-        upper[n - 2][n - 2] = 1
-        upper[n - 2][n - 1] = 1
-        upper[n - 1][n - 1] = a
-    return FormSpace("quadratic", n, field, epsilon,
-                     upper=tuple(tuple(r) for r in upper))
+        # irreducible; pick the least such a, the first column of the
+        # table of t**2 + t + a (rows t) without a zero
+        t = np.arange(K.q)
+        roots = K.add_table[K.add_table[K.mul_table[t, t], t]] == 0
+        upper[n - 2, n - 2:] = 1
+        upper[n - 1, n - 1] = (~roots.any(axis=0)).argmax()
+    upper.flags.writeable = False
+    return FormSpace("quadratic", n, field, epsilon, upper=upper)
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +378,11 @@ class SemilinearMap:
     twist: int = 0
     duality: bool = False
 
-    def apply_vector(self, space: FormSpace, v):
-        K = space.field
-        if self.twist:
-            v = tuple(K.frobenius(x, self.twist) for x in v)
-        return vec_mat(K, v, self.matrix)
-
 
 def duality_map(space: FormSpace) -> SemilinearMap:
     """The involution W -> W^perp (with respect to space.gram)."""
-    return SemilinearMap(mat_identity(space.n), duality=True)
+    identity = np.eye(space.n, dtype=int).tolist()
+    return SemilinearMap(tuple(map(tuple, identity)), duality=True)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +447,7 @@ class ProjectivePoints:
         """The permutation of the points induced by v -> v^(p^twist) M."""
         return self.index[self.codes(self.apply(g, self.vectors))]
 
-    def span(self, bases):
+    def span_points(self, bases):
         """Sorted point indices of the spans of k-row bases, (S, k, n) ->
         (S, (q**k - 1)/(q - 1)): the canonical coefficient vectors of
         PG(k-1, q) times each basis."""
@@ -761,7 +604,7 @@ class ActionDomain:
         pts = projective_points(self.space.field, self.space.n)
         parts = []
         for comps in self.components:
-            rows = pts.span(comps)
+            rows = pts.span_points(comps)
             parts.append((rows, _RowIndex(rows)))
         return parts, _RowIndex(self.members)
 
@@ -792,6 +635,9 @@ class ActionDomain:
             raise DomainNotPreservedError(
                 f"generator maps label {self.labels[outside[0]]!r} of domain "
                 f"{self.name} outside the domain")
+        if self.kind == "form":
+            # the forms were mapped by Q -> Q o g, the inverse of the action
+            images = np.argsort(images)
         # shared ints, so that the image tuples of all generators share one
         # int object per label
         return Permutation(map(self._label_ints.__getitem__, images.tolist()))
@@ -820,17 +666,20 @@ class ActionDomain:
         return np.stack(moved, axis=1)
 
     def _form_images(self, g: SemilinearMap, table):
-        # Q -> Q o g^{-1}.  g preserves the polar form G, so the image of
-        # the form with the values L_i on the basis vectors takes at
-        # e_j g^{-1} = m_j the value sum_i L_i m_ji^2 (characteristic 2)
-        # plus the cross term sum_{i < i'} G_ii' m_ji m_ji', which is the
-        # same for every label
+        # Q -> Q o g, whose inverse is the action Q -> Q o g^{-1}; so no
+        # inverse matrix is needed.  When g preserves the polar form G,
+        # Q o g has polar form G again, and for the form with the values
+        # L_i on the basis vectors it takes at e_j g = m_j the value
+        # sum_i L_i m_ji^2 (characteristic 2) plus the cross term
+        # sum_{i < i'} G_ii' m_ji m_ji', which is the same for every label
         space = self.space
         K = space.field
-        minv = np.array(mat_inv(K, g.matrix), dtype=np.int16)
-        cross = space._products(minv, np.triu(space._tables[0], 1),
-                                minv[..., None])[:, 0]
-        squares = K.mul_table[minv, minv]
+        m = np.array(g.matrix, dtype=np.int16)
+        if (space.pairing(m, m) != space.gram).any():
+            raise DomainNotPreservedError(
+                f"generator does not preserve the form of {self.name}")
+        cross = space._products(m, np.triu(space.gram, 1), m[..., None])[:, 0]
+        squares = K.mul_table[m, m]
         pts = projective_points(K, space.n)
         return K.add_table[pts.combine(table, squares.T), cross]
 
@@ -907,7 +756,7 @@ def anisotropic_2_subspaces(space: FormSpace) -> ActionDomain:
                       values[pts.index[pts.codes(rows)]] != 0)
     return _domain(f"aniso2[{space.epsilon},{space.n},{space.q}]",
                    "subspace", space,
-                   bases[(values[pts.span(bases)] != 0).all(axis=1)])
+                   bases[(values[pts.span_points(bases)] != 0).all(axis=1)])
 
 
 def nondegenerate_2_subspaces(space: FormSpace) -> ActionDomain:
@@ -915,9 +764,7 @@ def nondegenerate_2_subspaces(space: FormSpace) -> ActionDomain:
     the Gram block B(u_a, u_b) of their basis has a nonzero determinant."""
     mul = space.field.mul_table
     bases = subspaces(space, 2)
-    # (S, 2, n) x (S, 1, n, 2) -> (S, 2, 2)
-    gram, conj = space._tables
-    block = space._products(bases, gram, conj[bases].swapaxes(1, 2)[:, None])
+    block = space.pairing(bases, bases)  # (S, 2, 2)
     nondegenerate = mul[block[:, 0, 0], block[:, 1, 1]] \
         != mul[block[:, 0, 1], block[:, 1, 0]]
     return _domain(f"nondeg2[{space.kind},{space.n},{space.q}]",
@@ -982,8 +829,8 @@ def pair_domains(space: FormSpace, k: int):
     small, big = subspaces(space, k), subspaces(space, n - k)
     # |pts(W) & pts(U)| for every W, U: W <= U when it is all of pts(W),
     # and, as dim W + dim U = n, W + U = V when it is 0
-    small_pts = pts.span(small)
-    meet = pts.incidence(small_pts) @ pts.incidence(pts.span(big)).T
+    small_pts = pts.span_points(small)
+    meet = pts.incidence(small_pts) @ pts.incidence(pts.span_points(big)).T
     base = f"{n},{k},{space.q}"
     return (ActionDomain(f"pairs-le[{base}]", "pair", space, [small, big],
                          np.argwhere(meet == small_pts.shape[1])),
@@ -1055,29 +902,6 @@ def product_labels(base_labels, r: int):
                                        repeat=r)]
 
 
-def sl_generators(n: int, field: Fq):
-    """Generators of SL_n(q): the transvections I + z**k * E_{12} for a
-    field generator z (one per coefficient of an additive basis) and the
-    signed permutation matrix of the n-cycle."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    K = field
-    gens = []
-    z = K.generator()
-    coeff = 1
-    for _ in range(K.e):
-        rows = [list(row) for row in mat_identity(n)]
-        rows[0][1] = coeff
-        gens.append(SemilinearMap(tuple(tuple(r) for r in rows)))
-        coeff = K.mul(coeff, z)
-    cyc = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        cyc[i][i + 1] = 1
-    cyc[n - 1][0] = K.neg(1) if n % 2 == 0 else 1
-    gens.append(SemilinearMap(tuple(tuple(r) for r in cyc)))
-    return gens
-
-
 # ---------------------------------------------------------------------------
 # matrix generator files
 
@@ -1141,44 +965,52 @@ def parse_matrix_file(text: str):
     except ValueError as exc:
         raise MatrixFileError(lineno, str(exc)) from None
 
-    gens = []
-    while pos < len(lines):
-        lineno, line = take()
-        if line != "gen":
-            raise MatrixFileError(lineno, f"expected 'gen', got {line!r}")
-        rows = []
-        for _ in range(n):
-            lineno, row_line = take("matrix row")
-            entries = row_line.split()
-            if len(entries) != n:
-                raise MatrixFileError(lineno, f"expected {n} entries")
-            try:
-                row = tuple(int(x) for x in entries)
-            except ValueError:
-                raise MatrixFileError(lineno, "non-integer entry") from None
-            if any(not 0 <= x < field.q for x in row):
-                raise MatrixFileError(lineno,
-                                      f"entry out of range 0..{field.q - 1}")
-            rows.append(row)
-        twist = 0
-        duality = False
-        while pos < len(lines) and lines[pos][1].split()[0] in ("twist",
-                                                                "duality"):
-            lineno, extra = take()
-            parts = extra.split()
-            if parts[0] == "twist":
-                if len(parts) != 2 or not parts[1].isdigit():
-                    raise MatrixFileError(lineno, "expected 'twist t'")
-                twist = int(parts[1])
-            else:
-                duality = True
-        g = SemilinearMap(tuple(rows), twist, duality)
-        try:
-            mat_inv(field, g.matrix)
-        except ValueError:
-            raise MatrixFileError(lineno, "generator matrix is singular") \
-                from None
-        gens.append(g)
+    gens, linenos, error = [], [], None
+    try:
+        while pos < len(lines):
+            lineno, line = take()
+            if line != "gen":
+                raise MatrixFileError(lineno, f"expected 'gen', got {line!r}")
+            rows = []
+            for _ in range(n):
+                lineno, row_line = take("matrix row")
+                entries = row_line.split()
+                if len(entries) != n:
+                    raise MatrixFileError(lineno, f"expected {n} entries")
+                try:
+                    row = tuple(int(x) for x in entries)
+                except ValueError:
+                    raise MatrixFileError(lineno, "non-integer entry") \
+                        from None
+                if any(not 0 <= x < field.q for x in row):
+                    raise MatrixFileError(
+                        lineno, f"entry out of range 0..{field.q - 1}")
+                rows.append(row)
+            twist = 0
+            duality = False
+            while pos < len(lines) and lines[pos][1].split()[0] in (
+                    "twist", "duality"):
+                lineno, extra = take()
+                parts = extra.split()
+                if parts[0] == "twist":
+                    if len(parts) != 2 or not parts[1].isdigit():
+                        raise MatrixFileError(lineno, "expected 'twist t'")
+                    twist = int(parts[1])
+                else:
+                    duality = True
+            gens.append(SemilinearMap(tuple(rows), twist, duality))
+            linenos.append(lineno)
+    except MatrixFileError as exc:
+        error = exc
+    # one elimination for every generator read; a singular one is reported
+    # before any later error, at the last line of its block
+    matrices = np.reshape([g.matrix for g in gens], (-1, n, n))
+    singular = np.flatnonzero(singular_matrices(field, matrices))
+    if singular.size:
+        raise MatrixFileError(linenos[singular[0]],
+                              "generator matrix is singular")
+    if error is not None:
+        raise error
     if not gens:
         raise MatrixFileError(len(text.splitlines()) + 1, "no generators")
     return space, gens

@@ -1,33 +1,328 @@
-"""Per-label linear algebra over the geometry module, as test oracles.
+"""The scalar linear algebra over tuples, as the tests' oracle.
 
-The library enumerates subspaces as numpy arrays, maps point, subspace
+The library has one linear algebra: numpy arrays over the tables of
+`geometry.Fq`.  It enumerates subspaces as arrays, maps point, subspace
 and pair domains through one induced permutation of the projective
-points, and form domains through one table of form values.  The helpers
-here do the same work the direct way, one label at a time, with
-`vec_mat`, `span`, `perp` and the scalar `FormSpace.quad_value` and
-`FormSpace.bilinear`, and also hold the matrix helpers that only the
-tests need.
+points and form domains through one table of form values, and checks
+matrix files for singular generators with one batched elimination.  The
+helpers here do the same work the direct way, one element, vector and
+label at a time: field arithmetic through `scalars`, Python list views of
+the field tables; vectors and matrices as tuples (`vec_mat`, `mat_mul`,
+`rref`, `mat_inv`, `span`); the scalar form values `quad_value`,
+`bilinear` and `conj`; and the generators that only the tests use.
 """
 
+import functools
 import itertools
+from typing import NamedTuple
 
 from regcycles.geometry import (
     VECTOR_ENUM_CAP,
     DomainNotPreservedError,
     FormSpace,
+    Fq,
     SemilinearMap,
     Subspace,
-    mat_identity,
-    mat_inv,
-    mat_mul,
-    mat_transpose,
-    rref,
-    span,
-    vec_mat,
-    vec_scale,
 )
 from regcycles.perm import Permutation
 
+
+# ---------------------------------------------------------------------------
+# scalar field arithmetic
+
+class ScalarField:
+    """Element-by-element arithmetic of one `Fq`, read from Python list
+    views of its tables."""
+
+    def __init__(self, field: Fq):
+        self.p, self.e, self.q = field.p, field.e, field.q
+        self._add = field.add_table.tolist()
+        self._mul = field.mul_table.tolist()
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
+        self._neg = [row.index(0) for row in self._add]
+
+    def add(self, a, b):
+        return self._add[a][b]
+
+    def neg(self, a):
+        return self._neg[a]
+
+    def sub(self, a, b):
+        return self._add[a][self._neg[b]]
+
+    def mul(self, a, b):
+        return self._mul[a][b]
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return self._inv[a]
+
+    def elt_pow(self, a, k):
+        if k < 0:
+            a, k = self.inv(a), -k
+        r = 1
+        while k:
+            if k & 1:
+                r = self._mul[r][a]
+            a = self._mul[a][a]
+            k >>= 1
+        return r
+
+    def frobenius(self, a, t=1):
+        """a ** (p**t)."""
+        return self.elt_pow(a, self.p ** (t % self.e))
+
+    def is_square(self, a):
+        """Euler's criterion; every element is a square when q is even."""
+        if a == 0 or self.p == 2:
+            return True
+        return self.elt_pow(a, (self.q - 1) // 2) == 1
+
+    def generator(self):
+        """Least generator of the multiplicative group."""
+        for g in range(2, self.q):
+            seen, x = 1, g
+            while x != 1:
+                x = self._mul[x][g]
+                seen += 1
+            if seen == self.q - 1:
+                return g
+        return 1  # q = 2
+
+
+@functools.cache
+def _scalar_field(field: Fq) -> ScalarField:
+    return ScalarField(field)
+
+
+def scalars(K) -> ScalarField:
+    """The scalar arithmetic of a field (an `Fq` or a `ScalarField`)."""
+    return K if isinstance(K, ScalarField) else _scalar_field(K)
+
+
+# ---------------------------------------------------------------------------
+# vectors, matrices, subspaces
+
+def vec_add(K, u, v):
+    K = scalars(K)
+    return tuple(K.add(a, b) for a, b in zip(u, v))
+
+
+def vec_scale(K, c, v):
+    K = scalars(K)
+    return tuple(K.mul(c, a) for a in v)
+
+
+def vec_mat(K, v, M):
+    """Row vector times matrix."""
+    K = scalars(K)
+    n = len(M[0])
+    out = [0] * n
+    for i, vi in enumerate(v):
+        if vi:
+            row = M[i]
+            for j in range(n):
+                if row[j]:
+                    out[j] = K.add(out[j], K.mul(vi, row[j]))
+    return tuple(out)
+
+
+def mat_mul(K, A, B):
+    return tuple(vec_mat(K, row, B) for row in A)
+
+
+def mat_identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_transpose(M):
+    return tuple(zip(*M))
+
+
+def rref(K, rows):
+    """Reduced row-echelon form; returns (rows without zeros, pivot columns)."""
+    K = scalars(K)
+    rows = [list(r) for r in rows]
+    if not rows:
+        return (), ()
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = K.inv(rows[r][c])
+        rows[r] = [K.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [K.sub(x, K.mul(f, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def mat_inv(K, M):
+    n = len(M)
+    aug = [list(M[i]) + [1 if j == i else 0 for j in range(n)]
+           for i in range(n)]
+    reduced, pivots = rref(K, aug)
+    if pivots[:n] != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in reduced)
+
+
+def span(K, vectors) -> Subspace:
+    return Subspace(rref(K, list(vectors))[0])
+
+
+def subspace_contains(K, sub: Subspace, v):
+    K = scalars(K)
+    v = list(v)
+    for row in sub.basis:
+        lead = next(i for i, x in enumerate(row) if x)
+        if v[lead]:
+            c = v[lead]
+            v = [K.sub(x, K.mul(c, y)) for x, y in zip(v, row)]
+    return not any(v)
+
+
+def subspace_vectors(K, sub: Subspace):
+    """All vectors of the subspace (q**dim of them)."""
+    n = len(sub.basis[0]) if sub.basis else 0
+    for coeffs in itertools.product(range(K.q), repeat=sub.dim):
+        v = tuple([0] * n) if n else ()
+        for c, row in zip(coeffs, sub.basis):
+            if c:
+                v = vec_add(K, v, vec_scale(K, c, row))
+        yield v
+
+
+# ---------------------------------------------------------------------------
+# form values and semilinear maps
+
+class _ScalarForm(NamedTuple):
+    K: ScalarField
+    gram: list
+    upper: list | None
+    conj: list
+
+
+@functools.cache
+def _scalar_form(space: FormSpace) -> _ScalarForm:
+    """The form's matrices as nested lists, and its conjugation as a list
+    computed by the scalar Frobenius map."""
+    K = scalars(space.field)
+    t = space.field.e // 2 if space.kind == "hermitian" else 0
+    return _ScalarForm(K, space.gram.tolist(),
+                       None if space.upper is None else space.upper.tolist(),
+                       [K.frobenius(a, t) for a in range(K.q)])
+
+
+def conj(space: FormSpace, a):
+    """x -> x**q for a hermitian form over GF(q**2), the identity else."""
+    return _scalar_form(space).conj[a]
+
+
+def quad_value(space: FormSpace, v):
+    if space.kind != "quadratic":
+        raise ValueError("not a quadratic space")
+    K, _, upper, _ = _scalar_form(space)
+    total = 0
+    for i in range(space.n):
+        if v[i]:
+            row = upper[i]
+            for j in range(i, space.n):
+                if row[j] and v[j]:
+                    total = K.add(total, K.mul(row[j], K.mul(v[i], v[j])))
+    return total
+
+
+def bilinear(space: FormSpace, u, v):
+    """Bilinear (or sesquilinear) form value; for quadratic spaces this
+    is the polar form Q(u+v) - Q(u) - Q(v); for trivial spaces, the
+    plain dot product (used for perps and duality)."""
+    K, gram, _, conj = _scalar_form(space)
+    total = 0
+    for i in range(space.n):
+        if u[i]:
+            row = gram[i]
+            for j in range(space.n):
+                if row[j] and v[j]:
+                    total = K.add(total, K.mul(row[j],
+                                               K.mul(u[i], conj[v[j]])))
+    return total
+
+
+def scalar_gram(space: FormSpace):
+    """The Gram matrix of the form built entry by entry: the identity for
+    trivial and hermitian spaces, the interleaved hyperbolic pairs
+    B(e_2i, e_2i+1) = 1 = -B(e_2i+1, e_2i) for symplectic ones, and the
+    polar form Q(e_i + e_j) - Q(e_i) - Q(e_j) for quadratic ones."""
+    K, n = scalars(space.field), space.n
+    if space.kind in ("trivial", "hermitian"):
+        return [list(row) for row in mat_identity(n)]
+    g = [[0] * n for _ in range(n)]
+    if space.kind == "symplectic":
+        for i in range(0, n, 2):
+            g[i][i + 1] = 1
+            g[i + 1][i] = K.neg(1)
+        return g
+    basis = mat_identity(n)
+    for i in range(n):
+        for j in range(n):
+            both = quad_value(space, vec_add(K, basis[i], basis[j]))
+            g[i][j] = K.sub(K.sub(both, quad_value(space, basis[i])),
+                            quad_value(space, basis[j]))
+    return g
+
+
+def least_anisotropic_constant(K):
+    """The least a with t**2 + t + a irreducible over the field."""
+    K = scalars(K)
+    return next(a for a in range(1, K.q)
+                if all(K.add(K.add(K.mul(t, t), t), a) for t in range(K.q)))
+
+
+def apply_vector(g: SemilinearMap, space: FormSpace, v):
+    """v -> frobenius^twist(v) * matrix."""
+    K = scalars(space.field)
+    if g.twist:
+        v = tuple(K.frobenius(x, g.twist) for x in v)
+    return vec_mat(K, v, g.matrix)
+
+
+def sl_generators(n: int, field: Fq):
+    """Generators of SL_n(q): the transvections I + z**k * E_{12} for a
+    field generator z (one per coefficient of an additive basis) and the
+    signed permutation matrix of the n-cycle."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    K = scalars(field)
+    gens = []
+    z = K.generator()
+    coeff = 1
+    for _ in range(K.e):
+        rows = [list(row) for row in mat_identity(n)]
+        rows[0][1] = coeff
+        gens.append(SemilinearMap(tuple(tuple(r) for r in rows)))
+        coeff = K.mul(coeff, z)
+    cyc = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        cyc[i][i + 1] = 1
+    cyc[n - 1][0] = K.neg(1) if n % 2 == 0 else 1
+    gens.append(SemilinearMap(tuple(tuple(r) for r in cyc)))
+    return gens
+
+
+# ---------------------------------------------------------------------------
+# subspaces and domains, label by label
 
 def subspaces(space: FormSpace, k: int, row_ok=None):
     """Every k-subspace, each once, as its reduced row-echelon `Subspace`,
@@ -71,6 +366,7 @@ def mat_rank(K, M):
 
 def nullspace(K, M):
     """Canonical basis of the left null space {v : v M = 0}."""
+    K = scalars(K)
     reduced, pivots = rref(K, mat_transpose(M))
     n = len(M)
     basis = []
@@ -94,7 +390,8 @@ def perp(space: FormSpace, sub: Subspace) -> Subspace:
                         for i in range(n)])
     # v in perp iff for each basis row b: sum_j (b G)_j conj(v_j) = 0;
     # applying conj to the equation turns it into a linear system in v.
-    rows = [tuple(map(space.conj, vec_mat(K, b, space.gram)))
+    gram = _scalar_form(space).gram
+    rows = [tuple(conj(space, x) for x in vec_mat(K, b, gram))
             for b in sub.basis]
     return Subspace(nullspace(K, mat_transpose(rows)))
 
@@ -103,24 +400,24 @@ def is_singular_vector(space: FormSpace, v):
     """Whether v is singular: Q(v) = 0 for quadratic spaces, B(v, v) = 0
     for hermitian ones; every vector of a symplectic or trivial space."""
     if space.kind == "quadratic":
-        return space.quad_value(v) == 0
+        return quad_value(space, v) == 0
     if space.kind == "hermitian":
-        return space.bilinear(v, v) == 0
+        return bilinear(space, v, v) == 0
     return True
 
 
 def polarized_quad_value(space: FormSpace, diag, v):
     """Value at v of the quadratic form with polarization space.gram and
     the given values on the basis vectors (characteristic 2)."""
-    K = space.field
+    K, gram, _, _ = _scalar_form(space)
     total = 0
     n = space.n
     for i in range(n):
         if v[i]:
             total = K.add(total, K.mul(diag[i], K.mul(v[i], v[i])))
             for j in range(i + 1, n):
-                if v[j] and space.gram[i][j]:
-                    total = K.add(total, K.mul(space.gram[i][j],
+                if v[j] and gram[i][j]:
+                    total = K.add(total, K.mul(gram[i][j],
                                                K.mul(v[i], v[j])))
     return total
 
@@ -128,13 +425,13 @@ def polarized_quad_value(space: FormSpace, diag, v):
 def apply_subspace(g: SemilinearMap, space: FormSpace, sub: Subspace):
     """The image of a subspace: the span of its mapped basis, then its
     perp when g carries the duality."""
-    mapped = span(space.field, [g.apply_vector(space, b) for b in sub.basis])
+    mapped = span(space.field, [apply_vector(g, space, b) for b in sub.basis])
     return perp(space, mapped) if g.duality else mapped
 
 
 def _canonical_point(K, v):
     lead = next(x for x in v if x)
-    return tuple(v) if lead == 1 else vec_scale(K, K.inv(lead), v)
+    return tuple(v) if lead == 1 else vec_scale(K, scalars(K).inv(lead), v)
 
 
 def _apply_label(domain, g, label):
@@ -143,7 +440,7 @@ def _apply_label(domain, g, label):
         if g.duality:
             raise DomainNotPreservedError(
                 f"duality does not act on the point domain {domain.name}")
-        return _canonical_point(space.field, g.apply_vector(space, label))
+        return _canonical_point(space.field, apply_vector(g, space, label))
     if domain.kind == "subspace":
         return apply_subspace(g, space, label)
     if domain.kind == "pair":
@@ -201,7 +498,7 @@ def semisimple_decomposition(x: SemilinearMap, space: FormSpace):
     """
     if x.twist or x.duality:
         raise ValueError("decomposition needs a plain matrix")
-    K = space.field
+    K = scalars(space.field)
     order = map_order(space, x)
     if order % K.p == 0:
         raise ValueError(f"order {order} divisible by the characteristic "

@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 from corpus import MAX_DEGREE, MAX_ORDER, corpus_groups
-from geometry_reference import (map_order, polarized_quad_value,
-                                semisimple_decomposition,
-                                subspace_intersection_dim)
+from geometry_reference import (map_order, mat_identity, mat_mul,
+                                polarized_quad_value,
+                                semisimple_decomposition, sl_generators,
+                                subspace_contains, subspace_intersection_dim,
+                                vec_mat)
 from regcycles import bounds as bd
 from regcycles import geometry as geo
 from regcycles import numtheory as nt
@@ -259,14 +261,14 @@ class TestGeometryCounts:
 # 5. semisimple elements: fixed points, exact counts, ratio bounds
 
 def mat_pow(K, m, k):
-    out = geo.mat_identity(len(m))
+    out = mat_identity(len(m))
     base = m
     while k:
         if k & 1:
-            out = geo.mat_mul(K, out, base)
+            out = mat_mul(K, out, base)
         k >>= 1
         if k:
-            base = geo.mat_mul(K, base, base)
+            base = mat_mul(K, base, base)
     return out
 
 
@@ -274,13 +276,13 @@ def semisimple_sample(space, gens, excluded_primes, want):
     """Distinct matrices of prime order r (r not excluded), found by
     powering random words down to prime order.  Deterministic."""
     K = space.field
-    ident = geo.mat_identity(space.n)
+    ident = mat_identity(space.n)
     mats = [g.matrix for g in gens]
     rng = random.Random(SEED)
     found = {}
     cur = ident
     for _ in range(4000):
-        cur = geo.mat_mul(K, cur, rng.choice(mats))
+        cur = mat_mul(K, cur, rng.choice(mats))
         order = map_order(space, geo.SemilinearMap(cur), cap=10**5)
         for r in nt.factorize(order).primes():
             if r not in excluded_primes:
@@ -302,9 +304,9 @@ def check_fixed_set(space, dom, m, kernel):
     K = space.field
     fixed = fixed_labels(dom, m)
     for v in fixed:
-        assert geo.vec_mat(K, v, m) == tuple(v)  # eigenvalue exactly 1
-        assert kernel.contains(K, v)
-    in_kernel = [v for v in dom.labels if kernel.contains(K, v)]
+        assert vec_mat(K, v, m) == tuple(v)  # eigenvalue exactly 1
+        assert subspace_contains(K, kernel, v)
+    in_kernel = [v for v in dom.labels if subspace_contains(K, kernel, v)]
     assert sorted(fixed) == sorted(in_kernel)
     return len(fixed)
 
@@ -322,7 +324,7 @@ class TestSemisimpleFixedPoints:
     def test_linear(self):
         field = geo.field_build(2, 1)
         space = geo.standard_form("trivial", 5, 2)
-        gens = geo.sl_generators(5, field)
+        gens = sl_generators(5, field)
         dom = geo.singular_points(space)
         gid = GroupId("PSL", 5, 2)
         sample = semisimple_sample(space, gens, {2}, 6)
@@ -692,7 +694,7 @@ class TestTotallySingularComplements:
 
     def test_duality_extended_pair_action_is_all_regular_sampled(self):
         space = geo.standard_form("trivial", 5, 2)
-        gens = geo.sl_generators(5, space.field) + [geo.duality_map(space)]
+        gens = sl_generators(5, space.field) + [geo.duality_map(space)]
         _, perp = geo.pair_domains(space, 1)
         G = geo.perm_image(gens, perp)
         assert G.degree == 496

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from regcycles import cli, perm
+from regcycles import cli, geometry, perm
 from regcycles.cli import main
 
 
@@ -283,10 +283,12 @@ class TestErrorTable:
         ["--type", "maxts", "--matrix", "SP20_2"],
         ["--type", "ksets", "--m", "8", "--k", "3", "--domain-cap", "10"],
         ["--type", "ksets", "--m", "40", "--k", "20"],
+        ["--type", "product", "--m", "3000000", "--r", "1"],
+        ["--type", "product", "--m", "3", "--r", "16000000"],
     ], ids=["ksets-k-above-m", "ksets-zero", "product-zero", "ns1-symplectic",
             "aniso2-symplectic", "pairs-k-too-large",
             "singular-points-past-cap", "maxts-past-cap", "ksets-past-cap",
-            "ksets-past-default-cap"])
+            "ksets-past-default-cap", "product-large-m", "product-large-r"])
     def test_one_line_error_exit_2(self, tmp_path, capsys, argv):
         # a dim-20 GF(2) symplectic space: 2**20 vectors, past the cap
         sp20 = tmp_path / "sp20_2.mat"
@@ -310,6 +312,35 @@ class TestErrorTable:
         _out, err = capsys.readouterr()
         assert err == (f"error: domain size {math.comb(40, 20)} exceeds cap "
                        f"{perm.DEFAULT_DOMAIN_CAP}\n")
+
+    @pytest.mark.parametrize("m, r", [(3000000, 1), (3, 16000000)])
+    def test_products_are_refused_before_they_are_built(self, tmp_path,
+                                                        capsys, m, r):
+        # Sym(m) is never built, and 3**16000000 never formed
+        start = time.perf_counter()
+        assert main(["build-action", "--type", "product", "--m", str(m),
+                     "--r", str(r), "--out", str(tmp_path / "out.grp")]) == 2
+        assert time.perf_counter() - start < 1
+        _out, err = capsys.readouterr()
+        assert err == (f"error: domain size {m}**{r} exceeds cap "
+                       f"{perm.DEFAULT_DOMAIN_CAP}\n")
+
+    @pytest.mark.parametrize("header", ["GF 3 4000000",
+                                        f"GF {10**4000 + 1} 1"],
+                             ids=["large-e", "large-p"])
+    def test_oversized_fields_are_refused_first(self, tmp_path, capsys,
+                                                header):
+        # neither p**e nor a primality test of p is computed
+        path = tmp_path / "big.mat"
+        path.write_text(f"{header}\ndim 2\nform trivial\ngen\n1 0\n0 1\n")
+        start = time.perf_counter()
+        assert main(["build-action", "--type", "singular-points",
+                     "--matrix", str(path),
+                     "--out", str(tmp_path / "out.grp")]) == 2
+        assert time.perf_counter() - start < 1
+        _out, err = capsys.readouterr()
+        assert err == (f"error: {path}: line 1: field order exceeds cap "
+                       f"{geometry.FIELD_CAP}\n")
 
 
 class TestCompare:

@@ -15,15 +15,30 @@ from hypothesis import strategies as st
 
 from geometry_reference import (
     apply_subspace,
+    apply_vector,
+    bilinear,
+    conj,
     is_singular_vector,
+    least_anisotropic_constant,
     map_order,
+    mat_identity,
+    mat_inv,
+    mat_mul,
     mat_rank,
     nullspace,
     perp,
     polarized_quad_value,
+    quad_value,
     reference_permutation,
+    scalar_gram,
+    scalars,
     semisimple_decomposition,
+    sl_generators,
+    span,
+    subspace_contains,
+    subspace_vectors,
     subspaces,
+    vec_mat,
 )
 from regcycles import geometry as ge
 from regcycles import numtheory as nt
@@ -35,11 +50,7 @@ from regcycles.geometry import (
     Subspace,
     duality_map,
     field_build,
-    mat_identity,
-    mat_inv,
-    mat_mul,
     perm_image,
-    span,
     standard_form,
 )
 
@@ -56,12 +67,12 @@ class TestField:
 
     def test_gf2(self):
         K = field_build(2, 1)
-        assert K.q == 2 and K.add(1, 1) == 0
+        assert K.q == 2 and K.add_table[1, 1] == 0
 
     def test_explicit_modulus(self):
         # x**2 + 2x + 2 is also irreducible over GF(3)
         K = ge.Fq(3, 2, modulus=(2, 2, 1))
-        assert K.mul(3, 3) != 0  # arithmetic works
+        assert scalars(K).mul(3, 3) != 0  # arithmetic works
         with pytest.raises(ValueError):
             ge.Fq(3, 2, modulus=(2, 0, 1))  # x**2 + 2 = (x-1)(x+1)
 
@@ -75,7 +86,7 @@ class TestField:
            st.data())
     @settings(max_examples=100, deadline=None)
     def test_field_axioms(self, pe, data):
-        K = field_build(*pe)
+        K = scalars(field_build(*pe))
         a = data.draw(st.integers(0, K.q - 1))
         b = data.draw(st.integers(0, K.q - 1))
         c = data.draw(st.integers(0, K.q - 1))
@@ -90,7 +101,7 @@ class TestField:
 
     def test_squares_gf3(self):
         K = field_build(3, 1)
-        assert K.is_square(1) and not K.is_square(2)
+        assert K.square_mask[1] and not K.square_mask[2]
 
 
 class TestFieldTables:
@@ -109,6 +120,22 @@ class TestFieldTables:
             for table, digest in ((K.add_table, add), (K.mul_table, mul)):
                 data = np.asarray(table, dtype="<i2").tobytes()
                 assert hashlib.sha256(data).hexdigest() == digest, (p, e)
+            # the multiplicative group is cyclic of order q - 1
+            S = scalars(K)
+            g = S.generator()
+            assert S.elt_pow(g, K.q - 1) == 1, (p, e)
+            assert all(S.elt_pow(g, (K.q - 1) // r) != 1
+                       for r in nt.factorize(K.q - 1).primes()), (p, e)
+            # the derived tables against the scalar arithmetic
+            elements = range(K.q)
+            assert K.neg_table.tolist() == [S.neg(a) for a in elements]
+            assert K.inv_table.tolist() == [0] + [S.inv(a)
+                                                  for a in elements[1:]]
+            assert K.square_mask.tolist() == [S.is_square(a)
+                                              for a in elements]
+            for t in range(K.e):
+                assert K.frobenius_table(t).tolist() == [
+                    S.frobenius(a, t) for a in elements], (p, e, t)
 
 
 class TestLinearAlgebra:
@@ -122,6 +149,32 @@ class TestLinearAlgebra:
         with pytest.raises(ValueError):
             mat_inv(K, ((1, 1), (1, 1)))
 
+    @pytest.mark.parametrize("q", [q for q in range(2, 17)
+                                   if nt.prime_power(q)])
+    def test_batched_singularity_matches_mat_inv(self, q):
+        K = field_build(*nt.prime_power(q))
+        rng = random.Random(q)
+        for n in range(1, 7):
+            # random matrices, and as many made singular by a repeated row
+            # or a row that is a combination of two others
+            matrices = [[[rng.randrange(q) for _ in range(n)]
+                         for _ in range(n)] for _ in range(60)]
+            for m in matrices[:30]:
+                i, j, k = (rng.randrange(n) for _ in range(3))
+                if n > 1 and i != j:
+                    m[i] = vec_mat(K, (1, rng.randrange(q)), (m[j], m[k]))
+            matrices += [[[0] * n for _ in range(n)], mat_identity(n)]
+            expect = []
+            for m in matrices:
+                try:
+                    mat_inv(K, m)
+                    expect.append(False)
+                except ValueError:
+                    expect.append(True)
+            got = ge.singular_matrices(K, np.array(matrices))
+            assert got.tolist() == expect, (q, n)
+            assert any(expect) and not all(expect), (q, n)
+
     def test_span_canonical(self):
         K = field_build(2, 1)
         a = span(K, [(1, 1, 0), (0, 1, 1)])
@@ -133,8 +186,8 @@ class TestLinearAlgebra:
         M = ((1, 2, 0), (0, 1, 1), (1, 0, 1))
         ns = nullspace(K, ((1, 2, 0), (2, 1, 0), (0, 0, 0)))
         for v in ns:
-            assert not any(ge.vec_mat(K, v, ((1, 2, 0), (2, 1, 0),
-                                             (0, 0, 0))))
+            assert not any(vec_mat(K, v, ((1, 2, 0), (2, 1, 0),
+                                          (0, 0, 0))))
 
 
 class TestStandardForms:
@@ -149,7 +202,7 @@ class TestStandardForms:
         for F in _standard_forms():
             def singular(rows, v, F=F):
                 return is_singular_vector(F, v) and not any(
-                    F.bilinear(u, v) for u in rows)
+                    bilinear(F, u, v) for u in rows)
 
             w = F.witt_index
             label = (F.kind, F.epsilon, F.n, F.q)
@@ -160,6 +213,20 @@ class TestStandardForms:
             if F.n <= 10:
                 assert next(subspaces(F, w + 1, singular), None) is None, \
                     label
+
+    def test_gram_and_coefficients_match_the_scalar_construction(self):
+        for F in _standard_forms():
+            label = (F.kind, F.epsilon, F.n, F.q)
+            assert F.gram.tolist() == scalar_gram(F), label
+            if F.epsilon == "-":
+                # the anisotropic plane z1**2 + z1 z2 + a z2**2 closes the
+                # hyperbolic pairs
+                expect = [[0] * F.n for _ in range(F.n)]
+                for i in range(0, F.n - 2, 2):
+                    expect[i][i + 1] = 1
+                expect[-2][-2] = expect[-2][-1] = 1
+                expect[-1][-1] = least_anisotropic_constant(F.field)
+                assert F.upper.tolist() == expect, label
 
     def test_incompatible_parameters(self):
         with pytest.raises(ValueError):
@@ -177,11 +244,11 @@ class TestStandardForms:
 
     def test_hermitian_gram_identity(self):
         F = standard_form("hermitian", 4, 2)
-        assert F.gram == mat_identity(4)
+        assert F.gram.tolist() == [list(row) for row in mat_identity(4)]
         # h(v, v) is fixed by conjugation
         for v in itertools.product(range(4), repeat=4):
-            h = F.bilinear(v, v)
-            assert F.conj(h) == h
+            h = bilinear(F, v, v)
+            assert conj(F, h) == h
 
 
 def _standard_forms():
@@ -207,9 +274,9 @@ class TestPointTables:
         for F in _standard_forms():
             vectors = ge.projective_points(F.field, F.n).vectors.tolist()
             if F.kind == "quadratic":
-                expect = [F.quad_value(v) for v in vectors]
+                expect = [quad_value(F, v) for v in vectors]
             elif F.kind == "hermitian":
-                expect = [F.bilinear(v, v) for v in vectors]
+                expect = [bilinear(F, v, v) for v in vectors]
             else:
                 expect = [0] * len(vectors)
             assert F.point_values.tolist() == expect, \
@@ -294,7 +361,7 @@ class TestSubspaceEnumerator:
 
             def singular(rows, v, F=F):
                 return is_singular_vector(F, v) and not any(
-                    F.bilinear(u, v) for u in rows)
+                    bilinear(F, u, v) for u in rows)
 
             expect = sorted(subspaces(F, F.witt_index, singular))
             assert list(ge.maximal_totally_singular(F).labels) == expect, \
@@ -345,8 +412,8 @@ class TestSubspaceDomains:
             * (q**(m - 1) - 1) // (2 * (q + 1)) == 1120
         # spot check: no singular vector in the first few subspaces
         for sub in dom.labels[:5]:
-            assert all(not any(v) or F.quad_value(v)
-                       for v in sub.vectors(F.field))
+            assert all(not any(v) or quad_value(F, v)
+                       for v in subspace_vectors(F.field, sub))
 
     def test_aniso2_ominus8(self):
         F = standard_form("quadratic", 8, 2, "-")
@@ -371,12 +438,13 @@ class TestSubspaceDomains:
         K = F.field
         for sub in dom.labels[:10]:
             assert sub.dim == F.witt_index
-            assert all(F.quad_value(v) == 0 for v in sub.vectors(K))
+            assert all(quad_value(F, v) == 0
+                       for v in subspace_vectors(K, sub))
             # no singular extension exists in the perp
             complement = perp(F, sub)
-            assert not any(F.quad_value(v) == 0 and any(v)
-                           and not sub.contains(K, v)
-                           for v in complement.vectors(K))
+            assert not any(quad_value(F, v) == 0 and any(v)
+                           and not subspace_contains(K, sub, v)
+                           for v in subspace_vectors(K, complement))
 
     def test_nondegenerate_2_subspaces_sp6(self):
         F = standard_form("symplectic", 6, 2)
@@ -479,7 +547,7 @@ class TestPairsAndDuality:
         pts = ge.projective_points(F.field, F.n)
         for k in range(1, F.n):
             bases = ge.subspaces(F, k)
-            expect = [pts.span(np.array([perp(F, Subspace(
+            expect = [pts.span_points(np.array([perp(F, Subspace(
                 tuple(map(tuple, b)))).basis], dtype=np.int16))[0].tolist()
                 for b in bases.tolist()]
             assert ge._perp_points(F, bases).tolist() == expect, (params, k)
@@ -526,7 +594,7 @@ class TestSemisimpleDecomposition:
 class TestPermImage:
     def test_sl5_on_projective_points(self):
         F = standard_form("trivial", 5, 2)
-        G = perm_image(ge.sl_generators(5, F.field),
+        G = perm_image(sl_generators(5, F.field),
                        ge.singular_points(F))
         assert G.degree == 31
         assert G.is_transitive() and G.is_primitive()
@@ -666,13 +734,13 @@ def _domain(kind, params):
 def _is_isometry(space, m):
     n = space.n
     basis = mat_identity(n)
-    images = [ge.vec_mat(space.field, b, m) for b in basis]
+    images = [vec_mat(space.field, b, m) for b in basis]
     if space.kind == "quadratic" and any(
-            space.quad_value(images[i]) != space.quad_value(basis[i])
+            quad_value(space, images[i]) != quad_value(space, basis[i])
             for i in range(n)):
         return False
-    return all(space.bilinear(images[i], images[j])
-               == space.bilinear(basis[i], basis[j])
+    return all(bilinear(space, images[i], images[j])
+               == bilinear(space, basis[i], basis[j])
                for i in range(n) for j in range(n))
 
 
@@ -680,7 +748,7 @@ def _random_generators(space, rng, count=3):
     """Random invertible matrices for the trivial form; otherwise random
     isometries x -> x + c B(x, v) v (symplectic transvections, orthogonal
     reflections, unitary transvections and quasi-reflections)."""
-    K, n = space.field, space.n
+    K, n = scalars(space.field), space.n
     gens = []
     while len(gens) < count:
         if space.kind == "trivial":
@@ -691,11 +759,8 @@ def _random_generators(space, rng, count=3):
             continue
         v = tuple(rng.randrange(K.q) for _ in range(n))
         c = rng.randrange(1, K.q)
-        # B(x, v) = x . w with w = G conj(v)
-        w = [0] * n
-        for i in range(n):
-            for j in range(n):
-                w[i] = K.add(w[i], K.mul(space.gram[i][j], space.conj(v[j])))
+        # B(x, v) = x . w with w = G conj(v), w_i = B(e_i, v)
+        w = [bilinear(space, e, v) for e in mat_identity(n)]
         m = tuple(tuple(K.add(1 if i == j else 0, K.mul(c, K.mul(w[i], v[j])))
                         for j in range(n)) for i in range(n))
         if any(v) and m != mat_identity(n) and _is_isometry(space, m):
@@ -762,6 +827,21 @@ class TestInducedPointAction:
             word = mat_mul(space.field, word, rng.choice(gens))
         g = SemilinearMap(word)
         assert dom.permutation(g) == reference_permutation(dom, g)
+
+    @pytest.mark.parametrize("eps", "+-")
+    def test_form_action_rejects_non_isometries(self, eps):
+        # the forms are mapped forward, Q -> Q o g, and the permutation
+        # inverted, which is the action Q -> Q o g^-1 only for isometries:
+        # a shear, a similarity and a singular matrix are refused
+        dom = _domain(f"forms{eps}", ("symplectic", 4, 4, None))
+        shear = tuple(tuple(int(i == j or (i, j) == (0, 2))
+                            for j in range(4)) for i in range(4))
+        scalar = tuple(tuple(2 * (i == j) for j in range(4))
+                       for i in range(4))
+        for m in (shear, scalar, ((1, 0, 0, 0),) * 4):
+            with pytest.raises(DomainNotPreservedError,
+                               match="does not preserve the form"):
+                dom.permutation(SemilinearMap(m))
 
     def test_form_action_rejects_twist_and_duality(self):
         dom = _domain("forms-", ("symplectic", 4, 4, None))
@@ -954,11 +1034,11 @@ class TestMatrixFiles:
             basis = [tuple(1 if j == i else 0 for j in range(n))
                      for i in range(n)]
             for g in gens[:4]:
-                imgs = [g.apply_vector(space, b) for b in basis]
+                imgs = [apply_vector(g, space, b) for b in basis]
                 for i in range(n):
                     for j in range(n):
-                        assert space.bilinear(imgs[i], imgs[j]) \
-                            == space.bilinear(basis[i], basis[j])
+                        assert bilinear(space, imgs[i], imgs[j]) \
+                            == bilinear(space, basis[i], basis[j])
 
     def test_parse_errors(self):
         with pytest.raises(MatrixFileError):
@@ -976,6 +1056,29 @@ class TestMatrixFiles:
         with pytest.raises(MatrixFileError) as exc:
             ge.parse_matrix_file("GF 2 1\ndim 0\nform trivial\ngen\n")
         assert exc.value.lineno == 2
+
+    def test_singular_generator_is_reported_before_later_errors(self):
+        # the third matrix has determinant 3 = 0 over GF(3), the fourth is
+        # singular too and the fifth block is cut short; the error names
+        # the last line of the third block, as the per-generator check did
+        text = ("GF 3 1\ndim 3\nform trivial\n# five generators\n"
+                "gen\n1 0 0\n0 1 0\n0 0 1\n"
+                "gen\n0 1 0\n0 0 1\n1 0 0\n"
+                "gen\n1 2 0\n0 1 1\n1 0 1\n\ntwist 0\n"
+                "gen\n0 0 0\n0 1 0\n0 0 1\n"
+                "gen\n1 0 0\n0 1\n")
+        with pytest.raises(MatrixFileError) as exc:
+            ge.parse_matrix_file(text)
+        assert (exc.value.lineno, str(exc.value)) \
+            == (18, "line 18: generator matrix is singular")
+        # an error before the singular block is reported first
+        text = ("GF 3 1\ndim 3\nform trivial\n"
+                "gen\n1 0 0\n0 1 0\n0 0 1\n"
+                "gen\n0 1 0\n0 0 x\n1 0 0\n"
+                "gen\n1 1 0\n1 1 0\n1 0 1\n")
+        with pytest.raises(MatrixFileError) as exc:
+            ge.parse_matrix_file(text)
+        assert str(exc.value) == "line 10: non-integer entry"
 
     def test_twist_and_duality_lines(self):
         text = ("GF 2 2 1 1 1\ndim 2\nform trivial\n"
