@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import numtheory as nt
 
@@ -148,19 +149,36 @@ def p_prime_part(x: int, p: int) -> int:
     return x
 
 
-def group_prime_set(gid: GroupId) -> frozenset:
-    """Exact set of primes dividing |G0| (factoring the order piecewise,
-    so huge orders stay within the factorization cap)."""
-    primes = {gid.p}
-    for piece in _order_factors(gid)[1]:
-        primes.update(nt.factorize(piece).primes())
-    return frozenset(primes)
+class PrimeSet(NamedTuple):
+    """The proven primes dividing a number, and an upper bound for how many
+    more divide the cofactors factorize leaves unsplit (0: exact)."""
+
+    primes: frozenset
+    more: int = 0
+
+    @property
+    def count(self) -> int:
+        """An upper bound for the number of primes, exact when more = 0."""
+        return len(self.primes) + self.more
 
 
-def aut_prime_set(gid: GroupId) -> frozenset:
-    primes = set(group_prime_set(gid))
-    primes.update(nt.factorize(_out_order(gid)).primes())
-    return frozenset(primes)
+def _prime_set(values) -> PrimeSet:
+    primes, more = set(), 0
+    for v in values:
+        f = nt.factorize(v)
+        primes.update(p for p, _ in f.pairs)
+        more += f.prime_count() - len(f.pairs)
+    return PrimeSet(frozenset(primes), more)
+
+
+def group_prime_set(gid: GroupId) -> PrimeSet:
+    """The primes dividing |G0| (factoring the order piecewise, so huge
+    orders stay within the factorization cap)."""
+    return _prime_set([gid.p, *_order_factors(gid)[1]])
+
+
+def aut_prime_set(gid: GroupId) -> PrimeSet:
+    return _prime_set([gid.p, *_order_factors(gid)[1], _out_order(gid)])
 
 
 def a_nq(gid: GroupId) -> float:
@@ -456,9 +474,11 @@ def _tail_terms(t: int, coeff: Fraction, window):
             raise ValueError("window entry below l = 2")
         if t**ell > nt.FACTOR_CAP:
             continue  # left to the log tail
-        count = nt.primitive_prime_divisor_count(t, ell)
-        terms.append(BoundTerm(f"exact ppd count at l={ell}: {count}",
-                               coeff * Fraction(count, t**ell)))
+        ppd = nt.primitive_prime_divisors(t, ell)
+        count = ppd.prime_count()
+        label = (f"exact ppd count at l={ell}: {count}" if ppd.exact
+                 else f"ppd count at l={ell}: at most {count}")
+        terms.append(BoundTerm(label, coeff * Fraction(count, t**ell)))
         covered += Fraction(ell, t**ell)
     rest = _geom_weight_sum(t, 2) - covered
     terms.append(BoundTerm("log tail over remaining l >= 2",
@@ -469,12 +489,21 @@ def _tail_terms(t: int, coeff: Fraction, window):
 # ---------------------------------------------------------------------------
 # per-case S1/S2
 
+def _omega(f: nt.Factorization, name: str,
+           exact: str = "exact ") -> tuple[int, str]:
+    """(w, label) with w the number of primes of f and the label
+    f"{exact}{name} = {w}"; when f leaves a cofactor unsplit, w is an
+    upper bound and the label f"{name} at most {w}"."""
+    w = f.prime_count()
+    return w, (f"{exact}{name} = {w}" if f.exact else f"{name} at most {w}")
+
+
 def _omega_front(gid: GroupId, arg: int):
     """(value, label) bounding the number of primes dividing `arg`:
-    exact for q <= 16, an upper bound for log2(arg) beyond."""
+    omega(arg) for q <= 16, an upper bound for log2(arg) beyond."""
     if gid.q <= 16:
-        w = nt.omega(arg)
-        return Fraction(w), f"exact omega({arg}) = {w}"
+        w, label = _omega(nt.factorize(arg), f"omega({arg})")
+        return Fraction(w), label
     return nt.log2_upper(arg), f"log2({arg})"
 
 
@@ -489,9 +518,9 @@ def _s1_s2_case_i(gid: GroupId):
             raise ValueError("case i linear pipeline needs n >= 5")
         front = min(Fraction(4, 3 * q),
                     Fraction(1, q) + Fraction(1, q**(n - 1)))
-        w = nt.omega(e * p * (q - 1))
-        s1 = [BoundTerm(f"omega(ep(q-1)) = {w} times front factor "
-                        f"{front}", w * front)]
+        w, label = _omega(nt.factorize(e * p * (q - 1)), "omega(ep(q-1))",
+                          exact="")
+        s1 = [BoundTerm(f"{label} times front factor {front}", w * front)]
         s2 = _tail_terms(q, Fraction(1), window=())
         return s1, s2
     if fam == "PSU":
@@ -551,8 +580,10 @@ def _s1_s2_case_ii(gid: GroupId):
         if n == 5:
             if q <= 4:
                 return None
-            w = len(aut_prime_set(gid))
-            s1 = [BoundTerm(f"omega(|Aut|) = {w} times 4/(3q)",
+            aut = aut_prime_set(gid)
+            w = aut.count
+            rel = "at most" if aut.more else "="
+            s1 = [BoundTerm(f"omega(|Aut|) {rel} {w} times 4/(3q)",
                             Fraction(4 * w, 3 * q))]
             return s1, []
         if n < 6:
@@ -571,9 +602,8 @@ def _s1_s2_case_ii(gid: GroupId):
     arg = e * p * (q - 1)
     front = _orthogonal_ns1_front(gid)
     if q <= 5:
-        w = nt.omega(arg)
-        s1 = [BoundTerm(f"exact omega({arg}) = {w} times front factor "
-                        f"{front}", w * front)]
+        w, label = _omega(nt.factorize(arg), f"omega({arg})")
+        s1 = [BoundTerm(f"{label} times front factor {front}", w * front)]
     else:
         s1 = [BoundTerm(f"log2({arg}) times front factor {front}",
                         nt.log2_upper(arg) * front)]
@@ -599,9 +629,9 @@ def _s1_s2_case_iv(gid: GroupId):
             + _inverse_sqrt_upper(q**(n - 2)) + Fraction(1, q**2))
     arg = e * p * (q**2 - 1)
     if q <= 9:
-        w = nt.omega(arg)
-        s1 = [BoundTerm(f"exact omega({arg}) = {w} times f(n,q) "
-                        f"= {float(f_nq):.6g}", w * f_nq)]
+        w, label = _omega(nt.factorize(arg), f"omega({arg})")
+        s1 = [BoundTerm(f"{label} times f(n,q) = {float(f_nq):.6g}",
+                        w * f_nq)]
     else:
         s1 = [BoundTerm(f"log2(q^3) bound times f(n,q) = {float(f_nq):.6g}",
                         nt.log2_upper(q**3) * f_nq)]
@@ -630,13 +660,13 @@ def _s1_s2_case_vi(gid: GroupId):
         s1 = [BoundTerm("unipotent prime: 4/(3q)", Fraction(4, 3 * q)),
               BoundTerm("order-3 semisimple: 4/q^2", Fraction(4, q**2))]
     else:
-        w = nt.omega(2 * e * (q - 1))
-        s1 = [BoundTerm(f"exact omega(2e(q-1)) = {w} times 4/(3q)",
-                        Fraction(4 * w, 3 * q))]
+        w, label = _omega(nt.factorize(2 * e * (q - 1)), "omega(2e(q-1))")
+        s1 = [BoundTerm(f"{label} times 4/(3q)", Fraction(4 * w, 3 * q))]
     s2 = _tail_terms(q, Fraction(4), window=(2, 3, 4))
     if q**(2 * m) <= nt.FACTOR_CAP:
-        fixed_free = nt.primitive_prime_divisor_count(q, 2 * m)
-        count = f"{fixed_free}"
+        ppd = nt.primitive_prime_divisors(q, 2 * m)
+        fixed_free = ppd.prime_count()
+        count = f"{fixed_free}" if ppd.exact else f"at most {fixed_free}"
     else:
         fixed_free = _ppd_count_bound(q, 2 * m)
         count = f"at most {fixed_free}"
@@ -705,17 +735,19 @@ def _refine_case_ii_orthogonal(gid: GroupId):
     at most 36/(13 q^2) since l >= 2 always."""
     q, p, e = gid.q, gid.p, gid.e
     arg = e * p * (q - 1)
-    s1_primes = set(nt.factorize(arg).primes())
-    residual = sorted(group_prime_set(gid) - s1_primes)
+    f = nt.factorize(arg)
+    group = group_prime_set(gid)
+    residual = sorted(group.primes - {r for r, _ in f.pairs})
+    more = f" and at most {group.more} more" if group.more else ""
     front = _orthogonal_ns1_front(gid)
-    w = len(s1_primes)
-    s1 = [BoundTerm(f"exact omega({arg}) = {w} times front factor {front}",
-                    w * front)]
+    w, label = _omega(f, f"omega({arg})")
+    refined = _omega(f, "omega(ep(q-1))")[1]
+    s1 = [BoundTerm(f"{label} times front factor {front}", w * front)]
     s2 = [BoundTerm(
-        f"residual primes {residual}: each at most 36/(13q^2)",
-        Fraction(36 * len(residual), 13 * q**2))]
-    refinements = (f"exact omega(ep(q-1)) = {w}",
-                   f"residual prime set {residual} with l >= 2 each")
+        f"residual primes {residual}{more}: each at most 36/(13q^2)",
+        Fraction(36 * (len(residual) + group.more), 13 * q**2))]
+    refinements = (refined,
+                   f"residual prime set {residual}{more} with l >= 2 each")
     return s1, s2, refinements
 
 
@@ -779,9 +811,9 @@ def triality_bound(q: int) -> BoundReport:
         raise ValueError(f"{q} is not a prime power")
     p, e = pe
     gid = GroupId("POmega+", 8, q)
-    w = nt.omega(6 * e * p * (q**2 - 1))
-    term = BoundTerm(f"omega(6ep(q^2-1)) = {w} times 4/(3q)",
-                     Fraction(4 * w, 3 * q))
+    w, label = _omega(nt.factorize(6 * e * p * (q**2 - 1)),
+                      "omega(6ep(q^2-1))", exact="")
+    term = BoundTerm(f"{label} times 4/(3q)", Fraction(4 * w, 3 * q))
     return BoundReport("triality", gid, (term,), (),
                        _verdict((term,), ()))
 
@@ -839,7 +871,7 @@ def small_dim_scan():
             misses = 0
             if amended:
                 flagged.append(gid)
-            elif 4 * len(aut_prime_set(gid)) >= 3 * q:
+            elif 4 * aut_prime_set(gid).count >= 3 * q:
                 flagged.append(gid)
     return sorted(flagged, key=lambda g: (FAMILIES.index(g.family),
                                           g.n, g.q))

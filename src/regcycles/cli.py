@@ -207,10 +207,14 @@ def _cmd_build_action(args):
         if args.m is None or args.r is None:
             raise InputError("--type product needs --m and --r")
         # refuse before Sym(m) is built; m**r > cap for every r past
-        # cap.bit_length() (m >= 2), so then m**r is not formed
+        # cap.bit_length() (m >= 2), so then m**r is not formed; m = 1
+        # gets the same bound on r, since its one r-tuple has r entries
+        max_r = args.domain_cap.bit_length()
+        if args.m == 1 and args.r > max_r:
+            raise InputError(f"--r {args.r} exceeds {max_r}, the most "
+                             f"coordinates under cap {args.domain_cap}")
         if args.m >= 2 and args.r >= 1 and (
-                args.r > args.domain_cap.bit_length()
-                or args.m**args.r > args.domain_cap):
+                args.r > max_r or args.m**args.r > args.domain_cap):
             raise InputError(f"domain size {args.m}**{args.r} exceeds cap "
                              f"{args.domain_cap}")
         base = perm.symmetric_group(args.m)

@@ -950,6 +950,12 @@ def parse_matrix_file(text: str):
             or int(parts[1]) < 1:
         raise MatrixFileError(lineno, "expected 'dim n' with n >= 1")
     n = int(parts[1])
+    # every domain refuses q**n past the cap; refuse here, before the form's
+    # (n, n) Gram matrix is built (q >= 2, so n past the cap's bit length
+    # is refused without forming q**n)
+    if n > VECTOR_ENUM_CAP.bit_length() or field.q**n > VECTOR_ENUM_CAP:
+        raise MatrixFileError(lineno, f"dim {n} over GF({field.q}) exceeds "
+                              f"the vector enumeration cap {VECTOR_ENUM_CAP}")
 
     lineno, form_line = take("form")
     parts = form_line.split()

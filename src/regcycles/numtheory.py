@@ -2,12 +2,17 @@
 the bound pipeline.
 
 Everything here is deterministic: trial division by the primes below 1000,
-then a strong-pseudoprime test to the 13 prime bases up to 41, plus
-Pollard-rho splitting with a fixed polynomial schedule.  No randomness, so
-repeated runs factor an integer identically.  The primality test is proven
-only for n < 3317044064679887385961981 (about 3.317e24; Sorenson and
-Webster 2015); above that, up to FACTOR_CAP, a composite could in principle
-pass it.
+then a primality proof or Brent's variant of Pollard rho (BIT 1980) on each
+cofactor, with the fixed polynomials x*x + c, c = 1, 2, ..., and a fixed
+step budget, so repeated runs factor an integer identically and no input
+can hang.  Primality is always proven: the strong-pseudoprime test to the
+13 prime bases up to 41 is a proof below 3317044064679887385961981 (about
+3.317e24; Sorenson and Webster 2015), and at or above that a number that
+passes it is taken as prime only with a Brillhart-Lehmer-Selfridge n - 1
+proof built from factorize itself.  A cofactor that is neither proven
+prime nor split within the budget is kept whole in
+`Factorization.unsplit` and counted as at most floor(log m / log 1000)
+primes, since none of its prime factors is below 1000.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 # Inputs are "desk scale" (at most around q**(2n) for small classical-group
 # parameters); the cap just keeps runaway inputs from hanging a scan.
@@ -26,16 +32,27 @@ _SMALL_PRIMES = tuple(p for p in range(2, 1000)
 
 LOG2_BITS = 32  # log2_upper returns multiples of 2**-LOG2_BITS
 
-# Witnesses proving strong-pseudoprime compositeness for every n < 3.3e24
-# (standard deterministic Miller-Rabin base set).
+# Witnesses proving strong-pseudoprime compositeness for every n below
+# _MR_PROVEN_BELOW (standard deterministic Miller-Rabin base set).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BELOW = 3317044064679887385961981
+
+# Steps x -> x*x + c that one _pollard_rho call may take over all its
+# polynomials (about 2 s at 128 bits): it splits a product of two primes
+# near 10**12 and gives up on two primes near 2**64.
+RHO_BUDGET = 1 << 22
+_RHO_BLOCK = 128  # differences multiplied together before each gcd
 
 
 @dataclass(frozen=True)
 class Factorization:
-    """Prime factorization as (prime, exponent) pairs, primes ascending."""
+    """Prime factorization as (prime, exponent) pairs, primes ascending,
+    times the cofactors in `unsplit` (ascending, repeats kept): each is
+    free of the primes below 1000 and was neither proven prime nor split.
+    It is exact when `unsplit` is empty."""
 
     pairs: tuple[tuple[int, int], ...]
+    unsplit: tuple[int, ...] = ()
 
     def __post_init__(self):
         last = 1
@@ -43,30 +60,56 @@ class Factorization:
             if p <= last or e < 1:
                 raise ValueError("pairs must have strictly increasing primes "
                                  "and positive exponents")
-            if not is_prime(p):
+            if not _strong_probable_prime(p):
                 raise ValueError(f"{p} is not prime")
             last = p
 
     @property
     def value(self) -> int:
-        n = 1
+        n = math.prod(self.unsplit)
         for p, e in self.pairs:
             n *= p**e
         return n
 
+    @property
+    def exact(self) -> bool:
+        return not self.unsplit
+
+    def prime_count(self) -> int:
+        """The number of distinct primes, or an upper bound for it when a
+        cofactor m is unsplit: at most floor(log m / log 1000) primes each,
+        since all their prime factors exceed 1000."""
+        return len(self.pairs) + sum(_prime_count_bound(m)
+                                     for m in set(self.unsplit))
+
     def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
+        return tuple(p for p, _ in self._exact_pairs())
 
     def __iter__(self):
-        return iter(self.pairs)
+        return iter(self._exact_pairs())
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self._exact_pairs())
+
+    def _exact_pairs(self):
+        if self.unsplit:
+            raise ArithmeticError(f"cannot factor {self.unsplit[0]} within "
+                                  "the rho budget or prove it prime")
+        return self.pairs
 
 
-def is_prime(n: int) -> bool:
-    """Strong-pseudoprime test to the bases 2..41: a proof of primality for
-    n < 3.317e24 (Sorenson-Webster), only probable above that."""
+def _prime_count_bound(m: int) -> int:
+    """The largest k with 1000**k <= m, integers only."""
+    k, power = 0, 1000
+    while power <= m:
+        k += 1
+        power *= 1000
+    return k
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """The strong-pseudoprime test to the bases 2..41: a proof of primality
+    for n < 3.317e24 (Sorenson-Webster), only probable above that."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -90,21 +133,73 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """Find a nontrivial factor of odd composite n (deterministic schedule)."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"rho schedule exhausted on {n}")  # pragma: no cover
+def is_prime(n: int) -> bool:
+    """True iff n is proven prime: by the strong-pseudoprime test below
+    3.317e24, and at or above that by the test and an n - 1 proof.  A
+    prime whose n - 1 cannot be factored far enough reads False."""
+    if not _strong_probable_prime(n):
+        return False
+    return n < _MR_PROVEN_BELOW or _n_minus_1_proof(n)
+
+
+def _n_minus_1_proof(n: int) -> bool:
+    """Brillhart-Lehmer-Selfridge (1975), Theorem 4 with F**2 > n, for odd
+    n > 41.  Let F be the part of n - 1 that factorize splits into proven
+    primes.  If each prime r | F has a base a with a**(n-1) = 1 (mod n)
+    and gcd(a**((n-1)/r) - 1, n) = 1, then every prime factor of n is
+    1 mod F, so F**2 > n makes n prime.  False when no such proof is
+    found: n composite, or F too small, or no base among the 13 works."""
+    f = factorize(n - 1)
+    part = math.prod(p**e for p, e in f.pairs)
+    if part * part <= n:
+        return False
+    for r, _ in f.pairs:
+        for a in _MR_BASES:
+            if pow(a, n - 1, n) != 1:
+                return False  # n is composite
+            if math.gcd(pow(a, (n - 1) // r, n) - 1, n) == 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_rho(n: int) -> int | None:
+    """A nontrivial factor of the odd composite n, or None once RHO_BUDGET
+    steps are spent.  Brent's variant of Pollard rho: x runs along x*x + c
+    from 2 with c = 1, 2, ...; the distances of the current point y from
+    the saved point x, in rounds of doubling length r, are multiplied in
+    blocks of _RHO_BLOCK, with one gcd per block.  A block whose gcd is n
+    is stepped through again one gcd at a time; if that gives n too, the
+    next c is tried.  Each round is charged 2r steps before it starts."""
+    budget = RHO_BUDGET
+    c = 0
+    while True:
+        c += 1
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            if 2 * r > budget:
+                return None
+            budget -= 2 * r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BLOCK, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * abs(x - y) % n
+                g = math.gcd(prod, n)
+                k += _RHO_BLOCK
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def _trial_divide(n: int) -> tuple[dict[int, int], int]:
@@ -124,24 +219,27 @@ def _trial_divide(n: int) -> tuple[dict[int, int], int]:
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 into prime powers; factorize(1) is the empty product.
     Trial division by the primes below 1000, then is_prime or Pollard rho
-    on each cofactor left over."""
+    on each cofactor left over; a cofactor rho cannot split within its
+    budget goes to `unsplit`."""
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")
     if n > FACTOR_CAP:
         raise OverflowError(f"{n} exceeds factorization cap 2**128")
     factors, n = _trial_divide(n)
+    unsplit = []
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return Factorization(tuple(sorted(factors.items())))
+        if d is None:
+            unsplit.append(m)
+        else:
+            stack += (d, m // d)
+    return Factorization(tuple(sorted(factors.items())),
+                         tuple(sorted(unsplit)))
 
 
 def prime_power(q: int) -> tuple[int, int] | None:
@@ -167,8 +265,8 @@ def prime_power(q: int) -> tuple[int, int] | None:
         r = _iroot(q, e)
         if r**e == q:  # always for e = 1
             break
-    # is_prime proves primality only below this bound
-    if r >= 3317044064679887385961981:
+    # the strong-pseudoprime test alone proves primality below this bound
+    if r >= _MR_PROVEN_BELOW:
         raise ValueError(f"cannot prove {r} prime: the primality test is "
                          "proven only below 3.317e24")
     return (r, e) if is_prime(r) else None
@@ -185,8 +283,9 @@ def _iroot(n: int, e: int) -> int:
 
 
 def omega(n: int) -> int:
-    """Number of distinct prime divisors of n (omega(1) = 0)."""
-    return len(factorize(n))
+    """Number of distinct prime divisors of n (omega(1) = 0), or an upper
+    bound for it when factorize leaves a cofactor unsplit."""
+    return factorize(n).prime_count()
 
 
 def robin_bound(n: int) -> float:
@@ -219,17 +318,39 @@ def log2_upper(x: int) -> Fraction:
     return n + Fraction(bits + 1, 1 << LOG2_BITS)
 
 
-def primitive_prime_divisor_count(t: int, ell: int) -> int:
-    """Number of primes dividing t**ell - 1 but no t**i - 1 with i < ell."""
+def primitive_prime_divisors(t: int, ell: int) -> Factorization:
+    """The factorization of the primitive part of t**ell - 1: its primes
+    are exactly the primes dividing t**ell - 1 but no t**i - 1 with
+    i < ell.  That part is the cyclotomic value
+    Phi_ell(t) = prod over d | ell of (t**d - 1)**mu(ell/d) with the primes
+    of ell divided out, since a prime r divides t**ell - 1 primitively iff
+    r | Phi_ell(t) and r does not divide ell.  mu is read off one trial
+    division of ell.  The t**ell cap test is the one on t**ell - 1."""
     if t < 2 or ell < 1:
         raise ValueError("need t >= 2 and ell >= 1")
     if t**ell > FACTOR_CAP:
         raise OverflowError(f"{t}**{ell} exceeds factorization cap")
-    count = 0
-    for r in factorize(t**ell - 1).primes():
-        if all((t**i - 1) % r != 0 for i in range(1, ell)):
-            count += 1
-    return count
+    small, rest = _trial_divide(ell)  # ell < 1000**2, so rest is 1 or prime
+    ell_primes = [*small, rest] if rest > 1 else list(small)
+    num = den = 1
+    for k in range(len(ell_primes) + 1):
+        for s in combinations(ell_primes, k):
+            if k % 2:
+                den *= t ** (ell // math.prod(s)) - 1
+            else:
+                num *= t ** (ell // math.prod(s)) - 1
+    phi = num // den
+    for r in ell_primes:
+        while phi % r == 0:
+            phi //= r
+    return factorize(phi)
+
+
+def primitive_prime_divisor_count(t: int, ell: int) -> int:
+    """Number of primes dividing t**ell - 1 but no t**i - 1 with i < ell,
+    or an upper bound for it when a cofactor of the primitive part is left
+    unsplit (see primitive_prime_divisors)."""
+    return primitive_prime_divisors(t, ell).prime_count()
 
 
 def weighted_geometric_sum(q: int) -> Fraction:

@@ -86,11 +86,11 @@ class TestOrders:
         assert bd.aut_order(g) == bd.group_order(g) * 24
 
     def test_prime_sets(self):
-        assert bd.group_prime_set(gid("PSp", 6, 2)) == frozenset(
-            {2, 3, 5, 7})
+        assert bd.group_prime_set(gid("PSp", 6, 2)) == bd.PrimeSet(
+            frozenset({2, 3, 5, 7}), 0)
         # 7**6 - 1 = 2**4 * 3**2 * 19 * 43 brings in the residual primes
-        assert bd.group_prime_set(gid("POmega", 7, 7)) == frozenset(
-            {2, 3, 5, 7, 19, 43})
+        assert bd.group_prime_set(gid("POmega", 7, 7)) == bd.PrimeSet(
+            frozenset({2, 3, 5, 7, 19, 43}), 0)
 
     def test_p_prime_part(self):
         assert bd.p_prime_part(1440, 3) == 160
@@ -126,7 +126,7 @@ class TestANQ:
                     a = bd.a_nq(g)
                 except ValueError:
                     continue  # outside the machinery
-                assert a >= len(bd.aut_prime_set(g)), (family, n, q)
+                assert a >= bd.aut_prime_set(g).count, (family, n, q)
 
 
 class TestTableConstants:
@@ -432,6 +432,46 @@ class TestHalfPowers:
         assert bound**2 >= Fraction(1, q**k)
         if k % 2 == 0:
             assert bound == Fraction(1, q**(k // 2))
+
+
+class TestUnsplitCofactors:
+    """A cofactor factorize leaves unsplit counts as at most
+    floor(log_1000(m)) primes, and its label says so."""
+
+    N = 1009 * 1013  # both primes just past the trial-division table
+
+    def test_omega_label(self, monkeypatch):
+        assert bd._omega(nt.factorize(self.N), "omega(x)") == \
+            (2, "exact omega(x) = 2")
+        monkeypatch.setattr(nt, "RHO_BUDGET", 0)
+        assert bd._omega(nt.factorize(self.N), "omega(x)") == \
+            (2, "omega(x) at most 2")
+
+    def test_prime_set(self, monkeypatch):
+        monkeypatch.setattr(nt, "RHO_BUDGET", 0)
+        primes = bd._prime_set([2 * self.N, 12])
+        assert primes == bd.PrimeSet(frozenset({2, 3}), 2)
+        assert primes.count == 4
+
+    def test_tail_label(self, monkeypatch):
+        monkeypatch.setattr(nt, "RHO_BUDGET", 0)
+        # Phi_2(t) = t + 1 = N
+        term = bd._tail_terms(self.N - 1, Fraction(1), window=(2,))[0]
+        assert term.label == "ppd count at l=2: at most 2"
+        assert term.value == Fraction(2, (self.N - 1)**2)
+
+    def test_certificate_from_bounded_counts(self, monkeypatch):
+        g = gid("POmega", 7, 1400527)
+        exact = bd.certify_case("i", g)
+        monkeypatch.setattr(nt, "RHO_BUDGET", 0)
+        bounded = bd.certify_case("i", g)
+        assert bounded.verdict == exact.verdict == "certified"
+        labels = [term.label for term in bounded.s2_terms]
+        assert labels[2:5] == ["ppd count at l=4: at most 4",
+                               "ppd count at l=5: at most 8",
+                               "ppd count at l=6: at most 4"]
+        for b, e in zip(bounded.s2_terms, exact.s2_terms):
+            assert b.value >= e.value
 
 
 class TestTailTerms:

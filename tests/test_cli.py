@@ -325,6 +325,37 @@ class TestErrorTable:
         assert err == (f"error: domain size {m}**{r} exceeds cap "
                        f"{perm.DEFAULT_DOMAIN_CAP}\n")
 
+    def test_one_point_products_are_refused_past_the_cap_bit_length(
+            self, tmp_path, capsys):
+        # 1**r = 1 is within every cap, but the one r-tuple has r entries
+        out = str(tmp_path / "out.grp")
+        start = time.perf_counter()
+        assert main(["build-action", "--type", "product", "--m", "1",
+                     "--r", "400000", "--out", out]) == 2
+        assert time.perf_counter() - start < 1
+        _out, err = capsys.readouterr()
+        max_r = perm.DEFAULT_DOMAIN_CAP.bit_length()
+        assert err == (f"error: --r 400000 exceeds {max_r}, the most "
+                       f"coordinates under cap {perm.DEFAULT_DOMAIN_CAP}\n")
+        assert main(["build-action", "--type", "product", "--m", "1",
+                     "--r", str(max_r), "--out", out]) == 0
+
+    @pytest.mark.parametrize("dim", [21, 100000, 10**50])
+    def test_huge_dimensions_are_refused_at_the_dim_line(self, tmp_path,
+                                                         capsys, dim):
+        # no (dim, dim) Gram matrix is built: 18.6 GiB at dim 100000
+        path = tmp_path / "huge.mat"
+        path.write_text(f"GF 2 1\ndim {dim}\nform trivial\n")
+        start = time.perf_counter()
+        assert main(["build-action", "--type", "singular-points",
+                     "--matrix", str(path),
+                     "--out", str(tmp_path / "out.grp")]) == 2
+        assert time.perf_counter() - start < 1
+        _out, err = capsys.readouterr()
+        assert err == (f"error: {path}: line 2: dim {dim} over GF(2) exceeds "
+                       f"the vector enumeration cap "
+                       f"{geometry.VECTOR_ENUM_CAP}\n")
+
     @pytest.mark.parametrize("header", ["GF 3 4000000",
                                         f"GF {10**4000 + 1} 1"],
                              ids=["large-e", "large-p"])

@@ -1,14 +1,24 @@
 """Oracle tests for factorization, omega, and the two analytic bounds."""
 
+import json
 import math
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regcycles import numtheory as nt
+from regcycles.cli import main
+
+import numtheory_reference as ref
+from test_certify_pool import load_pool_module
+
+# the least strong pseudoprimes to the prime bases up to 37 and up to 41
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
 
 
 def sieve_omega(limit):
@@ -195,6 +205,146 @@ class TestPrimitivePrimeDivisors:
             if all((t**i - 1) % r for i in range(1, ell)):
                 expected += 1
         assert count == expected
+
+
+    def test_pool_pairs_match_the_full_factorization_oracle(self,
+                                                            monkeypatch,
+                                                            capsys):
+        # every (t, l) that a certify pool entry asks about
+        pool = load_pool_module()
+        seen = set()
+        divisors = nt.primitive_prime_divisors
+
+        def recording(t, ell):
+            seen.add((t, ell))
+            return divisors(t, ell)
+
+        monkeypatch.setattr(nt, "primitive_prime_divisors", recording)
+        for entry in pool.load():
+            main(pool.argv(entry))
+        capsys.readouterr()
+        monkeypatch.undo()
+        assert len(seen) == 844
+        for t, ell in sorted(seen):
+            assert nt.primitive_prime_divisors(t, ell).exact, (t, ell)
+            assert nt.primitive_prime_divisor_count(t, ell) == \
+                ref.primitive_prime_divisor_count(t, ell), (t, ell)
+
+    @given(st.integers(min_value=2, max_value=2**20),
+           st.integers(min_value=1, max_value=30))
+    @settings(max_examples=150, deadline=None)
+    def test_cyclotomic_count_matches_the_oracle(self, t, ell):
+        if t**ell > 2**64:
+            ell = max(1, 64 // t.bit_length())
+        assert nt.primitive_prime_divisor_count(t, ell) == \
+            ref.primitive_prime_divisor_count(t, ell)
+
+    def test_rejects_past_the_cap_on_t_to_the_l(self):
+        with pytest.raises(OverflowError):
+            nt.primitive_prime_divisor_count(2, 129)
+        assert nt.primitive_prime_divisor_count(2, 128) == \
+            ref.primitive_prime_divisor_count(2, 128)
+
+
+def semiprimes(lo_digits, hi_digits):
+    """p * q for primes p <= q drawn from [10**lo, 10**hi)."""
+    prime = st.integers(min_value=10**lo_digits,
+                        max_value=10**hi_digits - 1).map(next_prime)
+    return st.tuples(prime, prime).map(sorted)
+
+
+def next_prime(n):
+    while not nt.is_prime(n):
+        n += 1
+    return n
+
+
+class TestBrentRho:
+    @given(semiprimes(3, 12))
+    @example([1009, 999999999989])
+    @example([999999999961, 999999999989])  # the two largest below 10**12
+    @example([999999999989, 999999999989])
+    @settings(max_examples=25, deadline=None)
+    def test_splits_semiprimes_deterministically(self, pq):
+        p, q = pq
+        d = nt._pollard_rho(p * q)
+        assert d in (p, q)
+        assert nt._pollard_rho(p * q) == d
+        assert nt.factorize(p * q).value == p * q
+
+    @given(semiprimes(3, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_factorize_reconstructs_small_semiprimes(self, pq):
+        p, q = pq
+        f = nt.factorize(p * q)
+        assert f.exact and f.value == p * q
+        assert f.primes() == tuple(sorted({p, q}))
+
+    def test_two_primes_near_2_to_64_use_up_the_budget(self):
+        p, q = 2**64 - 59, 2**64 - 83
+        assert nt.is_prime(p) and nt.is_prime(q)
+        start = time.perf_counter()
+        f = nt.factorize(p * q)
+        assert time.perf_counter() - start < 10
+        assert f.pairs == () and f.unsplit == (p * q,)
+        assert not f.exact and f.value == p * q
+        # no prime factor below 1000, so at most floor(log_1000(p*q))
+        assert nt.omega(p * q) == f.prime_count() == 12
+        with pytest.raises(ArithmeticError):
+            f.primes()
+
+
+class TestProvenPrimality:
+    def test_psi_12_is_split(self):
+        assert not nt.is_prime(PSI_12)
+        assert nt.factorize(PSI_12).pairs == \
+            ((399165290221, 1), (798330580441, 1))
+
+    def test_psi_13_is_never_one_prime(self):
+        # it passes the strong-pseudoprime test to every base up to 41
+        assert nt._strong_probable_prime(PSI_13)
+        assert not nt.is_prime(PSI_13)
+        assert nt.factorize(PSI_13).pairs == \
+            ((1287836182261, 1), (2575672364521, 1))
+        assert nt.omega(PSI_13) == 2
+
+    def test_psi_13_unsplit_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(nt, "RHO_BUDGET", 0)
+        f = nt.factorize(3 * PSI_13)
+        assert f.pairs == ((3, 1),) and f.unsplit == (PSI_13,)
+        assert nt.omega(PSI_13) == 8  # 1000**8 <= PSI_13 < 1000**9
+
+    def test_primes_past_the_pseudoprime_range_are_proven(self):
+        for p in (2**89 - 1, 2**107 - 1, 2**127 - 1):
+            assert nt.is_prime(p)
+            assert nt.factorize(p).pairs == ((p, 1),)
+
+    def test_an_unproven_prime_stays_unsplit(self, monkeypatch):
+        # past trial division, p - 1 leaves a composite cofactor of about
+        # 2.5e25, so without rho the factored part F has F**2 < p
+        p = 2**127 - 1
+        monkeypatch.setattr(nt, "RHO_BUDGET", 0)
+        assert not nt.is_prime(p)
+        assert nt.factorize(p).unsplit == (p,)
+
+    def test_pomega_7_1400527_counts_are_proven(self, capsys):
+        # Phi_5(1400527), about 3.85e24, is prime: it passes the
+        # strong-pseudoprime test past its proven range, so only the
+        # n - 1 proof makes its count exact
+        t = 1400527
+        phi5 = (t**5 - 1) // (t - 1)
+        assert phi5 >= PSI_13
+        assert nt._n_minus_1_proof(phi5)
+        assert nt.primitive_prime_divisors(t, 5).pairs == ((phi5, 1),)
+        code = main(["certify", "--case", "i", "--family", "POmega",
+                     "--n", "7", "--q", str(t), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert (code, report["verdict"]) == (0, "certified")
+        labels = [term["label"] for term in report["s2_terms"]]
+        assert labels[:5] == [f"exact ppd count at l={ell}: "
+                              f"{ref.primitive_prime_divisor_count(t, ell)}"
+                              for ell in range(2, 7)]
+        assert not any("at most" in label for label in labels)
 
 
 class TestWeightedGeometricSum:
