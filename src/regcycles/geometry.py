@@ -1,7 +1,10 @@
 """Finite fields, classical forms, and the permutation actions built on them.
 
-The module has one linear algebra: numpy arrays of field elements, combined
-through the tables of `Fq`.  All arithmetic on vectors, matrices and forms
+The module has one linear algebra: numpy arrays of field elements.  Every
+linear combination of vectors (`ProjectivePoints.combine`: vectors times
+a matrix, spans, form values) is one matmul over the prime field GF(p),
+an element of GF(p^e) being its e base-p digits and multiplication by it
+an e x e matrix over GF(p).  All arithmetic on vectors, matrices and forms
 runs on such arrays; the scalar algebra over tuples that the tests compare
 against lives in the tests (`tests/geometry_reference.py`).  The module
 provides:
@@ -9,8 +12,9 @@ provides:
   * GF(p^e) with elements encoded as plain ints (base-p coefficient
     vectors, constant term least significant).  `Fq` builds the field's
     addition, multiplication, negation, inverse, square and Frobenius
-    tables once, in numpy, and is the one holder of field arithmetic:
-    everything below reads those tables;
+    tables once, in numpy, with the digits of every element and the
+    GF(p)-matrix of multiplication by it, and is the one holder of field
+    arithmetic: everything below reads those tables;
   * non-degenerate symplectic, hermitian and quadratic spaces over such
     fields, with a fixed hyperbolic-basis convention;
   * constructors for the point/subspace/form domains that classical groups
@@ -45,6 +49,7 @@ are built only when read.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -59,6 +64,10 @@ FIELD_CAP = 512
 
 # Guard for exhaustive vector enumerations (q**n).
 VECTOR_ENUM_CAP = 10**6
+
+# Digit sums one matmul of ProjectivePoints.combine holds at once (4 MB of
+# float32); longer products run in blocks of coefficient rows.
+_COMBINE_BLOCK = 1 << 20
 
 _field_cache: dict = {}
 
@@ -87,8 +96,13 @@ class Fq:
     in numpy: `add_table` and `mul_table` are (q, q) int16 arrays,
     `neg_table` and `inv_table` map a to -a and 1/a (0 to 0),
     `square_mask` marks the squares and `frobenius_table(t)` maps a to
-    a**(p**t); all are read-only.  The default modulus is the least monic
-    irreducible, coefficients compared constant term first.
+    a**(p**t).  For the matmul of `ProjectivePoints.combine`,
+    `digit_table` (q, e) holds the base-p digits of each element and
+    `mul_matrices` (q, e, e) the matrix over GF(p) of multiplication by
+    each element b (row s: the digits of x**s * b); these two are float32,
+    so that numpy runs the matmul in BLAS, and their entries are integers
+    below p.  All tables are read-only.  The default modulus is the least
+    monic irreducible, coefficients compared constant term first.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None = None):
@@ -136,6 +150,9 @@ class Fq:
         self.add_table = ((digits[:, None] + digits) % p @ weights) \
             .astype(np.int16)
         self.mul_table = mul.astype(np.int16)
+        # digits(a * b) = digits(a) @ mul_matrices[b]
+        self.digit_table = digits.astype(np.float32)
+        self.mul_matrices = np.stack(shifts, axis=1).astype(np.float32)
         self.square_mask = np.zeros(q, dtype=bool)
         self.square_mask[self.mul_table.diagonal()] = True
         # -a and 1/a for every a (and 0 for a = 0)
@@ -148,8 +165,9 @@ class Fq:
             for _ in range(p - 1):
                 frob[t] = self.mul_table[frob[t], frob[t - 1]]
         self._frob = frob
-        for table in (self.add_table, self.mul_table, self.square_mask,
-                      self.neg_table, self.inv_table, frob):
+        for table in (self.add_table, self.mul_table, self.digit_table,
+                      self.mul_matrices, self.square_mask, self.neg_table,
+                      self.inv_table, frob):
             table.flags.writeable = False
 
     def frobenius_table(self, t=1):
@@ -429,14 +447,46 @@ class ProjectivePoints:
 
     def combine(self, coeffs, rows):
         """sum_i coeffs[..., i] * rows[..., i, :] over the field, with numpy
-        broadcasting between the leading axes."""
-        add, mul = self.field.add_table, self.field.mul_table
-        out = np.zeros(np.broadcast_shapes(coeffs.shape[:-1] + (1,),
-                                           rows.shape[:-2] + rows.shape[-1:]),
-                       dtype=np.int16)
-        for i in range(coeffs.shape[-1]):
-            out = add[out, mul[coeffs[..., i, None], rows[..., i, :]]]
-        return out
+        broadcasting between the leading axes, as one matmul over GF(p).
+
+        An element is its e base-p digits and multiplication by b is the
+        matrix `mul_matrices[b]` over GF(p), so (k, n) rows are one
+        (k e, n e) matrix over GF(p) and a coefficient vector is k e
+        digits; their matmul, reduced mod p, gives the digits of the sums.
+        Rows that are one matrix take a 2-D matmul over the coefficient
+        vectors, in blocks of about `_COMBINE_BLOCK` digit sums, expanding
+        the operand with fewer entries into matrices ((coeffs rows)^T =
+        rows^T coeffs^T); other rows take a batched one.  Each sum is an
+        integer at most k e (p - 1)**2 <= 19 * 511**2 < 2**24 (k <= n,
+        q**n <= VECTOR_ENUM_CAP makes k e <= 19, and p <= FIELD_CAP), so
+        float32 holds it exactly.  The result is int16.
+        """
+        K, (k, n) = self.field, rows.shape[-2:]
+        shape = np.broadcast_shapes(coeffs.shape[:-1], rows.shape[:-2]) + (n,)
+        if math.prod(rows.shape[:-2]) == 1:
+            coeffs = coeffs.reshape(math.prod(coeffs.shape[:-1]), k)
+            rows = rows.reshape(k, n)
+            if coeffs.size < rows.size:
+                return self.combine(rows.T, coeffs.T).T.reshape(shape)
+            blocks = -(-len(coeffs) * n * K.e // _COMBINE_BLOCK)
+            if blocks > 1:
+                return np.concatenate([
+                    self.combine(part, rows)
+                    for part in np.array_split(coeffs, blocks)]).reshape(shape)
+            unit = ()
+        else:
+            unit = (1,)
+        # take gathers whole table rows much faster than indexing does
+        mats = K.mul_matrices.take(rows, axis=0).swapaxes(-3, -2)
+        mats = mats.reshape(mats.shape[:-4] + (k * K.e, n * K.e))
+        digits = K.digit_table.take(coeffs, axis=0)
+        digits = digits.reshape(coeffs.shape[:-1] + unit + (k * K.e,))
+        sums = (digits @ mats).astype(np.int32).reshape(shape + (K.e,))
+        sums %= K.p
+        elements = sums[..., 0].astype(np.int16)
+        for s in range(1, K.e):
+            elements += sums[..., s] * K.p**s
+        return elements
 
     def apply(self, g: SemilinearMap, vectors):
         """v -> v^(p^twist) M for every vector of an (..., n) array."""
@@ -452,7 +502,9 @@ class ProjectivePoints:
         (S, (q**k - 1)/(q - 1)): the canonical coefficient vectors of
         PG(k-1, q) times each basis."""
         coeffs = projective_points(self.field, bases.shape[1]).vectors
-        vectors = self.combine(coeffs[None], bases[:, None])
+        # (S, n, k) (k, P) -> (S, n, P): the basis columns times the
+        # coefficients, one matmul for all bases
+        vectors = self.combine(bases.swapaxes(1, 2), coeffs.T).swapaxes(1, 2)
         return np.sort(self.index[self.codes(vectors)], axis=1)
 
     def incidence(self, rows):
@@ -597,8 +649,10 @@ class ActionDomain:
     @cached_property
     def _parts(self):
         """For each position the sorted point-index rows of its components
-        and their lookup; then the lookup of the member rows.  A form domain
-        has no positions: its components themselves are looked up."""
+        and their lookup; then the lookup of the member rows, which only a
+        pair domain needs: with one position the members are 0, 1, ...,
+        since no label repeats.  A form domain has no positions: its
+        components themselves are looked up."""
         if self.kind == "form":
             return [], _RowIndex(self.components[0][:, 0])
         pts = projective_points(self.space.field, self.space.n)
@@ -606,7 +660,7 @@ class ActionDomain:
         for comps in self.components:
             rows = pts.span_points(comps)
             parts.append((rows, _RowIndex(rows)))
-        return parts, _RowIndex(self.members)
+        return parts, _RowIndex(self.members) if len(parts) > 1 else None
 
     def permutation(self, g: SemilinearMap) -> Permutation:
         """The permutation g induces on the labels: the image of every
@@ -626,10 +680,11 @@ class ActionDomain:
             return Permutation([])
         parts, lookup = self._parts
         if self.kind == "form":
-            keys = self._form_images(g, self.components[0][:, 0])
+            forms = self.components[0][:, 0]
+            images = lookup.find(self._form_images(g, forms))
         else:
-            keys = self._member_images(g, parts)
-        images = lookup.find(keys)
+            images = self._member_images(g, parts)
+            images = images[:, 0] if lookup is None else lookup.find(images)
         outside = np.flatnonzero(images < 0)
         if outside.size:
             raise DomainNotPreservedError(

@@ -248,8 +248,9 @@ def prime_power(q: int) -> tuple[int, int] | None:
     Trial division below 1000, which decides every q < 10**6.  Past that
     every prime factor of q exceeds 1000, so q = r**e needs e <=
     log_1000(q), and the exact integer e-th root for the largest such e
-    decides, through is_prime(r).  Raises ValueError when that r is past
-    the proven range of is_prime.  None for every q < 2.
+    decides, through is_prime(r), which proves r prime at any size (past
+    3.317e24 with its n - 1 test).  Raises OverflowError when that test
+    needs to factor an r - 1 past FACTOR_CAP.  None for every q < 2.
     """
     if q < 2:
         return None
@@ -265,10 +266,6 @@ def prime_power(q: int) -> tuple[int, int] | None:
         r = _iroot(q, e)
         if r**e == q:  # always for e = 1
             break
-    # the strong-pseudoprime test alone proves primality below this bound
-    if r >= _MR_PROVEN_BELOW:
-        raise ValueError(f"cannot prove {r} prime: the primality test is "
-                         "proven only below 3.317e24")
     return (r, e) if is_prime(r) else None
 
 

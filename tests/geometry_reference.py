@@ -1,20 +1,25 @@
 """The scalar linear algebra over tuples, as the tests' oracle.
 
 The library has one linear algebra: numpy arrays over the tables of
-`geometry.Fq`.  It enumerates subspaces as arrays, maps point, subspace
-and pair domains through one induced permutation of the projective
-points and form domains through one table of form values, and checks
-matrix files for singular generators with one batched elimination.  The
-helpers here do the same work the direct way, one element, vector and
+`geometry.Fq`, whose linear combinations (`ProjectivePoints.combine`) are
+one matmul over the prime field.  It enumerates subspaces as arrays, maps
+point, subspace and pair domains through one induced permutation of the
+projective points and form domains through one table of form values, and
+checks matrix files for singular generators with one batched elimination.
+The helpers here do the same work the direct way, one element, vector and
 label at a time: field arithmetic through `scalars`, Python list views of
-the field tables; vectors and matrices as tuples (`vec_mat`, `mat_mul`,
-`rref`, `mat_inv`, `span`); the scalar form values `quad_value`,
-`bilinear` and `conj`; and the generators that only the tests use.
+the field tables; linear combinations one column at a time through the
+add and mul tables (`table_combine`); vectors and matrices as tuples
+(`vec_mat`, `mat_mul`, `rref`, `mat_inv`, `span`); the scalar form values
+`quad_value`, `bilinear` and `conj`; and the generators that only the
+tests use.
 """
 
 import functools
 import itertools
 from typing import NamedTuple
+
+import numpy as np
 
 from regcycles.geometry import (
     VECTOR_ENUM_CAP,
@@ -99,6 +104,19 @@ def _scalar_field(field: Fq) -> ScalarField:
 def scalars(K) -> ScalarField:
     """The scalar arithmetic of a field (an `Fq` or a `ScalarField`)."""
     return K if isinstance(K, ScalarField) else _scalar_field(K)
+
+
+def table_combine(field: Fq, coeffs, rows):
+    """sum_i coeffs[..., i] * rows[..., i, :] over the field, with numpy
+    broadcasting between the leading axes: one add and one mul table
+    gather per column of coefficients."""
+    add, mul = field.add_table, field.mul_table
+    out = np.zeros(np.broadcast_shapes(coeffs.shape[:-1] + (1,),
+                                       rows.shape[:-2] + rows.shape[-1:]),
+                   dtype=np.int16)
+    for i in range(coeffs.shape[-1]):
+        out = add[out, mul[coeffs[..., i, None], rows[..., i, :]]]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -156,11 +156,14 @@ class TestCertify:
         assert "certified" in capsys.readouterr().out
 
     def test_q_past_the_proven_primality_range(self, capsys):
+        # q is proven prime; the certificate then needs to factor numbers
+        # past the factorization cap
         code = main(["certify", "--case", "i", "--family", "PSL", "--n", "5",
                      "--q", str(2**89 - 1)])
         assert code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert "exceeds factorization cap" in err
 
     def test_tables_file(self, tmp_path, capsys):
         tables = tmp_path / "tables.json"

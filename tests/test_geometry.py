@@ -38,6 +38,7 @@ from geometry_reference import (
     subspace_contains,
     subspace_vectors,
     subspaces,
+    table_combine,
     vec_mat,
 )
 from regcycles import geometry as ge
@@ -136,6 +137,62 @@ class TestFieldTables:
             for t in range(K.e):
                 assert K.frobenius_table(t).tolist() == [
                     S.frobenius(a, t) for a in elements], (p, e, t)
+
+
+class TestCombine:
+    """`ProjectivePoints.combine`, one matmul over GF(p), against the
+    per-column table loop `table_combine`."""
+
+    @staticmethod
+    def _shapes(k):
+        # (coeffs, rows) shapes: (N, k)(k, n), the coefficients smaller
+        # than the rows, two leading axes on one matrix, the broadcast
+        # (1, P, k)(S, 1, k, n), shared leading axes, empty leading axes
+        return [((40, k), (k, 3)), ((1, k), (k, 5)), ((3, 2, k), (k, 4)),
+                ((1, 6, k), (4, 1, k, 3)), ((7, k), (7, k, 1)),
+                ((5, 2, k), (5, 1, k, 2)), ((0, k), (k, 3)),
+                ((1, 6, k), (0, 1, k, 3))]
+
+    # the default block, and one small enough that every 2-D product of
+    # more than a few rows runs in blocks
+    @pytest.mark.parametrize("block", [ge._COMBINE_BLOCK, 64])
+    def test_matches_the_table_loop_on_every_field(self, block, monkeypatch):
+        monkeypatch.setattr(ge, "_COMBINE_BLOCK", block)
+        rng = np.random.default_rng(15)
+        fields = [nt.prime_power(q) for q in range(2, ge.FIELD_CAP + 1)
+                  if nt.prime_power(q)]
+        assert len(fields) == 117
+        for p, e in fields:
+            K = field_build(p, e)
+            pts = ge.projective_points(K, 1)
+            # the longest sum a ProjectivePoints can need: k <= n with
+            # q**n <= VECTOR_ENUM_CAP
+            top = int(math.log(ge.VECTOR_ENUM_CAP, K.q) + 1e-9)
+            for k in sorted({0, 1, top}):
+                for a, b in self._shapes(k):
+                    coeffs = rng.integers(0, K.q, a, dtype=np.int16)
+                    rows = rng.integers(0, K.q, b, dtype=np.int16)
+                    cases = [(coeffs, rows),
+                             (np.full(a, K.q - 1, dtype=np.int16),
+                              np.full(b, K.q - 1, dtype=np.int16))]
+                    for x, y in cases:
+                        got = pts.combine(x, y)
+                        want = table_combine(K, x, y)
+                        assert got.dtype == np.int16, (p, e, a, b)
+                        assert got.shape == want.shape, (p, e, a, b)
+                        assert (got == want).all(), (p, e, a, b)
+
+    def test_digit_and_multiplication_tables(self):
+        for p, e in [(2, 1), (3, 1), (2, 2), (5, 2), (2, 9), (509, 1)]:
+            K = field_build(p, e)
+            digits = K.digit_table.astype(np.int64)
+            assert (digits @ p ** np.arange(e) == np.arange(K.q)).all()
+            # digits(a * b) = digits(a) @ mul_matrices[b] mod p
+            products = np.einsum("as,bst->abt", digits,
+                                 K.mul_matrices.astype(np.int64)) % p
+            assert (products == digits[K.mul_table]).all(), (p, e)
+            for table in (K.digit_table, K.mul_matrices):
+                assert not table.flags.writeable
 
 
 class TestLinearAlgebra:

@@ -147,9 +147,17 @@ class TestPrimePower:
         assert nt.prime_power(1009 * 1013) is None
         assert nt.prime_power(1009**4 * 1013) is None
 
-    def test_refuses_roots_past_the_proven_primality_range(self):
-        with pytest.raises(ValueError, match="proven only below"):
-            nt.prime_power(2**89 - 1)  # a Mersenne prime, about 6.2e26
+    def test_proves_roots_past_the_strong_pseudoprime_range(self):
+        # a Mersenne prime, about 6.2e26: is_prime proves it with n - 1
+        assert nt.prime_power(2**89 - 1) == (2**89 - 1, 1)
+        assert nt.prime_power((2**89 - 1)**2) == (2**89 - 1, 2)
+
+    def test_rejects_the_least_strong_pseudoprime_to_the_13_bases(self):
+        # psi_13 = 3317044064679887385961981 is composite and passes the
+        # strong-pseudoprime test to every base up to 41
+        psi13 = 3317044064679887385961981
+        assert nt._strong_probable_prime(psi13)
+        assert nt.prime_power(psi13) is None
 
 
 class TestOmega:
