@@ -90,9 +90,9 @@ def _cmd_check(args):
     g = witnesses[0]
     report = regcycle.fix_union_test(g)
     data = report.to_json_dict()
-    data["element"] = perm.cycle_string(g)
+    data["element"] = perm.cycle_string(g.images)
     _emit(args, data,
-          [f"witness without a regular cycle: {perm.cycle_string(g)}",
+          [f"witness without a regular cycle: {data['element']}",
            f"order {report.order}, S(g) = {report.s_value}"])
     return 1
 
@@ -104,7 +104,7 @@ def _cmd_verify(args):
     lines = [f"group order {report.group_order}, degree {G.degree}",
              f"checked {report.checked} element(s): {report.verdict}"]
     for w in report.witnesses:
-        lines.append(f"  witness: {perm.cycle_string(w)}")
+        lines.append(f"  witness: {perm.cycle_string(w.images)}")
     _emit(args, report.to_json_dict(group_name=args.group), lines)
     return 0 if report.all_regular else 1
 
@@ -235,15 +235,15 @@ def _cmd_build_action(args):
     except OSError as exc:
         raise InputError(f"cannot write output: {exc.strerror}") from exc
     print(f"wrote {args.out}: degree {G.degree}, "
-          f"{len(G.generators)} generator(s); labels in {labels_path}")
+          f"{len(G.images)} generator(s); labels in {labels_path}")
     return 0
 
 
 def _cmd_compare(args):
     G1 = _load_group(args.action1)
     G2 = _load_group(args.action2)
-    ngens = len(G1.generators)
-    if len(G2.generators) != ngens:
+    ngens = len(G1.images)
+    if len(G2.images) != ngens:
         raise InputError("the two actions list different numbers of "
                          "generators and cannot be compared word-by-word")
     if args.group is not None:

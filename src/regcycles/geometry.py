@@ -35,7 +35,7 @@ provides:
     through that one permutation.  Duality maps each image basis to the
     points orthogonal to all its rows.  Form domains map their table of
     values at once, forward through the generator matrix itself, and
-    invert the permutation found;
+    invert the permutation found.  The image rows become `PermGroup.images`;
   * a plain text file format for matrix generators, whose generators are
     checked for singularity by one batched Gaussian elimination
     (`singular_matrices`).
@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numtheory import is_prime, prime_power
-from .perm import DEFAULT_DOMAIN_CAP, PermGroup, Permutation
+from .perm import DEFAULT_DOMAIN_CAP, PermGroup
 
 # Largest field order we will build tables for.
 FIELD_CAP = 512
@@ -662,11 +662,11 @@ class ActionDomain:
             parts.append((rows, _RowIndex(rows)))
         return parts, _RowIndex(self.members) if len(parts) > 1 else None
 
-    def permutation(self, g: SemilinearMap) -> Permutation:
-        """The permutation g induces on the labels: the image of every
-        label at once, then one lookup.  Point, subspace and pair domains
-        map the point sets of their components through the one point
-        permutation of g; form domains map their table of values."""
+    def image(self, g: SemilinearMap) -> np.ndarray:
+        """The image row of the permutation g induces on the labels: the
+        image of every label at once, then one lookup.  Point, subspace and
+        pair domains map the point sets of their components through the one
+        point permutation of g; form domains map their table of values."""
         if self.kind == "form":
             if g.twist or g.duality:
                 raise DomainNotPreservedError(
@@ -677,7 +677,7 @@ class ActionDomain:
             raise DomainNotPreservedError(
                 f"duality does not act on the point domain {self.name}")
         if not self.degree:
-            return Permutation([])
+            return np.arange(0)
         parts, lookup = self._parts
         if self.kind == "form":
             forms = self.components[0][:, 0]
@@ -693,13 +693,7 @@ class ActionDomain:
         if self.kind == "form":
             # the forms were mapped by Q -> Q o g, the inverse of the action
             images = np.argsort(images)
-        # shared ints, so that the image tuples of all generators share one
-        # int object per label
-        return Permutation(map(self._label_ints.__getitem__, images.tolist()))
-
-    @cached_property
-    def _label_ints(self):
-        return list(range(self.degree))
+        return images
 
     def _member_images(self, g: SemilinearMap, parts):
         pts = projective_points(self.space.field, self.space.n)
@@ -757,8 +751,7 @@ def perm_image(generators, domain: ActionDomain) -> PermGroup:
     Raises DomainNotPreservedError if any generator moves a label outside
     the domain (e.g. a similarity swapping the two orbits on non-degenerate
     points)."""
-    perms = [domain.permutation(g) for g in generators]
-    return PermGroup(domain.degree, perms)
+    return PermGroup(domain.degree, [domain.image(g) for g in generators])
 
 
 # -- the individual domains --------------------------------------------------
@@ -906,11 +899,9 @@ def k_set_action(m: int, k: int) -> PermGroup:
     swap = list(range(m))
     if m >= 2:
         swap[0], swap[1] = 1, 0
-    perms = []
-    for base in (cycle, swap):
-        images = [index[tuple(sorted(base[x] for x in s))] for s in subsets]
-        perms.append(Permutation(images))
-    return PermGroup(len(subsets), perms)
+    return PermGroup(len(subsets), [
+        [index[tuple(sorted(base[x] for x in s))] for s in subsets]
+        for base in (cycle, swap)])
 
 
 def k_set_labels(m: int, k: int):
@@ -933,22 +924,16 @@ def product_action(base: PermGroup, r: int,
         raise OverflowError("product action degree exceeds cap")
     if r == 1:
         return base
-
-    def idx(t):
-        n = 0
-        for x in t:
-            n = n * d + x
-        return n
-
-    tuples = list(itertools.product(range(d), repeat=r))
-    perms = []
-    for g in base.generators:
-        perms.append(Permutation([idx((g.images[t[0]],) + t[1:])
-                                  for t in tuples]))
-    perms.append(Permutation([idx(t[1:] + t[:1]) for t in tuples]))
+    # the r-tuples in lexicographic order, one coordinate per row; a tuple
+    # is at the index of its base-d digits
+    dims = (d,) * r
+    t = np.indices(dims).reshape(r, -1)
+    rows = [np.ravel_multi_index((g[t[0]], *t[1:]), dims)
+            for g in base.images]
+    rows.append(np.ravel_multi_index((*t[1:], t[0]), dims))
     if r >= 3:
-        perms.append(Permutation([idx((t[1], t[0]) + t[2:]) for t in tuples]))
-    return PermGroup(d**r, perms)
+        rows.append(np.ravel_multi_index((t[1], t[0], *t[2:]), dims))
+    return PermGroup(d**r, rows)
 
 
 def product_labels(base_labels, r: int):

@@ -4,8 +4,10 @@ Points are 0-based internally.  The text file format and all cycle notation
 accepted/emitted by the CLI are 1-based, matching the usual convention for
 writing permutations as products of disjoint cycles.
 
+A group's generators cross module boundaries as one array of image rows
+(``PermGroup.images``); ``Permutation`` is the type of single elements.
 A group is held as a stabilizer chain (``StabChain``), built lazily by a
-deterministic Schreier-Sims algorithm on numpy image arrays.  It gives the
+deterministic Schreier-Sims algorithm on such arrays.  It gives the
 order without enumeration, membership by sifting, and the elements as
 products of transversal elements, so results are exactly reproducible.
 Every question that needs the chain raises CapExceeded iff the group order
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,21 +36,6 @@ class GroupFileError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
-
-
-@dataclass(frozen=True)
-class CycleType:
-    """Multiset of cycle lengths, sorted descending."""
-
-    lengths: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return sum(self.lengths)
-
-    @property
-    def order(self) -> int:
-        return math.lcm(*self.lengths) if self.lengths else 1
 
 
 class Permutation:
@@ -85,14 +72,9 @@ class Permutation:
     def __hash__(self) -> int:
         return self._hash
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
-    def __pow__(self, k: int) -> "Permutation":
-        return power(self, k)
-
     def __repr__(self) -> str:
-        return f"Permutation({cycle_string(self)!r}, degree={self.degree})"
+        return (f"Permutation({cycle_string(self.images)!r}, "
+                f"degree={self.degree})")
 
     def is_identity(self) -> bool:
         return all(i == x for x, i in enumerate(self.images))
@@ -102,72 +84,26 @@ def identity(degree: int) -> Permutation:
     return Permutation(range(degree))
 
 
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """Product 'apply a, then b': x -> b(a(x))."""
-    if a.degree != b.degree:
-        raise ValueError(f"degree mismatch: {a.degree} != {b.degree}")
-    bi = b.images
-    return Permutation(tuple(bi[x] for x in a.images))
-
-
-def inverse(a: Permutation) -> Permutation:
-    inv = [0] * a.degree
-    for x, y in enumerate(a.images):
-        inv[y] = x
-    return Permutation(inv)
-
-
-def power(a: Permutation, k: int) -> Permutation:
-    """a**k for any integer k (negative allowed); exact via cycle arithmetic."""
-    d = a.degree
-    out = [0] * d
-    for cycle in cycle_decomposition(a):
-        L = len(cycle)
-        shift = k % L
-        for i, x in enumerate(cycle):
-            out[x] = cycle[(i + shift) % L]
-    return Permutation(out)
-
-
-def cycle_decomposition(g: Permutation) -> list[tuple[int, ...]]:
-    """Disjoint cycles partitioning the domain (1-cycles included).
+def cycle_decomposition(images) -> list[tuple[int, ...]]:
+    """Disjoint cycles of an image sequence, partitioning its domain
+    (1-cycles included).
 
     Each cycle starts at its least point; cycles are ordered by that point.
     """
-    seen = [False] * g.degree
+    seen = [False] * len(images)
     cycles = []
-    img = g.images
-    for start in range(g.degree):
+    for start in range(len(images)):
         if seen[start]:
             continue
         cyc = [start]
         seen[start] = True
-        x = img[start]
+        x = images[start]
         while x != start:
             seen[x] = True
             cyc.append(x)
-            x = img[x]
+            x = images[x]
         cycles.append(tuple(cyc))
     return cycles
-
-
-def cycle_lengths(images) -> list[int]:
-    """Cycle lengths of an image sequence (no Permutation object needed)."""
-    d = len(images)
-    seen = bytearray(d)
-    lengths = []
-    for start in range(d):
-        if seen[start]:
-            continue
-        n = 1
-        seen[start] = 1
-        x = images[start]
-        while x != start:
-            seen[x] = 1
-            n += 1
-            x = images[x]
-        lengths.append(n)
-    return lengths
 
 
 def cycle_sizes(rows) -> np.ndarray:
@@ -193,29 +129,21 @@ def cycle_sizes(rows) -> np.ndarray:
         label, step = lower, step[step]
 
 
-def cycle_type(g: Permutation) -> CycleType:
-    return CycleType(tuple(sorted(cycle_lengths(g.images), reverse=True)))
-
-
-def element_order(g: Permutation) -> int:
-    return math.lcm(*cycle_lengths(g.images))
-
-
 def has_regular_cycle_direct(g: Permutation) -> bool:
     """True iff some cycle of g has length equal to the order of g.
 
     The identity has order 1 and fixes every point, so on a nonempty domain
     it has a regular cycle by convention (a fixed point is a 1-cycle).
     """
-    lengths = cycle_lengths(g.images)
+    lengths = [len(c) for c in cycle_decomposition(g.images)]
     return math.lcm(*lengths) in lengths
 
 
-def cycle_string(g: Permutation) -> str:
-    """1-based disjoint-cycle notation; 'id' for the identity."""
+def cycle_string(images) -> str:
+    """1-based cycle notation of an image list; 'id' for the identity."""
     parts = [
         "(" + " ".join(str(x + 1) for x in c) + ")"
-        for c in cycle_decomposition(g)
+        for c in cycle_decomposition(images)
         if len(c) > 1
     ]
     return "".join(parts) if parts else "id"
@@ -226,13 +154,18 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse 1-based disjoint-cycle notation ('id' or '(1 2 3)(4 5)')."""
+    return Permutation(_cycle_images(text, degree))
+
+
+def _cycle_images(text: str, degree: int) -> list[int]:
+    """The image list of parse_cycles; ValueError on bad cycle text."""
     text = text.strip()
+    images = list(range(degree))
     if text == "id":
-        return identity(degree)
+        return images
     stripped = _CYCLE_RE.sub("", text)
     if stripped.strip():
         raise ValueError(f"unparsable cycle text: {text!r}")
-    images = list(range(degree))
     seen: set[int] = set()
     for body in _CYCLE_RE.findall(text):
         pts = [int(tok) for tok in body.replace(",", " ").split()]
@@ -246,7 +179,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             seen.add(p - 1)
         for i, p in enumerate(pts):
             images[p - 1] = pts[(i + 1) % len(pts)] - 1
-    return Permutation(images)
+    return images
 
 
 # Schreier generators are formed and sifted in arrays of about this many
@@ -351,14 +284,12 @@ class StabChain:
     of the orbit lengths, a lower bound for the group order, passes ``cap``.
     """
 
-    def __init__(self, degree: int, generators, cap: int):
-        ident = tuple(range(degree))
-        gens = [g.images for g in generators if g.images != ident]
-        first = min((next(x for x, y in enumerate(g) if x != y) for g in gens),
-                    default=0)
+    def __init__(self, images: np.ndarray, cap: int):
+        degree = images.shape[1]
+        moved = images != np.arange(degree)
+        first = int(np.argmax(moved.any(axis=0)))  # 0 if nothing moves
         self.degree = degree
-        gens = np.array(gens, dtype=_point_dtype(degree)).reshape(-1, degree)
-        self.levels = [_Level(first, gens)]
+        self.levels = [_Level(first, images[moved.any(axis=1)])]
         self._check_order(cap)
         i = 0
         while i >= 0:
@@ -450,22 +381,32 @@ def _orbits(points, gens) -> list[list[int]]:
 
 
 class PermGroup:
-    """Finitely generated permutation group with a lazily built, cached
-    stabilizer chain."""
+    """Finitely generated permutation group: its generators, Permutations
+    or image rows, held as one read-only (k x degree) array in the point
+    dtype (``images``), and a lazily built, cached stabilizer chain."""
 
     def __init__(self, degree: int, generators):
         if degree < 1:
             raise ValueError("degree must be >= 1")
-        generators = tuple(generators)
-        for g in generators:
-            if g.degree != degree:
-                raise ValueError("generator degree mismatch")
+        rows = [g.images if isinstance(g, Permutation) else g
+                for g in generators]
+        if any(len(row) != degree for row in rows):
+            raise ValueError("generator degree mismatch")
+        rows = np.array(rows, dtype=np.int64).reshape(len(rows), degree)
+        if (np.sort(rows, axis=1) != np.arange(degree)).any():
+            raise ValueError("images do not form a bijection of 0..d-1")
         self.degree = degree
-        self.generators = generators
+        self.images = rows.astype(_point_dtype(degree))
+        self.images.flags.writeable = False
         self._chain: StabChain | None = None
 
+    @cached_property
+    def generators(self) -> tuple[Permutation, ...]:
+        """The generators as Permutations, for callers outside the library."""
+        return tuple(map(Permutation, self.images.tolist()))
+
     def __repr__(self) -> str:
-        return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
+        return f"PermGroup(degree={self.degree}, ngens={len(self.images)})"
 
     # -- the stabilizer chain ----------------------------------------------
 
@@ -476,7 +417,7 @@ class PermGroup:
         short by a smaller cap is not kept.
         """
         if self._chain is None:
-            self._chain = StabChain(self.degree, self.generators, cap)
+            self._chain = StabChain(self.images, cap)
         if self._chain.order > cap:
             raise CapExceeded(f"more than {cap} elements")
         return self._chain
@@ -519,9 +460,8 @@ class PermGroup:
 
     def orbits(self) -> list[tuple[int, ...]]:
         """Orbit partition of the domain, each orbit sorted, orbits by min."""
-        gens = [g.images for g in self.generators]
         return [tuple(sorted(orbit))
-                for orbit in _orbits(range(self.degree), gens)]
+                for orbit in _orbits(range(self.degree), self.images.tolist())]
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
@@ -539,10 +479,11 @@ class PermGroup:
 
         parent[find(beta)] = find(0)
         queue = [(0, beta)]
+        gens = self.images.tolist()
         while queue:
             u, v = queue.pop()
-            for g in self.generators:
-                a, b = find(g.images[u]), find(g.images[v])
+            for g in gens:
+                a, b = find(g[u]), find(g[v])
                 if a != b:
                     parent[b] = a
                     queue.append((a, b))
@@ -562,50 +503,11 @@ class PermGroup:
             return True
         return all(self._minimal_block(beta) == d for beta in range(1, d))
 
-    # -- conjugacy ----------------------------------------------------------
-
-    def conjugacy_classes(self, cap: int = DEFAULT_ELEMENT_CAP):
-        """List of (representative, class size); rep = least class member.
-
-        Classes are ordered by their representative (lexicographic on image
-        arrays), so the identity's class comes first.
-        """
-        arr = self.element_array(cap)
-        d = self.degree
-        gens = self.generators
-        gen_pairs = [(g, inverse(g)) for g in gens]
-        remaining = {tuple(int(v) for v in row) for row in arr}
-        classes = []
-        for row in arr:
-            t = tuple(int(v) for v in row)
-            if t not in remaining:
-                continue
-            # conjugation orbit of t under the generators
-            orbit = {t}
-            queue = [t]
-            while queue:
-                s = queue.pop()
-                for g, gi in gen_pairs:
-                    # g^-1 * s * g  (apply g^-1, then s, then g)
-                    simg = s
-                    conj = tuple(g.images[simg[gi.images[x]]] for x in range(d))
-                    if conj not in orbit:
-                        orbit.add(conj)
-                        queue.append(conj)
-            remaining -= orbit
-            classes.append((Permutation(t), len(orbit)))
-        return classes
-
-
-def enumerate_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP):
-    """All elements of G as Permutation objects, lexicographically sorted."""
-    arr = G.element_array(cap)
-    return [Permutation(tuple(int(v) for v in row)) for row in arr]
-
 
 # -- group file format -------------------------------------------------------
 #
-# Line 1: "degree <d>".  Each later non-blank, non-comment line is one
+# Line 1: "degree <d>", with 1 <= d <= DEFAULT_DOMAIN_CAP (the most points
+# build-action writes).  Each later non-blank, non-comment line is one
 # generator: "id" or a product of disjoint cycles with 1-based points.
 # "#" starts a comment (whole line or trailing).
 
@@ -624,9 +526,12 @@ def parse_group_file(text: str) -> PermGroup:
             degree = int(m.group(1))
             if degree < 1:
                 raise GroupFileError(lineno, "degree must be >= 1")
+            if degree > DEFAULT_DOMAIN_CAP:
+                raise GroupFileError(lineno, f"degree {degree} exceeds the "
+                                     f"domain cap {DEFAULT_DOMAIN_CAP}")
             continue
         try:
-            gens.append(parse_cycles(line, degree))
+            gens.append(_cycle_images(line, degree))
         except ValueError as exc:
             raise GroupFileError(lineno, str(exc)) from exc
     if degree is None:
@@ -636,7 +541,8 @@ def parse_group_file(text: str) -> PermGroup:
 
 def emit_group_file(G: PermGroup) -> str:
     lines = [f"degree {G.degree}"]
-    lines.extend(cycle_string(g) for g in G.generators)
+    # one row's Python ints at a time
+    lines.extend(cycle_string(row.tolist()) for row in G.images)
     return "\n".join(lines) + "\n"
 
 
@@ -648,23 +554,21 @@ def symmetric_group(m: int) -> PermGroup:
     if m < 1:
         raise ValueError("m >= 1")
     if m == 1:
-        return PermGroup(1, [identity(1)])
-    cyc = Permutation(tuple(range(1, m)) + (0,))
-    swap = Permutation((1, 0) + tuple(range(2, m)))
-    return PermGroup(m, [swap, cyc])
+        return PermGroup(1, [[0]])
+    return PermGroup(m, [(1, 0, *range(2, m)), (*range(1, m), 0)])
 
 
 def alternating_group(m: int) -> PermGroup:
     """Alt(m) on m points (3-cycle plus an even long cycle)."""
     if m < 3:
-        return PermGroup(max(m, 1), [identity(max(m, 1))])
-    three = parse_cycles("(1 2 3)", m)
+        return PermGroup(max(m, 1), [range(max(m, 1))])
+    three = (1, 2, 0, *range(3, m))
     if m % 2 == 1:
-        long = Permutation(tuple(range(1, m)) + (0,))
+        long = (*range(1, m), 0)
     else:
-        long = Permutation((0,) + tuple(range(2, m)) + (1,))
+        long = (0, *range(2, m), 1)
     return PermGroup(m, [three, long])
 
 
 def cyclic_group(m: int) -> PermGroup:
-    return PermGroup(m, [Permutation(tuple(range(1, m)) + (0,))])
+    return PermGroup(m, [(*range(1, m), 0)])

@@ -28,7 +28,8 @@ lengths can pass 2**63): g has a regular cycle iff every cycle length
 divides the longest, its regular cycles are then those of the longest
 length, and its order is square-free iff every cycle length is.  Single
 elements (``fix_union_test``, ``perm.has_regular_cycle_direct``) keep the
-scalar cycle walk.
+scalar cycle walk.  Two actions of one group, on Omega1 and Omega2, are
+compared in its diagonal action on their disjoint union.
 """
 
 from __future__ import annotations
@@ -79,21 +80,6 @@ class RegCycleReport:
         }
 
 
-def fpr_exact(x: Permutation) -> Fraction:
-    """Exact fixed-point ratio |Fix(x)| / degree."""
-    return Fraction(sum(1 for i, img in enumerate(x.images) if img == i),
-                    x.degree)
-
-
-def count_regular_cycles(g) -> int:
-    """Number of cycles of g of length exactly the order of g.
-
-    Accepts a Permutation or a raw image sequence.
-    """
-    images = g.images if isinstance(g, Permutation) else g
-    return int(_regular_cycles(np.array([images]))[0][0])
-
-
 def _regular_cycles(rows: np.ndarray, square_free=None):
     """The regular-cycle count of every image row, and, given a test
     ``square_free(n)``, the mask of rows of square-free order (else None).
@@ -125,7 +111,7 @@ def fix_union_test(g: Permutation) -> RegCycleReport:
     the exact ratio sum S(g, Omega); S < 1 already implies the verdict.
     """
     d = g.degree
-    cycles = cycle_decomposition(g)
+    cycles = cycle_decomposition(g.images)
     lengths = [len(c) for c in cycles]
     order = math.lcm(*lengths)
     witness = next(((c[0], order) for c in cycles if len(c) == order), None)
@@ -180,7 +166,8 @@ class VerifyReport:
             "verdict": self.verdict,
             "checked": self.checked,
             "square_free_only": self.square_free_only,
-            "witness_cycles": [cycle_string(w) for w in self.witnesses],
+            "witness_cycles": [cycle_string(w.images)
+                               for w in self.witnesses],
         }
 
 
@@ -295,48 +282,50 @@ MAX_WORD_LENGTH = 40
 def compare_actions_monotonic(G1: PermGroup, G2: PermGroup,
                               samples: int = 10**4,
                               seed: int = 1729) -> MonotonicityReport:
-    """For sampled words w: count_regular_cycles(w on Omega1) <= (w on Omega2).
+    """For sampled words w: the regular cycles of w on Omega1 are at most
+    as many as on Omega2.
 
     The two groups must be the same abstract group given by *compatible*
-    generator lists (generator i of G1 corresponds to generator i of G2); the
-    word is evaluated in both in lockstep.  Sampling uses a fixed seed, so
-    runs are reproducible.  At least one word is sampled, and the actions
-    need at least one generator.  The words' images are counted a chunk
-    of words at a time, by the kernel that ``verify_all_elements`` uses.
+    generator lists (generator i of G1 corresponds to generator i of G2).
+    A word is evaluated once, in the diagonal action on the d1 + d2
+    points of both domains (generator i acts on the last d2 as row i of
+    G2 shifted by d1).  Sampling uses a fixed seed, so runs are
+    reproducible.  At least one word is sampled, and the actions need at
+    least one generator.  The words' images are counted a chunk of words
+    at a time, split at column d1, by the kernel that
+    ``verify_all_elements`` uses.
     """
-    if len(G1.generators) != len(G2.generators):
+    if len(G1.images) != len(G2.images):
         raise ValueError("generator lists must have equal length")
-    if not G1.generators:
+    if not len(G1.images):
         raise ValueError("the actions list no generators, so there are "
                          "no words to sample")
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
 
-    ngens = len(G1.generators)
+    ngens = len(G1.images)
     rng = random.Random(seed)
-    gens1 = [np.array(g.images) for g in G1.generators]
-    gens2 = [np.array(g.images) for g in G2.generators]
-    ident1 = np.arange(G1.degree)
-    ident2 = np.arange(G2.degree)
-    per_chunk = max(1, _CHUNK_ENTRIES // max(G1.degree, G2.degree))
-    words, rows1, rows2 = [], [], []
+    d1, d = G1.degree, G1.degree + G2.degree
+    gens = np.hstack([G1.images, G2.images.astype(np.intp) + d1])
+    ident = np.arange(d)
+    per_chunk = max(1, _CHUNK_ENTRIES // d)
+    words, rows = [], []
     violations: list[str] = []
     for k in range(samples):
         length = rng.randint(1, MAX_WORD_LENGTH)
         word = [rng.randrange(ngens) for _ in range(length)]
-        w1, w2 = ident1, ident2
+        w = ident
         for i in word:
-            w1 = gens1[i][w1]  # apply w, then generator i
-            w2 = gens2[i][w2]
+            w = gens[i][w]  # apply w, then generator i
         words.append(word)
-        rows1.append(w1)
-        rows2.append(w2)
+        rows.append(w)
         if len(words) == per_chunk or k == samples - 1:
-            more = (_regular_cycles(np.array(rows1))[0]
-                    > _regular_cycles(np.array(rows2))[0])
+            rows = np.array(rows)
+            more = (_regular_cycles(rows[:, :d1])[0]
+                    > _regular_cycles(rows[:, d1:] - d1)[0])
             for j in np.flatnonzero(more)[:5 - len(violations)]:
                 violations.append("g" + " g".join(str(i) for i in words[j]))
-            words, rows1, rows2 = [], [], []
+            words, rows = [], []
     return MonotonicityReport(not violations, samples, tuple(violations))
 
 

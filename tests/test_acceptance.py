@@ -295,8 +295,8 @@ def semisimple_sample(space, gens, excluded_primes, want):
 
 
 def fixed_labels(dom, m):
-    p = dom.permutation(geo.SemilinearMap(m))
-    return [dom.labels[i] for i in range(dom.degree) if p.images[i] == i]
+    p = dom.image(geo.SemilinearMap(m))
+    return [dom.labels[i] for i in range(dom.degree) if p[i] == i]
 
 
 def check_fixed_set(space, dom, m, kernel):

@@ -306,6 +306,35 @@ class TestErrorTable:
         assert "Traceback" not in err
 
 
+    @staticmethod
+    def _group_file_argv(command, path):
+        if command == "compare":
+            return ["compare", "--action1", path, "--action2", path,
+                    "--samples", "1"]
+        return [command, "--group", path]
+
+    @pytest.mark.parametrize("command", ["verify", "check", "compare"])
+    def test_group_file_degree_past_the_cap(self, tmp_path, capsys,
+                                            command):
+        # refused at the header line, before `degree` images are listed
+        path = tmp_path / "big.grp"
+        degree = perm.DEFAULT_DOMAIN_CAP + 1
+        path.write_text(f"degree {degree}\n(1 2)\n")
+        assert main(self._group_file_argv(command, str(path))) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {path}: line 1: degree {degree} exceeds "
+                       f"the domain cap {perm.DEFAULT_DOMAIN_CAP}\n")
+
+    @pytest.mark.parametrize("command", ["verify", "check", "compare"])
+    def test_group_file_degree_at_the_cap_is_accepted(self, tmp_path,
+                                                      capsys, command):
+        path = tmp_path / "cap.grp"
+        path.write_text(f"degree {perm.DEFAULT_DOMAIN_CAP}\n(1 2)\n")
+        assert main(self._group_file_argv(command, str(path))) == 0
+        _out, err = capsys.readouterr()
+        assert err == ""
+
     def test_ksets_are_refused_before_they_are_listed(self, tmp_path, capsys):
         # C(40, 20) is about 1.4e11 subsets
         start = time.perf_counter()

@@ -7,6 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perm_reference import (
+    compose,
+    conjugacy_classes,
+    cycle_lengths,
+    cycle_type,
+    element_order,
+    enumerate_elements,
+    inverse,
+    power,
+)
 from regcycles import perm
 from regcycles.perm import (
     CapExceeded,
@@ -14,20 +24,13 @@ from regcycles.perm import (
     PermGroup,
     Permutation,
     alternating_group,
-    compose,
     cycle_decomposition,
-    cycle_lengths,
     cycle_sizes,
-    cycle_type,
-    element_order,
     emit_group_file,
-    enumerate_elements,
     has_regular_cycle_direct,
     identity,
-    inverse,
     parse_cycles,
     parse_group_file,
-    power,
     symmetric_group,
 )
 
@@ -84,13 +87,14 @@ class TestArithmetic:
 
 class TestCycles:
     def test_identity_decomposition(self):
-        cycles = cycle_decomposition(identity(5))
+        cycles = cycle_decomposition(identity(5).images)
         assert cycles == [(0,), (1,), (2,), (3,), (4,)]
         assert element_order(identity(5)) == 1
 
     def test_mixed_cycle_type_element(self):
         g = parse_cycles("(1 2 3)(4 5)(6 7)", 7)
-        assert sorted(len(c) for c in cycle_decomposition(g)) == [2, 2, 3]
+        lengths = [len(c) for c in cycle_decomposition(g.images)]
+        assert sorted(lengths) == [2, 2, 3]
         assert element_order(g) == 6
 
     def test_five_cycle(self):
@@ -105,7 +109,7 @@ class TestCycles:
 
     @given(st.permutations(range(11)).map(Permutation))
     def test_order_is_lcm_and_regular_implies_small_order(self, g):
-        lengths = [len(c) for c in cycle_decomposition(g)]
+        lengths = [len(c) for c in cycle_decomposition(g.images)]
         assert sum(lengths) == 11
         assert element_order(g) == math.lcm(*lengths)
         if has_regular_cycle_direct(g):
@@ -148,7 +152,7 @@ class TestCycleSizes:
             assert sorted(n for n in got if n) == sorted(cycle_lengths(images))
             # each length sits at its cycle's least point
             want = [0] * degree
-            for cycle in cycle_decomposition(Permutation(images)):
+            for cycle in cycle_decomposition(images):
                 want[cycle[0]] = len(cycle)
             assert got == want
 
@@ -240,14 +244,14 @@ class TestGroups:
 
     def test_conjugacy_classes_alt5(self):
         sizes = sorted(size for _rep, size in
-                       alternating_group(5).conjugacy_classes())
+                       conjugacy_classes(alternating_group(5)))
         assert sizes == [1, 12, 12, 15, 20]
 
     def test_conjugacy_classes_sym5(self):
-        assert len(symmetric_group(5).conjugacy_classes()) == 7
+        assert len(conjugacy_classes(symmetric_group(5))) == 7
 
     def test_conjugacy_classes_cyclic6(self):
-        assert len(perm.cyclic_group(6).conjugacy_classes()) == 6
+        assert len(conjugacy_classes(perm.cyclic_group(6))) == 6
 
 
 def closure(degree, gens):
@@ -269,6 +273,57 @@ def closure(degree, gens):
 generator_sets = st.integers(min_value=1, max_value=7).flatmap(
     lambda d: st.tuples(st.just(d), st.lists(
         st.permutations(range(d)).map(Permutation), max_size=3)))
+
+
+class TestGeneratorArray:
+    """A group's generators are one read-only array of image rows, checked
+    once where they enter PermGroup."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 0, 2]], "bijection"),
+        ([[0, 1, 3]], "bijection"),
+        ([[0, -1, 2]], "bijection"),
+        ([[1, 0, 2], [2, 2, 1]], "bijection"),
+        ([[0, 1]], "degree mismatch"),
+        ([[0, 1, 2, 3]], "degree mismatch"),
+    ], ids=["repeat", "above-range", "negative", "second-row", "narrow",
+            "wide"])
+    def test_rejects_bad_rows_from_arrays_and_lists(self, rows, message):
+        for given_rows in (rows, np.array(rows)):
+            with pytest.raises(ValueError, match=message):
+                PermGroup(3, given_rows)
+
+    def test_rejects_permutations_of_another_degree(self):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            PermGroup(3, [identity(3), identity(4)])
+
+    def test_images_are_one_read_only_array_in_the_point_dtype(self):
+        for degree, dtype in ((256, "u1"), (257, "u2")):
+            gens = [Permutation([(x + 1) % degree for x in range(degree)]),
+                    Permutation([1, 0] + list(range(2, degree)))]
+            G = PermGroup(degree, gens)
+            assert G.images.shape == (2, degree)
+            assert G.images.dtype == np.dtype(dtype)
+            assert not G.images.flags.writeable
+            with pytest.raises(ValueError):
+                G.images[0, 0] = 1
+            assert G.images.tolist() == [list(g.images) for g in gens]
+
+    @given(generator_sets)
+    def test_generators_round_trip(self, case):
+        degree, gens = case
+        for given_gens in (gens, [g.images for g in gens],
+                           np.array([g.images for g in gens],
+                                    dtype=np.intp).reshape(-1, degree)):
+            G = PermGroup(degree, given_gens)
+            assert G.generators == tuple(gens)
+            assert all(isinstance(g, Permutation) for g in G.generators)
+
+    def test_the_group_owns_its_array(self):
+        rows = np.array([[1, 0, 2]])
+        G = PermGroup(3, rows)
+        rows[0] = [0, 1, 2]
+        assert G.images.tolist() == [[1, 0, 2]]
 
 
 class TestStabilizerChain:
@@ -361,3 +416,13 @@ class TestGroupFile:
             H = parse_group_file(emit_group_file(G))
             assert H.degree == G.degree
             assert H.generators == G.generators
+
+    def test_degree_past_the_domain_cap_is_refused_at_the_header(self):
+        cap = perm.DEFAULT_DOMAIN_CAP
+        with pytest.raises(GroupFileError,
+                           match=f"degree {cap + 1} exceeds the domain "
+                                 f"cap {cap}") as exc:
+            parse_group_file(f"# big\ndegree {cap + 1}\n(1 2)\n")
+        assert exc.value.lineno == 2
+        G = parse_group_file(f"degree {cap}\n(1 2)\n")
+        assert G.degree == cap and G.images.shape == (1, cap)

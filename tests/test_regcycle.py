@@ -9,35 +9,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regcycles import numtheory
+from perm_reference import (
+    compare_actions_two_loops,
+    count_regular_cycles,
+    cycle_lengths,
+    cycle_type,
+    element_order,
+    enumerate_elements,
+    fpr_exact,
+    power,
+)
+from regcycles import geometry, numtheory
 from regcycles import regcycle as rc
 from regcycles.perm import (
     PermGroup,
     Permutation,
     alternating_group,
     cycle_decomposition,
-    cycle_lengths,
-    cycle_type,
-    element_order,
-    enumerate_elements,
     has_regular_cycle_direct,
     identity,
     parse_cycles,
-    power,
     symmetric_group,
 )
 
 
 class TestFixAndFpr:
     def test_identity_fpr_one(self):
-        assert rc.fpr_exact(identity(5)) == 1
+        assert fpr_exact(identity(5)) == 1
 
     def test_double_transposition(self):
         g = parse_cycles("(1 2)(3 4)", 5)
-        assert rc.fpr_exact(g) == Fraction(1, 5)
+        assert fpr_exact(g) == Fraction(1, 5)
 
     def test_fixed_point_free(self):
-        assert rc.fpr_exact(parse_cycles("(1 2 3)(4 5)(6 7)", 7)) == 0
+        assert fpr_exact(parse_cycles("(1 2 3)(4 5)(6 7)", 7)) == 0
 
 
 def _reference_fix_union_test(g):
@@ -45,7 +50,7 @@ def _reference_fix_union_test(g):
     r dividing |g|, and its fixed points."""
     d = g.degree
     order = element_order(g)
-    witness = next(((c[0], order) for c in cycle_decomposition(g)
+    witness = next(((c[0], order) for c in cycle_decomposition(g.images)
                     if len(c) == order), None)
     if order == 1:
         return rc.RegCycleReport(True, 1, witness, Fraction(0), d, d,
@@ -127,21 +132,21 @@ class TestFixUnionTest:
 
 class TestCountRegularCycles:
     def test_identity_counts_fixed_points(self):
-        assert rc.count_regular_cycles(identity(5)) == 5
+        assert count_regular_cycles(identity(5)) == 5
 
     def test_two_two_cycles(self):
-        assert rc.count_regular_cycles(parse_cycles("(1 2)(3 4)", 4)) == 2
+        assert count_regular_cycles(parse_cycles("(1 2)(3 4)", 4)) == 2
 
     def test_no_regular_cycle(self):
-        assert rc.count_regular_cycles(parse_cycles("(1 2 3)(4 5)(6 7)", 7)) == 0
+        assert count_regular_cycles(parse_cycles("(1 2 3)(4 5)(6 7)", 7)) == 0
 
     def test_regular_cycles_of_the_longest_length(self):
         # (6)(3)(2)(1): every length divides 6, one 6-cycle
         g = parse_cycles("(1 2 3 4 5 6)(7 8 9)(10 11)", 12)
-        assert rc.count_regular_cycles(g) == 1
-        assert rc.count_regular_cycles(
+        assert count_regular_cycles(g) == 1
+        assert count_regular_cycles(
             parse_cycles("(1 2 3 4)(5 6 7 8)(9 10)", 11)) == 2
-        assert rc.count_regular_cycles(
+        assert count_regular_cycles(
             parse_cycles("(1 2 3 4)(5 6 7 8 9 10)", 10)) == 0
 
     def test_order_past_int64(self):
@@ -154,7 +159,7 @@ class TestCountRegularCycles:
             start += p
         assert len(primes) == 16 and len(images) == 381
         assert math.prod(primes) > 2**63
-        assert rc.count_regular_cycles(images) == 0
+        assert count_regular_cycles(images) == 0
         assert not has_regular_cycle_direct(Permutation(images))
         # in a chunk of the bulk scan its row fails, and its order (a
         # product of distinct primes) passes the square-free filter
@@ -248,3 +253,25 @@ class TestCompareActions:
         G = PermGroup(3, [])
         with pytest.raises(ValueError, match="no generators"):
             rc.compare_actions_monotonic(G, G, samples=10)
+
+    @pytest.mark.parametrize("k1, k2", [(2, 3), (3, 2)])
+    def test_diagonal_action_matches_the_two_action_loop(self, k1, k2):
+        # Sym(8) on 2-sets against 3-sets: not monotone in one order
+        G1 = geometry.k_set_action(8, k1)
+        G2 = geometry.k_set_action(8, k2)
+        rep = rc.compare_actions_monotonic(G1, G2, samples=3000, seed=7)
+        assert rep == compare_actions_two_loops(G1, G2, samples=3000,
+                                                seed=7)
+        assert rep.monotone == (k1 < k2)
+        if not rep.monotone:
+            assert len(rep.violations) == 5
+
+    def test_diagonal_action_matches_on_sp6_2_points_and_nd2(self):
+        space, gens = geometry.builtin_matrix_group("sp6_2")
+        G1 = geometry.perm_image(gens, geometry.singular_points(space))
+        G2 = geometry.perm_image(gens,
+                                 geometry.nondegenerate_2_subspaces(space))
+        for a, b in ((G1, G2), (G2, G1)):
+            rep = rc.compare_actions_monotonic(a, b, samples=1000, seed=3)
+            assert rep == compare_actions_two_loops(a, b, samples=1000,
+                                                    seed=3)
