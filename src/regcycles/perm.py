@@ -9,7 +9,8 @@ A group's generators cross module boundaries as one array of image rows
 A group is held as a stabilizer chain (``StabChain``), built lazily by a
 deterministic Schreier-Sims algorithm on such arrays.  It gives the
 order without enumeration, membership by sifting, and the elements as
-products of transversal elements, so results are exactly reproducible.
+products of transversal elements in bounded pieces, so results are
+exactly reproducible.
 Every question that needs the chain raises CapExceeded iff the group order
 exceeds its element cap (defaults: 10**7 elements and 10**6 points).
 """
@@ -182,9 +183,9 @@ def _cycle_images(text: str, degree: int) -> list[int]:
     return images
 
 
-# Schreier generators are formed and sifted in arrays of about this many
-# entries, which bounds memory on large domains.
-_SCHREIER_ENTRIES = 1 << 22
+# The chain sifts Schreier generators and hands out elements in arrays of
+# about this many entries, which bounds memory on large domains.
+_ARRAY_ENTRIES = 1 << 22
 
 
 def _point_dtype(degree: int) -> np.dtype:
@@ -257,10 +258,10 @@ class _Level:
     def schreier_generators(self):
         """u_beta * s * u_{s(beta)}^-1 for every orbit point and generator,
         one row per pair, each fixing the base point: one array per run of
-        generators whose rows hold about _SCHREIER_ENTRIES entries (all of
+        generators whose rows hold about _ARRAY_ENTRIES entries (all of
         them at once for small groups)."""
         d = self.gens.shape[1]
-        step = max(1, _SCHREIER_ENTRIES // (len(self.orbit) * d))
+        step = max(1, _ARRAY_ENTRIES // (len(self.orbit) * d))
         for a in range(0, len(self.gens), step):
             gens = self.gens[a:a + step]
             moved = gens[:, self.trans].reshape(-1, d)  # u_beta then s
@@ -276,7 +277,7 @@ class StabChain:
     The first base point is the least point the group moves (0 for the
     trivial group); each later one is the least point moved by the sift
     residue that opened its level.  Each level's Schreier generators are
-    formed and sifted as one array (split only past _SCHREIER_ENTRIES
+    formed and sifted as one array (split only past _ARRAY_ENTRIES
     entries); the first that does not sift to the identity becomes a new
     strong generator, and the levels below it are checked again before the
     level itself (Holt, Eick and O'Brien, *Handbook of Computational Group
@@ -342,16 +343,40 @@ class StabChain:
     def contains(self, images) -> bool:
         return self._residue(np.array([images], dtype=np.intp), 0) is None
 
-    def stabilizer_rows(self) -> np.ndarray:
-        """Every element of G_b (b the first base point) as an unsorted
-        (|G_b| x degree) array of transversal products."""
-        rows = np.arange(self.degree)[None]
-        for lev in reversed(self.levels[1:]):
-            # h then u_beta, for every u_beta and every h below (np.take:
-            # lev.trans[:, rows] holds a second copy of the result while
-            # it builds it)
-            rows = np.take(lev.trans, rows, axis=1).reshape(-1, self.degree)
-        return rows
+    def level_rows(self, i: int, n: int):
+        """Every element of G_(i), the stabilizer of the first i base
+        points, once, in unsorted arrays of at most max(n, 1) image rows
+        (G_(i) whole if it fits): "h then u" for the level's transversal
+        rows u, as many as fit with each piece of G_(i+1)."""
+        if i == len(self.levels):
+            yield np.arange(self.degree)[None]
+            return
+        trans = self.levels[i].trans
+        for below in self.level_rows(i + 1, n):
+            step = max(1, n // len(below))
+            for a in range(0, len(trans), step):
+                # np.take: trans[a:b, below] would hold a second copy
+                yield np.take(trans[a:a + step], below,
+                              axis=1).reshape(-1, self.degree)
+
+    def cosets(self, betas, entries: int):
+        """The cosets {g : g(b) = beta}, b the first base point, each
+        element once, as (rows, which): at most about ``entries`` entries
+        (or one row), row k mapping b to betas[which[k]].  Each piece of
+        G_b is taken with as many cosets as fit, or cut into parts."""
+        top, d = self.levels[0], self.degree
+        reps = top.trans[top.pos[np.asarray(betas, dtype=np.intp)]]
+        if not len(reps):
+            return
+        rows_per = max(1, entries // d)
+        for piece in self.level_rows(1, max(1, _ARRAY_ENTRIES // d)):
+            width = max(1, rows_per // len(piece))  # cosets at once
+            for a in range(0, len(reps), width):
+                for i in range(0, len(piece), rows_per):
+                    part = piece[i:i + rows_per]
+                    rows = np.take(reps[a:a + width], part,
+                                   axis=1).reshape(-1, d)
+                    yield rows, a + np.arange(len(rows)) // len(part)
 
     def stabilizer_orbits(self) -> list[list[int]]:
         """Orbits of G_b on b^G, ordered by least point, each starting at
@@ -426,9 +451,10 @@ class PermGroup:
         """All elements as a lexicographically sorted (|G| x degree) array.
 
         Every element fixes the points below the first base point b, so
-        lexicographic order is by g(b) first: the rows are built one coset
-        {g : g(b) = beta} at a time, beta ascending, and sorted within it.
-        Raises CapExceeded iff |G| > cap.
+        lexicographic order is by g(b) first: the chain's chunks of the
+        coset {g : g(b) = beta} fill the beta-th block of rows, beta
+        ascending, and each block is then sorted in place.  Raises
+        CapExceeded iff |G| > cap.
         """
         chain = self.stabilizer_chain(cap)
         d = self.degree
@@ -436,14 +462,16 @@ class PermGroup:
         dtype = _point_dtype(d).newbyteorder(">")
         row = np.dtype((np.void, d * dtype.itemsize))
         out = np.empty((chain.order, d), dtype=dtype)
-        top, stab = chain.levels[0], chain.stabilizer_rows()
-        n = len(stab)
-        for k, beta in enumerate(sorted(top.orbit.tolist())):
-            # the coset {g : g(b) = beta}
-            block = np.ascontiguousarray(top.trans[top.pos[beta]][stab],
-                                         dtype=dtype)
-            out[k * n:(k + 1) * n] = np.sort(block.view(row).ravel()) \
-                .view(dtype).reshape(n, d)
+        betas = sorted(chain.levels[0].orbit.tolist())
+        n = chain.order // len(betas)
+        free = list(range(0, chain.order, n))  # the next free row per block
+        for rows, which in chain.cosets(betas, _ARRAY_ENTRIES):
+            at = 0  # which ascends: each coset's rows are one run
+            for k, m in enumerate(np.bincount(which).tolist()):
+                out[free[k]:free[k] + m] = rows[at:at + m]
+                free[k], at = free[k] + m, at + m
+        for k in range(len(betas)):
+            out[k * n:(k + 1) * n].view(row).sort(axis=0)
         return out
 
     def order(self, cap: int = DEFAULT_ELEMENT_CAP) -> int:
@@ -520,15 +548,17 @@ def parse_group_file(text: str) -> PermGroup:
         if not line:
             continue
         if degree is None:
-            m = re.fullmatch(r"degree\s+(\d+)", line)
+            m = re.fullmatch(r"degree\s+0*(\d+)", line)
             if not m:
                 raise GroupFileError(lineno, "expected 'degree <d>' header")
+            # by digit count first: int() refuses past 4300 digits
+            if (len(m.group(1)) > len(str(DEFAULT_DOMAIN_CAP))
+                    or int(m.group(1)) > DEFAULT_DOMAIN_CAP):
+                raise GroupFileError(lineno, f"degree {m.group(1)} exceeds "
+                                     f"the domain cap {DEFAULT_DOMAIN_CAP}")
             degree = int(m.group(1))
             if degree < 1:
                 raise GroupFileError(lineno, "degree must be >= 1")
-            if degree > DEFAULT_DOMAIN_CAP:
-                raise GroupFileError(lineno, f"degree {degree} exceeds the "
-                                     f"domain cap {DEFAULT_DOMAIN_CAP}")
             continue
         try:
             gens.append(_cycle_images(line, degree))

@@ -14,10 +14,11 @@ cycle on any nonempty domain (reports carry this convention explicitly).
 Fixed-point counts come from one cycle decomposition: Fix(g**m) is the
 union of the cycles of g whose length divides m.  The bulk verifier reads
 cycle types from one coset of the first point stabilizer per stabilizer
-orbit (cycle type is a class function), and only counts elements of
-square-free order when asked to, which is sound for the "all-regular"
-verdict: if some element has no regular cycle, a suitable power of
-square-free order also has none.
+orbit (cycle type is a class function), in chunks from the chain
+(``perm.StabChain.cosets``), and only counts elements of square-free
+order when asked to, which is sound for the "all-regular" verdict: if
+some element has no regular cycle, a suitable power of square-free order
+also has none.
 
 Bulk questions, the verifier's cosets and the sampled words of
 ``compare_actions_monotonic``, go through one kernel, ``perm.cycle_sizes``,
@@ -135,8 +136,8 @@ def fix_union_test(g: Permutation) -> RegCycleReport:
 
 
 # The kernel runs on chunks of at most this many entries (rows x degree),
-# which stay in cache; verify_all_elements gathers as many small cosets
-# into one chunk as fit, and compare_actions_monotonic as many words.
+# which stay in cache; the chain gathers as many small cosets into one
+# chunk as fit, and compare_actions_monotonic as many words.
 _CHUNK_ENTRIES = 1 << 15
 
 
@@ -180,17 +181,14 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     base point of G's stabilizer chain and beta in b^G.  Conjugation by
     h in G_b maps the coset of beta onto that of h(beta) and keeps cycle
     types, so one coset per G_b-orbit is checked and its counts are
-    weighted by the orbit length.  The cosets are gathered as image rows
-    in chunks of at most _CHUNK_ENTRIES entries (several small cosets per
-    chunk, a large one over several chunks), and each chunk goes through
-    the pointer-doubling kernel ``perm.cycle_sizes`` at once: a row has a
-    regular cycle iff each of its cycle lengths divides the longest, and
-    its order is square-free iff each length is.  Witnesses are the
-    lexicographically least failures: every element fixes the points
-    below b, so they are read from the cosets of failing orbits in
-    ascending beta, as many cosets as hold max_witnesses failures (each
-    holds as many as its orbit's representative); only failing rows
-    become lists.
+    weighted by the orbit length.  The chain hands the cosets out in
+    chunks of at most _CHUNK_ENTRIES entries, from bounded pieces of G_b
+    (``StabChain.cosets``), and one scan loop puts each chunk through the
+    kernel.  Witnesses are the lexicographically least failures: every
+    element fixes the points below b, so they are read from the cosets of
+    failing orbits in ascending beta, as many cosets as hold
+    max_witnesses failures (each holds as many as its orbit's
+    representative); only failing rows become lists.
 
     The "all-regular" verdict of the square-free-only run equals that of the
     exhaustive run: an element without a regular cycle powers down to a
@@ -200,45 +198,30 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     chain = G.stabilizer_chain(cap)
     # per call: one test per cycle length seen, and only when asked for
     square_free = functools.cache(_square_free) if square_free_only else None
-    top, stab = chain.levels[0], chain.stabilizer_rows()  # stab: G_b
-    n = len(stab)
-    per_chunk = max(1, _CHUNK_ENTRIES // G.degree)  # rows
-    per_scan = max(1, per_chunk // n)  # cosets
-
-    def batches(items):
-        return (items[i:i + per_scan] for i in range(0, len(items), per_scan))
 
     def scan(betas, failing=None):
         """Rows checked and rows failing in the coset of each beta; the
         failing rows are appended to `failing` as lists, if given."""
         n_checked = np.zeros(len(betas), np.intp)
         n_failed = np.zeros(len(betas), np.intp)
-        reps = top.trans[top.pos[betas]]
-        for i in range(0, n, per_chunk):
-            part = stab[i:i + per_chunk]
-            rows = reps[:, part].reshape(-1, G.degree)
-            which = np.arange(len(rows)) // len(part)  # index of the beta
+        for rows, which in chain.cosets(betas, _CHUNK_ENTRIES):
             regular, kept = _regular_cycles(rows, square_free)
+            if kept is not None:
+                which, regular, rows = which[kept], regular[kept], rows[kept]
             fail = regular == 0
-            if kept is None:
-                n_checked += len(part)
-            else:
-                n_checked += np.bincount(which[kept], minlength=len(betas))
-                fail &= kept
+            n_checked += np.bincount(which, minlength=len(betas))
             n_failed += np.bincount(which[fail], minlength=len(betas))
             if failing is not None:
                 failing += rows[fail].tolist()
         return n_checked, n_failed
 
-    checked = 0
+    orbits = chain.stabilizer_orbits()
+    counts, fails = scan([orbit[0] for orbit in orbits])
+    checked = sum(c * len(orbit) for c, orbit in zip(counts.tolist(), orbits))
     failures: dict[int, int] = {}  # beta -> failing rows in its coset
-    for batch in batches(chain.stabilizer_orbits()):
-        counts, fails = scan([orbit[0] for orbit in batch])
-        checked += sum(c * len(orbit)
-                       for c, orbit in zip(counts.tolist(), batch))
-        for orbit, count in zip(batch, fails.tolist()):
-            if count:
-                failures.update(dict.fromkeys(orbit, count))
+    for orbit, count in zip(orbits, fails.tolist()):
+        if count:
+            failures.update(dict.fromkeys(orbit, count))
     # the fewest cosets, in ascending beta, that hold max_witnesses failures;
     # every row fixes the points below b and maps b to its beta, so sorting
     # their failing rows sorts by beta first
@@ -249,8 +232,7 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
         wanted.append(beta)
         found += failures[beta]
     least: list[list[int]] = []
-    for batch in batches(wanted):
-        scan(batch, least)
+    scan(wanted, least)
     witnesses = tuple(map(Permutation, sorted(least)[:max_witnesses]))
     verdict = "all-regular" if not failures else "failures"
     return VerifyReport(verdict, checked, chain.order, witnesses,

@@ -7,8 +7,9 @@ kernel (`perm.cycle_sizes`) and walks single elements' cycles with
 Permutation at a time: composition, inverses and powers; cycle lengths
 from their own scalar walk, cycle types and orders; the sorted element
 list and the conjugacy classes; fixed-point ratios and regular-cycle
-counts; and the two-action word loop that `compare_actions_monotonic`
-replaced with one diagonal action.
+counts; the whole-array transversal product that
+`StabChain.level_rows` hands out in pieces; and the two-action word loop
+that `compare_actions_monotonic` replaced with one diagonal action.
 """
 
 import math
@@ -97,6 +98,19 @@ def enumerate_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP):
     """All elements of G as Permutation objects, lexicographically sorted."""
     arr = G.element_array(cap)
     return [Permutation(tuple(int(v) for v in row)) for row in arr]
+
+
+def stabilizer_rows(chain, level: int = 1) -> np.ndarray:
+    """Every element of G_(level), the stabilizer of the chain's first
+    `level` base points (G_b by default), as one unsorted
+    (|G_(level)| x degree) array of transversal products."""
+    rows = np.arange(chain.degree)[None]
+    for lev in reversed(chain.levels[level:]):
+        # h then u_beta, for every u_beta and every h below (np.take:
+        # lev.trans[:, rows] holds a second copy of the result while
+        # it builds it)
+        rows = np.take(lev.trans, rows, axis=1).reshape(-1, chain.degree)
+    return rows
 
 
 def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP):

@@ -327,6 +327,23 @@ class TestErrorTable:
                        f"the domain cap {perm.DEFAULT_DOMAIN_CAP}\n")
 
     @pytest.mark.parametrize("command", ["verify", "check", "compare"])
+    def test_group_file_degree_past_the_integer_digit_limit(
+            self, tmp_path, capsys, command):
+        # past the 4300 digits int() converts, and the zeros in front of
+        # the cap are not digits of the degree
+        path = tmp_path / "huge.grp"
+        degree = "9" * 5000
+        path.write_text(f"degree {degree}\n(1 2)\n")
+        assert main(self._group_file_argv(command, str(path))) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {path}: line 1: degree {degree} exceeds "
+                       f"the domain cap {perm.DEFAULT_DOMAIN_CAP}\n")
+        path.write_text(f"degree {'0' * 5000}{perm.DEFAULT_DOMAIN_CAP}\n"
+                        "(1 2)\n")
+        assert main(self._group_file_argv(command, str(path))) == 0
+
+    @pytest.mark.parametrize("command", ["verify", "check", "compare"])
     def test_group_file_degree_at_the_cap_is_accepted(self, tmp_path,
                                                       capsys, command):
         path = tmp_path / "cap.grp"

@@ -1,6 +1,7 @@
 """Tests for permutations, groups, enumeration, and the group-file format."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from perm_reference import (
     enumerate_elements,
     inverse,
     power,
+    stabilizer_rows,
 )
+from corpus import fixing, projective_line_group
 from regcycles import perm
 from regcycles.perm import (
     CapExceeded,
@@ -384,6 +387,85 @@ class TestStabilizerChain:
         assert chain.base[0] == 2
         assert chain.order == len(closure(6, gens))
         assert PermGroup(3, [identity(3)]).stabilizer_chain().base == [0]
+
+
+def _row_multiset(rows):
+    return sorted(map(tuple, np.asarray(rows).tolist()))
+
+
+# Sym(6), PSL2(11) on the projective line, and Sym(6) on the points 3..8
+# of 9, whose base starts at point 3
+CHAIN_GROUPS = {
+    "sym-6": lambda: symmetric_group(6),
+    "psl2-11": lambda: projective_line_group(11),
+    "fixed-3-plus-sym-6": lambda: fixing(3, symmetric_group(6)),
+}
+
+
+class TestChainPieces:
+    @pytest.mark.parametrize("name", CHAIN_GROUPS)
+    def test_level_rows_are_the_whole_product_in_pieces(self, name):
+        G = CHAIN_GROUPS[name]()
+        chain = G.stabilizer_chain()
+        elements = G.element_array().astype(np.intp)
+        base = chain.base
+        assert name != "fixed-3-plus-sym-6" or base[0] == 3
+        for i in range(len(base) + 1):
+            whole = _row_multiset(stabilizer_rows(chain, i))
+            # the oracle is G_(i): the elements fixing b_1, ..., b_i
+            fixing_base = (elements[:, base[:i]] == base[:i]).all(axis=1)
+            assert whole == _row_multiset(elements[fixing_base])
+            # n = 1 recurses to the trivial group; n >= |G| builds whole
+            for n in (1, 7, chain.order):
+                pieces = list(chain.level_rows(i, n))
+                assert all(1 <= len(piece) <= n for piece in pieces)
+                assert _row_multiset(np.concatenate(pieces)) == whole
+
+    @pytest.mark.parametrize("name", CHAIN_GROUPS)
+    @pytest.mark.parametrize("array_entries", [10, 100, perm._ARRAY_ENTRIES])
+    def test_cosets_cover_each_coset_once_within_the_bound(
+            self, name, array_entries, monkeypatch):
+        G = CHAIN_GROUPS[name]()
+        chain = G.stabilizer_chain()
+        elements = G.element_array().astype(np.intp)
+        monkeypatch.setattr(perm, "_ARRAY_ENTRIES", array_entries)
+        b = chain.base[0]
+        orbit = sorted(set(elements[:, b].tolist()))
+        # every point of b^G, and a few out of order
+        for betas in (orbit, orbit[::-3]):
+            for entries in (1, 3 * G.degree + 1, 40 * G.degree, 10**6):
+                got = {k: [] for k in range(len(betas))}
+                for rows, which in chain.cosets(betas, entries):
+                    assert rows.size <= entries or len(rows) == 1
+                    assert len(rows) == len(which)
+                    assert (rows[:, b] == np.array(betas)[which]).all()
+                    for k in set(which.tolist()):
+                        got[k] += rows[which == k].tolist()
+                for k, beta in enumerate(betas):
+                    assert _row_multiset(got[k]) == _row_multiset(
+                        elements[elements[:, b] == beta])
+
+    def test_element_array_holds_its_output_and_one_piece(self,
+                                                          monkeypatch):
+        G = symmetric_group(9)
+        whole = G.element_array()
+        stab_bytes = 40320 * 9  # G_b, Sym(8) on 9 points
+        # pieces of G_b far smaller than G_b itself (a chain without the
+        # bound fails on the peak below, not here)
+        monkeypatch.setattr(perm, "_ARRAY_ENTRIES", 4096, raising=False)
+        tracemalloc.start()
+        try:
+            pieces = G.element_array()
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(pieces, whole)
+        assert peak < whole.nbytes + stab_bytes
+
+    def test_cosets_of_no_points_build_nothing(self, monkeypatch):
+        chain = symmetric_group(6).stabilizer_chain()
+        monkeypatch.setattr(chain, "level_rows", None)
+        assert list(chain.cosets([], 100)) == []
 
 
 class TestGroupFile:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from perm_reference import (
     fpr_exact,
     power,
 )
-from regcycles import geometry, numtheory
+from regcycles import geometry, numtheory, perm
 from regcycles import regcycle as rc
 from regcycles.perm import (
     PermGroup,
@@ -223,6 +224,26 @@ class TestVerifyAllElements:
         failing = [g for g in enumerate_elements(symmetric_group(5))
                    if not has_regular_cycle_direct(g)]
         assert rep.witnesses[0] == min(failing)
+
+    def test_stabilizer_is_never_held_whole(self, monkeypatch):
+        space, gens = geometry.builtin_matrix_group("sp6_2")
+        G = geometry.perm_image(gens, geometry.singular_points(space))
+        chain = G.stabilizer_chain()
+        stab_bytes = chain.order // 63 * G.degree  # G_b: 23,040 x 63 bytes
+        assert stab_bytes == 23040 * 63
+        whole = rc.verify_all_elements(G)
+        # pieces of G_b far smaller than G_b itself (a chain without the
+        # bound fails on the peak below, not here)
+        monkeypatch.setattr(perm, "_ARRAY_ENTRIES", 4096, raising=False)
+        tracemalloc.start()
+        try:
+            pieces = rc.verify_all_elements(G)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pieces == whole
+        assert pieces.all_regular and pieces.checked == 1451520
+        assert peak < stab_bytes
 
 
 class TestCompareActions:
