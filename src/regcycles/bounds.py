@@ -680,12 +680,8 @@ def _s1_s2_case_vi(gid: GroupId):
 def _ppd_count_bound(t: int, ell: int) -> int:
     """floor(log_{l+1}(t**l - 1)), an upper bound for the number of
     primitive prime divisors of t**l - 1: each is 1 mod l, so at least
-    l + 1, and their product divides t**l - 1.  Integers only."""
-    n, k, power = t**ell - 1, 0, ell + 1
-    while power <= n:
-        k += 1
-        power *= ell + 1
-    return k
+    l + 1, and their product divides t**l - 1."""
+    return nt.floor_log(t**ell - 1, ell + 1)
 
 
 _S1S2 = {"i": _s1_s2_case_i, "ii": _s1_s2_case_ii,

@@ -18,12 +18,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 from . import bounds, geometry, perm, regcycle
-from .perm import (DEFAULT_DOMAIN_CAP, DEFAULT_ELEMENT_CAP, CapExceeded,
-                   GroupFileError)
+from .perm import DEFAULT_ELEMENT_CAP, CapExceeded, GroupFileError
 from .geometry import MatrixFileError
 
 
@@ -189,41 +187,19 @@ def _matrix_domain(args):
     raise InputError(f"unknown action type {kind!r}")
 
 
-def _check_domain_cap(size: int, cap: int) -> None:
-    if size > cap:
-        raise InputError(f"domain size {size} exceeds cap {cap}")
-
-
 def _cmd_build_action(args):
     if args.type == "ksets":
         if args.m is None or args.k is None:
             raise InputError("--type ksets needs --m and --k")
-        # refuse before k_set_action lists every subset
-        if 1 <= args.k <= args.m:
-            _check_domain_cap(math.comb(args.m, args.k), args.domain_cap)
         G = geometry.k_set_action(args.m, args.k)
         labels = geometry.k_set_labels(args.m, args.k)
     elif args.type == "product":
         if args.m is None or args.r is None:
             raise InputError("--type product needs --m and --r")
-        # refuse before Sym(m) is built; m**r > cap for every r past
-        # cap.bit_length() (m >= 2), so then m**r is not formed; m = 1
-        # gets the same bound on r, since its one r-tuple has r entries
-        max_r = args.domain_cap.bit_length()
-        if args.m == 1 and args.r > max_r:
-            raise InputError(f"--r {args.r} exceeds {max_r}, the most "
-                             f"coordinates under cap {args.domain_cap}")
-        if args.m >= 2 and args.r >= 1 and (
-                args.r > max_r or args.m**args.r > args.domain_cap):
-            raise InputError(f"domain size {args.m}**{args.r} exceeds cap "
-                             f"{args.domain_cap}")
-        base = perm.symmetric_group(args.m)
-        G = geometry.product_action(base, args.r, cap=args.domain_cap)
-        labels = geometry.product_labels(
-            [str(i + 1) for i in range(args.m)], args.r)
+        G = geometry.product_action(perm.symmetric_group(args.m), args.r)
+        labels = geometry.product_labels(range(1, args.m + 1), args.r)
     else:
         gens, domain = _matrix_domain(args)
-        _check_domain_cap(domain.degree, args.domain_cap)
         G = geometry.perm_image(gens, domain)
         labels = domain.label_lines()
     try:
@@ -327,7 +303,6 @@ def _build_parser():
                    help="which orbit of non-degenerate points (odd q)")
     p.add_argument("--epsilon", choices=["+", "-"], default="+",
                    help="form type for --type forms")
-    p.add_argument("--domain-cap", type=int, default=DEFAULT_DOMAIN_CAP)
     p.add_argument("--out", required=True)
     p.add_argument("--labels", help="labels output path "
                                     "(default: OUT.labels)")
@@ -356,10 +331,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # every library input error: ValueError covers GroupFileError,
-    # MatrixFileError and DomainNotPreservedError, ArithmeticError covers
-    # the OverflowError of an enumeration past its cap
-    except (InputError, ValueError, ArithmeticError, CapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # MatrixFileError and DomainNotPreservedError, ArithmeticError the
+    # OverflowError of a cap; MemoryError an array that no cap bounds
+    except (InputError, ValueError, ArithmeticError, CapExceeded,
+            MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

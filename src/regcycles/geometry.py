@@ -40,6 +40,10 @@ provides:
     checked for singularity by one batched Gaussian elimination
     (`singular_matrices`).
 
+Caps raise OverflowError before the arrays they guard: `FIELD_CAP` on the
+field order, `VECTOR_ENUM_CAP` on q**n and `perm.DEFAULT_DOMAIN_CAP` on every
+domain, which `subspaces` applies to the bases it keeps.
+
 Every domain lists its labels in sorted order, so repeated runs build
 identical permutation groups.  The label text of `label_lines` formats each
 distinct point, basis or form once; the Python label objects (`labels`)
@@ -59,10 +63,7 @@ import numpy as np
 from .numtheory import is_prime, prime_power
 from .perm import DEFAULT_DOMAIN_CAP, PermGroup
 
-# Largest field order we will build tables for.
 FIELD_CAP = 512
-
-# Guard for exhaustive vector enumerations (q**n).
 VECTOR_ENUM_CAP = 10**6
 
 # Digit sums one matmul of ProjectivePoints.combine holds at once (4 MB of
@@ -573,12 +574,13 @@ def subspaces(space: FormSpace, k: int, row_ok=None):
     time.  `row_ok(partial, rows)` prunes: it maps the (S, i, n) partial
     bases and the (C, n) candidate next rows to an (S, C) mask (or one that
     broadcasts to it), and a rejected row is never extended.  The kept
-    pairs, taken in row-major order, list the bases depth first.
+    pairs, taken in row-major order, list the bases depth first; they are
+    counted against the domain cap, partial or whole, before they are listed.
     """
     K, n = space.field, space.n
     if K.q ** n > VECTOR_ENUM_CAP:
         raise OverflowError("subspace enumeration exceeds cap")
-    found = [np.zeros((0, k, n), dtype=np.int16)]
+    found, done = [np.zeros((0, k, n), dtype=np.int16)], 0
     for pivots in itertools.combinations(range(n), k):
         bases = np.zeros((1, 0, n), dtype=np.int16)
         for c in pivots:
@@ -586,10 +588,17 @@ def subspaces(space: FormSpace, k: int, row_ok=None):
             rows = np.zeros((K.q ** len(free), n), dtype=np.int16)
             rows[:, c] = 1
             rows[:, free] = _digits(np.arange(len(rows)), K.q, len(free))
-            keep = True if row_ok is None else row_ok(bases, rows)
-            s, r = np.nonzero(np.broadcast_to(keep, (len(bases), len(rows))))
+            keep = np.asarray(True if row_ok is None else row_ok(bases, rows))
+            shape = (len(bases), len(rows))
+            # the broadcast repeats each entry of keep equally often
+            if done + np.count_nonzero(keep) * math.prod(shape) \
+                    // max(keep.size, 1) > DEFAULT_DOMAIN_CAP:
+                raise OverflowError(f"{k}-subspace enumeration exceeds the "
+                                    f"domain cap {DEFAULT_DOMAIN_CAP}")
+            s, r = np.nonzero(np.broadcast_to(keep, shape))
             bases = np.concatenate([bases[s], rows[r, None]], axis=1)
         found.append(bases)
+        done += len(bases)
     return np.concatenate(found)
 
 
@@ -751,6 +760,9 @@ def perm_image(generators, domain: ActionDomain) -> PermGroup:
     Raises DomainNotPreservedError if any generator moves a label outside
     the domain (e.g. a similarity swapping the two orbits on non-degenerate
     points)."""
+    if domain.degree > DEFAULT_DOMAIN_CAP:
+        raise OverflowError(f"domain size {domain.degree} exceeds cap "
+                            f"{DEFAULT_DOMAIN_CAP}")
     return PermGroup(domain.degree, [domain.image(g) for g in generators])
 
 
@@ -873,8 +885,8 @@ def pair_domains(space: FormSpace, k: int):
     n = space.n
     if not 1 <= k < n / 2:
         raise ValueError("need 1 <= k < n/2")
-    pts = projective_points(space.field, n)
     small, big = subspaces(space, k), subspaces(space, n - k)
+    pts = projective_points(space.field, n)
     # |pts(W) & pts(U)| for every W, U: W <= U when it is all of pts(W),
     # and, as dim W + dim U = n, W + U = V when it is 0
     small_pts = pts.span_points(small)
@@ -893,6 +905,15 @@ def k_set_action(m: int, k: int) -> PermGroup:
     """Sym(m) acting on k-subsets, generated by an m-cycle and (1 2)."""
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
+    # the generators have m entries, and C(m, j) >= 2**j for j <= m/2
+    cap = DEFAULT_DOMAIN_CAP
+    if m > cap:
+        raise OverflowError(f"{m} points exceed the domain cap {cap}")
+    j = min(k, m - k)
+    if j > cap.bit_length():
+        raise OverflowError(f"domain size C({m}, {k}) exceeds cap {cap}")
+    if (size := math.comb(m, j)) > cap:
+        raise OverflowError(f"domain size {size} exceeds cap {cap}")
     subsets = sorted(itertools.combinations(range(m), k))
     index = {s: i for i, s in enumerate(subsets)}
     cycle = [(i + 1) % m for i in range(m)]
@@ -909,8 +930,7 @@ def k_set_labels(m: int, k: int):
             for s in sorted(itertools.combinations(range(m), k))]
 
 
-def product_action(base: PermGroup, r: int,
-                   cap: int = DEFAULT_DOMAIN_CAP) -> PermGroup:
+def product_action(base: PermGroup, r: int) -> PermGroup:
     """Wreath product of the base group with Sym(r) in product action.
 
     Degree is (base degree)**r.  Generators: each base generator acting on
@@ -919,9 +939,15 @@ def product_action(base: PermGroup, r: int,
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    d = base.degree
-    if d**r > cap:
-        raise OverflowError("product action degree exceeds cap")
+    d, cap = base.degree, DEFAULT_DOMAIN_CAP
+    # d**r > cap for every d >= 2 and r past the cap's bit length, and the
+    # one r-tuple of d = 1 has r entries: r is refused before d**r is formed
+    most = cap.bit_length()
+    if d == 1 and r > most:
+        raise OverflowError(f"r = {r} exceeds {most}, the most coordinates "
+                            f"within the domain cap {cap}")
+    if r > most or d**r > cap:
+        raise OverflowError(f"domain size {d}**{r} exceeds cap {cap}")
     if r == 1:
         return base
     # the r-tuples in lexicographic order, one coordinate per row; a tuple

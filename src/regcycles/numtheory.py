@@ -79,7 +79,7 @@ class Factorization:
         """The number of distinct primes, or an upper bound for it when a
         cofactor m is unsplit: at most floor(log m / log 1000) primes each,
         since all their prime factors exceed 1000."""
-        return len(self.pairs) + sum(_prime_count_bound(m)
+        return len(self.pairs) + sum(floor_log(m, 1000)
                                      for m in set(self.unsplit))
 
     def primes(self) -> tuple[int, ...]:
@@ -98,12 +98,12 @@ class Factorization:
         return self.pairs
 
 
-def _prime_count_bound(m: int) -> int:
-    """The largest k with 1000**k <= m, integers only."""
-    k, power = 0, 1000
-    while power <= m:
+def floor_log(n: int, b: int) -> int:
+    """The largest k with b**k <= n (0 when n < b); integers only."""
+    k, power = 0, b
+    while power <= n:
         k += 1
-        power *= 1000
+        power *= b
     return k
 
 
@@ -259,10 +259,7 @@ def prime_power(q: int) -> tuple[int, int] | None:
         return small.popitem() if len(small) == 1 and rest == 1 else None
     if q < 1000 * 1000:
         return (q, 1)  # no prime factor up to its square root
-    top = 1
-    while 1000 ** (top + 1) <= q:
-        top += 1
-    for e in range(top, 0, -1):
+    for e in range(floor_log(q, 1000), 0, -1):
         r = _iroot(q, e)
         if r**e == q:  # always for e = 1
             break

@@ -12,7 +12,8 @@ order without enumeration, membership by sifting, and the elements as
 products of transversal elements in bounded pieces, so results are
 exactly reproducible.
 Every question that needs the chain raises CapExceeded iff the group order
-exceeds its element cap (defaults: 10**7 elements and 10**6 points).
+exceeds its element cap (default 10**7); the group-file reader and every
+domain constructor refuse more than DEFAULT_DOMAIN_CAP = 10**6 points.
 """
 
 from __future__ import annotations
@@ -535,7 +536,7 @@ class PermGroup:
 # -- group file format -------------------------------------------------------
 #
 # Line 1: "degree <d>", with 1 <= d <= DEFAULT_DOMAIN_CAP (the most points
-# build-action writes).  Each later non-blank, non-comment line is one
+# any constructor builds).  Each later non-blank, non-comment line is one
 # generator: "id" or a product of disjoint cycles with 1-based points.
 # "#" starts a comment (whole line or trailing).
 
@@ -583,6 +584,9 @@ def symmetric_group(m: int) -> PermGroup:
     """Sym(m) on m points via a transposition and an m-cycle."""
     if m < 1:
         raise ValueError("m >= 1")
+    if m > DEFAULT_DOMAIN_CAP:
+        raise OverflowError(f"degree {m} exceeds the domain cap "
+                            f"{DEFAULT_DOMAIN_CAP}")
     if m == 1:
         return PermGroup(1, [[0]])
     return PermGroup(m, [(1, 0, *range(2, m)), (*range(1, m), 0)])

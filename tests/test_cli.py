@@ -5,11 +5,17 @@ captured streams; a few do full build -> verify round trips through the
 on-disk file formats.
 """
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regcycles import cli, geometry, perm
 from regcycles.cli import main
@@ -284,13 +290,12 @@ class TestErrorTable:
         ["--type", "pairs-le", "--builtin", "sp6_2", "--k", "3"],
         ["--type", "singular-points", "--matrix", "SP20_2"],
         ["--type", "maxts", "--matrix", "SP20_2"],
-        ["--type", "ksets", "--m", "8", "--k", "3", "--domain-cap", "10"],
         ["--type", "ksets", "--m", "40", "--k", "20"],
         ["--type", "product", "--m", "3000000", "--r", "1"],
         ["--type", "product", "--m", "3", "--r", "16000000"],
     ], ids=["ksets-k-above-m", "ksets-zero", "product-zero", "ns1-symplectic",
             "aniso2-symplectic", "pairs-k-too-large",
-            "singular-points-past-cap", "maxts-past-cap", "ksets-past-cap",
+            "singular-points-past-cap", "maxts-past-cap",
             "ksets-past-default-cap", "product-large-m", "product-large-r"])
     def test_one_line_error_exit_2(self, tmp_path, capsys, argv):
         # a dim-20 GF(2) symplectic space: 2**20 vectors, past the cap
@@ -352,6 +357,62 @@ class TestErrorTable:
         _out, err = capsys.readouterr()
         assert err == ""
 
+    def test_ksets_past_the_cap_write_no_file(self, tmp_path, capsys):
+        # C(183, 3) = 1,004,731 is refused before any subset is listed
+        out = tmp_path / "out.grp"
+        start = time.perf_counter()
+        assert main(["build-action", "--type", "ksets", "--m", "183", "--k",
+                     "3", "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1
+        _out, err = capsys.readouterr()
+        assert err == (f"error: domain size {math.comb(183, 3)} exceeds cap "
+                       f"{perm.DEFAULT_DOMAIN_CAP}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_option_raises_the_domain_cap(self, tmp_path, capsys):
+        # every group file build-action writes is one the readers accept
+        start = time.perf_counter()
+        assert main(["build-action", "--type", "ksets", "--m", "183", "--k",
+                     "3", "--domain-cap", "2000000",
+                     "--out", str(tmp_path / "out.grp")]) == 2
+        assert time.perf_counter() - start < 1
+        _out, err = capsys.readouterr()
+        assert "unrecognized arguments: --domain-cap" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pair_domains_past_the_cap(self, tmp_path, capsys):
+        # 2**19 vectors are within the vector enumeration cap, but GF(2)^19
+        # has about 9.2e10 2-subspaces: refused while they are counted, not
+        # when their index array fails to allocate
+        path = tmp_path / "trivial19.mat"
+        path.write_text("GF 2 1\ndim 19\nform trivial\ngen\n" + "".join(
+            " ".join("1" if j == i else "0" for j in range(19)) + "\n"
+            for i in range(19)))
+        start = time.perf_counter()
+        assert main(["build-action", "--type", "pairs-le", "--k", "2",
+                     "--matrix", str(path),
+                     "--out", str(tmp_path / "out.grp")]) == 2
+        assert time.perf_counter() - start < 1
+        _out, err = capsys.readouterr()
+        assert err == ("error: 2-subspace enumeration exceeds the domain cap "
+                       f"{perm.DEFAULT_DOMAIN_CAP}\n")
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 256. GiB for an array with shape "
+                     "(17179869184, 2) and data type int64"),
+         "Unable to allocate 256. GiB for an array with shape "
+         "(17179869184, 2) and data type int64"),
+        (MemoryError(), "MemoryError")], ids=["numpy", "bare"])
+    def test_memory_error_ends_in_one_line(self, tmp_path, capsys,
+                                           monkeypatch, exc, line):
+        def exhausted(m, k):
+            raise exc
+
+        monkeypatch.setattr(geometry, "k_set_action", exhausted)
+        assert main(["build-action", "--type", "ksets", "--m", "5", "--k",
+                     "2", "--out", str(tmp_path / "out.grp")]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+
     def test_ksets_are_refused_before_they_are_listed(self, tmp_path, capsys):
         # C(40, 20) is about 1.4e11 subsets
         start = time.perf_counter()
@@ -362,17 +423,20 @@ class TestErrorTable:
         assert err == (f"error: domain size {math.comb(40, 20)} exceeds cap "
                        f"{perm.DEFAULT_DOMAIN_CAP}\n")
 
-    @pytest.mark.parametrize("m, r", [(3000000, 1), (3, 16000000)])
+    @pytest.mark.parametrize("m, r, message", [
+        (3000000, 1, "degree 3000000 exceeds the domain cap"),
+        (3, 16000000, "domain size 3**16000000 exceeds cap")],
+        ids=["3000000-1", "3-16000000"])
     def test_products_are_refused_before_they_are_built(self, tmp_path,
-                                                        capsys, m, r):
+                                                        capsys, m, r,
+                                                        message):
         # Sym(m) is never built, and 3**16000000 never formed
         start = time.perf_counter()
         assert main(["build-action", "--type", "product", "--m", str(m),
                      "--r", str(r), "--out", str(tmp_path / "out.grp")]) == 2
         assert time.perf_counter() - start < 1
         _out, err = capsys.readouterr()
-        assert err == (f"error: domain size {m}**{r} exceeds cap "
-                       f"{perm.DEFAULT_DOMAIN_CAP}\n")
+        assert err == f"error: {message} {perm.DEFAULT_DOMAIN_CAP}\n"
 
     def test_one_point_products_are_refused_past_the_cap_bit_length(
             self, tmp_path, capsys):
@@ -384,8 +448,9 @@ class TestErrorTable:
         assert time.perf_counter() - start < 1
         _out, err = capsys.readouterr()
         max_r = perm.DEFAULT_DOMAIN_CAP.bit_length()
-        assert err == (f"error: --r 400000 exceeds {max_r}, the most "
-                       f"coordinates under cap {perm.DEFAULT_DOMAIN_CAP}\n")
+        assert err == (f"error: r = 400000 exceeds {max_r}, the most "
+                       f"coordinates within the domain cap "
+                       f"{perm.DEFAULT_DOMAIN_CAP}\n")
         assert main(["build-action", "--type", "product", "--m", "1",
                      "--r", str(max_r), "--out", out]) == 0
 
@@ -421,6 +486,38 @@ class TestErrorTable:
         _out, err = capsys.readouterr()
         assert err == (f"error: {path}: line 1: field order exceeds cap "
                        f"{geometry.FIELD_CAP}\n")
+
+
+# small values build at most C(8, 4) = 70 k-sets or 8**4 = 4,096 r-tuples;
+# the others are past the domain cap, or past its bit length as k or r
+_PAST_THE_CAP = [perm.DEFAULT_DOMAIN_CAP + 1, 3 * 10**6, 10**100]
+_M = st.one_of(st.integers(-1, 8), st.sampled_from(_PAST_THE_CAP))
+_K_OR_R = st.one_of(st.integers(-1, 4),
+                    st.sampled_from([21, 400000, 16000000, 10**50]))
+
+
+class TestBuildActionArguments:
+    @given(st.sampled_from(["ksets", "product"]), _M, _K_OR_R)
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    def test_builds_or_refuses_in_one_line(self, kind, m, size):
+        flag = "--k" if kind == "ksets" else "--r"
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.grp"
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["build-action", "--type", kind, "--m", str(m),
+                             flag, str(size), "--out", str(path)])
+            assert time.perf_counter() - start < 1
+            assert code in (0, 2)
+            if code == 0:
+                assert err.getvalue() == "" and path.exists()
+            else:
+                assert err.getvalue().startswith("error: ")
+                assert err.getvalue().count("\n") == 1
+                assert "Traceback" not in err.getvalue()
+                assert not path.exists()
 
 
 class TestCompare:

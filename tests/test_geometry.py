@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import math
 import random
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -1057,6 +1058,100 @@ class TestCombinatorialActions:
     def test_cap(self):
         with pytest.raises(OverflowError):
             ge.product_action(ge.k_set_action(5, 2), 8)
+
+
+class TestDomainCap:
+    """Every constructor refuses a domain past perm.DEFAULT_DOMAIN_CAP
+    before it allocates it."""
+
+    @pytest.mark.parametrize("m, k", [(183, 3), (10**6, 500000),
+                                      (10**6 + 1, 1), (10**100, 10**100)])
+    def test_k_sets_are_refused_before_they_are_listed(self, m, k):
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="cap 1000000$"):
+            ge.k_set_action(m, k)
+        assert time.perf_counter() - start < 1
+
+    def test_k_sets_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(ge, "DEFAULT_DOMAIN_CAP", math.comb(8, 3))
+        assert ge.k_set_action(8, 3).degree == ge.k_set_action(8, 5).degree
+        monkeypatch.setattr(ge, "DEFAULT_DOMAIN_CAP", math.comb(8, 3) - 1)
+        with pytest.raises(OverflowError,
+                           match="^domain size 56 exceeds cap 55$"):
+            ge.k_set_action(8, 5)
+
+    @pytest.mark.parametrize("d, r", [(1, 21), (2, 20), (3, 16000000),
+                                      (2, 10**50)])
+    def test_products_are_refused_before_they_are_built(self, d, r):
+        base = perm.symmetric_group(d)
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="cap 1000000$"):
+            ge.product_action(base, r)
+        assert time.perf_counter() - start < 1
+
+    def test_products_at_the_cap(self, monkeypatch):
+        assert ge.product_action(perm.symmetric_group(1), 20).degree == 1
+        monkeypatch.setattr(ge, "DEFAULT_DOMAIN_CAP", 81)
+        assert ge.product_action(perm.symmetric_group(3), 4).degree == 81
+        monkeypatch.setattr(ge, "DEFAULT_DOMAIN_CAP", 80)
+        with pytest.raises(OverflowError,
+                           match=r"^domain size 3\*\*4 exceeds cap 80$"):
+            ge.product_action(perm.symmetric_group(3), 4)
+
+    @pytest.mark.parametrize("prune", ["none", "scalar", "rows", "pairs"])
+    def test_subspaces_count_the_kept_bases_exactly(self, monkeypatch,
+                                                    prune):
+        F = standard_form("trivial", 5, 2)
+        row_ok = {"none": None,
+                  "scalar": lambda partial, rows: np.True_,
+                  "rows": lambda partial, rows: np.ones(len(rows), bool),
+                  "pairs": lambda partial, rows:
+                      np.ones((len(partial), len(rows)), bool)}[prune]
+        total = _gaussian_binomial(5, 2, 2)
+        monkeypatch.setattr(ge, "DEFAULT_DOMAIN_CAP", total)
+        assert len(ge.subspaces(F, 2, row_ok)) == total
+        monkeypatch.setattr(ge, "DEFAULT_DOMAIN_CAP", total - 1)
+        with pytest.raises(OverflowError, match="^2-subspace enumeration "
+                                                f"exceeds the domain cap "
+                                                f"{total - 1}$"):
+            ge.subspaces(F, 2, row_ok)
+
+    def test_subspaces_count_only_the_rows_kept(self, monkeypatch):
+        # the 13 2-subspaces of the hyperplane x_0 = 0 of GF(3)^4
+        F = standard_form("trivial", 4, 3)
+
+        def in_hyperplane(partial, rows):
+            return rows[:, 0] == 0
+
+        def nothing(partial, rows):
+            return np.zeros((len(partial), len(rows)), bool)
+
+        monkeypatch.setattr(ge, "DEFAULT_DOMAIN_CAP", 13)
+        assert len(ge.subspaces(F, 2, in_hyperplane)) == 13
+        monkeypatch.setattr(ge, "DEFAULT_DOMAIN_CAP", 12)
+        with pytest.raises(OverflowError):
+            ge.subspaces(F, 2, in_hyperplane)
+        # nothing kept: the empty partial bases are counted as none
+        assert ge.subspaces(F, 2, nothing).shape == (0, 2, 4)
+
+    def test_pair_domains_past_the_cap_are_refused_while_counted(self):
+        # 2**19 vectors pass the vector enumeration cap; the 2-subspaces,
+        # about 9.2e10 of them, are refused before they are listed
+        F = standard_form("trivial", 19, 2)
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="2-subspace enumeration"):
+            ge.pair_domains(F, 2)
+        assert time.perf_counter() - start < 1
+
+    def test_perm_image_refuses_before_any_image(self, monkeypatch):
+        space, gens = ge.builtin_matrix_group("sp6_2")
+        domain = ge.singular_points(space)
+        monkeypatch.setattr(ge, "DEFAULT_DOMAIN_CAP", 62)
+        monkeypatch.setattr(ge.ActionDomain, "image",
+                            lambda self, g: pytest.fail("image computed"))
+        with pytest.raises(OverflowError,
+                           match="^domain size 63 exceeds cap 62$"):
+            ge.perm_image(gens, domain)
 
 
 class TestMatrixFiles:

@@ -1,6 +1,7 @@
 """Tests for permutations, groups, enumeration, and the group-file format."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -178,6 +179,16 @@ class TestGroups:
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded):
             symmetric_group(9).element_array(cap=10**4)
+
+    def test_symmetric_group_past_the_domain_cap(self):
+        cap = perm.DEFAULT_DOMAIN_CAP
+        assert symmetric_group(cap).degree == cap
+        for m in (cap + 1, 10**100):
+            start = time.perf_counter()
+            with pytest.raises(OverflowError, match=f"^degree {m} exceeds "
+                                                    f"the domain cap {cap}$"):
+                symmetric_group(m)
+            assert time.perf_counter() - start < 1
 
     def test_contains(self):
         G = PermGroup(4, [parse_cycles("(1 2)(3 4)", 4)])
