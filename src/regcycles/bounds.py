@@ -18,10 +18,14 @@ pipeline cannot derive (maximal element orders, minimal degrees, amended
 fixed-point-ratio bounds) comes from pluggable external tables; missing
 entries force conservative defaults or the "delegated-external" verdict,
 never a silently weaker bound.
+
+`GroupId` alone factors q, and refuses q**n > 2**QN_CAP_BITS.  The three
+exception scans are data over one driver, `_scan`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,6 +37,10 @@ from . import numtheory as nt
 FAMILIES = ("PSL", "PSU", "PSp", "POmega", "POmega+", "POmega-")
 
 _ORTHOGONAL = ("POmega", "POmega+", "POmega-")
+
+# the most bits of q**n; the bounds form powers up to about q**(2n) and print
+# some (q0**n has at most 2,467 digits, within Python's limit of 4,300)
+QN_CAP_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,12 @@ class GroupId:
                 raise ValueError("odd-dimensional orthogonal needs odd q")
         if fam in ("POmega+", "POmega-") and (n % 2 or n < 8):
             raise ValueError(f"{fam} needs even n >= 8")
+        # q**n >= 2**((bits - 1) n), so the first test refuses before
+        # q**n is formed; past it q**n has at most 2 * QN_CAP_BITS bits
+        if ((q.bit_length() - 1) * n > QN_CAP_BITS
+                or q**n > 1 << QN_CAP_BITS):
+            raise OverflowError(f"q**n = {q}**{n} exceeds the cap "
+                                f"2**{QN_CAP_BITS}")
 
     @property
     def q0(self):
@@ -802,11 +816,8 @@ def _certify_case_iii(gid: GroupId, tables: ExternalTables) -> BoundReport:
 def triality_bound(q: int) -> BoundReport:
     """Bound for the novelty point actions of POmega+_8(q) coming from
     triality: S <= omega(6ep(q^2-1)) * 4/(3q), exact."""
-    pe = nt.prime_power(q)
-    if pe is None:
-        raise ValueError(f"{q} is not a prime power")
-    p, e = pe
     gid = GroupId("POmega+", 8, q)
+    p, e = gid.p, gid.e
     w, label = _omega(nt.factorize(6 * e * p * (q**2 - 1)),
                       "omega(6ep(q^2-1))", exact="")
     term = BoundTerm(f"{label} times 4/(3q)", Fraction(4 * w, 3 * q))
@@ -825,12 +836,31 @@ def line22_contradiction(m: int, q: int) -> bool:
 # ---------------------------------------------------------------------------
 # scans
 
-def _prime_powers_from(lo: int):
-    q = lo
-    while True:
-        if nt.prime_power(q) is not None:
-            yield q
-        q += 1
+def _scan(cells, test, q_max=None):
+    """The groups a scan flags, sorted by (family, n, q).
+
+    Each cell (family, n, q) walks q upward from its first q, to q_max if
+    given; GroupId rejects a q that is not a prime power and a (family, n,
+    q) with no group.  `test(gid)` returns True (flag), False (keep going)
+    or None (a miss); a cell stops after three misses in a row.
+    """
+    flagged = []
+    for family, n, q_first in cells:
+        misses = 0
+        for q in (itertools.count(q_first) if q_max is None
+                  else range(q_first, q_max + 1)):
+            try:
+                gid = GroupId(family, n, q)
+            except ValueError:
+                continue  # not a prime power, or no such group
+            result = test(gid)
+            if result:
+                flagged.append(gid)
+            misses = misses + 1 if result is None else 0
+            if misses == 3:
+                break
+    return sorted(flagged, key=lambda g: (FAMILIES.index(g.family),
+                                          g.n, g.q))
 
 
 # families where the generic 4/(3q) fixed-point bound is amended in the
@@ -845,32 +875,17 @@ def small_dim_scan():
     """Classical groups of dimension <= 4 that the generic bound chain
     omega(|g|) <= omega(|Aut|) <= a(n,q) cannot certify.  Deterministic,
     sorted by (family, n, q)."""
-    specs = [("PSL", 2, 5), ("PSL", 3, 3), ("PSL", 4, 2),
-             ("PSU", 3, 3), ("PSU", 4, 2), ("PSp", 4, 4)]
-    flagged = []
-    for family, n, q_min in specs:
-        misses = 0
-        for q in _prime_powers_from(q_min):
-            gid = GroupId(family, n, q)
-            amended = _is_amended(family, n, q)
-            factor = 8 if amended else 4
-            try:
-                a = a_nq(gid)
-                a_test = factor * a >= 3 * q
-            except ValueError:
-                a_test = True  # outside the machinery: cannot certify
-            if not a_test:
-                misses += 1
-                if misses >= 3:
-                    break
-                continue
-            misses = 0
-            if amended:
-                flagged.append(gid)
-            elif 4 * aut_prime_set(gid).count >= 3 * q:
-                flagged.append(gid)
-    return sorted(flagged, key=lambda g: (FAMILIES.index(g.family),
-                                          g.n, g.q))
+    def test(gid):
+        amended = _is_amended(gid.family, gid.n, gid.q)
+        try:
+            if (8 if amended else 4) * a_nq(gid) < 3 * gid.q:
+                return None
+        except ValueError:
+            pass  # outside the machinery: cannot certify
+        return amended or 4 * aut_prime_set(gid).count >= 3 * gid.q
+
+    return _scan([("PSL", 2, 5), ("PSL", 3, 3), ("PSL", 4, 2),
+                  ("PSU", 3, 3), ("PSU", 4, 2), ("PSp", 4, 4)], test)
 
 
 def nonsubspace_scan(tables: ExternalTables | None = None):
@@ -882,43 +897,29 @@ def nonsubspace_scan(tables: ExternalTables | None = None):
     to 1/4, both of which only enlarge the flagged set.
     """
     tables = tables or ExternalTables()
-    ranges = [("PSL", range(5, 13)), ("PSU", range(5, 13)),
-              ("PSp", range(6, 13, 2)), ("POmega", range(7, 12, 2)),
-              ("POmega+", range(8, 13, 2)), ("POmega-", range(8, 13, 2))]
-    flagged = []
-    for family, n_range in ranges:
-        for n in n_range:
-            misses = 0
-            for q in _prime_powers_from(2):
-                try:
-                    gid = GroupId(family, n, q)
-                except ValueError:
-                    continue  # e.g. odd-dimensional orthogonal, even q
-                front = tables.amended_fpr(gid) or Fraction(4, 3 * q)
-                min_deg = tables.min_degree(gid)
-                if min_deg is None:
-                    class_term = 1.0
-                else:
-                    iota = tables.iota(gid)
-                    if iota is None:
-                        iota = Fraction(1, 4)
-                    class_term = min_deg ** float(-Fraction(1, 2)
-                                                  + Fraction(1, n) + iota)
-                t_nq = min(float(front), class_term)
-                try:
-                    a = a_nq(gid)
-                    flag = a * t_nq >= 1
-                except ValueError:
-                    flag = True
-                if flag:
-                    misses = 0
-                    flagged.append(gid)
-                else:
-                    misses += 1
-                    if misses >= 3:
-                        break
-    return sorted(flagged, key=lambda g: (FAMILIES.index(g.family),
-                                          g.n, g.q))
+
+    def test(gid):
+        front = tables.amended_fpr(gid) or Fraction(4, 3 * gid.q)
+        min_deg = tables.min_degree(gid)
+        if min_deg is None:
+            class_term = 1.0
+        else:
+            iota = tables.iota(gid)
+            if iota is None:
+                iota = Fraction(1, 4)
+            class_term = min_deg ** float(-Fraction(1, 2)
+                                          + Fraction(1, gid.n) + iota)
+        try:
+            a = a_nq(gid)
+        except ValueError:
+            return True
+        return True if a * min(float(front), class_term) >= 1 else None
+
+    return _scan([(family, n, 2) for family, ns in (
+        ("PSL", range(5, 13)), ("PSU", range(5, 13)),
+        ("PSp", range(6, 13, 2)), ("POmega", range(7, 12, 2)),
+        ("POmega+", range(8, 13, 2)), ("POmega-", range(8, 13, 2)))
+        for n in ns], test)
 
 
 def dagger_scan(tables: ExternalTables | None = None):
@@ -926,20 +927,12 @@ def dagger_scan(tables: ExternalTables | None = None):
     action case iii does not certify (default max order q^n unless
     tabulated)."""
     tables = tables or ExternalTables()
-    ranges = [("PSp", range(6, 17, 2)), ("POmega", range(7, 16, 2)),
-              ("POmega+", range(8, 17, 2)), ("POmega-", range(8, 17, 2))]
-    flagged = []
-    for family, n_range in ranges:
-        for n in n_range:
-            for q in _prime_powers_from(2):
-                if q > 16:
-                    break
-                try:
-                    gid = GroupId(family, n, q)
-                except ValueError:
-                    continue
-                if gid.m >= 3 and (_certify_case_iii(gid, tables).verdict
-                                   != "certified"):
-                    flagged.append(gid)
-    return sorted(flagged, key=lambda g: (FAMILIES.index(g.family),
-                                          g.n, g.q))
+
+    def test(gid):
+        return gid.m >= 3 and (_certify_case_iii(gid, tables).verdict
+                               != "certified")
+
+    return _scan([(family, n, 2) for family, ns in (
+        ("PSp", range(6, 17, 2)), ("POmega", range(7, 16, 2)),
+        ("POmega+", range(8, 17, 2)), ("POmega-", range(8, 17, 2)))
+        for n in ns], test, q_max=16)

@@ -42,7 +42,8 @@ provides:
 
 Caps raise OverflowError before the arrays they guard: `FIELD_CAP` on the
 field order, `VECTOR_ENUM_CAP` on q**n and `perm.DEFAULT_DOMAIN_CAP` on every
-domain, which `subspaces` applies to the bases it keeps.
+domain, which `subspaces` applies to the bases it keeps; the first two keep
+the float32 matmuls of `combine` and of the pair incidence exact.
 
 Every domain lists its labels in sorted order, so repeated runs build
 identical permutation groups.  The label text of `label_lines` formats each
@@ -509,8 +510,10 @@ class ProjectivePoints:
         return np.sort(self.index[self.codes(vectors)], axis=1)
 
     def incidence(self, rows):
-        """0/1 matrix (S, N) of the point sets given as index rows."""
-        inc = np.zeros((len(rows), len(self.vectors)), dtype=np.int32)
+        """0/1 matrix (S, N) of the point sets given as index rows, float32
+        so that products run in BLAS (numpy has none for integers); exact,
+        as each sum counts points of PG(n-1, q), fewer than 2**24."""
+        inc = np.zeros((len(rows), len(self.vectors)), dtype=np.float32)
         np.put_along_axis(inc, rows, 1, axis=1)
         return inc
 

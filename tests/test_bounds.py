@@ -43,6 +43,17 @@ class TestGroupId:
         with pytest.raises(ValueError):
             GroupId("POmega+", 6, 2)
 
+    def test_q_to_the_n_cap_is_exact(self):
+        # 2**4096 is the largest q**n allowed, and 3**2584 < 2**4096 < 3**2585
+        assert bd.QN_CAP_BITS == 4096
+        GroupId("PSL", 4096, 2)
+        GroupId("PSL", 2584, 3)
+        for family, n, q in [("PSL", 4097, 2), ("PSL", 2585, 3),
+                             ("PSU", 33, 2**127 - 1)]:
+            with pytest.raises(OverflowError,
+                               match=r"exceeds the cap 2\*\*4096"):
+                GroupId(family, n, q)
+
     def test_parameters(self):
         g = gid("PSU", 5, 2)
         assert (g.p, g.e, g.q0) == (2, 1, 4)
@@ -600,6 +611,28 @@ class TestScans:
 
     def test_dagger_flags_exactly(self):
         assert bd.dagger_scan() == [GroupId(*g) for g in DAGGER_ALL]
+
+    def test_each_q_is_factored_once(self, monkeypatch):
+        # prime_power runs only inside GroupId, once per group the scans and
+        # the triality bound build
+        calls = {"prime_power": 0, "GroupId": 0}
+        prime_power, post_init = nt.prime_power, GroupId.__post_init__
+
+        def counted_prime_power(q):
+            calls["prime_power"] += 1
+            return prime_power(q)
+
+        def counted_post_init(self):
+            calls["GroupId"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(nt, "prime_power", counted_prime_power)
+        monkeypatch.setattr(GroupId, "__post_init__", counted_post_init)
+        bd.small_dim_scan()
+        bd.nonsubspace_scan()
+        bd.dagger_scan()
+        bd.triality_bound(3)
+        assert calls["prime_power"] == calls["GroupId"] > 0
 
     def test_dagger_is_case_iii_not_certified(self):
         tables = bd.load_external_tables('{"PSp:6:2": {"max_order": 3}}')

@@ -14,10 +14,10 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regcycles import cli, geometry, perm
+from regcycles import bounds, cli, geometry, perm
 from regcycles.cli import main
 
 
@@ -114,6 +114,20 @@ class TestVerify:
         assert main(["verify", "--group", alt8_file, "--cap", "100"]) == 2
 
 
+# q**n past 2**4096: GroupId refuses these before it forms q**n, which for
+# n = 10**10, q = 3 alone would take about 2 GB
+_PAST_THE_QN_CAP = [
+    ["--case", "i", "--family", "PSL", "--n", "20000", "--q", "2"],
+    ["--case", "i", "--family", "PSL", "--n", "1000000", "--q", "2"],
+    ["--case", "i", "--family", "PSL", "--n", "100000000", "--q", "2"],
+    ["--case", "iii", "--family", "PSp", "--n", "1000000", "--q", "2"],
+    ["--case", "ii", "--family", "POmega+", "--n", "1000000", "--q", "3"],
+    ["--case", "i", "--family", "PSL", "--n", "99999999999", "--q", "2"],
+    ["--case", "i", "--family", "PSL", "--n", "10000000000", "--q", "3"],
+    ["--case", "vi", "--family", "PSp", "--n", "10000000", "--q", "4"],
+]
+
+
 class TestCertify:
     def test_certified_example(self, capsys):
         code = main(["certify", "--case", "ii", "--family", "POmega-",
@@ -170,6 +184,28 @@ class TestCertify:
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert "exceeds factorization cap" in err
+
+    @pytest.mark.parametrize("argv", _PAST_THE_QN_CAP)
+    def test_q_to_the_n_past_the_cap(self, argv, capsys):
+        start = time.perf_counter()
+        assert main(["certify", *argv]) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: q**n = ") and err.count("\n") == 1
+        assert "exceeds the cap 2**4096" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--case", "i", "--family", "PSL", "--n", "4096", "--q", "2"],
+        ["--case", "iii", "--family", "PSU", "--n", "2048", "--q", "2"],
+        ["--case", "ii", "--family", "POmega", "--n", "2583", "--q", "3"],
+    ], ids=["PSL-2**4096", "PSU-2**2048", "POmega-3**2583"])
+    def test_q_to_the_n_at_the_cap(self, argv, capsys):
+        assert main(["certify", *argv]) in (0, 1)
+        out, err = capsys.readouterr()
+        assert err == ""
+        group = f"{argv[3]}_{argv[5]}({argv[7]})"
+        assert out.startswith(f"{group} case {argv[1]}: ")
 
     def test_tables_file(self, tmp_path, capsys):
         tables = tmp_path / "tables.json"
@@ -518,6 +554,47 @@ class TestBuildActionArguments:
                 assert err.getvalue().count("\n") == 1
                 assert "Traceback" not in err.getvalue()
                 assert not path.exists()
+
+
+# certify arguments: q small (most not prime powers), the Mersenne primes
+# 2**61 - 1 and 2**127 - 1, or 10**30; n small, or with q**n past the cap
+_CERTIFY_N = st.one_of(st.integers(2, 60), st.integers(10**3, 10**12))
+_CERTIFY_Q = st.one_of(st.integers(-2, 64),
+                       st.sampled_from([2**61 - 1, 2**127 - 1, 10**30]))
+
+
+def _past_the_cap_examples(test):
+    """The `_PAST_THE_QN_CAP` vectors as explicit (case, family, n, q)
+    draws."""
+    for argv in _PAST_THE_QN_CAP:
+        test = example(argv[1], argv[3], int(argv[5]), int(argv[7]))(test)
+    return test
+
+
+class TestCertifyArguments:
+    @given(st.sampled_from(["i", "ii", "iii", "iv", "vi", "triality"]),
+           st.one_of(st.none(), st.sampled_from(bounds.FAMILIES)),
+           _CERTIFY_N, _CERTIFY_Q)
+    @_past_the_cap_examples
+    @settings(max_examples=42, derandomize=True, deadline=None)
+    def test_reports_or_refuses_in_one_line(self, case, family, n, q):
+        argv = ["certify", "--case", case, "--n", str(n), "--q", str(q)]
+        if family is not None:
+            argv += ["--family", family]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 2
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+            assert "Traceback" not in err.getvalue()
+        else:
+            assert err.getvalue() == ""
+            assert f" case {case}: " in out.getvalue().splitlines()[0]
 
 
 class TestCompare:

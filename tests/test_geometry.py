@@ -572,6 +572,11 @@ class TestPairsAndDuality:
         le, perp = ge.pair_domains(F, 1)
         assert le.degree == 31 * 15 == 465
         assert perp.degree == 31 * 16 == 496
+        # PG(6, 3): 1093 points, 364 hyperplanes through each and 3**6
+        # missing it, counted off a 1093 x 1093 incidence product
+        le, perp = ge.pair_domains(standard_form("trivial", 7, 3), 1)
+        assert le.degree == 1093 * 364 == 397852
+        assert perp.degree == 1093 * 3**6 == 796797
 
     def test_duality_is_involution(self):
         F = standard_form("trivial", 5, 2)
