@@ -19,12 +19,18 @@ fixed-point-ratio bounds) comes from pluggable external tables; missing
 entries force conservative defaults or the "delegated-external" verdict,
 never a silently weaker bound.
 
+The pipelines read every fixed-point ratio from the functions the
+acceptance tests check on real groups: `fprell_bound` (cases i and ii),
+`casevi_fpr_bound` (case vi) and `generic_fpr_bound` (4/(3q)).  Case iv's
+4/q**(2l) alone stays inline: its l is an eigenvalue-field degree.
+
 `GroupId` alone factors q, and refuses q**n > 2**QN_CAP_BITS.  The three
 exception scans are data over one driver, `_scan`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -240,58 +246,10 @@ def _q0_pow(gid: GroupId, exponent: Fraction) -> int:
     return gid.q**scaled.numerator
 
 
-def omega_size(case: str, gid: GroupId):
-    """Exact domain sizes for the closed-form cases.
-
-    case "i": totally singular 1-subspaces; "ii": non-degenerate
-    1-subspaces (odd-q orthogonal: both orbits together); "iv":
-    anisotropic 2-subspaces; "vi": the two polarizing-form domains of
-    Sp_n(2^e), returned as a (plus, minus) pair.
-    """
-    n, q = gid.n, gid.q
-    fam = gid.family
-    if case == "i":
-        if fam in ("PSL", "PSp"):
-            return (q**n - 1) // (q - 1)
-        if fam == "PSU":
-            return ((q**n - (-1)**n) * (q**(n - 1) - (-1)**(n - 1))
-                    // (q**2 - 1))
-        if fam == "POmega":
-            return (q**(n - 1) - 1) // (q - 1)
-        if fam == "POmega+":
-            return (q**(n // 2) - 1) * (q**(n // 2 - 1) + 1) // (q - 1)
-        return (q**(n // 2 - 1) - 1) * (q**(n // 2) + 1) // (q - 1)
-    if case == "ii":
-        if fam == "PSU":
-            return (q**n - (-1)**n) * q**(n - 1) // (q + 1)
-        if fam == "POmega":
-            return q**(n - 1)
-        if fam in ("POmega+", "POmega-"):
-            eps = 1 if fam == "POmega+" else -1
-            return q**(n // 2 - 1) * (q**(n // 2) - eps)
-        raise ValueError(f"case ii undefined for {fam}")
-    if case == "iv":
-        m = gid.m
-        if fam == "POmega+":
-            return (q**(2 * (m - 1)) * (q**m - 1) * (q**(m - 1) - 1)
-                    // (2 * (q + 1)))
-        if fam == "POmega-":
-            return (q**(2 * m) * (q**(m + 1) + 1) * (q**m + 1)
-                    // (2 * (q + 1)))
-        if fam == "POmega":
-            return q**(2 * m - 1) * (q**(2 * m) - 1) // (2 * (q + 1))
-        raise ValueError(f"case iv undefined for {fam}")
-    if case == "vi":
-        if fam != "PSp" or gid.p != 2:
-            raise ValueError("case vi needs PSp in characteristic 2")
-        m = gid.m
-        return (q**m * (q**m + 1) // 2, q**m * (q**m - 1) // 2)
-    raise ValueError(f"no closed-form size for case {case!r}")
-
-
 def fprell_bound(case: str, gid: GroupId, ellp: int) -> Fraction:
     """Fixed-point-ratio bound for a semisimple element of prime order
-    r coprime to e*p*(q0 - 1), in terms of l' = dim [V, x']."""
+    r coprime to e*p*(q0 - 1), in terms of l' = dim [V, x']; the S2 tails
+    of cases i and ii read their ratios here."""
     if ellp < 2:
         raise ValueError("need l' >= 2")
     q0 = gid.q0
@@ -313,11 +271,11 @@ def fprell_bound(case: str, gid: GroupId, ellp: int) -> Fraction:
 
 def casevi_fpr_bound(m: int, q: int, c: int, epsilon: str) -> Fraction:
     """Semisimple fixed-point-ratio bound on the polarizing-form domains
-    of Sp_{2m}(q), q even, with c = dim C_V(x)."""
+    of Sp_{2m}(q), q even, with c = dim C_V(x); case vi reads every ratio
+    it uses here."""
     if m < 3:
         raise ValueError("need m >= 3")
-    pe = nt.prime_power(q)
-    if pe is None or pe[0] != 2:
+    if q < 2 or q & (q - 1):
         raise ValueError("need q a power of 2")
     if not 0 <= c <= 2 * m:
         raise ValueError("need 0 <= c <= 2m")
@@ -326,6 +284,12 @@ def casevi_fpr_bound(m: int, q: int, c: int, epsilon: str) -> Fraction:
     if c == 0 and epsilon == "-":
         return Fraction(4, q**m * (q**m - 1))
     return Fraction(4, q**(2 * m - c))
+
+
+def generic_fpr_bound(q: int) -> Fraction:
+    """4/(3q), the fixed-point-ratio bound of a classical group over GF(q)
+    (amended in a few small families, see `_is_amended`)."""
+    return Fraction(4, 3 * q)
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +438,16 @@ def _geom_weight_sum(q: int, start: int) -> Fraction:
     return total
 
 
-def _tail_terms(t: int, coeff: Fraction, window):
-    """Terms bounding sum_{l >= 2} coeff * omega_t(t**l - 1) / t**l.
+def _tail_terms(gid: GroupId, ratio, window):
+    """Terms bounding sum_{l >= 2} ratio(l) * omega_t(t**l - 1), t = q0,
+    where ratio(l) = k / t**l, with one k for every l, bounds the
+    fixed-point ratio at l.
 
     For l in `window` with t**l within the factorization cap the exact
     primitive-prime-divisor count is used; every other l is bounded by
     omega_t(t**l - 1) <= l * log2(t) in the log tail.
     """
+    t = gid.q0
     terms = []
     covered = Fraction(0)
     for ell in sorted(window):
@@ -492,11 +459,11 @@ def _tail_terms(t: int, coeff: Fraction, window):
         count = ppd.prime_count()
         label = (f"exact ppd count at l={ell}: {count}" if ppd.exact
                  else f"ppd count at l={ell}: at most {count}")
-        terms.append(BoundTerm(label, coeff * Fraction(count, t**ell)))
+        terms.append(BoundTerm(label, count * ratio(ell)))
         covered += Fraction(ell, t**ell)
     rest = _geom_weight_sum(t, 2) - covered
     terms.append(BoundTerm("log tail over remaining l >= 2",
-                           coeff * nt.log2_upper(t) * rest))
+                           ratio(2) * t**2 * nt.log2_upper(t) * rest))
     return terms
 
 
@@ -527,25 +494,24 @@ def _s1_s2_case_i(gid: GroupId):
     if fam == "PSp":
         raise ValueError("all 1-subspaces of a symplectic space are "
                          "totally singular; certify via PSL instead")
+    ratio = functools.partial(fprell_bound, "i", gid)
     if fam == "PSL":
         if n < 5:
             raise ValueError("case i linear pipeline needs n >= 5")
-        front = min(Fraction(4, 3 * q),
+        front = min(generic_fpr_bound(q),
                     Fraction(1, q) + Fraction(1, q**(n - 1)))
         w, label = _omega(nt.factorize(e * p * (q - 1)), "omega(ep(q-1))",
                           exact="")
         s1 = [BoundTerm(f"{label} times front factor {front}", w * front)]
-        s2 = _tail_terms(q, Fraction(1), window=())
-        return s1, s2
+        return s1, _tail_terms(gid, ratio, window=())
     if fam == "PSU":
         arg = e * p * (q**2 - 1)
         if n == 5:
             if q <= 4:
                 return None  # delegated
             wv, wl = _omega_front(gid, arg)
-            s1 = [BoundTerm(f"{wl} times 4/(3q)", wv * Fraction(4, 3 * q))]
-            s2 = _tail_terms(q**2, Fraction(2), window=())
-            return s1, s2
+            s1 = [BoundTerm(f"{wl} times 4/(3q)", wv * generic_fpr_bound(q))]
+            return s1, _tail_terms(gid, ratio, window=())
         if n < 6:
             raise ValueError("case i unitary pipeline needs n >= 5")
         ms, mh = mstar_msharp(gid)
@@ -553,8 +519,7 @@ def _s1_s2_case_i(gid: GroupId):
                  + Fraction(1, q**mh.numerator) + Fraction(1, q**2))
         wv, wl = _omega_front(gid, arg)
         s1 = [BoundTerm(f"{wl} times front factor {front}", wv * front)]
-        s2 = _tail_terms(q**2, Fraction(2), window=(2, 3))
-        return s1, s2
+        return s1, _tail_terms(gid, ratio, window=(2, 3))
     # orthogonal
     if q == 2:
         return None  # delegated
@@ -564,8 +529,7 @@ def _s1_s2_case_i(gid: GroupId):
              + Fraction(1, _q0_pow(gid, mh)) + Fraction(1, q))
     wv, wl = _omega_front(gid, arg)
     s1 = [BoundTerm(f"{wl} times front factor {front}", wv * front)]
-    s2 = _tail_terms(q, Fraction(2), window=(2, 3, 4, 5, 6))
-    return s1, s2
+    return s1, _tail_terms(gid, ratio, window=(2, 3, 4, 5, 6))
 
 
 def _unitary_ns1_front(gid: GroupId) -> Fraction:
@@ -584,12 +548,13 @@ def _orthogonal_ns1_front(gid: GroupId) -> Fraction:
     non-degenerate-point action."""
     ms, mh = mstar_msharp(gid)
     return min(Fraction(2, _q0_pow(gid, ms)) + Fraction(2, _q0_pow(gid, mh))
-               + Fraction(1, gid.q), Fraction(4, 3 * gid.q))
+               + Fraction(1, gid.q), generic_fpr_bound(gid.q))
 
 
 def _s1_s2_case_ii(gid: GroupId):
     n, q, p, e = gid.n, gid.q, gid.p, gid.e
     fam = gid.family
+    ratio = functools.partial(fprell_bound, "ii", gid)
     if fam == "PSU":
         if n == 5:
             if q <= 4:
@@ -598,15 +563,14 @@ def _s1_s2_case_ii(gid: GroupId):
             w = aut.count
             rel = "at most" if aut.more else "="
             s1 = [BoundTerm(f"omega(|Aut|) {rel} {w} times 4/(3q)",
-                            Fraction(4 * w, 3 * q))]
+                            w * generic_fpr_bound(q))]
             return s1, []
         if n < 6:
             raise ValueError("case ii unitary pipeline needs n >= 5")
         front = _unitary_ns1_front(gid)
         wv, wl = _omega_front(gid, e * p * (q**2 - 1))
         s1 = [BoundTerm(f"{wl} times front factor {front}", wv * front)]
-        s2 = _tail_terms(q**2, Fraction(2), window=(2, 3))
-        return s1, s2
+        return s1, _tail_terms(gid, ratio, window=(2, 3))
     if fam not in _ORTHOGONAL:
         raise ValueError(f"case ii undefined for {fam}")
     if n < 7:
@@ -621,8 +585,7 @@ def _s1_s2_case_ii(gid: GroupId):
     else:
         s1 = [BoundTerm(f"log2({arg}) times front factor {front}",
                         nt.log2_upper(arg) * front)]
-    s2 = _tail_terms(q, Fraction(36, 13), window=(2, 3, 4, 5, 6))
-    return s1, s2
+    return s1, _tail_terms(gid, ratio, window=(2, 3, 4, 5, 6))
 
 
 def _inverse_sqrt_upper(x: int) -> Fraction:
@@ -651,10 +614,8 @@ def _s1_s2_case_iv(gid: GroupId):
                         nt.log2_upper(q**3) * f_nq)]
     # semisimple classes here always have l >= 3, with ratios below
     # 4/q**(2l); the prime counts are bounded by l * log2(q)
-    rest = nt.weighted_geometric_sum(q**2) - Fraction(1, q**2) \
-        - Fraction(2, q**4)
     s2 = [BoundTerm("log tail over l >= 3 (base q^2)",
-                    4 * nt.log2_upper(q) * rest)]
+                    4 * nt.log2_upper(q) * _geom_weight_sum(q**2, 3))]
     return s1, s2
 
 
@@ -669,14 +630,17 @@ def _s1_s2_case_vi(gid: GroupId):
     m = gid.m
     if e == 2:
         # primes dividing 2e(q-1) = 12 are {2, 3}; the unipotent class
-        # contributes at most 4/(3q) and the order-3 semisimple classes
-        # at most 4/q**2
-        s1 = [BoundTerm("unipotent prime: 4/(3q)", Fraction(4, 3 * q)),
-              BoundTerm("order-3 semisimple: 4/q^2", Fraction(4, q**2))]
+        # contributes at most 4/(3q), the order-3 semisimple classes (with
+        # dim [V, x] >= 2) at most 4/q**2
+        s1 = [BoundTerm("unipotent prime: 4/(3q)", generic_fpr_bound(q)),
+              BoundTerm("order-3 semisimple: 4/q^2",
+                        casevi_fpr_bound(m, q, 2 * m - 2, "+"))]
     else:
         w, label = _omega(nt.factorize(2 * e * (q - 1)), "omega(2e(q-1))")
-        s1 = [BoundTerm(f"{label} times 4/(3q)", Fraction(4 * w, 3 * q))]
-    s2 = _tail_terms(q, Fraction(4), window=(2, 3, 4))
+        s1 = [BoundTerm(f"{label} times 4/(3q)", w * generic_fpr_bound(q))]
+    # a class with eigenvalue field degree l moves at least l dimensions
+    s2 = _tail_terms(gid, lambda ell: casevi_fpr_bound(m, q, 2 * m - ell, "+"),
+                     window=(2, 3, 4))
     if q**(2 * m) <= nt.FACTOR_CAP:
         ppd = nt.primitive_prime_divisors(q, 2 * m)
         fixed_free = ppd.prime_count()
@@ -684,10 +648,12 @@ def _s1_s2_case_vi(gid: GroupId):
     else:
         fixed_free = _ppd_count_bound(q, 2 * m)
         count = f"at most {fixed_free}"
+    # the log tail counts these at 4/q^(2m), the plus domain's ratio
     s2.append(BoundTerm(
-        f"fixed-point-free classes (l = 2m): {count} times "
-        f"4/(q^m(q^m-1))",
-        Fraction(4 * fixed_free, q**(2 * m) * (q**m - 1))))
+        f"fixed-point-free classes (l = 2m): {count} times the excess "
+        f"4/(q^m(q^m-1)) - 4/q^(2m) over the log tail",
+        fixed_free * (casevi_fpr_bound(m, q, 0, "-")
+                      - casevi_fpr_bound(m, q, 0, "+"))))
     return s1, s2
 
 
@@ -742,7 +708,7 @@ def _case_terms(case, gid):
 def _refine_case_ii_orthogonal(gid: GroupId):
     """Post-hoc refinement for the orthogonal non-degenerate-point action:
     exact omega(ep(q-1)) in S1, and in S2 each residual prime contributes
-    at most 36/(13 q^2) since l >= 2 always."""
+    at most fprell_bound("ii", gid, 2) = 36/(13 q^2) since l >= 2 always."""
     q, p, e = gid.q, gid.p, gid.e
     arg = e * p * (q - 1)
     f = nt.factorize(arg)
@@ -755,7 +721,7 @@ def _refine_case_ii_orthogonal(gid: GroupId):
     s1 = [BoundTerm(f"{label} times front factor {front}", w * front)]
     s2 = [BoundTerm(
         f"residual primes {residual}{more}: each at most 36/(13q^2)",
-        Fraction(36 * (len(residual) + group.more), 13 * q**2))]
+        (len(residual) + group.more) * fprell_bound("ii", gid, 2))]
     refinements = (refined,
                    f"residual prime set {residual}{more} with l >= 2 each")
     return s1, s2, refinements
@@ -806,7 +772,7 @@ def _certify_case_iii(gid: GroupId, tables: ExternalTables) -> BoundReport:
                         f"= {front}", nt.log2_upper(o) * front)]
     elif gid.family == "PSU" and gid.n == 5:
         s1 = [BoundTerm(f"log2({o_label}) times 4/(3q)",
-                        nt.log2_upper(o) * Fraction(4, 3 * gid.q))]
+                        nt.log2_upper(o) * generic_fpr_bound(gid.q))]
     else:
         raise ValueError(f"case iii needs Witt index >= 3 (or PSU_5); "
                          f"{gid} has m = {m}")
@@ -820,7 +786,7 @@ def triality_bound(q: int) -> BoundReport:
     p, e = gid.p, gid.e
     w, label = _omega(nt.factorize(6 * e * p * (q**2 - 1)),
                       "omega(6ep(q^2-1))", exact="")
-    term = BoundTerm(f"{label} times 4/(3q)", Fraction(4 * w, 3 * q))
+    term = BoundTerm(f"{label} times 4/(3q)", w * generic_fpr_bound(q))
     return BoundReport("triality", gid, (term,), (),
                        _verdict((term,), ()))
 
@@ -899,7 +865,7 @@ def nonsubspace_scan(tables: ExternalTables | None = None):
     tables = tables or ExternalTables()
 
     def test(gid):
-        front = tables.amended_fpr(gid) or Fraction(4, 3 * gid.q)
+        front = tables.amended_fpr(gid) or generic_fpr_bound(gid.q)
         min_deg = tables.min_degree(gid)
         if min_deg is None:
             class_term = 1.0

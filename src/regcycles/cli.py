@@ -9,8 +9,9 @@ between two compatible actions.
 
 Exit codes: 0 = success / certified / all-regular; 1 = computed but
 negative (a witness exists, or the bound is inconclusive); 2 = usage or
-input error.  ``--json`` emits a machine-readable report on stdout
-(schema-versioned, deterministic for a fixed seed).
+input error, or a stdout closed before the output was written.  Every
+exit 2 ends in one line on stderr.  ``--json`` emits a machine-readable
+report on stdout (schema-versioned, deterministic for a fixed seed).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import bounds, geometry, perm, regcycle
@@ -242,11 +244,25 @@ def _cmd_compare(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end in one line."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def positive_int(text):
+    """An integer >= 1 (named in argparse's message for a non-integer)."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built on first use and reused by every
     `main` call (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regcycles",
         description="Regular-cycle detection and certification for "
                     "permutation and classical group actions.")
@@ -256,7 +272,7 @@ def _build_parser():
                                      "or every element of a group file")
     p.add_argument("--group", required=True)
     p.add_argument("--element", help="cycle notation, e.g. '(1 2 3)(4 5)'")
-    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--cap", type=positive_int, default=DEFAULT_ELEMENT_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 
@@ -265,7 +281,7 @@ def _build_parser():
     p.add_argument("--square-free-only", action="store_true",
                    help="check only square-free-order elements (the "
                         "all-regular verdict is unchanged)")
-    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--cap", type=positive_int, default=DEFAULT_ELEMENT_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -329,7 +345,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout was closed: point it at devnull, or the flush at exit raises
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written",
+              file=sys.stderr)
+        return 2
     # every library input error: ValueError covers GroupFileError,
     # MatrixFileError and DomainNotPreservedError, ArithmeticError the
     # OverflowError of a cap; MemoryError an array that no cap bounds

@@ -413,6 +413,14 @@ class TestSymplecticFormDomains:
              [:, None]).sum(axis=0, dtype=np.uint64)
             for mask in (mask_plus, mask_minus))
         assert (len(mask_plus), len(mask_minus)) == (36, 28)
+
+        # the bounds certify uses, as (numerator, denominator) arrays by c
+        def bound_arrays(epsilon):
+            ratios = [bd.casevi_fpr_bound(3, 2, c, epsilon) for c in range(7)]
+            return (np.array([r.numerator for r in ratios]),
+                    np.array([r.denominator for r in ratios]))
+
+        plus, minus = bound_arrays("+"), bound_arrays("-")
         ident = np.arange(63, dtype=arr.dtype)
         odd_rows, seen_c = 0, set()
         for start in range(0, len(arr), 4096):
@@ -445,12 +453,11 @@ class TestSymplecticFormDomains:
                 col_plus[rows] ^ col_plus, axis=1))
             fixed_minus = 28 - np.bitwise_count(np.bitwise_or.reduce(
                 col_minus[rows] ^ col_minus, axis=1))
-            # fixed_plus / 36 <= 2**c / 16, and fixed_minus / 28 <= 2**c / 16
-            # for c > 0 and <= 1 / 14 for c = 0, cross-multiplied exactly
-            assert (fixed_plus * 16 <= (1 << c) * 36).all()
-            pos = c > 0
-            assert (fixed_minus[pos] * 16 <= (1 << c[pos]) * 28).all()
-            assert (fixed_minus[~pos] * 14 <= 1 * 28).all()
+            # fixed / |domain| <= casevi_fpr_bound(3, 2, c, epsilon),
+            # cross-multiplied exactly
+            for fixed, size, (num, den) in ((fixed_plus, 36, plus),
+                                            (fixed_minus, 28, minus)):
+                assert (fixed * den[c] <= num[c] * size).all()
         assert odd_rows == 530145
         assert 0 in seen_c and 6 in seen_c
 

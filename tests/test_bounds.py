@@ -6,6 +6,7 @@ tests).  The verdict frontiers pin down exactly which parameters each
 pipeline can and cannot certify.
 """
 
+import functools
 import json
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bounds_reference import omega_size
 from regcycles import bounds as bd
 from regcycles import numtheory as nt
 from regcycles.bounds import GroupId
@@ -157,34 +159,34 @@ class TestOmegaSize:
     counts in the geometry tests where both exist."""
 
     def test_singular_points(self):
-        assert bd.omega_size("i", gid("PSL", 5, 2)) == 31
-        assert bd.omega_size("i", gid("PSp", 6, 2)) == 63
-        assert bd.omega_size("i", gid("PSU", 5, 2)) == 165
-        assert bd.omega_size("i", gid("POmega", 7, 3)) == 364
-        assert bd.omega_size("i", gid("POmega+", 8, 2)) == 135
-        assert bd.omega_size("i", gid("POmega-", 8, 2)) == 119
+        assert omega_size("i", gid("PSL", 5, 2)) == 31
+        assert omega_size("i", gid("PSp", 6, 2)) == 63
+        assert omega_size("i", gid("PSU", 5, 2)) == 165
+        assert omega_size("i", gid("POmega", 7, 3)) == 364
+        assert omega_size("i", gid("POmega+", 8, 2)) == 135
+        assert omega_size("i", gid("POmega-", 8, 2)) == 119
 
     def test_nondegenerate_points(self):
-        assert bd.omega_size("ii", gid("PSU", 5, 2)) == 176
-        assert bd.omega_size("ii", gid("POmega+", 8, 2)) == 120
-        assert bd.omega_size("ii", gid("POmega-", 8, 2)) == 136
+        assert omega_size("ii", gid("PSU", 5, 2)) == 176
+        assert omega_size("ii", gid("POmega+", 8, 2)) == 120
+        assert omega_size("ii", gid("POmega-", 8, 2)) == 136
         # odd q: both square classes together
-        assert bd.omega_size("ii", gid("POmega", 7, 3)) == 378 + 351
+        assert omega_size("ii", gid("POmega", 7, 3)) == 378 + 351
 
     def test_anisotropic_2_subspaces(self):
-        assert bd.omega_size("iv", gid("POmega+", 8, 2)) == 1120
-        assert bd.omega_size("iv", gid("POmega-", 8, 2)) == 1632
-        assert bd.omega_size("iv", gid("POmega", 7, 3)) == 22113
+        assert omega_size("iv", gid("POmega+", 8, 2)) == 1120
+        assert omega_size("iv", gid("POmega-", 8, 2)) == 1632
+        assert omega_size("iv", gid("POmega", 7, 3)) == 22113
 
     def test_polarizing_forms(self):
-        assert bd.omega_size("vi", gid("PSp", 6, 2)) == (36, 28)
-        assert bd.omega_size("vi", gid("PSp", 4, 2)) == (10, 6)
+        assert omega_size("vi", gid("PSp", 6, 2)) == (36, 28)
+        assert omega_size("vi", gid("PSp", 4, 2)) == (10, 6)
 
     def test_rejects_wrong_family(self):
         with pytest.raises(ValueError):
-            bd.omega_size("iv", gid("PSU", 5, 2))
+            omega_size("iv", gid("PSU", 5, 2))
         with pytest.raises(ValueError):
-            bd.omega_size("vi", gid("PSp", 6, 3))
+            omega_size("vi", gid("PSp", 6, 3))
 
 
 class TestFprBounds:
@@ -204,6 +206,34 @@ class TestFprBounds:
             bd.casevi_fpr_bound(2, 2, 0, "+")
         with pytest.raises(ValueError):
             bd.casevi_fpr_bound(3, 3, 0, "+")
+
+    def test_generic(self):
+        assert bd.generic_fpr_bound(5) == Fraction(4, 15)
+
+
+class TestCertifyReadsTheTestedRatios:
+    """certify takes its fixed-point ratios from the functions the
+    acceptance tests check on real groups: doubling them doubles S2."""
+
+    @pytest.mark.parametrize("case, g", [
+        ("i", gid("PSL", 5, 4)), ("i", gid("POmega", 9, 5)),
+        ("ii", gid("PSU", 6, 4)), ("ii", gid("POmega-", 8, 11)),
+        ("vi", gid("PSp", 6, 4)), ("vi", gid("PSp", 8, 16))])
+    def test_doubled_ratios_double_s2(self, monkeypatch, case, g):
+        before = bd.certify_case(case, g)
+        assert before.verdict == "certified"
+        for name in ("fprell_bound", "casevi_fpr_bound"):
+            ratio = getattr(bd, name)
+            monkeypatch.setattr(bd, name, lambda *args, ratio=ratio:
+                                2 * ratio(*args))
+        assert bd.certify_case(case, g).s2_bound == 2 * before.s2_bound
+
+    def test_fixed_point_free_label_names_the_excess(self):
+        term = bd.certify_case("vi", gid("PSp", 6, 4)).s2_terms[-1]
+        assert term.label == ("fixed-point-free classes (l = 2m): 1 times "
+                              "the excess 4/(q^m(q^m-1)) - 4/q^(2m) over "
+                              "the log tail")
+        assert term.value == 1 * (Fraction(4, 4**3 * 63) - Fraction(4, 4**6))
 
 
 class TestScopeGuard:
@@ -466,10 +496,14 @@ class TestUnsplitCofactors:
 
     def test_tail_label(self, monkeypatch):
         monkeypatch.setattr(nt, "RHO_BUDGET", 0)
-        # Phi_2(t) = t + 1 = N
-        term = bd._tail_terms(self.N - 1, Fraction(1), window=(2,))[0]
+        # q = 4N - 1 is prime, and Phi_2(q) = q + 1 = 4N: its primitive
+        # prime divisors are those of N
+        q = 4 * self.N - 1
+        g = gid("PSL", 5, q)
+        ratio = functools.partial(bd.fprell_bound, "i", g)
+        term = bd._tail_terms(g, ratio, window=(2,))[0]
         assert term.label == "ppd count at l=2: at most 2"
-        assert term.value == Fraction(2, (self.N - 1)**2)
+        assert term.value == Fraction(2, q**2)
 
     def test_certificate_from_bounded_counts(self, monkeypatch):
         g = gid("POmega", 7, 1400527)
@@ -487,9 +521,11 @@ class TestUnsplitCofactors:
 
 class TestTailTerms:
     def test_window_entries_past_the_cap_join_the_log_tail(self):
-        t = 10**16  # t**2 is within 2**128, t**3 is not
-        terms = bd._tail_terms(t, Fraction(2), window=(2, 3))
-        assert terms == bd._tail_terms(t, Fraction(2), window=(2,))
+        t = 2**50  # t**2 is within 2**128, t**3 is not
+        g = gid("PSL", 5, t)
+        ratio = functools.partial(bd.fprell_bound, "i", g)
+        terms = bd._tail_terms(g, ratio, window=(2, 3))
+        assert terms == bd._tail_terms(g, ratio, window=(2,))
         assert terms[0].label == (f"exact ppd count at l=2: "
                                   f"{nt.primitive_prime_divisor_count(t, 2)}")
 

@@ -9,6 +9,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -112,6 +115,39 @@ class TestVerify:
 
     def test_cap(self, alt8_file, capsys):
         assert main(["verify", "--group", alt8_file, "--cap", "100"]) == 2
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the run in one line, exit 2,
+    whether the output is flushed while printing or at the end of main."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--group", "ALT5"],
+        ["certify", "--case", "vi", "--family", "PSp", "--n", "6",
+         "--q", "4"],
+        ["build-action", "--type", "ksets", "--m", "5", "--k", "2",
+         "--out", "OUT"]], ids=["verify", "certify", "build-action"])
+    def test_one_line_exit_2(self, tmp_path, alt5_file, argv, unbuffered):
+        argv = [{"ALT5": alt5_file, "OUT": str(tmp_path / "out.grp")}
+                .get(a, a) for a in argv]
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "regcycles.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == (b"error: stdout was closed before the "
+                               b"output was written\n")
 
 
 # q**n past 2**4096: GroupId refuses these before it forms q**n, which for
@@ -346,6 +382,15 @@ class TestErrorTable:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_cap_below_1_is_refused_at_parsing(self, alt5_file, capsys,
+                                               command, cap):
+        assert main([command, "--group", alt5_file, "--cap", cap]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"regcycles {command}: error: argument --cap: must "
+                       f"be at least 1, got {cap}\n")
 
     @staticmethod
     def _group_file_argv(command, path):
