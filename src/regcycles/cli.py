@@ -10,8 +10,9 @@ between two compatible actions.
 Exit codes: 0 = success / certified / all-regular; 1 = computed but
 negative (a witness exists, or the bound is inconclusive); 2 = usage or
 input error, or a stdout closed before the output was written.  Every
-exit 2 ends in one line on stderr.  ``--json`` emits a machine-readable
-report on stdout (schema-versioned, deterministic for a fixed seed).
+exit 2 ends in one line on stderr, printed by `_fail`, or in none if
+stderr is closed too.  ``--json`` emits a machine-readable report on
+stdout (schema-versioned, deterministic for a fixed seed).
 """
 
 from __future__ import annotations
@@ -23,36 +24,21 @@ import os
 import sys
 
 from . import bounds, geometry, perm, regcycle
-from .perm import DEFAULT_ELEMENT_CAP, CapExceeded, GroupFileError
-from .geometry import MatrixFileError
+from .perm import DEFAULT_ELEMENT_CAP
 
 
-class InputError(Exception):
-    """User-facing problem with arguments or input files (exit code 2)."""
-
-
-def _read(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
-
-
-def _load_group(path) -> perm.PermGroup:
-    try:
-        return perm.parse_group_file(_read(path))
-    except GroupFileError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_tables(path):
+def _load(path, parse, what=""):
+    """parse(text) of the file at path, or None for no path; a ValueError
+    naming the path if the file cannot be read or parsed."""
     if path is None:
         return None
     try:
-        return bounds.load_external_tables(_read(path))
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:
-        raise InputError(f"{path}: bad external tables: {exc}") from exc
+        raise ValueError(f"{path}: {what}{exc}") from exc
 
 
 def _emit(args, data, text_lines):
@@ -67,7 +53,7 @@ def _emit(args, data, text_lines):
 # subcommands
 
 def _cmd_check(args):
-    G = _load_group(args.group)
+    G = _load(args.group, perm.parse_group_file)
     if args.element is None:
         verified = regcycle.verify_all_elements(G, cap=args.cap,
                                                 max_witnesses=1)
@@ -76,19 +62,19 @@ def _cmd_check(args):
         try:
             g = perm.parse_cycles(args.element, G.degree)
         except ValueError as exc:
-            raise InputError(f"bad --element: {exc}") from exc
+            raise ValueError(f"bad --element: {exc}") from exc
         if not G.contains(g, args.cap):
-            raise InputError(f"--element {args.element} is not in "
+            raise ValueError(f"--element {args.element} is not in "
                              "the group")
-        checked = 1
-        witnesses = () if perm.has_regular_cycle_direct(g) else (g,)
-    if not witnesses:
+        checked, witnesses = 1, (g,)
+    # a witness of verify_all_elements has no regular cycle
+    report = regcycle.fix_union_test(witnesses[0]) if witnesses else None
+    if report is None or report.has_regular_cycle:
         _emit(args, {"schema": 1, "verdict": "all-regular",
                      "checked": checked},
               [f"all {checked} element(s) have a regular cycle"])
         return 0
     g = witnesses[0]
-    report = regcycle.fix_union_test(g)
     data = report.to_json_dict()
     data["element"] = perm.cycle_string(g.images)
     _emit(args, data,
@@ -98,7 +84,7 @@ def _cmd_check(args):
 
 
 def _cmd_verify(args):
-    G = _load_group(args.group)
+    G = _load(args.group, perm.parse_group_file)
     report = regcycle.verify_all_elements(
         G, cap=args.cap, square_free_only=args.square_free_only)
     lines = [f"group order {report.group_order}, degree {G.degree}",
@@ -110,12 +96,13 @@ def _cmd_verify(args):
 
 
 def _cmd_certify(args):
-    tables = _load_tables(args.tables)
+    tables = _load(args.tables, bounds.load_external_tables,
+                   "bad external tables: ")
     if args.case == "triality":
         report = bounds.triality_bound(args.q)
     else:
         if args.family is None or args.n is None:
-            raise InputError("--family and --n are required for "
+            raise ValueError("--family and --n are required for "
                              f"case {args.case}")
         gid = bounds.GroupId(args.family, args.n, args.q)
         report = bounds.certify_case(args.case, gid, tables)
@@ -135,7 +122,8 @@ def _cmd_certify(args):
 
 
 def _cmd_scan(args):
-    tables = _load_tables(args.tables)
+    tables = _load(args.tables, bounds.load_external_tables,
+                   "bad external tables: ")
     if args.theorem == "small-dim":
         flagged = bounds.small_dim_scan()
     elif args.theorem == "nonsubspace":
@@ -161,12 +149,9 @@ def _matrix_domain(args):
     if args.builtin:
         space, gens = geometry.builtin_matrix_group(args.builtin)
     elif args.matrix:
-        try:
-            space, gens = geometry.parse_matrix_file(_read(args.matrix))
-        except MatrixFileError as exc:
-            raise InputError(f"{args.matrix}: {exc}") from exc
+        space, gens = _load(args.matrix, geometry.parse_matrix_file)
     else:
-        raise InputError(f"--type {args.type} needs --matrix or --builtin")
+        raise ValueError(f"--type {args.type} needs --matrix or --builtin")
     kind = args.type
     if kind == "singular-points":
         return gens, geometry.singular_points(space)
@@ -181,23 +166,23 @@ def _matrix_domain(args):
         return gens, geometry.maximal_totally_singular(space)
     if kind == "forms":
         if space.kind != "symplectic":
-            raise InputError("--type forms needs a symplectic matrix group")
+            raise ValueError("--type forms needs a symplectic matrix group")
         return gens, geometry.quadratic_forms_polarizing(space, args.epsilon)
     if kind in ("pairs-le", "pairs-perp"):
         leq, perp = geometry.pair_domains(space, args.k)
         return gens, (leq if kind == "pairs-le" else perp)
-    raise InputError(f"unknown action type {kind!r}")
+    raise ValueError(f"unknown action type {kind!r}")
 
 
 def _cmd_build_action(args):
     if args.type == "ksets":
-        if args.m is None or args.k is None:
-            raise InputError("--type ksets needs --m and --k")
+        if args.m is None:
+            raise ValueError("--type ksets needs --m")
         G = geometry.k_set_action(args.m, args.k)
         labels = geometry.k_set_labels(args.m, args.k)
     elif args.type == "product":
         if args.m is None or args.r is None:
-            raise InputError("--type product needs --m and --r")
+            raise ValueError("--type product needs --m and --r")
         G = geometry.product_action(perm.symmetric_group(args.m), args.r)
         labels = geometry.product_labels(range(1, args.m + 1), args.r)
     else:
@@ -211,26 +196,23 @@ def _cmd_build_action(args):
         with open(labels_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(labels) + "\n")
     except OSError as exc:
-        raise InputError(f"cannot write output: {exc.strerror}") from exc
+        raise ValueError(f"cannot write output: {exc.strerror}") from exc
     print(f"wrote {args.out}: degree {G.degree}, "
           f"{len(G.images)} generator(s); labels in {labels_path}")
     return 0
 
 
 def _cmd_compare(args):
-    G1 = _load_group(args.action1)
-    G2 = _load_group(args.action2)
+    G1 = _load(args.action1, perm.parse_group_file)
+    G2 = _load(args.action2, perm.parse_group_file)
     ngens = len(G1.images)
     if len(G2.images) != ngens:
-        raise InputError("the two actions list different numbers of "
+        raise ValueError("the two actions list different numbers of "
                          "generators and cannot be compared word-by-word")
     if args.group is not None:
-        try:
-            _, gens = geometry.parse_matrix_file(_read(args.group))
-        except MatrixFileError as exc:
-            raise InputError(f"{args.group}: {exc}") from exc
+        _, gens = _load(args.group, geometry.parse_matrix_file)
         if len(gens) != ngens:
-            raise InputError("generator count of --group does not match "
+            raise ValueError("generator count of --group does not match "
                              "the two actions")
     report = regcycle.compare_actions_monotonic(
         G1, G2, samples=args.samples, seed=args.seed)
@@ -248,7 +230,7 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors end in one line."""
 
     def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        self.exit(_fail(f"{self.prog}: error: {message}"))
 
 
 def positive_int(text):
@@ -338,6 +320,17 @@ def _build_parser():
     return parser
 
 
+def _fail(line: str) -> int:
+    """Print the one line of an exit 2 on stderr and return 2.  A stderr
+    that cannot be written (closed with stdout: ``2>&1 | true``) is pointed
+    at devnull, or the flush at exit raises, and the run ends silently."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return 2
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -351,16 +344,12 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # stdout was closed: point it at devnull, or the flush at exit raises
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before the output was written",
-              file=sys.stderr)
-        return 2
-    # every library input error: ValueError covers GroupFileError,
-    # MatrixFileError and DomainNotPreservedError, ArithmeticError the
-    # OverflowError of a cap; MemoryError an array that no cap bounds
-    except (InputError, ValueError, ArithmeticError, CapExceeded,
-            MemoryError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 2
+        return _fail("error: stdout was closed before the output was written")
+    # ValueError: malformed input, GroupFileError included; ArithmeticError:
+    # every cap (an OverflowError, CapExceeded included) and an unsplit
+    # factorization; MemoryError: an array that no cap bounds
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        return _fail(f"error: {str(exc) or type(exc).__name__}")
 
 
 if __name__ == "__main__":

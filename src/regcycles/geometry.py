@@ -62,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numtheory import is_prime, prime_power
-from .perm import DEFAULT_DOMAIN_CAP, PermGroup
+from .perm import DEFAULT_DOMAIN_CAP, GroupFileError, PermGroup
 
 FIELD_CAP = 512
 VECTOR_ENUM_CAP = 10**6
@@ -76,15 +76,6 @@ _field_cache: dict = {}
 
 class DomainNotPreservedError(ValueError):
     """A generator mapped a domain label outside the domain."""
-
-
-class MatrixFileError(ValueError):
-    """Malformed matrix-generator file."""
-
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
-        self.message = message
 
 
 # ---------------------------------------------------------------------------
@@ -980,7 +971,7 @@ def parse_matrix_file(text: str):
     Format: `GF p e [c0 c1 ... ce]`, `dim n`, `form kind [epsilon]`, then
     per generator a `gen` line followed by n rows of n field elements,
     optionally followed by `twist t` and/or `duality` lines.  `#` starts a
-    comment.
+    comment.  A malformed file raises `perm.GroupFileError` with its line.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -992,9 +983,9 @@ def parse_matrix_file(text: str):
     def take(expect=None):
         nonlocal pos
         if pos >= len(lines):
-            raise MatrixFileError(len(text.splitlines()) + 1,
-                                  f"unexpected end of file"
-                                  + (f" (wanted {expect})" if expect else ""))
+            raise GroupFileError(len(text.splitlines()) + 1,
+                                 f"unexpected end of file"
+                                 + (f" (wanted {expect})" if expect else ""))
         item = lines[pos]
         pos += 1
         return item
@@ -1002,34 +993,34 @@ def parse_matrix_file(text: str):
     lineno, header = take("GF header")
     parts = header.split()
     if parts[0] != "GF" or len(parts) < 3:
-        raise MatrixFileError(lineno, "expected 'GF p e [modulus...]'")
+        raise GroupFileError(lineno, "expected 'GF p e [modulus...]'")
     try:
         p, e = int(parts[1]), int(parts[2])
         modulus = tuple(int(x) for x in parts[3:]) or None
     except ValueError as exc:
-        raise MatrixFileError(lineno, str(exc)) from None
+        raise GroupFileError(lineno, str(exc)) from None
     try:
         field = field_build(p, e, modulus)
     except (ValueError, OverflowError) as exc:
-        raise MatrixFileError(lineno, str(exc)) from None
+        raise GroupFileError(lineno, str(exc)) from None
 
     lineno, dim_line = take("dim")
     parts = dim_line.split()
-    if parts[0] != "dim" or len(parts) != 2 or not parts[1].isdigit() \
+    if parts[0] != "dim" or len(parts) != 2 or not parts[1].isdecimal() \
             or int(parts[1]) < 1:
-        raise MatrixFileError(lineno, "expected 'dim n' with n >= 1")
+        raise GroupFileError(lineno, "expected 'dim n' with n >= 1")
     n = int(parts[1])
     # every domain refuses q**n past the cap; refuse here, before the form's
     # (n, n) Gram matrix is built (q >= 2, so n past the cap's bit length
     # is refused without forming q**n)
     if n > VECTOR_ENUM_CAP.bit_length() or field.q**n > VECTOR_ENUM_CAP:
-        raise MatrixFileError(lineno, f"dim {n} over GF({field.q}) exceeds "
-                              f"the vector enumeration cap {VECTOR_ENUM_CAP}")
+        raise GroupFileError(lineno, f"dim {n} over GF({field.q}) exceeds "
+                             f"the vector enumeration cap {VECTOR_ENUM_CAP}")
 
     lineno, form_line = take("form")
     parts = form_line.split()
     if parts[0] != "form" or len(parts) not in (2, 3):
-        raise MatrixFileError(lineno, "expected 'form kind [epsilon]'")
+        raise GroupFileError(lineno, "expected 'form kind [epsilon]'")
     kind = parts[1]
     epsilon = parts[2] if len(parts) == 3 else None
     try:
@@ -1038,27 +1029,27 @@ def parse_matrix_file(text: str):
         q = field.p**(field.e // 2 if kind == "hermitian" else field.e)
         space = standard_form(kind, n, q, epsilon, modulus=modulus)
     except ValueError as exc:
-        raise MatrixFileError(lineno, str(exc)) from None
+        raise GroupFileError(lineno, str(exc)) from None
 
     gens, linenos, error = [], [], None
     try:
         while pos < len(lines):
             lineno, line = take()
             if line != "gen":
-                raise MatrixFileError(lineno, f"expected 'gen', got {line!r}")
+                raise GroupFileError(lineno, f"expected 'gen', got {line!r}")
             rows = []
             for _ in range(n):
                 lineno, row_line = take("matrix row")
                 entries = row_line.split()
                 if len(entries) != n:
-                    raise MatrixFileError(lineno, f"expected {n} entries")
+                    raise GroupFileError(lineno, f"expected {n} entries")
                 try:
                     row = tuple(int(x) for x in entries)
                 except ValueError:
-                    raise MatrixFileError(lineno, "non-integer entry") \
+                    raise GroupFileError(lineno, "non-integer entry") \
                         from None
                 if any(not 0 <= x < field.q for x in row):
-                    raise MatrixFileError(
+                    raise GroupFileError(
                         lineno, f"entry out of range 0..{field.q - 1}")
                 rows.append(row)
             twist = 0
@@ -1068,26 +1059,26 @@ def parse_matrix_file(text: str):
                 lineno, extra = take()
                 parts = extra.split()
                 if parts[0] == "twist":
-                    if len(parts) != 2 or not parts[1].isdigit():
-                        raise MatrixFileError(lineno, "expected 'twist t'")
+                    if len(parts) != 2 or not parts[1].isdecimal():
+                        raise GroupFileError(lineno, "expected 'twist t'")
                     twist = int(parts[1])
                 else:
                     duality = True
             gens.append(SemilinearMap(tuple(rows), twist, duality))
             linenos.append(lineno)
-    except MatrixFileError as exc:
+    except GroupFileError as exc:
         error = exc
     # one elimination for every generator read; a singular one is reported
     # before any later error, at the last line of its block
     matrices = np.reshape([g.matrix for g in gens], (-1, n, n))
     singular = np.flatnonzero(singular_matrices(field, matrices))
     if singular.size:
-        raise MatrixFileError(linenos[singular[0]],
-                              "generator matrix is singular")
+        raise GroupFileError(linenos[singular[0]],
+                             "generator matrix is singular")
     if error is not None:
         raise error
     if not gens:
-        raise MatrixFileError(len(text.splitlines()) + 1, "no generators")
+        raise GroupFileError(len(text.splitlines()) + 1, "no generators")
     return space, gens
 
 

@@ -11,9 +11,11 @@ deterministic Schreier-Sims algorithm on such arrays.  It gives the
 order without enumeration, membership by sifting, and the elements as
 products of transversal elements in bounded pieces, so results are
 exactly reproducible.
-Every question that needs the chain raises CapExceeded iff the group order
-exceeds its element cap (default 10**7); the group-file reader and every
-domain constructor refuse more than DEFAULT_DOMAIN_CAP = 10**6 points.
+Every cap raises an OverflowError: every question that needs the chain
+raises CapExceeded iff the group order exceeds its element cap (default
+10**7), and every domain constructor refuses more than DEFAULT_DOMAIN_CAP =
+10**6 points.  A malformed file, a group file past that cap included, raises
+GroupFileError, the one file-format error (a ValueError).
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ DEFAULT_ELEMENT_CAP = 10**7
 DEFAULT_DOMAIN_CAP = 10**6
 
 
-class CapExceeded(Exception):
+class CapExceeded(OverflowError):
     """The group order exceeds the element cap of the request."""
 
 
 class GroupFileError(ValueError):
-    """Malformed group file; carries the 1-based line number."""
+    """Malformed group or matrix-generator file; carries the 1-based line
+    number."""
 
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
@@ -260,14 +263,18 @@ class _Level:
         """u_beta * s * u_{s(beta)}^-1 for every orbit point and generator,
         one row per pair, each fixing the base point: one array per run of
         generators whose rows hold about _ARRAY_ENTRIES entries (all of
-        them at once for small groups)."""
-        d = self.gens.shape[1]
-        step = max(1, _ARRAY_ENTRIES // (len(self.orbit) * d))
+        them at once for small groups), or per block of orbit points of
+        one generator whose rows do not fit."""
+        d, m = self.gens.shape[1], len(self.orbit)
+        step = max(1, _ARRAY_ENTRIES // (m * d))
+        block = max(1, _ARRAY_ENTRIES // d)  # all m where step > 1
         for a in range(0, len(self.gens), step):
             gens = self.gens[a:a + step]
-            moved = gens[:, self.trans].reshape(-1, d)  # u_beta then s
-            back = self.pos[gens[:, self.orbit]].reshape(-1, 1)
-            yield self.inv[back, moved]
+            for b in range(0, m, block):
+                # u_beta then s
+                moved = gens[:, self.trans[b:b + block]].reshape(-1, d)
+                back = self.pos[gens[:, self.orbit[b:b + block]]]
+                yield self.inv[back.reshape(-1, 1), moved]
 
 
 class StabChain:
@@ -279,7 +286,7 @@ class StabChain:
     trivial group); each later one is the least point moved by the sift
     residue that opened its level.  Each level's Schreier generators are
     formed and sifted as one array (split only past _ARRAY_ENTRIES
-    entries); the first that does not sift to the identity becomes a new
+    entries, by generators and then by orbit points); the first that does not sift to the identity becomes a new
     strong generator, and the levels below it are checked again before the
     level itself (Holt, Eick and O'Brien, *Handbook of Computational Group
     Theory*, 4.4).  Construction raises CapExceeded as soon as the product

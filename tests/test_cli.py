@@ -119,19 +119,23 @@ class TestVerify:
 
 class TestClosedStdout:
     """A reader that closes stdout early ends the run in one line, exit 2,
-    whether the output is flushed while printing or at the end of main."""
+    whether the output is flushed while printing or at the end of main;
+    with stderr on the same closed pipe (``2>&1 | true``) the run still
+    exits 2, silently."""
 
-    @pytest.mark.parametrize("unbuffered", ["", "1"],
-                             ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("argv", [
-        ["verify", "--group", "ALT5"],
-        ["certify", "--case", "vi", "--family", "PSp", "--n", "6",
-         "--q", "4"],
-        ["build-action", "--type", "ksets", "--m", "5", "--k", "2",
-         "--out", "OUT"]], ids=["verify", "certify", "build-action"])
-    def test_one_line_exit_2(self, tmp_path, alt5_file, argv, unbuffered):
-        argv = [{"ALT5": alt5_file, "OUT": str(tmp_path / "out.grp")}
-                .get(a, a) for a in argv]
+    ARGVS = {
+        "verify": ["verify", "--group", "ALT5"],
+        "certify": ["certify", "--case", "vi", "--family", "PSp", "--n",
+                    "6", "--q", "4"],
+        "build-action": ["build-action", "--type", "ksets", "--m", "5",
+                         "--k", "2", "--out", "OUT"],
+    }
+
+    @staticmethod
+    def _run(tmp_path, alt5_file, argv, unbuffered, stderr_closed):
+        paths = {"ALT5": alt5_file, "OUT": str(tmp_path / "out.grp"),
+                 "MISSING": str(tmp_path / "missing.grp")}
+        argv = [paths.get(a, a) for a in argv]
         src = str(Path(__file__).parents[1] / "src")
         env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
                "PYTHONPATH": os.pathsep.join(
@@ -139,15 +143,33 @@ class TestClosedStdout:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run(
+            return subprocess.run(
                 [sys.executable, "-m", "regcycles.cli", *argv],
-                stdout=write_end, stderr=subprocess.PIPE, env=env,
-                timeout=60)
+                stdout=write_end,
+                stderr=write_end if stderr_closed else subprocess.PIPE,
+                env=env, timeout=60)
         finally:
             os.close(write_end)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", ARGVS.values(), ids=ARGVS)
+    def test_one_line_exit_2(self, tmp_path, alt5_file, argv, unbuffered):
+        proc = self._run(tmp_path, alt5_file, argv, unbuffered, False)
         assert proc.returncode == 2
         assert proc.stderr == (b"error: stdout was closed before the "
                                b"output was written\n")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        *ARGVS.values(), ["verify", "--group", "MISSING"],
+        ["verify", "--group", "ALT5", "--cap", "0"]],
+        ids=[*ARGVS, "missing-group-file", "bad-argument"])
+    def test_closed_stderr_too_exits_2(self, tmp_path, alt5_file, argv,
+                                       unbuffered):
+        proc = self._run(tmp_path, alt5_file, argv, unbuffered, True)
+        assert proc.returncode == 2
 
 
 # q**n past 2**4096: GroupId refuses these before it forms q**n, which for
@@ -450,6 +472,13 @@ class TestErrorTable:
                        f"{perm.DEFAULT_DOMAIN_CAP}\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_ksets_without_m_names_only_m(self, tmp_path, capsys):
+        # --k defaults to 1, so only a missing --m stops ksets
+        assert main(["build-action", "--type", "ksets", "--k", "2",
+                     "--out", str(tmp_path / "out.grp")]) == 2
+        assert capsys.readouterr() == ("", "error: --type ksets needs --m\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_option_raises_the_domain_cap(self, tmp_path, capsys):
         # every group file build-action writes is one the readers accept
         start = time.perf_counter()
@@ -640,6 +669,72 @@ class TestCertifyArguments:
         else:
             assert err.getvalue() == ""
             assert f" case {case}: " in out.getvalue().splitlines()[0]
+
+
+# group-file texts on d <= 8 points: a `degree` header that is right,
+# zero-padded, 0, past the cap, junk or missing; generator lines that are
+# permutations of the d points, or cycles with points out of range,
+# repeated or alone; comments anywhere
+_BAD_HEADER = st.sampled_from([
+    "degree 0", f"degree {perm.DEFAULT_DOMAIN_CAP + 1}", f"degree {10**100}",
+    "degree", "degree x", "degree -3", "degree 4 5", "degre 4", "(1 2)"])
+_BAD_CYCLES = st.one_of(
+    st.lists(st.integers(-1, 10), max_size=4).map(
+        lambda points: "(" + " ".join(map(str, points)) + ")"),
+    st.sampled_from(["(1 1)", "(3)", "(1 2)(2 3)", "(1 2", "x", "(1,2)"]))
+_COMMENT = st.sampled_from(["", "  # comment", "#"])
+
+
+def _cycles(d):
+    """Cycle text: a permutation of d points (two draws in three), or bad."""
+    good = st.permutations(range(d)).map(perm.cycle_string)
+    return st.one_of(good, good, _BAD_CYCLES)
+
+
+def _group_text(d):
+    header = st.sampled_from([f"degree {d}", f"degree 00{d}"])
+    return st.builds(
+        lambda first, head, gens: "".join(
+            [first + "\n", head + "\n"] + [g + c + "\n" for g, c in gens]),
+        _COMMENT, st.one_of(header, header, _BAD_HEADER),
+        st.lists(st.tuples(_cycles(d), _COMMENT), max_size=3))
+
+
+class TestGroupFileArguments:
+    @given(st.integers(1, 8).flatmap(lambda d: st.tuples(
+        _group_text(d), st.one_of(st.none(), _cycles(d)))),
+           st.sampled_from(["verify", "check", "compare"]))
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_reports_or_refuses_in_one_line(self, case, command):
+        text, element = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "g.grp")
+            Path(path).write_text(text, encoding="utf-8")
+            if command == "compare":
+                argv = ["compare", "--action1", path, "--action2", path,
+                        "--samples", "20"]
+            else:
+                argv = [command, "--group", path]
+            if command == "check" and element is not None:
+                argv += ["--element", element]
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main([*argv, "--json"])
+            assert time.perf_counter() - start < 2
+        assert code in (0, 1, 2)
+        out, err = out.getvalue(), err.getvalue()
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+            # the file, --element, or (compare) the two actions
+            assert path in err or "--element" in err \
+                or (command == "compare" and "actions" in err)
+        else:
+            assert err == ""
+            assert isinstance(json.loads(out), dict)
 
 
 class TestCompare:

@@ -47,7 +47,6 @@ from regcycles import numtheory as nt
 from regcycles import perm
 from regcycles.geometry import (
     DomainNotPreservedError,
-    MatrixFileError,
     SemilinearMap,
     Subspace,
     duality_map,
@@ -55,7 +54,7 @@ from regcycles.geometry import (
     perm_image,
     standard_form,
 )
-from regcycles.perm import Permutation
+from regcycles.perm import GroupFileError, Permutation
 
 
 class TestField:
@@ -1199,20 +1198,24 @@ class TestMatrixFiles:
                             == bilinear(space, basis[i], basis[j])
 
     def test_parse_errors(self):
-        with pytest.raises(MatrixFileError):
+        with pytest.raises(GroupFileError):
             ge.parse_matrix_file("dim 2\nform trivial\n")
-        with pytest.raises(MatrixFileError) as exc:
+        with pytest.raises(GroupFileError) as exc:
             ge.parse_matrix_file("GF 2 1\ndim 2\nform trivial\ngen\n1 0\n")
         assert exc.value.lineno >= 5  # truncated matrix
-        with pytest.raises(MatrixFileError):
+        with pytest.raises(GroupFileError):
             ge.parse_matrix_file(
                 "GF 2 1\ndim 2\nform trivial\ngen\n1 1\n1 1\n")  # singular
-        with pytest.raises(MatrixFileError) as exc:
+        with pytest.raises(GroupFileError) as exc:
             ge.parse_matrix_file("GF 2 1\ndim 5\nform symplectic\ngen\n"
                                  + "1 0 0 0 0\n" * 5)  # odd dimension
         assert exc.value.lineno == 3
-        with pytest.raises(MatrixFileError) as exc:
+        with pytest.raises(GroupFileError) as exc:
             ge.parse_matrix_file("GF 2 1\ndim 0\nform trivial\ngen\n")
+        assert exc.value.lineno == 2
+        # a digit that is not a decimal digit, which int() refuses
+        with pytest.raises(GroupFileError) as exc:
+            ge.parse_matrix_file("GF 2 1\ndim \u00b2\nform trivial\n")
         assert exc.value.lineno == 2
 
     def test_singular_generator_is_reported_before_later_errors(self):
@@ -1225,7 +1228,7 @@ class TestMatrixFiles:
                 "gen\n1 2 0\n0 1 1\n1 0 1\n\ntwist 0\n"
                 "gen\n0 0 0\n0 1 0\n0 0 1\n"
                 "gen\n1 0 0\n0 1\n")
-        with pytest.raises(MatrixFileError) as exc:
+        with pytest.raises(GroupFileError) as exc:
             ge.parse_matrix_file(text)
         assert (exc.value.lineno, str(exc.value)) \
             == (18, "line 18: generator matrix is singular")
@@ -1234,7 +1237,7 @@ class TestMatrixFiles:
                 "gen\n1 0 0\n0 1 0\n0 0 1\n"
                 "gen\n0 1 0\n0 0 x\n1 0 0\n"
                 "gen\n1 1 0\n1 1 0\n1 0 1\n")
-        with pytest.raises(MatrixFileError) as exc:
+        with pytest.raises(GroupFileError) as exc:
             ge.parse_matrix_file(text)
         assert str(exc.value) == "line 10: non-integer entry"
 

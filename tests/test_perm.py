@@ -21,7 +21,7 @@ from perm_reference import (
     stabilizer_rows,
 )
 from corpus import fixing, projective_line_group
-from regcycles import perm
+from regcycles import geometry, perm
 from regcycles.perm import (
     CapExceeded,
     GroupFileError,
@@ -398,6 +398,24 @@ class TestStabilizerChain:
         assert chain.base[0] == 2
         assert chain.order == len(closure(6, gens))
         assert PermGroup(3, [identity(3)]).stabilizer_chain().base == [0]
+
+    def test_schreier_generators_are_sifted_within_the_bound(self,
+                                                             monkeypatch):
+        # Sp6(2) on its 63 points: the 63 Schreier generators of one
+        # generator hold 3,969 entries, past a bound of 1,000, so they are
+        # sifted in blocks of orbit points
+        space, gens = geometry.builtin_matrix_group("sp6_2")
+        G = geometry.perm_image(gens, geometry.singular_points(space))
+        monkeypatch.setattr(perm, "_ARRAY_ENTRIES", 1000)
+        sizes, residue = [], perm.StabChain._residue
+
+        def sized_residue(chain, rows, start):
+            sizes.append(rows.size)
+            return residue(chain, rows, start)
+
+        monkeypatch.setattr(perm.StabChain, "_residue", sized_residue)
+        assert G.order() == 1451520
+        assert sizes and max(sizes) <= max(1000, G.degree)
 
 
 def _row_multiset(rows):
