@@ -335,13 +335,22 @@ def _is_int(value, least=None) -> bool:
     return type(value) is int and (least is None or value >= least)
 
 
+def _json_int(digits: str) -> int:
+    """A JSON integer, read by `perm.read_ints`, which takes no sign."""
+    # imported here: importing perm, and numpy with it, before the CLI's
+    # other modules raised its peak RSS by about 1 MB
+    from .perm import read_ints
+    [value] = read_ints([digits.lstrip("-")])
+    return -value if digits[0] == "-" else value
+
+
 def load_external_tables(text: str) -> ExternalTables:
     """Parse and validate a tables file: an object of per-group objects,
     with integer `max_order`/`min_degree` >= 1 and each `*_num`/`*_den`
     pair given together as integers with den >= 1 (ValueError otherwise).
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_json_int)
     except RecursionError as exc:
         raise ValueError("external tables nest too deeply") from exc
     if not isinstance(data, dict) or not all(

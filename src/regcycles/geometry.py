@@ -36,9 +36,10 @@ provides:
     points orthogonal to all its rows.  Form domains map their table of
     values at once, forward through the generator matrix itself, and
     invert the permutation found.  The image rows become `PermGroup.images`;
-  * a plain text file format for matrix generators, whose generators are
-    checked for singularity by one batched Gaussian elimination
-    (`singular_matrices`).
+  * a plain text file format for matrix generators, read by the line and
+    integer readers of group files (`perm.file_lines`, `perm.read_ints`),
+    whose generators are checked for singularity by one batched Gaussian
+    elimination (`singular_matrices`).
 
 Caps raise OverflowError before the arrays they guard: `FIELD_CAP` on the
 field order, `VECTOR_ENUM_CAP` on q**n and `perm.DEFAULT_DOMAIN_CAP` on every
@@ -61,8 +62,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numtheory import is_prime, prime_power
-from .perm import DEFAULT_DOMAIN_CAP, GroupFileError, PermGroup
+from .numtheory import floor_log, is_prime, prime_power
+from .perm import (DEFAULT_DOMAIN_CAP, GroupFileError, PermGroup, file_lines,
+                   read_ints)
 
 FIELD_CAP = 512
 VECTOR_ENUM_CAP = 10**6
@@ -971,114 +973,86 @@ def parse_matrix_file(text: str):
     Format: `GF p e [c0 c1 ... ce]`, `dim n`, `form kind [epsilon]`, then
     per generator a `gen` line followed by n rows of n field elements,
     optionally followed by `twist t` and/or `duality` lines.  `#` starts a
-    comment.  A malformed file raises `perm.GroupFileError` with its line.
+    comment, and every integer is read by `perm.read_ints`.  A malformed
+    file raises `perm.GroupFileError` with its line.
     """
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
-    pos = 0
-
-    def take(expect=None):
-        nonlocal pos
-        if pos >= len(lines):
-            raise GroupFileError(len(text.splitlines()) + 1,
-                                 f"unexpected end of file"
-                                 + (f" (wanted {expect})" if expect else ""))
-        item = lines[pos]
-        pos += 1
-        return item
-
-    lineno, header = take("GF header")
-    parts = header.split()
-    if parts[0] != "GF" or len(parts) < 3:
-        raise GroupFileError(lineno, "expected 'GF p e [modulus...]'")
+    lines, end = file_lines(text)
+    wanted, rows, gens, linenos, error = "GF header", None, [], [], None
     try:
-        p, e = int(parts[1]), int(parts[2])
-        modulus = tuple(int(x) for x in parts[3:]) or None
-    except ValueError as exc:
-        raise GroupFileError(lineno, str(exc)) from None
-    try:
-        field = field_build(p, e, modulus)
-    except (ValueError, OverflowError) as exc:
-        raise GroupFileError(lineno, str(exc)) from None
-
-    lineno, dim_line = take("dim")
-    parts = dim_line.split()
-    if parts[0] != "dim" or len(parts) != 2 or not parts[1].isdecimal() \
-            or int(parts[1]) < 1:
-        raise GroupFileError(lineno, "expected 'dim n' with n >= 1")
-    n = int(parts[1])
-    # every domain refuses q**n past the cap; refuse here, before the form's
-    # (n, n) Gram matrix is built (q >= 2, so n past the cap's bit length
-    # is refused without forming q**n)
-    if n > VECTOR_ENUM_CAP.bit_length() or field.q**n > VECTOR_ENUM_CAP:
-        raise GroupFileError(lineno, f"dim {n} over GF({field.q}) exceeds "
-                             f"the vector enumeration cap {VECTOR_ENUM_CAP}")
-
-    lineno, form_line = take("form")
-    parts = form_line.split()
-    if parts[0] != "form" or len(parts) not in (2, 3):
-        raise GroupFileError(lineno, "expected 'form kind [epsilon]'")
-    kind = parts[1]
-    epsilon = parts[2] if len(parts) == 3 else None
-    try:
-        if kind == "hermitian" and field.e % 2:
-            raise ValueError("hermitian form needs GF(q**2)")
-        q = field.p**(field.e // 2 if kind == "hermitian" else field.e)
-        space = standard_form(kind, n, q, epsilon, modulus=modulus)
-    except ValueError as exc:
-        raise GroupFileError(lineno, str(exc)) from None
-
-    gens, linenos, error = [], [], None
-    try:
-        while pos < len(lines):
-            lineno, line = take()
-            if line != "gen":
-                raise GroupFileError(lineno, f"expected 'gen', got {line!r}")
-            rows = []
-            for _ in range(n):
-                lineno, row_line = take("matrix row")
-                entries = row_line.split()
-                if len(entries) != n:
-                    raise GroupFileError(lineno, f"expected {n} entries")
-                try:
-                    row = tuple(int(x) for x in entries)
-                except ValueError:
-                    raise GroupFileError(lineno, "non-integer entry") \
-                        from None
-                if any(not 0 <= x < field.q for x in row):
-                    raise GroupFileError(
-                        lineno, f"entry out of range 0..{field.q - 1}")
-                rows.append(row)
-            twist = 0
-            duality = False
-            while pos < len(lines) and lines[pos][1].split()[0] in (
-                    "twist", "duality"):
-                lineno, extra = take()
-                parts = extra.split()
-                if parts[0] == "twist":
-                    if len(parts) != 2 or not parts[1].isdecimal():
-                        raise GroupFileError(lineno, "expected 'twist t'")
-                    twist = int(parts[1])
-                else:
-                    duality = True
+        for lineno, line in lines:
+            parts = line.split()
+            if wanted == "matrix row":
+                if len(parts) != n:
+                    raise ValueError(f"expected {n} entries")
+                rows.append(tuple(read_ints(parts, field.q - 1,
+                                            "non-integer entry", past_q)))
+                wanted = "matrix row" if len(rows) < n else "gen"
+            elif rows and parts[0] == "duality":
+                duality = True
+            elif rows and parts[0] == "twist":
+                if len(parts) != 2:
+                    raise ValueError("expected 'twist t'")
+                [twist] = read_ints(parts[1:], bad="expected 'twist t'")
+            elif wanted == "GF header":
+                if parts[0] != "GF" or len(parts) < 3:
+                    raise ValueError("expected 'GF p e [modulus...]'")
+                p, e = read_ints(parts[1:3], FIELD_CAP,
+                                 over=f"field order exceeds cap {FIELD_CAP}")
+                modulus = tuple(read_ints(parts[3:])) or None
+                field = field_build(p, e, modulus)
+                past_q = f"entry out of range 0..{field.q - 1}"
+                wanted = "dim"
+            elif wanted == "dim":
+                no_dim = "expected 'dim n' with n >= 1"
+                if parts[0] != "dim" or len(parts) != 2:
+                    raise ValueError(no_dim)
+                # every domain refuses q**n past the cap; refuse it here,
+                # before the form's (n, n) Gram matrix is built
+                most = floor_log(VECTOR_ENUM_CAP, field.q)
+                [n] = read_ints(parts[1:], most, no_dim,
+                                f"dim {{}} over GF({field.q}) exceeds the "
+                                f"vector enumeration cap {VECTOR_ENUM_CAP}")
+                if n < 1:
+                    raise ValueError(no_dim)
+                wanted = "form"
+            elif wanted == "form":
+                if parts[0] != "form" or len(parts) not in (2, 3):
+                    raise ValueError("expected 'form kind [epsilon]'")
+                kind, epsilon = (parts[1:] + [None])[:2]
+                if kind == "hermitian" and field.e % 2:
+                    raise ValueError("hermitian form needs GF(q**2)")
+                q = math.isqrt(field.q) if kind == "hermitian" else field.q
+                space = standard_form(kind, n, q, epsilon, modulus=modulus)
+                wanted = "gen"
+            else:
+                # a generator's block ends at the next `gen` line
+                if rows:
+                    gens.append(SemilinearMap(tuple(rows), twist, duality))
+                    linenos.append(last)
+                if line != "gen":
+                    raise ValueError(f"expected 'gen', got {line!r}")
+                rows, twist, duality, wanted = [], 0, False, "matrix row"
+            last = lineno
+        lineno = end
+        if wanted != "gen":
+            raise ValueError(f"unexpected end of file (wanted {wanted})")
+        if rows:
             gens.append(SemilinearMap(tuple(rows), twist, duality))
-            linenos.append(lineno)
-    except GroupFileError as exc:
-        error = exc
+            linenos.append(last)
+    except (ValueError, OverflowError) as exc:
+        error = GroupFileError(lineno, str(exc))
     # one elimination for every generator read; a singular one is reported
     # before any later error, at the last line of its block
-    matrices = np.reshape([g.matrix for g in gens], (-1, n, n))
-    singular = np.flatnonzero(singular_matrices(field, matrices))
-    if singular.size:
-        raise GroupFileError(linenos[singular[0]],
-                             "generator matrix is singular")
+    if gens:
+        singular = np.flatnonzero(
+            singular_matrices(field, [g.matrix for g in gens]))
+        if singular.size:
+            raise GroupFileError(linenos[singular[0]],
+                                 "generator matrix is singular")
     if error is not None:
         raise error
     if not gens:
-        raise GroupFileError(len(text.splitlines()) + 1, "no generators")
+        raise GroupFileError(end, "no generators")
     return space, gens
 
 

@@ -14,8 +14,10 @@ exactly reproducible.
 Every cap raises an OverflowError: every question that needs the chain
 raises CapExceeded iff the group order exceeds its element cap (default
 10**7), and every domain constructor refuses more than DEFAULT_DOMAIN_CAP =
-10**6 points.  A malformed file, a group file past that cap included, raises
-GroupFileError, the one file-format error (a ValueError).
+10**6 points.  Group files and the matrix files of ``geometry`` share one
+line reader (``file_lines``) and one integer reader (``read_ints``).  A
+malformed file, a group file past that cap included, raises
+GroupFileError, the one file-format error (a ValueError), with its line.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 import re
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -41,6 +44,56 @@ class GroupFileError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+
+
+def file_lines(text: str) -> tuple[list[tuple[int, str]], int]:
+    """The (number, text) of each line of a group or matrix file that
+    holds more than a '#' comment, and the number of the line after the
+    last, at which an error at the end of the file is reported."""
+    raw = text.splitlines()
+    lines = []
+    for lineno, line in enumerate(raw, start=1):
+        if line := line.partition("#")[0].strip():
+            lines.append((lineno, line))
+    return lines, len(raw) + 1
+
+
+def read_ints(tokens: list[str], most: int | None = None,
+              bad: str = "expected an integer, got {!r}",
+              over: str = "integer {} is too long") -> list[int]:
+    """The values of integer fields of a group or matrix file: runs of
+    ASCII digits, zeros in front allowed (int() would also take a sign,
+    '_' and other scripts' digits).  A field capped at `most` is compared
+    with the cap by digit count before int() sees it.  ValueError(bad)
+    names the first token that is not an integer, else ValueError(over)
+    the first past the cap or past int()'s digit limit, without its zeros
+    in front; '{}' in a message is the token, cut short past 60 characters.
+    """
+    joined = "".join(tokens)
+    if joined.isdigit() and joined.isascii() and most is not None \
+            and max(map(len, tokens)) <= len(str(most)):
+        values = list(map(int, tokens))  # the common case
+        if max(values) <= most:
+            return values
+    message, values = bad, []
+    token = next((t for t in tokens if not (t.isascii() and t.isdigit())),
+                 None)
+    if token is None:
+        message = over
+        for token in (t.lstrip("0") or "0" for t in tokens):
+            try:
+                if most is not None and len(token) > len(str(most)):
+                    raise ValueError
+                values.append(int(token))
+                if most is not None and values[-1] > most:
+                    raise ValueError
+            except ValueError:
+                break
+        else:
+            return values
+    if len(token) > 60:
+        token = f"{token[:20]}... ({len(token)} characters)"
+    raise ValueError(message.format(token))
 
 
 class Permutation:
@@ -168,22 +221,28 @@ def _cycle_images(text: str, degree: int) -> list[int]:
     images = list(range(degree))
     if text == "id":
         return images
-    stripped = _CYCLE_RE.sub("", text)
-    if stripped.strip():
+    if _CYCLE_RE.sub("", text).strip():
         raise ValueError(f"unparsable cycle text: {text!r}")
-    seen: set[int] = set()
-    for body in _CYCLE_RE.findall(text):
-        pts = [int(tok) for tok in body.replace(",", " ").split()]
-        if len(pts) < 2:
+    cycles = [body.replace(",", " ").split()
+              for body in _CYCLE_RE.findall(text)]
+    # every point of the line in one read
+    points = read_ints(list(chain.from_iterable(cycles)), degree,
+                       over=f"point {{}} out of range 1..{degree}")
+    if 0 in points:
+        raise ValueError(f"point 0 out of range 1..{degree}")
+    if len(set(points)) < len(points):
+        p = next(p for i, p in enumerate(points) if p in points[:i])
+        raise ValueError(f"point {p} repeated across cycles")
+    # each point's image is the next point of its cycle
+    succ = points[1:] + points[:1]
+    end = 0
+    for cycle in cycles:
+        if len(cycle) < 2:
             raise ValueError("cycles need at least 2 points")
-        for p in pts:
-            if not 1 <= p <= degree:
-                raise ValueError(f"point {p} out of range 1..{degree}")
-            if p - 1 in seen:
-                raise ValueError(f"point {p} repeated across cycles")
-            seen.add(p - 1)
-        for i, p in enumerate(pts):
-            images[p - 1] = pts[(i + 1) % len(pts)] - 1
+        end += len(cycle)
+        succ[end - 1] = points[end - len(cycle)]
+    for p, image in zip(points, succ):
+        images[p - 1] = image - 1
     return images
 
 
@@ -286,11 +345,12 @@ class StabChain:
     trivial group); each later one is the least point moved by the sift
     residue that opened its level.  Each level's Schreier generators are
     formed and sifted as one array (split only past _ARRAY_ENTRIES
-    entries, by generators and then by orbit points); the first that does not sift to the identity becomes a new
-    strong generator, and the levels below it are checked again before the
-    level itself (Holt, Eick and O'Brien, *Handbook of Computational Group
-    Theory*, 4.4).  Construction raises CapExceeded as soon as the product
-    of the orbit lengths, a lower bound for the group order, passes ``cap``.
+    entries, by generators and then by orbit points); the first that does
+    not sift to the identity becomes a new strong generator, and the
+    levels below it are checked again before the level itself (Holt, Eick
+    and O'Brien, *Handbook of Computational Group Theory*, 4.4).
+    Construction raises CapExceeded as soon as the product of the orbit
+    lengths, a lower bound for the group order, passes ``cap``.
     """
 
     def __init__(self, images: np.ndarray, cap: int):
@@ -541,37 +601,29 @@ class PermGroup:
 
 
 # -- group file format -------------------------------------------------------
-#
-# Line 1: "degree <d>", with 1 <= d <= DEFAULT_DOMAIN_CAP (the most points
-# any constructor builds).  Each later non-blank, non-comment line is one
-# generator: "id" or a product of disjoint cycles with 1-based points.
-# "#" starts a comment (whole line or trailing).
 
 
 def parse_group_file(text: str) -> PermGroup:
-    degree = None
-    gens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if degree is None:
-            m = re.fullmatch(r"degree\s+0*(\d+)", line)
-            if not m:
-                raise GroupFileError(lineno, "expected 'degree <d>' header")
-            # by digit count first: int() refuses past 4300 digits
-            if (len(m.group(1)) > len(str(DEFAULT_DOMAIN_CAP))
-                    or int(m.group(1)) > DEFAULT_DOMAIN_CAP):
-                raise GroupFileError(lineno, f"degree {m.group(1)} exceeds "
-                                     f"the domain cap {DEFAULT_DOMAIN_CAP}")
-            degree = int(m.group(1))
+    """Line 1: "degree <d>", with 1 <= d <= DEFAULT_DOMAIN_CAP (the most
+    points any constructor builds).  Each later line is one generator:
+    "id" or a product of disjoint cycles of the points 1..d."""
+    degree, gens = None, []
+    try:
+        for lineno, line in file_lines(text)[0]:
+            if degree is not None:
+                gens.append(_cycle_images(line, degree))
+                continue
+            header = line.split()
+            if len(header) != 2 or header[0] != "degree":
+                raise ValueError("expected 'degree <d>' header")
+            [degree] = read_ints(header[1:], DEFAULT_DOMAIN_CAP,
+                                 "expected 'degree <d>' header",
+                                 f"degree {{}} exceeds the domain cap "
+                                 f"{DEFAULT_DOMAIN_CAP}")
             if degree < 1:
-                raise GroupFileError(lineno, "degree must be >= 1")
-            continue
-        try:
-            gens.append(_cycle_images(line, degree))
-        except ValueError as exc:
-            raise GroupFileError(lineno, str(exc)) from exc
+                raise ValueError("degree must be >= 1")
+    except ValueError as exc:
+        raise GroupFileError(lineno, str(exc)) from exc
     if degree is None:
         raise GroupFileError(1, "missing 'degree <d>' header")
     return PermGroup(degree, gens)

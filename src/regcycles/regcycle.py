@@ -35,7 +35,6 @@ compared in its diagonal action on their disjoint union.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import random
@@ -82,8 +81,9 @@ class RegCycleReport:
 
 
 def _regular_cycles(rows: np.ndarray, square_free=None):
-    """The regular-cycle count of every image row, and, given a test
-    ``square_free(n)``, the mask of rows of square-free order (else None).
+    """The regular-cycle count of every image row, and, given a table
+    ``square_free`` of the square-free lengths, the mask of rows of
+    square-free order (else None).
 
     One kernel call gives the cycle lengths.  A permutation's order is the
     lcm of its cycle lengths, at least the longest one, with equality iff
@@ -98,10 +98,16 @@ def _regular_cycles(rows: np.ndarray, square_free=None):
     counts[(longest % np.maximum(sizes, 1)).any(axis=1)] = 0
     if square_free is None:
         return counts, None
-    lengths = np.flatnonzero(np.bincount(sizes.ravel())[1:]) + 1
-    ok = np.ones(lengths[-1] + 1, bool)  # ok[0]: the points that lead no cycle
-    ok[lengths] = [square_free(n) for n in lengths.tolist()]
-    return counts, ok[sizes].all(axis=1)
+    return counts, square_free[sizes].all(axis=1)
+
+
+def _square_free_table(degree: int) -> np.ndarray:
+    """Whether each of 0, ..., degree is square-free (0, at the points
+    that lead no cycle in ``perm.cycle_sizes``, counts as square-free)."""
+    table = np.ones(degree + 1, bool)
+    for k in range(2, math.isqrt(degree) + 1):
+        table[k * k::k * k] = False  # the multiples of k**2
+    return table
 
 
 def fix_union_test(g: Permutation) -> RegCycleReport:
@@ -139,10 +145,6 @@ def fix_union_test(g: Permutation) -> RegCycleReport:
 # which stay in cache; the chain gathers as many small cosets into one
 # chunk as fit, and compare_actions_monotonic as many words.
 _CHUNK_ENTRIES = 1 << 15
-
-
-def _square_free(n: int) -> bool:
-    return all(e == 1 for _p, e in numtheory.factorize(n))
 
 
 @dataclass(frozen=True)
@@ -196,8 +198,7 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     among the elements actually checked.  Raises CapExceeded iff |G| > cap.
     """
     chain = G.stabilizer_chain(cap)
-    # per call: one test per cycle length seen, and only when asked for
-    square_free = functools.cache(_square_free) if square_free_only else None
+    square_free = _square_free_table(G.degree) if square_free_only else None
 
     def scan(betas, failing=None):
         """Rows checked and rows failing in the coset of each beta; the

@@ -467,7 +467,7 @@ class TestCaseVI:
 class TestHalfPowers:
     @given(st.integers(min_value=2, max_value=10**6),
            st.integers(min_value=1, max_value=40))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_inverse_sqrt_bound_squared_covers(self, q, k):
         bound = bd._inverse_sqrt_upper(q**k)
         assert bound**2 >= Fraction(1, q**k)

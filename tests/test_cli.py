@@ -300,6 +300,19 @@ class TestMalformedTables:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "bad external tables" in err
 
+    @pytest.mark.parametrize("argv", [CERTIFY, NONSUBSPACE],
+                             ids=["certify", "scan"])
+    def test_over_long_integer_ends_in_one_plain_line(self, tmp_path,
+                                                      capsys, argv):
+        # past int()'s 4300 digits, whose message advised a sys setting
+        tables = tmp_path / "tables.json"
+        tables.write_text('{"PSp:6:2": {"max_order": ' + "9" * 5000 + "}}")
+        assert main(argv + ["--tables", str(tables)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {tables}: bad external tables: integer "
+                       f"{'9' * 20}... (5000 characters) is too long\n")
+
 
 class TestScan:
     def test_small_dim_jsonl(self, capsys):
@@ -438,15 +451,16 @@ class TestErrorTable:
     def test_group_file_degree_past_the_integer_digit_limit(
             self, tmp_path, capsys, command):
         # past the 4300 digits int() converts, and the zeros in front of
-        # the cap are not digits of the degree
+        # the cap are not digits of the degree; the message shows the
+        # first 20 digits and the count
         path = tmp_path / "huge.grp"
-        degree = "9" * 5000
-        path.write_text(f"degree {degree}\n(1 2)\n")
+        path.write_text(f"degree {'9' * 5000}\n(1 2)\n")
         assert main(self._group_file_argv(command, str(path))) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (f"error: {path}: line 1: degree {degree} exceeds "
-                       f"the domain cap {perm.DEFAULT_DOMAIN_CAP}\n")
+        assert err == (f"error: {path}: line 1: degree {'9' * 20}... (5000 "
+                       f"characters) exceeds the domain cap "
+                       f"{perm.DEFAULT_DOMAIN_CAP}\n")
         path.write_text(f"degree {'0' * 5000}{perm.DEFAULT_DOMAIN_CAP}\n"
                         "(1 2)\n")
         assert main(self._group_file_argv(command, str(path))) == 0
@@ -608,7 +622,7 @@ _K_OR_R = st.one_of(st.integers(-1, 4),
 
 class TestBuildActionArguments:
     @given(st.sampled_from(["ksets", "product"]), _M, _K_OR_R)
-    @settings(max_examples=50, derandomize=True, deadline=None)
+    @settings(max_examples=50)
     def test_builds_or_refuses_in_one_line(self, kind, m, size):
         flag = "--k" if kind == "ksets" else "--r"
         out, err = io.StringIO(), io.StringIO()
@@ -650,7 +664,7 @@ class TestCertifyArguments:
            st.one_of(st.none(), st.sampled_from(bounds.FAMILIES)),
            _CERTIFY_N, _CERTIFY_Q)
     @_past_the_cap_examples
-    @settings(max_examples=42, derandomize=True, deadline=None)
+    @settings(max_examples=42)
     def test_reports_or_refuses_in_one_line(self, case, family, n, q):
         argv = ["certify", "--case", case, "--n", str(n), "--q", str(q)]
         if family is not None:
@@ -704,7 +718,7 @@ class TestGroupFileArguments:
     @given(st.integers(1, 8).flatmap(lambda d: st.tuples(
         _group_text(d), st.one_of(st.none(), _cycles(d)))),
            st.sampled_from(["verify", "check", "compare"]))
-    @settings(max_examples=80, derandomize=True, deadline=None)
+    @settings(max_examples=80)
     def test_reports_or_refuses_in_one_line(self, case, command):
         text, element = case
         with tempfile.TemporaryDirectory() as tmp:
@@ -735,6 +749,204 @@ class TestGroupFileArguments:
         else:
             assert err == ""
             assert isinstance(json.loads(out), dict)
+
+
+# integer tokens the formats refuse: past int()'s 4300 digits, signed,
+# underscored, not ASCII digits, not a number
+_BAD_INT = st.sampled_from(["9" * 5000, "+1", "-1", "1_0", "\u0662", "x"])
+_MATRIX_TYPES = ["singular-points", "ns1", "aniso2", "maxts", "forms",
+                 "pairs-le", "pairs-perp"]
+
+
+@st.composite
+def _matrix_text(draw):
+    """A matrix file of dim n <= 4 over GF(2), GF(3) or GF(4) with up to
+    three permutation-matrix generators: right in three draws of eight,
+    else with one flaw: a bad header line, a refused integer as an entry
+    or twist, a random (often singular) generator, or its last line cut."""
+    p, e, modulus = draw(st.sampled_from(
+        [(2, 1, ""), (3, 1, ""), (2, 2, ""), (2, 2, " 1 1 1")]))
+    q, n, bad = p**e, draw(st.integers(1, 4)), draw(_BAD_INT)
+    forms = (["trivial"] + ["hermitian"] * (e == 2)
+             + ["symplectic", "quadratic +", "quadratic -"] * (n % 2 == 0)
+             + ["quadratic o"] * (n % 2 == 1 and p == 3))
+    lines = [f"GF {p} {e}{modulus}", f"dim {n}",
+             "form " + draw(st.sampled_from(forms))]
+    for images in draw(st.lists(st.permutations(range(n)), min_size=1,
+                                max_size=3)):
+        lines += ["gen"] + [" ".join(str(int(j == i)) for j in range(n))
+                            for i in images]
+        lines += draw(st.sampled_from([[], [], ["duality"], ["twist 1"]]))
+    flaw = draw(st.sampled_from([None, None, None, "header", "entry",
+                                 "twist", "random", "cut"]))
+    if flaw == "header":
+        i, line = draw(st.sampled_from([
+            (0, f"GF {bad} {e}"), (0, f"GF {p} {e} 1 {bad} 1"), (0, "GF 2"),
+            (0, "GF 509 2"), (1, f"dim {bad}"), (1, "dim 0"), (1, "dim 21"),
+            (2, "form bogus"), (2, "form symplectic")]))
+        lines[i] = line
+    elif flaw == "entry":
+        lines[4] = " ".join([bad] + lines[4].split()[1:])
+    elif flaw == "twist":
+        lines.append(f"twist {bad}")
+    elif flaw == "random":
+        square = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+        lines += ["gen"] + [" ".join(map(str, row)) for row in
+                            draw(st.lists(square, min_size=n, max_size=n))]
+    elif flaw == "cut":
+        lines.pop()
+    return "\n".join(lines) + "\n"
+
+
+# tables texts: entries of known and unknown groups that are right, or
+# whose fields are integers, over-long integers, other JSON values or
+# missing halves of a pair; entries that are not objects; JSON that is not
+# JSON
+_TABLE_FIELD = st.tuples(
+    st.sampled_from(["max_order", "min_degree", "iota_num", "iota_den",
+                     "amended_fpr_num", "amended_fpr_den"]),
+    st.sampled_from(["1", "7", "0", "-3", "1000000", "9" * 5000,
+                     "-" + "9" * 5000, "2.5", "1e400", '"7"', "true",
+                     "null", "[]"]))
+_GOOD_ENTRY = st.sampled_from([
+    "{}", '{"max_order": 7}', '{"min_degree": 100, "iota_num": 1, '
+    '"iota_den": 3}', '{"amended_fpr_num": 1, "amended_fpr_den": 4}'])
+_TABLE_ENTRY = st.one_of(
+    _GOOD_ENTRY, _GOOD_ENTRY,
+    st.lists(_TABLE_FIELD, max_size=4).map(lambda fields: "{" + ", ".join(
+        f'"{name}": {value}' for name, value in fields) + "}"),
+    st.sampled_from(["5", "[]", '"x"']))
+_TABLES_TEXT = st.one_of(
+    st.lists(st.tuples(st.sampled_from(["PSL:2:7", "PSp:6:2", "PSL:6:11",
+                                        "POmega-:8:11", "junk"]),
+                       _TABLE_ENTRY), max_size=3).map(
+        lambda entries: "{" + ", ".join(
+            f'"{key}": {entry}' for key, entry in entries) + "}"),
+    st.sampled_from(["", "{", "[1]", "9" * 5000, '{"a": 1e400}']))
+
+
+def _run_in_one_line(argv):
+    """(exit code, stdout, stderr) of main(argv), which must end within
+    2 s in exit 0, or in exit 2 with one plain `error:` line."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 2
+    assert code in (0, 2)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+    else:
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "Traceback" not in err and "set_int_max_str_digits" not in err
+    return code, out, err
+
+
+class TestMatrixFileArguments:
+    @given(_matrix_text(), st.sampled_from(_MATRIX_TYPES))
+    @settings(max_examples=80)
+    def test_builds_or_refuses_in_one_line(self, text, kind):
+        try:
+            geometry.parse_matrix_file(text)
+            malformed = False
+        except perm.GroupFileError:
+            malformed = True
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "g.mat", Path(tmp) / "out.grp"
+            path.write_text(text, encoding="utf-8")
+            code, _, err = _run_in_one_line(
+                ["build-action", "--type", kind, "--matrix", str(path),
+                 "--out", str(out)])
+            assert out.exists() == (code == 0)
+        # a malformed file is named with its line; a well-formed one is
+        # built, or refused for the action asked of it
+        assert code == 2 or not malformed
+        if malformed:
+            assert err.startswith(f"error: {path}: line ")
+
+
+class TestScanTablesArguments:
+    @given(_TABLES_TEXT, st.sampled_from(["small-dim", "nonsubspace",
+                                          "dagger"]))
+    @settings(max_examples=60)
+    def test_reads_or_refuses_in_one_line(self, text, theorem):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tables.json"
+            path.write_text(text, encoding="utf-8")
+            code, out, err = _run_in_one_line(
+                ["scan", "--theorem", theorem, "--tables", str(path)])
+        if code == 0:
+            assert out.endswith(" flagged\n")
+        else:
+            assert err.startswith(f"error: {path}: bad external tables: ")
+
+
+class TestFileIntegers:
+    """An integer field of either file format past int()'s 4300 digits,
+    or a token int() would take though the format does not (a sign, '_',
+    another script's digit), ends in one plain line naming the file and
+    its line."""
+
+    LONG = "9" * 5000
+    SHOWN = f"{'9' * 20}... (5000 characters)"
+    GEN = "gen\n1 0\n0 1\n"
+
+    @pytest.mark.parametrize("name, text, line, message", [
+        ("g.grp", f"degree {LONG}\n(1 2)\n", 1,
+         f"degree {SHOWN} exceeds the domain cap {perm.DEFAULT_DOMAIN_CAP}"),
+        ("g.grp", f"degree 3\n(1 {LONG})\n", 2,
+         f"point {SHOWN} out of range 1..3"),
+        ("g.grp", "degree 30\n(1 2_0)\n", 2,
+         "expected an integer, got '2_0'"),
+        ("g.grp", "degree 3\n\n(1 +2)\n", 3, "expected an integer, got '+2'"),
+        ("g.grp", "degree 3\n(1 \u0662)\n", 2,
+         "expected an integer, got '\u0662'"),
+        ("m.mat", f"GF {LONG} 1\ndim 2\nform trivial\n{GEN}", 1,
+         f"field order exceeds cap {geometry.FIELD_CAP}"),
+        ("m.mat", f"GF 2 2 1 {LONG} 1\ndim 2\nform trivial\n{GEN}", 1,
+         f"integer {SHOWN} is too long"),
+        ("m.mat", f"GF 2 1\ndim {LONG}\nform trivial\n{GEN}", 2,
+         f"dim {SHOWN} over GF(2) exceeds the vector enumeration cap "
+         f"{geometry.VECTOR_ENUM_CAP}"),
+        ("m.mat", f"GF 2 1\ndim 2\nform trivial\ngen\n1 0\n0 {LONG}\n",
+         6, "entry out of range 0..1"),
+        ("m.mat", f"GF 2 2\ndim 2\nform trivial\n{GEN}twist {LONG}\n", 7,
+         f"integer {SHOWN} is too long"),
+        ("m.mat", "GF 3 1\ndim 2\nform trivial\ngen\n1 0\n0 2_0\n", 6,
+         "non-integer entry"),
+        ("m.mat", "GF 3 1\ndim 2\nform trivial\ngen\n+2 0\n0 1\n", 5,
+         "non-integer entry"),
+        ("m.mat", "GF 3 1\ndim 2\nform trivial\ngen\n\u0662 0\n0 1\n", 5,
+         "non-integer entry"),
+    ], ids=["degree", "point", "underscore-point", "signed-point",
+            "arabic-point", "p", "modulus", "dim", "entry", "twist",
+            "underscore-entry", "signed-entry", "arabic-entry"])
+    def test_one_plain_line_names_the_file_and_line(self, tmp_path, name,
+                                                    text, line, message):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        if name == "g.grp":
+            argv = ["verify", "--group", str(path)]
+        else:
+            argv = ["build-action", "--type", "singular-points", "--matrix",
+                    str(path), "--out", str(tmp_path / "out.grp")]
+        code, _, err = _run_in_one_line(argv)
+        assert code == 2
+        assert err == f"error: {path}: line {line}: {message}\n"
+
+    @pytest.mark.parametrize("token, message", [
+        ("2_0", "expected an integer, got '2_0'"),
+        ("+2", "expected an integer, got '+2'"),
+        ("\u0662", "expected an integer, got '\u0662'"),
+        (LONG, f"point {SHOWN} out of range 1..8")],
+        ids=["underscore", "signed", "arabic", "long"])
+    def test_element_tokens(self, alt8_file, token, message):
+        code, _, err = _run_in_one_line(
+            ["check", "--group", alt8_file, "--element", f"(1 {token})"])
+        assert code == 2
+        assert err == f"error: bad --element: {message}\n"
 
 
 class TestCompare:

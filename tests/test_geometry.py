@@ -86,7 +86,7 @@ class TestField:
 
     @given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 3)]),
            st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_field_axioms(self, pe, data):
         K = scalars(field_build(*pe))
         a = data.draw(st.integers(0, K.q - 1))
@@ -361,7 +361,7 @@ _SMALL_SPACES = (
 
 class TestSubspaceEnumerator:
     @given(st.integers(1, 5), st.sampled_from([2, 3, 4, 5]), st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_each_subspace_once_in_rref(self, n, q, data):
         k = data.draw(st.integers(0, n))
         F = standard_form("trivial", n, q)
@@ -390,7 +390,7 @@ class TestSubspaceEnumerator:
             ge.subspaces(F, 1)
 
     @given(st.sampled_from(_SMALL_SPACES), st.booleans(), st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_array_enumerator_matches_the_reference(self, params, prune,
                                                     data):
         F = standard_form(*params)
@@ -850,7 +850,7 @@ def _admits_duality(kind, space):
 class TestInducedPointAction:
     @pytest.mark.parametrize("kind", _DOMAIN_KINDS)
     @given(st.data())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_permutation_matches_reference(self, kind, data):
         params = data.draw(st.sampled_from(_reference_cases(kind)))
         dom = _domain(kind, params)
@@ -878,7 +878,7 @@ class TestInducedPointAction:
 
     @given(st.sampled_from([(n, q, eps) for n in (2, 4, 6) for q in (2, 4)
                             for eps in "+-"]), st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_form_action_matches_reference(self, case, data):
         n, q, eps = case
         dom = _domain(f"forms{eps}", ("symplectic", n, q, None))
@@ -1240,6 +1240,49 @@ class TestMatrixFiles:
         with pytest.raises(GroupFileError) as exc:
             ge.parse_matrix_file(text)
         assert str(exc.value) == "line 10: non-integer entry"
+
+    # (text, line, message): an integer past int()'s 4300 digits in every
+    # integer field of a matrix file, and the entry tokens int() would take
+    # though the format does not
+    LONG = "9" * 5000
+    SHOWN = f"{'9' * 20}... (5000 characters)"
+    GEN = "gen\n1 0\n0 1\n"
+
+    @pytest.mark.parametrize("text, line, message", [
+        (f"GF {LONG} 1\ndim 2\nform trivial\n{GEN}", 1,
+         "field order exceeds cap 512"),
+        (f"GF 2 2 1 {LONG} 1\ndim 2\nform trivial\n{GEN}", 1,
+         f"integer {SHOWN} is too long"),
+        (f"GF 2 1\n# n\ndim {LONG}\nform trivial\n{GEN}", 3,
+         f"dim {SHOWN} over GF(2) exceeds the vector enumeration cap "
+         f"{ge.VECTOR_ENUM_CAP}"),
+        (f"GF 2 1\ndim 2\nform trivial\n{GEN}gen\n1 0\n0 {LONG}\n", 9,
+         "entry out of range 0..1"),
+        (f"GF 2 2\ndim 2\nform trivial\n{GEN}twist {LONG}\n", 7,
+         f"integer {SHOWN} is too long"),
+        (f"GF 3 1\ndim 2\nform trivial\ngen\n1 0\n0 2_0\n", 6,
+         "non-integer entry"),
+        (f"GF 3 1\ndim 2\nform trivial\ngen\n+2 0\n0 1\n", 5,
+         "non-integer entry"),
+        (f"GF 3 1\ndim 2\nform trivial\ngen\n\u0662 0\n0 1\n", 5,
+         "non-integer entry"),
+        (f"GF +2 1\ndim 2\nform trivial\n{GEN}", 1,
+         "expected an integer, got '+2'"),
+    ], ids=["long-p", "long-modulus", "long-dim", "long-entry", "long-twist",
+            "underscore-entry", "signed-entry", "arabic-two-entry",
+            "signed-p"])
+    def test_integers_are_ascii_digit_runs(self, text, line, message):
+        with pytest.raises(GroupFileError) as exc:
+            ge.parse_matrix_file(text)
+        assert (exc.value.lineno, str(exc.value)) \
+            == (line, f"line {line}: {message}")
+
+    def test_zeros_in_front_are_allowed(self):
+        space, gens = ge.parse_matrix_file(
+            "GF 02 002 01 1 001\ndim 02\nform trivial\n"
+            f"gen\n01 0\n0 0003\ntwist {'0' * 5000}1\n")
+        assert (space.field.q, space.n) == (4, 2)
+        assert gens == [ge.SemilinearMap(((1, 0), (0, 3)), 1)]
 
     def test_twist_and_duality_lines(self):
         text = ("GF 2 2 1 1 1\ndim 2\nform trivial\n"

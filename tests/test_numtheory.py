@@ -85,14 +85,14 @@ class TestFactorize:
 
     @given(st.lists(st.sampled_from(primes_between(1000, 10**6)),
                     min_size=1, max_size=4))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_products_of_primes_between_1000_and_10_to_6(self, primes):
         # trial division stops at 997, so rho alone splits these
         expected = tuple((p, primes.count(p)) for p in sorted(set(primes)))
         assert nt.factorize(math.prod(primes)).pairs == expected
 
     @given(st.integers(min_value=1, max_value=10**12))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_reconstruction(self, n):
         f = nt.factorize(n)
         assert f.value == n
@@ -203,7 +203,7 @@ class TestPrimitivePrimeDivisors:
 
     @given(st.integers(min_value=2, max_value=16),
            st.integers(min_value=1, max_value=12))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_flagged_primes_definition(self, t, ell):
         count = nt.primitive_prime_divisor_count(t, ell)
         assert count <= nt.omega(t**ell - 1) if t**ell > 2 else count == 0
@@ -240,7 +240,7 @@ class TestPrimitivePrimeDivisors:
 
     @given(st.integers(min_value=2, max_value=2**20),
            st.integers(min_value=1, max_value=30))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_cyclotomic_count_matches_the_oracle(self, t, ell):
         if t**ell > 2**64:
             ell = max(1, 64 // t.bit_length())
@@ -272,7 +272,7 @@ class TestBrentRho:
     @example([1009, 999999999989])
     @example([999999999961, 999999999989])  # the two largest below 10**12
     @example([999999999989, 999999999989])
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_splits_semiprimes_deterministically(self, pq):
         p, q = pq
         d = nt._pollard_rho(p * q)
@@ -281,7 +281,7 @@ class TestBrentRho:
         assert nt.factorize(p * q).value == p * q
 
     @given(semiprimes(3, 7))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_factorize_reconstructs_small_semiprimes(self, pq):
         p, q = pq
         f = nt.factorize(p * q)
@@ -392,7 +392,7 @@ class TestLog2Upper:
                          lambda k: 2**k),
                      st.integers(min_value=1, max_value=400).map(
                          lambda k: 2**k - 1)))
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     def test_upper_bound_within_2_to_minus_30(self, x):
         bound = nt.log2_upper(x)
         assert isinstance(bound, Fraction)

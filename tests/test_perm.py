@@ -137,7 +137,7 @@ cycle_size_cases = st.sampled_from(["u1", "u2", "intp"]).flatmap(
 
 class TestCycleSizes:
     @given(cycle_size_cases)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_agrees_with_the_scalar_walk(self, case):
         dtype, degree, nrows, seed = case
         rng = np.random.default_rng(seed)
@@ -342,7 +342,7 @@ class TestGeneratorArray:
 
 class TestStabilizerChain:
     @given(generator_sets, st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_chain_matches_brute_force_closure(self, case, data):
         degree, gens = case
         elems = closure(degree, gens)
@@ -360,7 +360,7 @@ class TestStabilizerChain:
         assert not G.contains(identity(degree + 1))
 
     @given(generator_sets, st.integers(min_value=1, max_value=6000))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_cap_exceeded_iff_order_above_cap(self, case, cap):
         degree, gens = case
         order = len(closure(degree, gens))
@@ -537,3 +537,62 @@ class TestGroupFile:
         assert exc.value.lineno == 2
         G = parse_group_file(f"degree {cap}\n(1 2)\n")
         assert G.degree == cap and G.images.shape == (1, cap)
+
+    # (text, line, message): an integer past int()'s 4300 digits in every
+    # integer field of a group file, and the tokens int() would take
+    # though the format does not
+    LONG = "9" * 5000
+
+    @pytest.mark.parametrize("text, line, message", [
+        (f"# long\ndegree {LONG}\n", 2,
+         f"degree {'9' * 20}... (5000 characters) exceeds the domain cap "
+         f"{perm.DEFAULT_DOMAIN_CAP}"),
+        (f"degree 3\n(1 2)\n(1 {LONG})\n", 3,
+         f"point {'9' * 20}... (5000 characters) out of range 1..3"),
+        ("degree 30\n(1 2_0)\n", 2, "expected an integer, got '2_0'"),
+        ("degree 3\n\n(1 +2)\n", 3, "expected an integer, got '+2'"),
+        ("degree 3\n(1 \u0662)\n", 2, "expected an integer, got '\u0662'"),
+        ("degree +3\n(1 2)\n", 1, "expected 'degree <d>' header"),
+    ], ids=["long-degree", "long-point", "underscore", "sign", "arabic-two",
+            "signed-degree"])
+    def test_integers_are_ascii_digit_runs(self, text, line, message):
+        with pytest.raises(GroupFileError) as exc:
+            parse_group_file(text)
+        assert (exc.value.lineno, str(exc.value)) \
+            == (line, f"line {line}: {message}")
+
+    def test_zeros_in_front_are_allowed(self):
+        G = parse_group_file("degree 0003\n(001 0002)\n")
+        assert G.generators == (parse_cycles("(1 2)", 3),)
+        assert parse_cycles(f"(1 {'0' * 5000}2)", 2) \
+            == parse_cycles("(1 2)", 2)
+
+
+class TestReadInts:
+    def test_values_and_caps(self):
+        assert perm.read_ints(["0", "007", "12"], 12) == [0, 7, 12]
+        assert perm.read_ints([]) == []
+        # uncapped fields convert as far as int() does
+        assert perm.read_ints(["9" * 4000]) == [int("9" * 4000)]
+        with pytest.raises(ValueError, match="^past 13$"):
+            perm.read_ints(["12", "013"], 12, over="past {}")
+
+    def test_a_capped_field_is_refused_by_digit_count(self, monkeypatch):
+        # int() never sees a token with more digits than the cap
+        seen = []
+        monkeypatch.setattr(perm, "int", lambda s: seen.append(s) or 0,
+                            raising=False)
+        with pytest.raises(ValueError, match=r"^999.*\(4000 characters\)$"):
+            perm.read_ints(["1", "9" * 4000], 10**6, over="{}")
+        assert all(len(s) <= 7 for s in seen)
+
+    def test_the_first_bad_token_is_named(self):
+        for token in ("-1", "+1", "1_0", "\u0662", "\u00b2", "1.0", "0x1"):
+            with pytest.raises(ValueError) as exc:
+                perm.read_ints(["1", token, "x"], 5)
+            assert str(exc.value) == f"expected an integer, got {token!r}"
+
+    def test_file_lines(self):
+        lines, end = perm.file_lines("# c\n  a b # c\n\n\tc\n#\n")
+        assert (lines, end) == ([(2, "a b"), (4, "c")], 6)
+        assert perm.file_lines("") == ([], 1)

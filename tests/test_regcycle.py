@@ -165,7 +165,7 @@ class TestCountRegularCycles:
         # in a chunk of the bulk scan its row fails, and its order (a
         # product of distinct primes) passes the square-free filter
         rows = np.array([list(range(381)), images, images[::-1]])
-        counts, kept = rc._regular_cycles(rows, rc._square_free)
+        counts, kept = rc._regular_cycles(rows, rc._square_free_table(381))
         lengths = cycle_lengths(images[::-1])
         assert counts.tolist() == [381, 0,
                                    lengths.count(math.lcm(*lengths))]
@@ -212,6 +212,13 @@ class TestVerifyAllElements:
         rep = rc.verify_all_elements(G, square_free_only=True)
         assert rep.group_order == 720
         assert len(calls) <= len(orders)
+
+    def test_square_free_table_matches_the_factorization(self):
+        for degree in (1, 3, 4, 63, 1000):
+            table = rc._square_free_table(degree)
+            assert table.tolist() == [
+                n == 0 or all(e == 1 for _p, e in numtheory.factorize(n))
+                for n in range(degree + 1)]
 
     def test_degree_above_65535(self):
         swap = Permutation([1, 0] + list(range(2, 70000)))
