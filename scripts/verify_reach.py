@@ -1,0 +1,81 @@
+"""Time `regcycles verify` on the bundled classical-group actions.
+
+    python3 scripts/verify_reach.py [NAME ...]
+
+Each action of the reach table below (all but O7(3) when no NAME is given)
+is built into a group file by `build-action --builtin` in one fresh
+process, which is not timed, and verified by `verify --json --cap CAP` in
+another.  One JSON line per action gives the verify process's wall time and
+peak RSS (its own ru_maxrss, from os.wait4), its exit code, verdict and
+count of elements checked.  The script reads only the generator files
+bundled with the package, from the `src` directory of its own checkout.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+CLI = "import sys; from regcycles.cli import main; sys.exit(main())"
+
+# name: (builtin group, build-action type, verify --cap)
+REACH = {
+    "sp6_2-points": ("sp6_2", "singular-points", 10**7),
+    "su5_2-points": ("su5_2", "singular-points", 2 * 10**7),
+    "su5_2-maxts": ("su5_2", "maxts", 2 * 10**7),
+    "o8p_2-points": ("o8p_2", "singular-points", 10**9),
+    "o8p_2-maxts": ("o8p_2", "maxts", 10**9),
+    "o7_3-points": ("o7_3", "singular-points", 10**11),
+}
+DEFAULT = [name for name in REACH if name != "o7_3-points"]
+
+
+def run_cli(argv):
+    """Run the CLI in a fresh process: (exit code, stdout, wall seconds,
+    peak RSS in MB of that process)."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-c", CLI, *argv], env=env,
+                            stdout=subprocess.PIPE)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _pid, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, out.decode(), wall, usage.ru_maxrss / 1024
+
+
+def reach(name, workdir):
+    builtin, kind, cap = REACH[name]
+    path = os.path.join(workdir, f"{name}.grp")
+    code, _out, _wall, _rss = run_cli(["build-action", "--builtin", builtin,
+                                       "--type", kind, "--out", path])
+    if code != 0:
+        raise SystemExit(f"build-action for {name} exited {code}")
+    with open(path, encoding="utf-8") as fh:
+        degree = int(fh.readline().split()[1])
+    code, out, wall, rss = run_cli(["verify", "--group", path, "--json",
+                                    "--cap", str(cap)])
+    report = json.loads(out) if code in (0, 1) else {}
+    return {"action": name, "degree": degree, "cap": cap, "exit": code,
+            "verdict": report.get("verdict"),
+            "checked": report.get("checked"), "wall_s": round(wall, 3),
+            "peak_rss_mb": round(rss, 1)}
+
+
+def main(names):
+    unknown = [name for name in names if name not in REACH]
+    if unknown:
+        raise SystemExit(f"unknown action(s) {', '.join(unknown)}; "
+                         f"known: {', '.join(REACH)}")
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in names or DEFAULT:
+            print(json.dumps(reach(name, workdir), sort_keys=True),
+                  flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

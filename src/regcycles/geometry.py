@@ -831,6 +831,10 @@ def maximal_totally_singular(space: FormSpace) -> ActionDomain:
     """Totally singular subspaces of dimension equal to the Witt index."""
     if space.kind == "trivial":
         raise ValueError("need a non-trivial form")
+    name = f"maxts[{space.kind},{space.epsilon},{space.n},{space.q}]"
+    if space.witt_index == 0:
+        raise ValueError(f"{name}: the form has Witt index 0, so it has no "
+                         "nonzero totally singular subspace")
     pts = projective_points(space.field, space.n)
     singular = space.point_values == 0
 
@@ -839,8 +843,7 @@ def maximal_totally_singular(space: FormSpace) -> ActionDomain:
         return singular[pts.index[pts.codes(rows)]] \
             & space._orthogonal(partial, rows)
 
-    return _domain(f"maxts[{space.kind},{space.epsilon},"
-                   f"{space.n},{space.q}]", "subspace", space,
+    return _domain(name, "subspace", space,
                    subspaces(space, space.witt_index, extends))
 
 

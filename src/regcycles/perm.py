@@ -380,15 +380,20 @@ class StabChain:
                 lev.add_gen(h)
             self._check_order(cap)
             i = j
-        self.order = math.prod(len(lev.orbit) for lev in self.levels)
+        self.order = math.prod(self.orbit_lengths)
 
     def _check_order(self, cap: int) -> None:
-        if math.prod(len(lev.orbit) for lev in self.levels) > cap:
+        if math.prod(self.orbit_lengths) > cap:
             raise CapExceeded(f"more than {cap} elements")
 
     @property
     def base(self) -> list[int]:
         return [lev.point for lev in self.levels]
+
+    @property
+    def orbit_lengths(self) -> list[int]:
+        """The length of each level's orbit: |G_(i)| / |G_(i+1)|."""
+        return [len(lev.orbit) for lev in self.levels]
 
     def _residue(self, rows: np.ndarray, start: int):
         """Sift the rows through the levels from ``start`` on; return
@@ -427,17 +432,18 @@ class StabChain:
                 yield np.take(trans[a:a + step], below,
                               axis=1).reshape(-1, self.degree)
 
-    def cosets(self, betas, entries: int):
-        """The cosets {g : g(b) = beta}, b the first base point, each
-        element once, as (rows, which): at most about ``entries`` entries
-        (or one row), row k mapping b to betas[which[k]].  Each piece of
-        G_b is taken with as many cosets as fit, or cut into parts."""
-        top, d = self.levels[0], self.degree
-        reps = top.trans[top.pos[np.asarray(betas, dtype=np.intp)]]
+    def cosets(self, reps, level: int, entries: int):
+        """The cosets x G_(level) of the representative rows x, G_(level)
+        the stabilizer of the first ``level`` base points, each element
+        once, as (rows, which): at most about ``entries`` entries (or one
+        row), row k being "h then x" for x = reps[which[k]] and h in
+        G_(level).  Each piece of G_(level) (``level_rows``) is taken with
+        as many cosets as fit, or cut into parts."""
+        d = self.degree
         if not len(reps):
             return
         rows_per = max(1, entries // d)
-        for piece in self.level_rows(1, max(1, _ARRAY_ENTRIES // d)):
+        for piece in self.level_rows(level, max(1, _ARRAY_ENTRIES // d)):
             width = max(1, rows_per // len(piece))  # cosets at once
             for a in range(0, len(reps), width):
                 for i in range(0, len(piece), rows_per):
@@ -446,11 +452,44 @@ class StabChain:
                                    axis=1).reshape(-1, d)
                     yield rows, a + np.arange(len(rows)) // len(part)
 
-    def stabilizer_orbits(self) -> list[list[int]]:
-        """Orbits of G_b on b^G, ordered by least point, each starting at
-        its least point."""
-        gens = self.levels[1].gens.tolist() if len(self.levels) > 1 else []
-        return _orbits(sorted(self.levels[0].orbit.tolist()), gens)
+    def stabilizer_orbits(self, level: int = 1) -> list[list[int]]:
+        """The orbits of G_(level) on the images (g(b1), ..., g(b_level)),
+        g in G, of the first ``level`` base points, level 1 or 2 (level 2
+        needs a second level).  An image is coded as g(b1) at level 1 and
+        as g(b1) * degree + g(b2) at level 2, so that codes order images
+        lexicographically; the orbits are ordered by least code, each
+        listed breadth first from it.
+
+        The pairs are (t1(b1), t1(gamma)), t1 a row of the first
+        transversal and gamma a point of the second orbit; the strong
+        generators of G_(2) act on their sorted codes through one
+        searchsorted."""
+        top, d = self.levels[0], self.degree
+        gens = (self.levels[level].gens if level < len(self.levels)
+                else np.empty((0, d), np.intp))
+        if level == 1:
+            return _orbits(sorted(top.orbit.tolist()), gens.tolist())
+        codes = np.sort((top.orbit[:, None] * d
+                         + top.trans[:, self.levels[1].orbit]).ravel())
+        first, second = np.divmod(codes, d)
+        gens = gens.astype(np.intp)
+        images = np.searchsorted(codes, gens[:, first] * d + gens[:, second])
+        codes = codes.tolist()
+        return [[codes[i] for i in orbit]
+                for orbit in _orbits(range(len(codes)), images.tolist())]
+
+    def representatives(self, codes, level: int) -> np.ndarray:
+        """One element per coded image of ``stabilizer_orbits(level)``,
+        as rows: t1 with t1(b1) = beta1 at level 1; at level 2, "t2 then
+        t1" with t2 the row of the second transversal that maps b2 to
+        t1^-1(beta2)."""
+        top, d = self.levels[0], self.degree
+        codes = np.asarray(codes, dtype=np.intp)
+        if level == 1:
+            return top.trans[top.pos[codes]]
+        k1, second = top.pos[codes // d], self.levels[1]
+        t2 = second.trans[second.pos[top.inv[k1, codes % d]]]
+        return top.trans[k1[:, None], t2]
 
 
 def _orbits(points, gens) -> list[list[int]]:
@@ -533,7 +572,8 @@ class PermGroup:
         betas = sorted(chain.levels[0].orbit.tolist())
         n = chain.order // len(betas)
         free = list(range(0, chain.order, n))  # the next free row per block
-        for rows, which in chain.cosets(betas, _ARRAY_ENTRIES):
+        reps = chain.representatives(betas, 1)
+        for rows, which in chain.cosets(reps, 1, _ARRAY_ENTRIES):
             at = 0  # which ascends: each coset's rows are one run
             for k, m in enumerate(np.bincount(which).tolist()):
                 out[free[k]:free[k] + m] = rows[at:at + m]
@@ -589,15 +629,22 @@ class PermGroup:
     def is_primitive(self) -> bool:
         """Transitive with no nontrivial block system.
 
-        Decided by closing {0, beta} to a minimal block for every beta != 0:
-        primitive iff every such closure is the whole domain.
+        A transitive group on more than one point moves every point, so the
+        first base point is 0, and a block containing 0 is a union of orbits
+        of the stabilizer G_0 (Atkinson 1975): the minimal block containing
+        {0, beta} is the same for every beta of one G_0-orbit.  So {0, beta}
+        is closed to a minimal block for one beta per G_0-orbit other than
+        {0}: primitive iff every such closure is the whole domain.  No
+        element cap applies: the chain gives G_0 without listing elements.
         """
         if not self.is_transitive():
             return False
         d = self.degree
         if d == 1:
             return True
-        return all(self._minimal_block(beta) == d for beta in range(1, d))
+        orbits = self.stabilizer_chain(math.inf).stabilizer_orbits()
+        return all(self._minimal_block(orbit[0]) == d
+                   for orbit in orbits[1:])
 
 
 # -- group file format -------------------------------------------------------

@@ -13,12 +13,15 @@ cycle on any nonempty domain (reports carry this convention explicitly).
 
 Fixed-point counts come from one cycle decomposition: Fix(g**m) is the
 union of the cycles of g whose length divides m.  The bulk verifier reads
-cycle types from one coset of the first point stabilizer per stabilizer
-orbit (cycle type is a class function), in chunks from the chain
-(``perm.StabChain.cosets``), and only counts elements of square-free
-order when asked to, which is sound for the "all-regular" verdict: if
-some element has no regular cycle, a suitable power of square-free order
-also has none.
+cycle types (a class function) from one coset of G_(l) per G_(l)-orbit on
+the images of the first l base points, G_(l) their pointwise stabilizer,
+in chunks from the chain (``perm.StabChain.cosets``).  The level l is 1
+or 2, whichever reads fewer rows, #orbits x |G_(l)|; the level-2 orbits
+are only computed when n1 n2, the product of the first two orbit lengths
+and a lower bound for their rows, is below the level-1 rows.  The
+verifier only counts elements of square-free order when asked to, which
+is sound for the "all-regular" verdict: if some element has no regular
+cycle, a suitable power of square-free order also has none.
 
 Bulk questions, the verifier's cosets and the sampled words of
 ``compare_actions_monotonic``, go through one kernel, ``perm.cycle_sizes``,
@@ -179,18 +182,25 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
                         max_witnesses: int = 5) -> VerifyReport:
     """Check every element of G (or every square-free-order element).
 
-    The elements are split into the cosets {g : g(b) = beta}, b the first
-    base point of G's stabilizer chain and beta in b^G.  Conjugation by
-    h in G_b maps the coset of beta onto that of h(beta) and keeps cycle
-    types, so one coset per G_b-orbit is checked and its counts are
-    weighted by the orbit length.  The chain hands the cosets out in
-    chunks of at most _CHUNK_ENTRIES entries, from bounded pieces of G_b
-    (``StabChain.cosets``), and one scan loop puts each chunk through the
-    kernel.  Witnesses are the lexicographically least failures: every
-    element fixes the points below b, so they are read from the cosets of
-    failing orbits in ascending beta, as many cosets as hold
-    max_witnesses failures (each holds as many as its orbit's
-    representative); only failing rows become lists.
+    Take the stabilizer chain of G with base b1, b2, ..., and let G_(l) fix
+    b1, ..., bl.  The elements split into the cosets {g : g(b_i) = beta_i
+    for i <= l}, one per image (beta_1, ..., beta_l) of (b1, ..., bl).
+    Conjugation by h in G_(l) maps the coset of an image onto that of its
+    h-image and keeps cycle types, so one coset per G_(l)-orbit on the
+    images is checked and its counts are weighted by the orbit length.
+    The level l is 1 or 2, whichever reads fewer rows, #orbits x |G_(l)|:
+    the level-2 orbits are computed only when the product n1 n2 of the
+    first two orbit lengths, a lower bound for their rows, is below the
+    level-1 rows, and level 2 is used only when its rows are fewer still.
+    The chain hands the cosets out in chunks of at most _CHUNK_ENTRIES
+    entries, from bounded pieces of G_(l) (``StabChain.cosets``), and one
+    scan loop puts each chunk through the kernel.
+
+    Witnesses are the lexicographically least failures: every element
+    fixes the points below b1, so they are read from the level-1 cosets
+    {g : g(b1) = beta} in ascending beta, as many as hold max_witnesses
+    failures; a coset of beta holds the failures of the counted cosets of
+    its images (beta, ...).  Only failing rows become lists.
 
     The "all-regular" verdict of the square-free-only run equals that of the
     exhaustive run: an element without a regular cycle powers down to a
@@ -200,29 +210,39 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     chain = G.stabilizer_chain(cap)
     square_free = _square_free_table(G.degree) if square_free_only else None
 
-    def scan(betas, failing=None):
-        """Rows checked and rows failing in the coset of each beta; the
-        failing rows are appended to `failing` as lists, if given."""
-        n_checked = np.zeros(len(betas), np.intp)
-        n_failed = np.zeros(len(betas), np.intp)
-        for rows, which in chain.cosets(betas, _CHUNK_ENTRIES):
+    def scan(level, codes, failing=None):
+        """Rows checked and rows failing in the coset of each coded image
+        of the first `level` base points; the failing rows are appended to
+        `failing` as lists, if given."""
+        n_checked = np.zeros(len(codes), np.intp)
+        n_failed = np.zeros(len(codes), np.intp)
+        reps = chain.representatives(codes, level)
+        for rows, which in chain.cosets(reps, level, _CHUNK_ENTRIES):
             regular, kept = _regular_cycles(rows, square_free)
             if kept is not None:
                 which, regular, rows = which[kept], regular[kept], rows[kept]
             fail = regular == 0
-            n_checked += np.bincount(which, minlength=len(betas))
-            n_failed += np.bincount(which[fail], minlength=len(betas))
+            n_checked += np.bincount(which, minlength=len(codes))
+            n_failed += np.bincount(which[fail], minlength=len(codes))
             if failing is not None:
                 failing += rows[fail].tolist()
         return n_checked, n_failed
 
-    orbits = chain.stabilizer_orbits()
-    counts, fails = scan([orbit[0] for orbit in orbits])
+    level, orbits = 1, chain.stabilizer_orbits()
+    n = chain.orbit_lengths
+    rows1 = len(orbits) * (chain.order // n[0])
+    if len(n) > 1 and n[0] * n[1] < rows1:
+        pairs = chain.stabilizer_orbits(2)
+        if len(pairs) * (chain.order // (n[0] * n[1])) < rows1:
+            level, orbits = 2, pairs
+    counts, fails = scan(level, [orbit[0] for orbit in orbits])
     checked = sum(c * len(orbit) for c, orbit in zip(counts.tolist(), orbits))
-    failures: dict[int, int] = {}  # beta -> failing rows in its coset
+    failures: dict[int, int] = {}  # beta -> failing rows in its coset of G_b
     for orbit, count in zip(orbits, fails.tolist()):
         if count:
-            failures.update(dict.fromkeys(orbit, count))
+            for code in orbit:
+                beta = code // G.degree ** (level - 1)
+                failures[beta] = failures.get(beta, 0) + count
     # the fewest cosets, in ascending beta, that hold max_witnesses failures;
     # every row fixes the points below b and maps b to its beta, so sorting
     # their failing rows sorts by beta first
@@ -233,7 +253,7 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
         wanted.append(beta)
         found += failures[beta]
     least: list[list[int]] = []
-    scan(wanted, least)
+    scan(1, wanted, least)
     witnesses = tuple(map(Permutation, sorted(least)[:max_witnesses]))
     verdict = "all-regular" if not failures else "failures"
     return VerifyReport(verdict, checked, chain.order, witnesses,

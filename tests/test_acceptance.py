@@ -7,6 +7,7 @@ enumeration, closed-form counts, random sampling with fixed seeds) and
 compare against the library's answers.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -188,21 +189,35 @@ def brute_force_verify(G, max_witnesses=5):
 
 
 class TestOrbitRepresentativeReduction:
-    def test_matches_brute_force_scan_on_whole_corpus(self, corpus):
-        late_base_with_failures = []
+    def test_matches_brute_force_scan_on_whole_corpus(self, corpus,
+                                                      monkeypatch):
+        # the level of the first cosets each run reads: its counting pass
+        levels, cosets = [], perm.StabChain.cosets
+
+        def recorded(chain, reps, level, entries):
+            levels.append(level)
+            return cosets(chain, reps, level, entries)
+
+        monkeypatch.setattr(perm.StabChain, "cosets", recorded)
+        late_base_with_failures, counted_at = [], {1: [], 2: []}
         for name, G in corpus:
             expected = brute_force_verify(G)
             for sf in (False, True):
+                levels.clear()
                 report = verify_all_elements(G, cap=MAX_ORDER + 1,
                                              square_free_only=sf)
                 got = (report.checked, report.verdict,
                        tuple(w.images for w in report.witnesses))
                 assert got == expected[sf], (name, sf)
+            counted_at[levels[0]].append((name, expected[False][1]))
             if (G.stabilizer_chain().base[0] > 0
                     and expected[False][1] == "failures"):
                 late_base_with_failures.append(name)
         assert any(not G.is_transitive() for _, G in corpus)
         assert late_base_with_failures
+        # both levels are exercised, level 2 with failures too
+        assert counted_at[1] and counted_at[2]
+        assert any(verdict == "failures" for _, verdict in counted_at[2])
 
     def test_coset_over_several_kernel_chunks(self):
         # Sym(8) on 8 points: a coset of G_b has 5,040 rows, more than one
@@ -218,6 +233,99 @@ class TestOrbitRepresentativeReduction:
             got = (report.checked, report.verdict,
                    tuple(w.images for w in report.witnesses))
             assert got == expected[sf], sf
+
+
+# ---------------------------------------------------------------------------
+# 3c. Sym(m) on k-sets: the verdict from the cycle types of Sym(m) alone
+
+def partitions(m, largest=None):
+    """The partitions of m, parts in descending order."""
+    if m == 0:
+        yield ()
+        return
+    for part in range(min(m, largest or m), 0, -1):
+        for rest in partitions(m - part, part):
+            yield (part, *rest)
+
+
+def mobius(n):
+    """The Moebius function, by trial division."""
+    sign, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return sign
+
+
+def k_sets_in_regular_cycles(cycle_type, k):
+    """The k-sets that lie in a cycle of length exactly |g|, for g in
+    Sym(m) of the given cycle type: the sum over d | o of mu(o/d) fix(g^d),
+    o = |g|, where fix(g^d) is the x^k coefficient of the product of
+    (1 + x^c) over the cycles c of g^d (a k-set fixed by g^d is a union of
+    them).  A cycle of length L of g splits into gcd(L, d) cycles of g^d."""
+    o = math.lcm(*cycle_type)
+
+    def fix(d):
+        poly = [1] + [0] * k
+        for length in cycle_type:
+            c = length // math.gcd(length, d)
+            for _ in range(math.gcd(length, d)):
+                poly = [poly[i] + (poly[i - c] if i >= c else 0)
+                        for i in range(k + 1)]
+        return poly[k]
+
+    return sum(mobius(o // d) * fix(d) for d in range(1, o + 1) if o % d == 0)
+
+
+def class_size(cycle_type):
+    m = sum(cycle_type)
+    centralizer = 1
+    for c in set(cycle_type):
+        a = cycle_type.count(c)
+        centralizer *= c**a * math.factorial(a)
+    return math.factorial(m) // centralizer
+
+
+def point_cycle_type(w, m, k):
+    """The cycle type on the m points of an element w of Sym(m) given on
+    the k-sets of ``geometry.k_set_action`` (sorted combinations)."""
+    subsets = sorted(itertools.combinations(range(m), k))
+    images = [set.intersection(*(set(subsets[w.images[j]])
+                                 for j, s in enumerate(subsets) if i in s))
+              for i in range(m)]
+    g = [image.pop() for image in images]
+    return tuple(sorted(map(len, perm.cycle_decomposition(g)),
+                        reverse=True))
+
+
+class TestKSetClassOracle:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("m", range(5, 11))
+    def test_verdict_and_witnesses_match_the_class_oracle(self, m, k):
+        failing = {t: class_size(t) for t in partitions(m)
+                   if k_sets_in_regular_cycles(t, k) == 0}
+        report = verify_all_elements(geo.k_set_action(m, k))
+        assert report.checked == report.group_order == math.factorial(m)
+        assert report.all_regular == (not failing)
+        assert len(report.witnesses) == min(5, sum(failing.values()))
+        for w in report.witnesses:
+            assert point_cycle_type(w, m, k) in failing
+        # the weighted coset counts, against the classes of square-free order
+        reduced = verify_all_elements(geo.k_set_action(m, k),
+                                      square_free_only=True)
+        assert reduced.checked == sum(
+            class_size(t) for t in partitions(m)
+            if mobius(math.lcm(*t)) != 0)
+        assert reduced.all_regular == report.all_regular
+
+    def test_known_values_of_sym_10(self):
+        two = [t for t in partitions(10) if not k_sets_in_regular_cycles(t, 2)]
+        assert two == [(5, 3, 2)] and class_size((5, 3, 2)) == 120960
+        assert all(k_sets_in_regular_cycles(t, 3) for t in partitions(10))
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +766,16 @@ class TestCertifiedActionsSound:
         report = verify_all_elements(G, cap=2 * 10**7)
         assert report.all_regular
         assert report.checked == report.group_order == order
+
+    def test_o8p_2_points_verify_exhaustively(self, o8p):
+        # |POmega+_8(2)| = 348,364,800, read as 1,128,960 rows of one
+        # coset per orbit of G_(2) on the base-point pairs
+        space, gens = o8p
+        G = geo.perm_image(gens, geo.singular_points(space))
+        assert G.degree == 135
+        report = verify_all_elements(G, cap=4 * 10**8)
+        assert report.all_regular
+        assert report.checked == report.group_order == 348364800
 
     def test_sampled_actions_have_regular_cycles(self, su5, o8p):
         # too large to enumerate: sample random words instead

@@ -400,22 +400,35 @@ class TestErrorTable:
         ["--type", "ksets", "--m", "40", "--k", "20"],
         ["--type", "product", "--m", "3000000", "--r", "1"],
         ["--type", "product", "--m", "3", "--r", "16000000"],
+        ["--type", "maxts", "--matrix", "QMINUS2_2"],
+        ["--type", "maxts", "--matrix", "QO1_3"],
+        ["--type", "maxts", "--matrix", "HERMITIAN1_4"],
     ], ids=["ksets-k-above-m", "ksets-zero", "product-zero", "ns1-symplectic",
             "aniso2-symplectic", "pairs-k-too-large",
             "singular-points-past-cap", "maxts-past-cap",
-            "ksets-past-default-cap", "product-large-m", "product-large-r"])
+            "ksets-past-default-cap", "product-large-m", "product-large-r",
+            "maxts-witt-0-quadratic-minus", "maxts-witt-0-quadratic-odd",
+            "maxts-witt-0-hermitian"])
     def test_one_line_error_exit_2(self, tmp_path, capsys, argv):
-        # a dim-20 GF(2) symplectic space: 2**20 vectors, past the cap
-        sp20 = tmp_path / "sp20_2.mat"
-        sp20.write_text("GF 2 1\ndim 20\nform symplectic\ngen\n" + "".join(
-            " ".join("1" if j == i else "0" for j in range(20)) + "\n"
-            for i in range(20)))
-        argv = [str(sp20) if a == "SP20_2" else a for a in argv]
+        files = {
+            # a dim-20 GF(2) symplectic space: 2**20 vectors, past the cap
+            "SP20_2": ("GF 2 1", 20, "symplectic"),
+            # forms of Witt index 0: no totally singular subspace
+            "QMINUS2_2": ("GF 2 1", 2, "quadratic -"),
+            "QO1_3": ("GF 3 1", 1, "quadratic o"),
+            "HERMITIAN1_4": ("GF 2 2", 1, "hermitian"),
+        }
+        for key, (field, dim, form) in files.items():
+            (tmp_path / key).write_text(
+                f"{field}\ndim {dim}\nform {form}\ngen\n" + "".join(
+                    " ".join("1" if j == i else "0" for j in range(dim))
+                    + "\n" for i in range(dim)))
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
         out = str(tmp_path / "out.grp")
         assert main(["build-action", *argv, "--out", out]) == 2
         _out, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "concatenate" not in err
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     @pytest.mark.parametrize("command", ["check", "verify"])

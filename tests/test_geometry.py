@@ -421,6 +421,11 @@ class TestSubspaceEnumerator:
                 return is_singular_vector(F, v) and not any(
                     bilinear(F, u, v) for u in rows)
 
+            if F.witt_index == 0:
+                # only the zero subspace, on which no action is built
+                with pytest.raises(ValueError, match="has Witt index 0"):
+                    ge.maximal_totally_singular(F)
+                continue
             expect = sorted(subspaces(F, F.witt_index, singular))
             assert list(ge.maximal_totally_singular(F).labels) == expect, \
                 params

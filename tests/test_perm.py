@@ -256,6 +256,24 @@ class TestGroups:
         for G in cases:
             assert G.is_primitive() == primitive_oracle(G), G
 
+    def test_primitivity_closes_one_pair_per_stabilizer_orbit(self,
+                                                              monkeypatch):
+        # Sp6(2) on its 63 points: G_0 has the orbits {0}, 30 points
+        # orthogonal to 0 and 32 not, so two closures decide, not 62
+        space, gens = geometry.builtin_matrix_group("sp6_2")
+        G = geometry.perm_image(gens, geometry.singular_points(space))
+        calls, closure = [], PermGroup._minimal_block
+
+        def counted(group, beta):
+            calls.append(beta)
+            return closure(group, beta)
+
+        monkeypatch.setattr(PermGroup, "_minimal_block", counted)
+        assert G.is_primitive()
+        orbits = G.stabilizer_chain().stabilizer_orbits()
+        assert len(orbits) == 3
+        assert 0 < len(calls) <= len(orbits) - 1
+
     def test_conjugacy_classes_alt5(self):
         sizes = sorted(size for _rep, size in
                        conjugacy_classes(alternating_group(5)))
@@ -458,21 +476,37 @@ class TestChainPieces:
         chain = G.stabilizer_chain()
         elements = G.element_array().astype(np.intp)
         monkeypatch.setattr(perm, "_ARRAY_ENTRIES", array_entries)
-        b = chain.base[0]
-        orbit = sorted(set(elements[:, b].tolist()))
-        # every point of b^G, and a few out of order
-        for betas in (orbit, orbit[::-3]):
-            for entries in (1, 3 * G.degree + 1, 40 * G.degree, 10**6):
-                got = {k: [] for k in range(len(betas))}
-                for rows, which in chain.cosets(betas, entries):
-                    assert rows.size <= entries or len(rows) == 1
-                    assert len(rows) == len(which)
-                    assert (rows[:, b] == np.array(betas)[which]).all()
-                    for k in set(which.tolist()):
-                        got[k] += rows[which == k].tolist()
-                for k, beta in enumerate(betas):
-                    assert _row_multiset(got[k]) == _row_multiset(
-                        elements[elements[:, b] == beta])
+        for level in (1, 2):
+            base = chain.base[:level]
+            # the coded images of the first `level` base points
+            images = sorted(set(map(tuple, elements[:, base].tolist())))
+            codes = [image[0] if level == 1 else image[0] * G.degree
+                     + image[1] for image in images]
+            # the orbits of G_(level) on them, from its elements
+            stabilizer = elements[(elements[:, base] == base).all(axis=1)]
+            orbits = {frozenset(codes[images.index(tuple(h[list(image)]))]
+                                for h in stabilizer)
+                      for image in images}
+            got = chain.stabilizer_orbits(level)
+            assert list(map(sorted, got)) == sorted(map(sorted, orbits))
+            assert all(orbit[0] == min(orbit) for orbit in got)
+            # every image, and a few out of order
+            for picked in (images, images[::-3]):
+                reps = chain.representatives(
+                    [codes[images.index(image)] for image in picked], level)
+                for entries in (1, 3 * G.degree + 1, 40 * G.degree, 10**6):
+                    got = {k: [] for k in range(len(picked))}
+                    for rows, which in chain.cosets(reps, level, entries):
+                        assert rows.size <= entries or len(rows) == 1
+                        assert len(rows) == len(which)
+                        assert (rows[:, base]
+                                == np.array(picked)[which]).all()
+                        for k in set(which.tolist()):
+                            got[k] += rows[which == k].tolist()
+                    for k, image in enumerate(picked):
+                        assert _row_multiset(got[k]) == _row_multiset(
+                            elements[(elements[:, base] == image).all(
+                                axis=1)])
 
     def test_element_array_holds_its_output_and_one_piece(self,
                                                           monkeypatch):
@@ -494,7 +528,7 @@ class TestChainPieces:
     def test_cosets_of_no_points_build_nothing(self, monkeypatch):
         chain = symmetric_group(6).stabilizer_chain()
         monkeypatch.setattr(chain, "level_rows", None)
-        assert list(chain.cosets([], 100)) == []
+        assert list(chain.cosets(chain.representatives([], 1), 1, 100)) == []
 
 
 class TestGroupFile:

@@ -232,6 +232,24 @@ class TestVerifyAllElements:
                    if not has_regular_cycle_direct(g)]
         assert rep.witnesses[0] == min(failing)
 
+    def test_sp6_2_reads_one_coset_per_pair_orbit(self, monkeypatch):
+        # Sp6(2) on 63 points: 40 orbits of G_(2) (720 elements) on the
+        # 63 x 32 base-point pairs, 28,800 rows; one coset per G_b-orbit
+        # would be 3 x 23,040 = 69,120 rows
+        space, gens = geometry.builtin_matrix_group("sp6_2")
+        G = geometry.perm_image(gens, geometry.singular_points(space))
+        rows, kernel = [], rc._regular_cycles
+
+        def counted(chunk, square_free=None):
+            rows.append(len(chunk))
+            return kernel(chunk, square_free)
+
+        monkeypatch.setattr(rc, "_regular_cycles", counted)
+        report = rc.verify_all_elements(G)
+        assert report.all_regular  # so no witness pass reads a row
+        assert report.checked == 1451520
+        assert sum(rows) == 28800
+
     def test_stabilizer_is_never_held_whole(self, monkeypatch):
         space, gens = geometry.builtin_matrix_group("sp6_2")
         G = geometry.perm_image(gens, geometry.singular_points(space))
