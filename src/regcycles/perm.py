@@ -8,9 +8,9 @@ A group's generators cross module boundaries as one array of image rows
 (``PermGroup.images``); ``Permutation`` is the type of single elements.
 A group is held as a stabilizer chain (``StabChain``), built lazily by a
 deterministic Schreier-Sims algorithm on such arrays.  It gives the
-order without enumeration, membership by sifting, and the elements as
-products of transversal elements in bounded pieces, so results are
-exactly reproducible.
+order without enumeration, membership by sifting, and the elements,
+coset by coset, from one recursion over its levels (``StabChain.cosets``)
+in blocks of a caller's size, so results are exactly reproducible.
 Every cap raises an OverflowError: every question that needs the chain
 raises CapExceeded iff the group order exceeds its element cap (default
 10**7), and every domain constructor refuses more than DEFAULT_DOMAIN_CAP =
@@ -246,8 +246,9 @@ def _cycle_images(text: str, degree: int) -> list[int]:
     return images
 
 
-# The chain sifts Schreier generators and hands out elements in arrays of
-# about this many entries, which bounds memory on large domains.
+# The chain sifts Schreier generators in arrays of about this many
+# entries, and element_array takes the cosets of G_b in blocks of this
+# size, which bounds memory on large domains.
 _ARRAY_ENTRIES = 1 << 22
 
 
@@ -416,41 +417,33 @@ class StabChain:
     def contains(self, images) -> bool:
         return self._residue(np.array([images], dtype=np.intp), 0) is None
 
-    def level_rows(self, i: int, n: int):
-        """Every element of G_(i), the stabilizer of the first i base
-        points, once, in unsorted arrays of at most max(n, 1) image rows
-        (G_(i) whole if it fits): "h then u" for the level's transversal
-        rows u, as many as fit with each piece of G_(i+1)."""
-        if i == len(self.levels):
-            yield np.arange(self.degree)[None]
-            return
-        trans = self.levels[i].trans
-        for below in self.level_rows(i + 1, n):
-            step = max(1, n // len(below))
-            for a in range(0, len(trans), step):
-                # np.take: trans[a:b, below] would hold a second copy
-                yield np.take(trans[a:a + step], below,
-                              axis=1).reshape(-1, self.degree)
-
     def cosets(self, reps, level: int, entries: int):
         """The cosets x G_(level) of the representative rows x, G_(level)
         the stabilizer of the first ``level`` base points, each element
-        once, as (rows, which): at most about ``entries`` entries (or one
-        row), row k being "h then x" for x = reps[which[k]] and h in
-        G_(level).  Each piece of G_(level) (``level_rows``) is taken with
-        as many cosets as fit, or cut into parts."""
+        once, as blocks (first, at, rows) of at most ``entries`` entries
+        (or one row per coset): rows[j, i] is "h then x" for x =
+        reps[first + j] and h the element at + i of one fixed listing of
+        G_(level), whose pieces ``at`` runs through from 0.
+
+        G_(level) is the union of the cosets u G_(level+1) of its own
+        transversal rows u, so its pieces are the blocks of this method
+        one level down, the identity alone below the last level; each
+        piece is taken with as many cosets as fit."""
         d = self.degree
         if not len(reps):
             return
-        rows_per = max(1, entries // d)
-        for piece in self.level_rows(level, max(1, _ARRAY_ENTRIES // d)):
-            width = max(1, rows_per // len(piece))  # cosets at once
+        if level == len(self.levels):
+            pieces = [(0, 0, np.arange(d)[None])]  # the identity
+        else:
+            pieces = self.cosets(self.levels[level].trans, level + 1, entries)
+        at = 0
+        for _first, _at, block in pieces:
+            piece = block.reshape(-1, d)
+            width = max(1, entries // piece.size)  # cosets at once
             for a in range(0, len(reps), width):
-                for i in range(0, len(piece), rows_per):
-                    part = piece[i:i + rows_per]
-                    rows = np.take(reps[a:a + width], part,
-                                   axis=1).reshape(-1, d)
-                    yield rows, a + np.arange(len(rows)) // len(part)
+                # np.take: reps[a:b][:, piece] would hold a second copy
+                yield a, at, np.take(reps[a:a + width], piece, axis=1)
+            at += len(piece)
 
     def stabilizer_orbits(self, level: int = 1) -> list[list[int]]:
         """The orbits of G_(level) on the images (g(b1), ..., g(b_level)),
@@ -570,16 +563,13 @@ class PermGroup:
         row = np.dtype((np.void, d * dtype.itemsize))
         out = np.empty((chain.order, d), dtype=dtype)
         betas = sorted(chain.levels[0].orbit.tolist())
-        n = chain.order // len(betas)
-        free = list(range(0, chain.order, n))  # the next free row per block
+        blocks = out.reshape(len(betas), -1, d)  # one per coset of G_b
         reps = chain.representatives(betas, 1)
-        for rows, which in chain.cosets(reps, 1, _ARRAY_ENTRIES):
-            at = 0  # which ascends: each coset's rows are one run
-            for k, m in enumerate(np.bincount(which).tolist()):
-                out[free[k]:free[k] + m] = rows[at:at + m]
-                free[k], at = free[k] + m, at + m
-        for k in range(len(betas)):
-            out[k * n:(k + 1) * n].view(row).sort(axis=0)
+        for first, at, rows in chain.cosets(reps, 1, _ARRAY_ENTRIES):
+            k, m = rows.shape[:2]
+            blocks[first:first + k, at:at + m] = rows
+        for block in blocks:
+            block.view(row).sort(axis=0)
         return out
 
     def order(self, cap: int = DEFAULT_ELEMENT_CAP) -> int:

@@ -15,13 +15,14 @@ Fixed-point counts come from one cycle decomposition: Fix(g**m) is the
 union of the cycles of g whose length divides m.  The bulk verifier reads
 cycle types (a class function) from one coset of G_(l) per G_(l)-orbit on
 the images of the first l base points, G_(l) their pointwise stabilizer,
-in chunks from the chain (``perm.StabChain.cosets``).  The level l is 1
-or 2, whichever reads fewer rows, #orbits x |G_(l)|; the level-2 orbits
-are only computed when n1 n2, the product of the first two orbit lengths
-and a lower bound for their rows, is below the level-1 rows.  The
-verifier only counts elements of square-free order when asked to, which
-is sound for the "all-regular" verdict: if some element has no regular
-cycle, a suitable power of square-free order also has none.
+in blocks from the chain's one coset recursion (``perm.StabChain.cosets``).
+The level l is 1 or 2, whichever reads fewer rows, #orbits x |G_(l)|; the
+level-2 orbits are only computed when the level-1 rows pass one kernel
+chunk and n1 n2, the product of the first two orbit lengths and a lower
+bound for their rows, is below them.  The verifier only counts elements
+of square-free order when asked to, which is sound for the "all-regular"
+verdict: if some element has no regular cycle, a suitable power of
+square-free order also has none.
 
 Bulk questions, the verifier's cosets and the sampled words of
 ``compare_actions_monotonic``, go through one kernel, ``perm.cycle_sizes``,
@@ -145,8 +146,8 @@ def fix_union_test(g: Permutation) -> RegCycleReport:
 
 
 # The kernel runs on chunks of at most this many entries (rows x degree),
-# which stay in cache; the chain gathers as many small cosets into one
-# chunk as fit, and compare_actions_monotonic as many words.
+# which stay in cache: blocks of cosets x a piece of G_(l) from the chain,
+# or as many words as fit in compare_actions_monotonic.
 _CHUNK_ENTRIES = 1 << 15
 
 
@@ -189,12 +190,12 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     h-image and keeps cycle types, so one coset per G_(l)-orbit on the
     images is checked and its counts are weighted by the orbit length.
     The level l is 1 or 2, whichever reads fewer rows, #orbits x |G_(l)|:
-    the level-2 orbits are computed only when the product n1 n2 of the
-    first two orbit lengths, a lower bound for their rows, is below the
-    level-1 rows, and level 2 is used only when its rows are fewer still.
-    The chain hands the cosets out in chunks of at most _CHUNK_ENTRIES
-    entries, from bounded pieces of G_(l) (``StabChain.cosets``), and one
-    scan loop puts each chunk through the kernel.
+    the level-2 orbits are computed only when the level-1 rows pass one
+    kernel chunk and the product n1 n2 of the first two orbit lengths, a
+    lower bound for their rows, is below them, and level 2 is used only
+    when its rows are fewer still.  The chain hands the cosets out in
+    blocks of at most _CHUNK_ENTRIES entries, cosets x a piece of G_(l)
+    (``StabChain.cosets``); one scan loop puts each through the kernel.
 
     Witnesses are the lexicographically least failures: every element
     fixes the points below b1, so they are read from the level-1 cosets
@@ -217,13 +218,16 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
         n_checked = np.zeros(len(codes), np.intp)
         n_failed = np.zeros(len(codes), np.intp)
         reps = chain.representatives(codes, level)
-        for rows, which in chain.cosets(reps, level, _CHUNK_ENTRIES):
+        for first, _at, rows in chain.cosets(reps, level, _CHUNK_ENTRIES):
+            k, m, d = rows.shape
+            rows = rows.reshape(-1, d)
             regular, kept = _regular_cycles(rows, square_free)
-            if kept is not None:
-                which, regular, rows = which[kept], regular[kept], rows[kept]
-            fail = regular == 0
-            n_checked += np.bincount(which, minlength=len(codes))
-            n_failed += np.bincount(which[fail], minlength=len(codes))
+            if kept is None:
+                kept = np.ones(len(rows), bool)
+            fail = kept & (regular == 0)
+            # one sum per coset, over the piece of G_(level)
+            n_checked[first:first + k] += kept.reshape(k, m).sum(axis=1)
+            n_failed[first:first + k] += fail.reshape(k, m).sum(axis=1)
             if failing is not None:
                 failing += rows[fail].tolist()
         return n_checked, n_failed
@@ -231,7 +235,8 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     level, orbits = 1, chain.stabilizer_orbits()
     n = chain.orbit_lengths
     rows1 = len(orbits) * (chain.order // n[0])
-    if len(n) > 1 and n[0] * n[1] < rows1:
+    if len(n) > 1 and n[0] * n[1] < rows1 \
+            and rows1 * G.degree > _CHUNK_ENTRIES:
         pairs = chain.stabilizer_orbits(2)
         if len(pairs) * (chain.order // (n[0] * n[1])) < rows1:
             level, orbits = 2, pairs

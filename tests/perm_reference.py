@@ -7,8 +7,8 @@ kernel (`perm.cycle_sizes`) and walks single elements' cycles with
 Permutation at a time: composition, inverses and powers; cycle lengths
 from their own scalar walk, cycle types and orders; the sorted element
 list and the conjugacy classes; fixed-point ratios and regular-cycle
-counts; the whole-array transversal product that
-`StabChain.level_rows` hands out in pieces; and the two-action word loop
+counts; the whole-array transversal product that `StabChain.cosets`
+lists in pieces, as the coset of the identity; and the two-action word loop
 that `compare_actions_monotonic` replaced with one diagonal action.
 """
 

@@ -189,9 +189,10 @@ def brute_force_verify(G, max_witnesses=5):
 
 
 class TestOrbitRepresentativeReduction:
-    def test_matches_brute_force_scan_on_whole_corpus(self, corpus,
-                                                      monkeypatch):
-        # the level of the first cosets each run reads: its counting pass
+    @pytest.fixture
+    def levels(self, monkeypatch):
+        """The level of every StabChain.cosets call, in call order; a
+        verify run's first is the level of its counting pass."""
         levels, cosets = [], perm.StabChain.cosets
 
         def recorded(chain, reps, level, entries):
@@ -199,6 +200,9 @@ class TestOrbitRepresentativeReduction:
             return cosets(chain, reps, level, entries)
 
         monkeypatch.setattr(perm.StabChain, "cosets", recorded)
+        return levels
+
+    def test_matches_brute_force_scan_on_whole_corpus(self, corpus, levels):
         late_base_with_failures, counted_at = [], {1: [], 2: []}
         for name, G in corpus:
             expected = brute_force_verify(G)
@@ -218,6 +222,21 @@ class TestOrbitRepresentativeReduction:
         # both levels are exercised, level 2 with failures too
         assert counted_at[1] and counted_at[2]
         assert any(verdict == "failures" for _, verdict in counted_at[2])
+
+    def test_level_two_only_past_one_kernel_chunk(self, sp6, levels):
+        # the level-1 rows of Sym(7), 2 cosets of 720 rows of 7 points,
+        # fit one kernel chunk, so its pair orbits are not computed, though
+        # level 2 would read 7 x 120 rows; those of Sym(8) (2 x 5,040 x 8
+        # entries) and Sp6(2) (3 x 23,040 x 63) do not, and their level 2
+        # reads fewer
+        space, gens = sp6
+        for G, level in ((perm.symmetric_group(7), 1),
+                         (perm.symmetric_group(8), 2),
+                         (geo.perm_image(gens, geo.singular_points(space)),
+                          2)):
+            levels.clear()
+            assert verify_all_elements(G).checked == G.order()
+            assert levels[0] == level, G
 
     def test_coset_over_several_kernel_chunks(self):
         # Sym(8) on 8 points: a coset of G_b has 5,040 rows, more than one

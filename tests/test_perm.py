@@ -1,5 +1,6 @@
 """Tests for permutations, groups, enumeration, and the group-file format."""
 
+import itertools
 import math
 import time
 import tracemalloc
@@ -455,27 +456,36 @@ class TestChainPieces:
         G = CHAIN_GROUPS[name]()
         chain = G.stabilizer_chain()
         elements = G.element_array().astype(np.intp)
-        base = chain.base
+        base, d = chain.base, G.degree
         assert name != "fixed-3-plus-sym-6" or base[0] == 3
         for i in range(len(base) + 1):
             whole = _row_multiset(stabilizer_rows(chain, i))
             # the oracle is G_(i): the elements fixing b_1, ..., b_i
             fixing_base = (elements[:, base[:i]] == base[:i]).all(axis=1)
             assert whole == _row_multiset(elements[fixing_base])
-            # n = 1 recurses to the trivial group; n >= |G| builds whole
+            # G_(i) is the one coset of the identity; n = 1 recurses to
+            # the trivial group, n >= |G| builds G_(i) whole
             for n in (1, 7, chain.order):
-                pieces = list(chain.level_rows(i, n))
-                assert all(1 <= len(piece) <= n for piece in pieces)
-                assert _row_multiset(np.concatenate(pieces)) == whole
+                blocks = list(chain.cosets(np.arange(d)[None], i, n * d))
+                assert all(first == 0 and len(rows) == 1
+                           and 1 <= rows.shape[1] <= n
+                           for first, _at, rows in blocks)
+                assert [at for _first, at, _rows in blocks] == list(
+                    itertools.accumulate(
+                        (rows.shape[1] for *_, rows in blocks[:-1]),
+                        initial=0))
+                pieces = np.concatenate([rows[0] for *_, rows in blocks])
+                assert _row_multiset(pieces) == whole
 
     @pytest.mark.parametrize("name", CHAIN_GROUPS)
-    @pytest.mark.parametrize("array_entries", [10, 100, perm._ARRAY_ENTRIES])
-    def test_cosets_cover_each_coset_once_within_the_bound(
-            self, name, array_entries, monkeypatch):
+    # a bound in entries beside the degree-relative ones below: past one
+    # row of psl2-11, a few rows, and element_array's own
+    @pytest.mark.parametrize("bound", [10, 100, perm._ARRAY_ENTRIES])
+    def test_cosets_cover_each_coset_once_within_the_bound(self, name,
+                                                           bound):
         G = CHAIN_GROUPS[name]()
         chain = G.stabilizer_chain()
         elements = G.element_array().astype(np.intp)
-        monkeypatch.setattr(perm, "_ARRAY_ENTRIES", array_entries)
         for level in (1, 2):
             base = chain.base[:level]
             # the coded images of the first `level` base points
@@ -494,15 +504,28 @@ class TestChainPieces:
             for picked in (images, images[::-3]):
                 reps = chain.representatives(
                     [codes[images.index(image)] for image in picked], level)
-                for entries in (1, 3 * G.degree + 1, 40 * G.degree, 10**6):
+                inverses = np.argsort(reps, axis=1)
+                for entries in (1, 3 * G.degree + 1, 40 * G.degree, bound):
                     got = {k: [] for k in range(len(picked))}
-                    for rows, which in chain.cosets(reps, level, entries):
-                        assert rows.size <= entries or len(rows) == 1
-                        assert len(rows) == len(which)
-                        assert (rows[:, base]
-                                == np.array(picked)[which]).all()
-                        for k in set(which.tolist()):
-                            got[k] += rows[which == k].tolist()
+                    listing = {}  # position in G_(level) -> element
+                    for first, at, rows in chain.cosets(reps, level,
+                                                        entries):
+                        k, m, _d = rows.shape
+                        assert rows.size <= entries or m == 1
+                        assert (rows[:, :, base] == np.array(
+                            picked)[first:first + k, None]).all()
+                        # h, of "h then x", in each coset of the block:
+                        # x^-1 after the row
+                        h = np.take_along_axis(
+                            inverses[first:first + k, None], rows, axis=2)
+                        assert (h == h[0]).all()
+                        for i, row in enumerate(h[0].tolist(), start=at):
+                            assert listing.setdefault(i, row) == row
+                        for j in range(k):
+                            got[first + j] += rows[j].tolist()
+                    assert sorted(listing) == list(range(len(stabilizer)))
+                    assert _row_multiset(list(listing.values())) == \
+                        _row_multiset(stabilizer)
                     for k, image in enumerate(picked):
                         assert _row_multiset(got[k]) == _row_multiset(
                             elements[(elements[:, base] == image).all(
@@ -527,8 +550,16 @@ class TestChainPieces:
 
     def test_cosets_of_no_points_build_nothing(self, monkeypatch):
         chain = symmetric_group(6).stabilizer_chain()
-        monkeypatch.setattr(chain, "level_rows", None)
+        # G_(1) would be listed by the same method one level down
+        levels, cosets = [], chain.cosets
+
+        def recorded(reps, level, entries):
+            levels.append(level)
+            return cosets(reps, level, entries)
+
+        monkeypatch.setattr(chain, "cosets", recorded)
         assert list(chain.cosets(chain.representatives([], 1), 1, 100)) == []
+        assert levels == [1]
 
 
 class TestGroupFile:

@@ -20,7 +20,7 @@ from perm_reference import (
     fpr_exact,
     power,
 )
-from regcycles import geometry, numtheory, perm
+from regcycles import geometry, numtheory
 from regcycles import regcycle as rc
 from regcycles.perm import (
     PermGroup,
@@ -235,7 +235,10 @@ class TestVerifyAllElements:
     def test_sp6_2_reads_one_coset_per_pair_orbit(self, monkeypatch):
         # Sp6(2) on 63 points: 40 orbits of G_(2) (720 elements) on the
         # 63 x 32 base-point pairs, 28,800 rows; one coset per G_b-orbit
-        # would be 3 x 23,040 = 69,120 rows
+        # would be 3 x 23,040 = 69,120 rows.  G_(2) comes in pieces of 480
+        # and 240 rows (10 and 5 cosets of G_(3), 48 x 63 entries each),
+        # so every kernel call holds 480 rows: one coset's 480-row piece,
+        # or the 240-row piece of two cosets
         space, gens = geometry.builtin_matrix_group("sp6_2")
         G = geometry.perm_image(gens, geometry.singular_points(space))
         rows, kernel = [], rc._regular_cycles
@@ -249,24 +252,22 @@ class TestVerifyAllElements:
         assert report.all_regular  # so no witness pass reads a row
         assert report.checked == 1451520
         assert sum(rows) == 28800
+        assert len(rows) == 60
 
-    def test_stabilizer_is_never_held_whole(self, monkeypatch):
+    def test_stabilizer_is_never_held_whole(self):
         space, gens = geometry.builtin_matrix_group("sp6_2")
         G = geometry.perm_image(gens, geometry.singular_points(space))
         chain = G.stabilizer_chain()
         stab_bytes = chain.order // 63 * G.degree  # G_b: 23,040 x 63 bytes
         assert stab_bytes == 23040 * 63
-        whole = rc.verify_all_elements(G)
-        # pieces of G_b far smaller than G_b itself (a chain without the
-        # bound fails on the peak below, not here)
-        monkeypatch.setattr(perm, "_ARRAY_ENTRIES", 4096, raising=False)
+        # the pieces of G_(l) are bounded by the kernel's chunk, far
+        # smaller than G_b itself
         tracemalloc.start()
         try:
             pieces = rc.verify_all_elements(G)
             _size, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert pieces == whole
         assert pieces.all_regular and pieces.checked == 1451520
         assert peak < stab_bytes
 
