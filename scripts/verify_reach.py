@@ -1,4 +1,5 @@
-"""Time `regcycles verify` on the bundled classical-group actions.
+"""Time `regcycles verify` and `regcycles compare` on the bundled
+classical-group actions.
 
     python3 scripts/verify_reach.py [NAME ...]
 
@@ -7,8 +8,15 @@ is built into a group file by `build-action --builtin` in one fresh
 process, which is not timed, and verified by `verify --json --cap CAP` in
 another.  One JSON line per action gives the verify process's wall time and
 peak RSS (its own ru_maxrss, from os.wait4), its exit code, verdict and
-count of elements checked.  The script reads only the generator files
-bundled with the package, from the `src` directory of its own checkout.
+count of elements checked.
+
+Each pair of the compare table (both run when no NAME is given) is built
+the same way, its non-degenerate 2-subspaces through the library, as
+`build-action` has no such type, and compared by `compare --json
+--samples 10000` in a fresh process.  Its JSON line gives that process's
+wall time and peak RSS, its exit code and whether the pair was monotone.
+The script reads only the generator files bundled with the package, from
+the `src` directory of its own checkout.
 """
 
 import json
@@ -30,7 +38,14 @@ REACH = {
     "o8p_2-maxts": ("o8p_2", "maxts", 10**9),
     "o7_3-points": ("o7_3", "singular-points", 10**11),
 }
-DEFAULT = [name for name in REACH if name != "o7_3-points"]
+# name: builtin group whose singular points and non-degenerate
+# 2-subspaces are compared
+COMPARE = {
+    "sp6_2-points-nd2": "sp6_2",
+    "o8p_2-points-nd2": "o8p_2",
+}
+COMPARE_SAMPLES = 10**4
+DEFAULT = [name for name in REACH if name != "o7_3-points"] + list(COMPARE)
 
 
 def run_cli(argv):
@@ -48,13 +63,19 @@ def run_cli(argv):
     return proc.returncode, out.decode(), wall, usage.ru_maxrss / 1024
 
 
-def reach(name, workdir):
-    builtin, kind, cap = REACH[name]
+def build(name, builtin, kind, workdir):
+    """The group file of one `build-action --builtin` run (untimed)."""
     path = os.path.join(workdir, f"{name}.grp")
     code, _out, _wall, _rss = run_cli(["build-action", "--builtin", builtin,
                                        "--type", kind, "--out", path])
     if code != 0:
         raise SystemExit(f"build-action for {name} exited {code}")
+    return path
+
+
+def reach(name, workdir):
+    builtin, kind, cap = REACH[name]
+    path = build(name, builtin, kind, workdir)
     with open(path, encoding="utf-8") as fh:
         degree = int(fh.readline().split()[1])
     code, out, wall, rss = run_cli(["verify", "--group", path, "--json",
@@ -66,15 +87,36 @@ def reach(name, workdir):
             "peak_rss_mb": round(rss, 1)}
 
 
+def compare(name, workdir):
+    builtin = COMPARE[name]
+    points = build(f"{name}-points", builtin, "singular-points", workdir)
+    nd2 = os.path.join(workdir, f"{name}-nd2.grp")
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    from regcycles import geometry, perm
+    space, gens = geometry.builtin_matrix_group(builtin)
+    G = geometry.perm_image(gens, geometry.nondegenerate_2_subspaces(space))
+    with open(nd2, "w", encoding="utf-8") as fh:
+        fh.write(perm.emit_group_file(G))
+    code, out, wall, rss = run_cli(["compare", "--json", "--action1", points,
+                                    "--action2", nd2, "--samples",
+                                    str(COMPARE_SAMPLES)])
+    report = json.loads(out) if code in (0, 1) else {}
+    return {"action": name, "samples": COMPARE_SAMPLES, "exit": code,
+            "monotone": report.get("monotone"), "wall_s": round(wall, 3),
+            "peak_rss_mb": round(rss, 1)}
+
+
 def main(names):
-    unknown = [name for name in names if name not in REACH]
+    known = [*REACH, *COMPARE]
+    unknown = [name for name in names if name not in known]
     if unknown:
         raise SystemExit(f"unknown action(s) {', '.join(unknown)}; "
-                         f"known: {', '.join(REACH)}")
+                         f"known: {', '.join(known)}")
     with tempfile.TemporaryDirectory() as workdir:
         for name in names or DEFAULT:
-            print(json.dumps(reach(name, workdir), sort_keys=True),
-                  flush=True)
+            run = reach if name in REACH else compare
+            print(json.dumps(run(name, workdir), sort_keys=True), flush=True)
 
 
 if __name__ == "__main__":

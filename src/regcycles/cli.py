@@ -183,8 +183,12 @@ def _cmd_build_action(args):
     elif args.type == "product":
         if args.m is None or args.r is None:
             raise ValueError("--type product needs --m and --r")
-        G = geometry.product_action(perm.symmetric_group(args.m), args.r)
-        labels = geometry.product_labels(range(1, args.m + 1), args.r)
+        # Sym(m) on k-sets; k = 1 keeps symmetric_group's generator order
+        base = (perm.symmetric_group(args.m) if args.k == 1
+                else geometry.k_set_action(args.m, args.k))
+        G = geometry.product_action(base, args.r)
+        labels = geometry.product_labels(
+            geometry.k_set_labels(args.m, args.k), args.r)
     else:
         gens, domain = _matrix_domain(args)
         G = geometry.perm_image(gens, domain)

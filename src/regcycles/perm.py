@@ -520,8 +520,19 @@ class PermGroup:
         rows = np.array(rows, dtype=np.int64).reshape(len(rows), degree)
         if (np.sort(rows, axis=1) != np.arange(degree)).any():
             raise ValueError("images do not form a bijection of 0..d-1")
+        self._adopt(degree, rows)
+
+    @classmethod
+    def _of_bijections(cls, degree: int, rows) -> PermGroup:
+        """The group of image rows already known to be bijections of
+        0..degree-1, such as the parser's, without __init__'s check."""
+        group = cls.__new__(cls)
+        group._adopt(degree, rows)
+        return group
+
+    def _adopt(self, degree: int, rows) -> None:
         self.degree = degree
-        self.images = rows.astype(_point_dtype(degree))
+        self.images = np.array(rows, _point_dtype(degree)).reshape(-1, degree)
         self.images.flags.writeable = False
         self._chain: StabChain | None = None
 
@@ -663,7 +674,8 @@ def parse_group_file(text: str) -> PermGroup:
         raise GroupFileError(lineno, str(exc)) from exc
     if degree is None:
         raise GroupFileError(1, "missing 'degree <d>' header")
-    return PermGroup(degree, gens)
+    # _cycle_images refused every row that is not a bijection
+    return PermGroup._of_bijections(degree, gens)
 
 
 def emit_group_file(G: PermGroup) -> str:

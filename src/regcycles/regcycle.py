@@ -27,20 +27,25 @@ square-free order also has none.
 Bulk questions, the verifier's cosets and the sampled words of
 ``compare_actions_monotonic``, go through one kernel, ``perm.cycle_sizes``,
 on chunks of at most _CHUNK_ENTRIES image entries.  It finds every cycle
-of every row at once by pointer doubling, and one rule reads the answers
-from the lengths without computing an order (an lcm of many cycle
-lengths can pass 2**63): g has a regular cycle iff every cycle length
-divides the longest, its regular cycles are then those of the longest
-length, and its order is square-free iff every cycle length is.  Single
-elements (``fix_union_test``, ``perm.has_regular_cycle_direct``) keep the
-scalar cycle walk.  Two actions of one group, on Omega1 and Omega2, are
-compared in its diagonal action on their disjoint union.
+of every row at once by pointer doubling, and one rule
+(``_regular_counts``) reads the answers from the lengths without
+computing an order (an lcm of many cycle lengths can pass 2**63): g has
+a regular cycle iff every cycle length divides the longest, its regular
+cycles are then those of the longest length, and its order is
+square-free iff every cycle length is.  Single elements
+(``fix_union_test``, ``perm.has_regular_cycle_direct``) keep the scalar
+cycle walk.  Two actions of one group, on Omega1 and Omega2, are
+compared in its diagonal action on their disjoint union: each sampled
+word is read k letters at a time, right to left, from one table of the
+k-letter products, and the counts of both actions come from one kernel
+call on the whole diagonal rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +57,7 @@ from .perm import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
     Permutation,
+    _point_dtype,
     cycle_decomposition,
     cycle_sizes,
     cycle_string,
@@ -87,22 +93,30 @@ class RegCycleReport:
 def _regular_cycles(rows: np.ndarray, square_free=None):
     """The regular-cycle count of every image row, and, given a table
     ``square_free`` of the square-free lengths, the mask of rows of
-    square-free order (else None).
-
-    One kernel call gives the cycle lengths.  A permutation's order is the
-    lcm of its cycle lengths, at least the longest one, with equality iff
-    every length divides the longest.  So a row has a regular cycle iff
-    every cycle length divides its longest, and its regular cycles are
-    then the cycles of that length.  The order is square-free iff every
-    cycle length is.
+    square-free order (else None).  One kernel call gives the cycle
+    lengths, and ``_regular_counts`` reads the counts from them; the
+    order is square-free iff every cycle length is.
     """
     sizes = cycle_sizes(rows)
-    longest = sizes.max(axis=1, keepdims=True)
-    counts = (sizes == longest).sum(axis=1)
-    counts[(longest % np.maximum(sizes, 1)).any(axis=1)] = 0
+    counts = _regular_counts(sizes)
     if square_free is None:
         return counts, None
     return counts, square_free[sizes].all(axis=1)
+
+
+def _regular_counts(sizes: np.ndarray) -> np.ndarray:
+    """The regular-cycle count of every row of ``perm.cycle_sizes``
+    output, or of a block of its columns that is a union of cycles.
+
+    A permutation's order is the lcm of its cycle lengths, at least the
+    longest one, with equality iff every length divides the longest.  So a
+    row has a regular cycle iff every cycle length divides its longest,
+    and its regular cycles are then the cycles of that length.
+    """
+    longest = sizes.max(axis=1, keepdims=True)
+    counts = (sizes == longest).sum(axis=1)
+    counts[(longest % np.maximum(sizes, 1)).any(axis=1)] = 0
+    return counts
 
 
 def _square_free_table(degree: int) -> np.ndarray:
@@ -286,6 +300,52 @@ class MonotonicityReport:
 # sampled words have between 1 and this many letters
 MAX_WORD_LENGTH = 40
 
+# compare_actions_monotonic's table of k-letter products holds at most this
+# many bytes (unless its k = 1 table, the generators alone, is larger)
+_TABLE_BYTES = 1 << 22
+
+
+def _letter_products(G1: PermGroup, G2: PermGroup):
+    """(table, k): the image rows, in the diagonal action on d1 + d2
+    points and in its point dtype, of every product of k letters that
+    starts with a generator, and k, the largest whose table fits
+    _TABLE_BYTES (at least 1).
+
+    The letters are 0, the identity, and i + 1, generator i: row i of G1
+    followed by row i of G2 shifted by d1.  Letters l_0, ..., l_(k-1),
+    applied in that order and read as base-(n+1) digits with l_0 the most
+    significant, give a code c >= (n+1)**(k-1), as l_0 >= 1; their
+    product is row c - (n+1)**(k-1).  The products of j letters, at their
+    codes in the first (n+1)**j rows of ``shorter``, are also those of
+    j + 1 letters that start with the identity, and those that start with
+    letter l are their columns taken at row l.  So ``shorter`` grows in
+    place to k - 1 letters, and each block of the table is taken from it.
+    """
+    n, d1, d = len(G1.images), G1.degree, G1.degree + G2.degree
+    base, dtype = n + 1, _point_dtype(d)
+    row_bytes = d * dtype.itemsize
+    k = 1
+    while n * base ** k * row_bytes <= _TABLE_BYTES:
+        k += 1
+    rows = base ** (k - 1)
+    shorter = np.empty((max(rows, base), d), dtype)
+    shorter[0] = np.arange(d)
+    shorter[1:base, :d1] = G1.images
+    # G2's rows are shifted in the wider dtype: d1 + d2 may not fit theirs
+    shorter[1:base, d1:] = G2.images
+    shorter[1:base, d1:] += d1
+    # the indices are in range; mode "raise" would write through a copy
+    for j in range(1, k - 1):
+        r = base ** j
+        for letter in range(1, base):
+            np.take(shorter[:r], shorter[letter], axis=1, mode="clip",
+                    out=shorter[letter * r:(letter + 1) * r])
+    table = np.empty((n * rows, d), dtype)
+    for letter in range(1, base):
+        np.take(shorter[:rows], shorter[letter], axis=1, mode="clip",
+                out=table[(letter - 1) * rows:letter * rows])
+    return table, k
+
 
 def compare_actions_monotonic(G1: PermGroup, G2: PermGroup,
                               samples: int = 10**4,
@@ -299,9 +359,18 @@ def compare_actions_monotonic(G1: PermGroup, G2: PermGroup,
     points of both domains (generator i acts on the last d2 as row i of
     G2 shifted by d1).  Sampling uses a fixed seed, so runs are
     reproducible.  At least one word is sampled, and the actions need at
-    least one generator.  The words' images are counted a chunk of words
-    at a time, split at column d1, by the kernel that
-    ``verify_all_elements`` uses.
+    least one generator.
+
+    Each word, padded at its end with identity letters to a multiple of
+    k, is read in blocks of k letters from one table of every k-letter
+    product that starts with a generator (``_letter_products``), right
+    to left: the partial product starts as the last block's row and is
+    then taken at each earlier block's row, so its random reads stay in
+    one cached row.  The words' rows are
+    counted a chunk of words at a time, by one call of the kernel that
+    ``verify_all_elements`` uses on the whole diagonal row; no cycle
+    crosses column d1, so the counts of each action are read from its
+    block of columns.
     """
     if len(G1.images) != len(G2.images):
         raise ValueError("generator lists must have equal length")
@@ -313,27 +382,32 @@ def compare_actions_monotonic(G1: PermGroup, G2: PermGroup,
 
     ngens = len(G1.images)
     rng = random.Random(seed)
-    d1, d = G1.degree, G1.degree + G2.degree
-    gens = np.hstack([G1.images, G2.images.astype(np.intp) + d1])
-    ident = np.arange(d)
-    per_chunk = max(1, _CHUNK_ENTRIES // d)
-    words, rows = [], []
+    d1 = G1.degree
+    table, k = _letter_products(G1, G2)
+    weights = [(ngens + 1) ** e for e in range(k - 1, -1, -1)]
+    per_chunk = max(1, _CHUNK_ENTRIES // table.shape[1])
+    rows = np.empty((per_chunk, table.shape[1]), table.dtype)
+    words = []
     violations: list[str] = []
-    for k in range(samples):
+    for sample in range(samples):
         length = rng.randint(1, MAX_WORD_LENGTH)
         word = [rng.randrange(ngens) for _ in range(length)]
-        w = ident
-        for i in word:
-            w = gens[i][w]  # apply w, then generator i
+        padded = [i + 1 for i in word] + [0] * (-length % k)
+        *earlier, last = [
+            sum(map(operator.mul, padded[i:i + k], weights)) - weights[0]
+            for i in range(0, len(padded), k)]
+        w = table[last]
+        for row in reversed(earlier):
+            w = w.take(table[row])  # apply that block, then w
+        rows[len(words)] = w
         words.append(word)
-        rows.append(w)
-        if len(words) == per_chunk or k == samples - 1:
-            rows = np.array(rows)
-            more = (_regular_cycles(rows[:, :d1])[0]
-                    > _regular_cycles(rows[:, d1:] - d1)[0])
+        if len(words) == per_chunk or sample == samples - 1:
+            sizes = cycle_sizes(rows[:len(words)])
+            more = (_regular_counts(sizes[:, :d1])
+                    > _regular_counts(sizes[:, d1:]))
             for j in np.flatnonzero(more)[:5 - len(violations)]:
                 violations.append("g" + " g".join(str(i) for i in words[j]))
-            words, rows = [], []
+            words = []
     return MonotonicityReport(not violations, samples, tuple(violations))
 
 

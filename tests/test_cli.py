@@ -360,6 +360,42 @@ class TestBuildAction:
         assert G.degree == 9
         assert G.order() == 72
 
+    def test_product_of_k_sets(self, tmp_path):
+        # Sym(5) wr Sym(2) on pairs of 2-sets
+        out = tmp_path / "s5pairs_wr2.grp"
+        assert main(["build-action", "--type", "product", "--m", "5",
+                     "--k", "2", "--r", "2", "--out", str(out)]) == 0
+        G = perm.parse_group_file(out.read_text())
+        assert G.degree == 100
+        assert G.order() == 2 * math.factorial(5) ** 2 == 28800
+        labels = (tmp_path / "s5pairs_wr2.grp.labels").read_text()
+        assert labels.splitlines()[0] == "1 2 | 1 2"
+        assert len(labels.splitlines()) == 100
+
+    def test_product_with_k_1_keeps_the_symmetric_group_generators(
+            self, tmp_path):
+        out = tmp_path / "s4wr3.grp"
+        assert main(["build-action", "--type", "product", "--m", "4",
+                     "--r", "3", "--out", str(out)]) == 0
+        base = perm.symmetric_group(4)
+        assert out.read_text() == perm.emit_group_file(
+            geometry.product_action(base, 3))
+        assert (tmp_path / "s4wr3.grp.labels").read_text() == "\n".join(
+            geometry.product_labels(range(1, 5), 3)) + "\n"
+
+    def test_product_of_k_sets_past_the_cap_is_refused_unbuilt(
+            self, tmp_path, capsys):
+        # C(20, 3)**3 = 1140**3 points: refused before any row is formed
+        start = time.perf_counter()
+        assert main(["build-action", "--type", "product", "--m", "20",
+                     "--k", "3", "--r", "3",
+                     "--out", str(tmp_path / "out.grp")]) == 2
+        assert time.perf_counter() - start < 1
+        _out, err = capsys.readouterr()
+        assert err == (f"error: domain size 1140**3 exceeds cap "
+                       f"{perm.DEFAULT_DOMAIN_CAP}\n")
+        assert not (tmp_path / "out.grp").exists()
+
     def test_builtin_singular_points(self, tmp_path, capsys):
         out = tmp_path / "sp62.grp"
         code = main(["build-action", "--type", "singular-points",
@@ -392,6 +428,8 @@ class TestErrorTable:
         ["--type", "ksets", "--m", "3", "--k", "5"],
         ["--type", "ksets", "--m", "0", "--k", "0"],
         ["--type", "product", "--m", "0", "--r", "2"],
+        ["--type", "product", "--m", "5", "--k", "0", "--r", "2"],
+        ["--type", "product", "--m", "5", "--k", "6", "--r", "2"],
         ["--type", "ns1", "--builtin", "sp6_2"],
         ["--type", "aniso2", "--builtin", "sp6_2"],
         ["--type", "pairs-le", "--builtin", "sp6_2", "--k", "3"],
@@ -403,7 +441,8 @@ class TestErrorTable:
         ["--type", "maxts", "--matrix", "QMINUS2_2"],
         ["--type", "maxts", "--matrix", "QO1_3"],
         ["--type", "maxts", "--matrix", "HERMITIAN1_4"],
-    ], ids=["ksets-k-above-m", "ksets-zero", "product-zero", "ns1-symplectic",
+    ], ids=["ksets-k-above-m", "ksets-zero", "product-zero",
+            "product-k-zero", "product-k-above-m", "ns1-symplectic",
             "aniso2-symplectic", "pairs-k-too-large",
             "singular-points-past-cap", "maxts-past-cap",
             "ksets-past-default-cap", "product-large-m", "product-large-r",

@@ -326,6 +326,25 @@ class TestGeneratorArray:
             with pytest.raises(ValueError, match=message):
                 PermGroup(3, given_rows)
 
+    def test_the_parser_skips_the_check_that_other_callers_keep(
+            self, monkeypatch):
+        # the parser has refused every non-bijection line, so its rows
+        # skip the sort; PermGroup itself still refuses one
+        sorts, real_sort = [], np.sort
+
+        def counted_sort(*args, **kwargs):
+            sorts.append(args)
+            return real_sort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counted_sort)
+        G = parse_group_file("degree 3\n(1 2 3)\n(1 2)\n")
+        assert G.images.tolist() == [[1, 2, 0], [1, 0, 2]]
+        assert G.images.dtype == np.uint8 and not G.images.flags.writeable
+        assert not sorts
+        with pytest.raises(ValueError, match="bijection"):
+            PermGroup(3, [[1, 2, 0], [1, 1, 2]])
+        assert len(sorts) == 1
+
     def test_rejects_permutations_of_another_degree(self):
         with pytest.raises(ValueError, match="degree mismatch"):
             PermGroup(3, [identity(3), identity(4)])

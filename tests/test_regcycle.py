@@ -1,5 +1,6 @@
 """Tests for the fixed-union regular-cycle machinery."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -27,6 +28,7 @@ from regcycles.perm import (
     Permutation,
     alternating_group,
     cycle_decomposition,
+    cyclic_group,
     has_regular_cycle_direct,
     identity,
     parse_cycles,
@@ -322,3 +324,104 @@ class TestCompareActions:
             rep = rc.compare_actions_monotonic(a, b, samples=1000, seed=3)
             assert rep == compare_actions_two_loops(a, b, samples=1000,
                                                     seed=3)
+
+
+def _sp6_2_points_and_nd2():
+    space, gens = geometry.builtin_matrix_group("sp6_2")
+    return (geometry.perm_image(gens, geometry.singular_points(space)),
+            geometry.perm_image(gens,
+                                geometry.nondegenerate_2_subspaces(space)))
+
+
+def _compare_pair(name):
+    """(G1, G2, samples, seed) of a named pair of actions."""
+    if name.startswith("sym8"):
+        k1, k2 = (2, 3) if name == "sym8-2sets-3sets" else (3, 2)
+        return (geometry.k_set_action(8, k1), geometry.k_set_action(8, k2),
+                3000, 7)
+    if name.startswith("sp6_2"):
+        G1, G2 = _sp6_2_points_and_nd2()
+        return (G1, G2, 1000, 3) if name == "sp6_2-points-nd2" \
+            else (G2, G1, 1000, 3)
+    C = cyclic_group(65600)  # 131,200 points in the diagonal action
+    return C, C, 10, 3
+
+
+class TestLetterProducts:
+    """compare_actions_monotonic reads each word k letters at a time from
+    one table of k-letter products; every k gives the report of the loop
+    that evaluates each action one letter at a time."""
+
+    PAIRS = ["sym8-2sets-3sets", "sym8-3sets-2sets", "sp6_2-points-nd2",
+             "sp6_2-nd2-points", "cyclic65600-twice"]
+    DTYPES = {"sym8": np.uint8, "sp6_2": np.uint16, "cyclic65600": np.uint32}
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        """The two-loop report of each pair, computed once."""
+        reports = {}
+
+        def report(name):
+            if name not in reports:
+                G1, G2, samples, seed = _compare_pair(name)
+                reports[name] = compare_actions_two_loops(
+                    G1, G2, samples=samples, seed=seed)
+            return reports[name]
+
+        return report
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_every_width_matches_the_two_action_loop(self, monkeypatch,
+                                                     oracle, name, width):
+        G1, G2, samples, seed = _compare_pair(name)
+        n, d = len(G1.images), G1.degree + G2.degree
+        dtype = np.dtype(self.DTYPES[name.split("-")[0]])
+        # the bound that the table of `width` letters fills exactly
+        bound = n * (n + 1) ** (width - 1) * d * dtype.itemsize
+        monkeypatch.setattr(rc, "_TABLE_BYTES", bound)
+        tables, build = [], rc._letter_products
+
+        def spy(*groups):
+            tables.append(build(*groups))
+            return tables[-1]
+
+        monkeypatch.setattr(rc, "_letter_products", spy)
+        rep = rc.compare_actions_monotonic(G1, G2, samples=samples,
+                                           seed=seed)
+        assert rep == oracle(name)
+        [(table, k)] = tables
+        assert k == width and table.nbytes <= bound
+        assert table.dtype == dtype
+        assert table.shape == (n * (n + 1) ** (k - 1), d)
+        if name == "sym8-3sets-2sets":
+            assert not rep.monotone and len(rep.violations) == 5
+
+    @pytest.mark.parametrize("name, width", [
+        ("sym8-2sets-3sets", 10), ("sp6_2-points-nd2", 3),
+        ("cyclic65600-twice", 3)])
+    def test_the_widest_table_within_the_bound(self, name, width):
+        G1, G2, _samples, _seed = _compare_pair(name)
+        table, k = rc._letter_products(G1, G2)
+        assert k == width
+        assert table.nbytes <= rc._TABLE_BYTES < (len(G1.images) + 1) \
+            * table.nbytes
+
+    def test_table_rows_are_the_products_of_their_letters(self,
+                                                          monkeypatch):
+        # letters l_0, l_1, l_2, applied in that order, with l_0 a
+        # generator, sit at the code that reads them as base-(n+1) digits,
+        # less (n+1)**2; letter 0 is the identity
+        G1, G2 = geometry.k_set_action(5, 2), geometry.k_set_action(5, 1)
+        n, d1, d = 2, 10, 15
+        monkeypatch.setattr(rc, "_TABLE_BYTES", n * (n + 1) ** 2 * d)
+        table, k = rc._letter_products(G1, G2)
+        assert k == 3 and len(table) == n * (n + 1) ** 2
+        letters = [np.arange(d)] + [
+            np.concatenate([a, b + d1]) for a, b in
+            zip(G1.images.astype(np.intp), G2.images.astype(np.intp))]
+        for l0, l1, l2 in itertools.product(range(1, n + 1), range(n + 1),
+                                            range(n + 1)):
+            row = (l0 * (n + 1) + l1) * (n + 1) + l2 - (n + 1) ** 2
+            assert table[row].tolist() == \
+                letters[l2][letters[l1][letters[l0]]].tolist()
