@@ -17,6 +17,12 @@ the same way, its non-degenerate 2-subspaces through the library, as
 wall time and peak RSS, its exit code and whether the pair was monotone.
 The script reads only the generator files bundled with the package, from
 the `src` directory of its own checkout.
+
+The check table's one element, a cycle of each prime length below 110 on
+1,480 points (order about 2**148), is written with its cyclic group to a
+group file by this script, untimed, and checked by `check --json
+--element` in a fresh process.  Its JSON line gives that process's wall
+time and peak RSS, its exit code, the element's verdict and S(g).
 """
 
 import json
@@ -45,7 +51,11 @@ COMPARE = {
     "o8p_2-points-nd2": "o8p_2",
 }
 COMPARE_SAMPLES = 10**4
-DEFAULT = [name for name in REACH if name != "o7_3-points"] + list(COMPARE)
+# name: the primes below which the element has one cycle of each prime
+# length, and check --cap
+CHECK = {"cyc1480-element": (110, 10**45)}
+DEFAULT = [name for name in REACH if name != "o7_3-points"] + list(COMPARE) \
+    + list(CHECK)
 
 
 def run_cli(argv):
@@ -107,15 +117,39 @@ def compare(name, workdir):
             "peak_rss_mb": round(rss, 1)}
 
 
+def check(name, workdir):
+    below, cap = CHECK[name]
+    cycles, start = [], 1
+    for p in range(2, below):
+        if all(p % r for r in range(2, p)):
+            cycles.append("(" + " ".join(map(str, range(start, start + p)))
+                          + ")")
+            start += p
+    element = "".join(cycles)
+    path = os.path.join(workdir, f"{name}.grp")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"degree {start - 1}\n{element}\n")
+    code, out, wall, rss = run_cli(["check", "--group", path, "--element",
+                                    element, "--json", "--cap", str(cap)])
+    report = json.loads(out) if code in (0, 1) else {}
+    s_value = (f"{report['s_value_num']}/{report['s_value_den']}"
+               if report else None)
+    return {"action": name, "degree": start - 1, "cap": cap, "exit": code,
+            "has_regular_cycle": report.get("has_regular_cycle"),
+            "s_value": s_value, "wall_s": round(wall, 3),
+            "peak_rss_mb": round(rss, 1)}
+
+
 def main(names):
-    known = [*REACH, *COMPARE]
+    known = [*REACH, *COMPARE, *CHECK]
     unknown = [name for name in names if name not in known]
     if unknown:
         raise SystemExit(f"unknown action(s) {', '.join(unknown)}; "
                          f"known: {', '.join(known)}")
     with tempfile.TemporaryDirectory() as workdir:
         for name in names or DEFAULT:
-            run = reach if name in REACH else compare
+            run = (reach if name in REACH else compare if name in COMPARE
+                   else check)
             print(json.dumps(run(name, workdir), sort_keys=True), flush=True)
 
 

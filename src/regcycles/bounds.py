@@ -316,18 +316,18 @@ class ExternalTables:
     def min_degree(self, gid):
         return self._get(gid, "min_degree")
 
-    def amended_fpr(self, gid):
+    def _fraction(self, gid, name):
+        """The fraction of the fields name_num and name_den, or None."""
         entry = self.entries.get(self._key(gid), {})
-        if "amended_fpr_num" in entry:
-            return Fraction(entry["amended_fpr_num"],
-                            entry["amended_fpr_den"])
+        if f"{name}_num" in entry:
+            return Fraction(entry[f"{name}_num"], entry[f"{name}_den"])
         return None
 
+    def amended_fpr(self, gid):
+        return self._fraction(gid, "amended_fpr")
+
     def iota(self, gid):
-        entry = self.entries.get(self._key(gid), {})
-        if "iota_num" in entry:
-            return Fraction(entry["iota_num"], entry["iota_den"])
-        return None
+        return self._fraction(gid, "iota")
 
 
 def _is_int(value, least=None) -> bool:
@@ -488,10 +488,11 @@ def _omega(f: nt.Factorization, name: str,
     return w, (f"{exact}{name} = {w}" if f.exact else f"{name} at most {w}")
 
 
-def _omega_front(gid: GroupId, arg: int):
+def _omega_front(gid: GroupId, arg: int, exact_up_to: int = 16):
     """(value, label) bounding the number of primes dividing `arg`:
-    omega(arg) for q <= 16, an upper bound for log2(arg) beyond."""
-    if gid.q <= 16:
+    omega(arg) for q <= exact_up_to, an upper bound for log2(arg)
+    beyond."""
+    if gid.q <= exact_up_to:
         w, label = _omega(nt.factorize(arg), f"omega({arg})")
         return Fraction(w), label
     return nt.log2_upper(arg), f"log2({arg})"
@@ -586,14 +587,9 @@ def _s1_s2_case_ii(gid: GroupId):
         raise ValueError("orthogonal case ii needs n >= 7")
     if q == 2:
         return None
-    arg = e * p * (q - 1)
     front = _orthogonal_ns1_front(gid)
-    if q <= 5:
-        w, label = _omega(nt.factorize(arg), f"omega({arg})")
-        s1 = [BoundTerm(f"{label} times front factor {front}", w * front)]
-    else:
-        s1 = [BoundTerm(f"log2({arg}) times front factor {front}",
-                        nt.log2_upper(arg) * front)]
+    wv, wl = _omega_front(gid, e * p * (q - 1), exact_up_to=5)
+    s1 = [BoundTerm(f"{wl} times front factor {front}", wv * front)]
     return s1, _tail_terms(gid, ratio, window=(2, 3, 4, 5, 6))
 
 
@@ -685,19 +681,21 @@ _DELEGATION_NOTES = {
 
 
 def s1_bound(case: str, gid: GroupId):
-    pair = _case_terms(case, gid)
-    if pair is None:
-        raise ValueError(f"{gid} is delegated to external verification "
-                         f"in case {case}")
-    return BoundReport._total(pair[0])
+    return BoundReport._total(_closed_form_terms(case, gid)[0])
 
 
 def s2_bound(case: str, gid: GroupId):
+    return BoundReport._total(_closed_form_terms(case, gid)[1])
+
+
+def _closed_form_terms(case, gid):
+    """The (S1, S2) terms of the case pipeline; a ValueError where the
+    case is delegated to external verification."""
     pair = _case_terms(case, gid)
     if pair is None:
         raise ValueError(f"{gid} is delegated to external verification "
                          f"in case {case}")
-    return BoundReport._total(pair[1])
+    return pair
 
 
 def _case_terms(case, gid):

@@ -12,7 +12,9 @@ fixed point is a cycle of length |1| = 1, so the identity *has* a regular
 cycle on any nonempty domain (reports carry this convention explicitly).
 
 Fixed-point counts come from one cycle decomposition: Fix(g**m) is the
-union of the cycles of g whose length divides m.  The bulk verifier reads
+union of the cycles of g whose length divides m, so ``check``
+(``fix_union_test``) takes S and the primes of |g| from the distinct
+cycle lengths and never factors |g|.  The bulk verifier reads
 cycle types (a class function) from one coset of G_(l) per G_(l)-orbit on
 the images of the first l base points, G_(l) their pointwise stabilizer,
 in blocks from the chain's one coset recursion (``perm.StabChain.cosets``).
@@ -144,16 +146,15 @@ def fix_union_test(g: Permutation) -> RegCycleReport:
         return RegCycleReport(True, 1, witness, Fraction(0), d, d,
                               identity_convention=True)
     # Fix(g**(|g|/r)) is the union of the cycles whose length divides
-    # |g|/r; over all primes r these are the cycles shorter than |g|
-    s_value = Fraction(0)
-    for r in numtheory.factorize(order).primes():
-        s_value += Fraction(sum(L for L in lengths if (order // r) % L == 0),
-                            d)
+    # |g|/r; over all primes r these are the cycles shorter than |g|.  The
+    # primes of |g| are those of its cycle lengths, at most the degree.
+    primes = {r for L in set(lengths) for r in numtheory.factorize(L).primes()}
+    fixed = sum(L for r in primes for L in lengths if order // r % L == 0)
     return RegCycleReport(
         has_regular_cycle=witness is not None,
         order=order,
         witness=witness,
-        s_value=s_value,
+        s_value=Fraction(fixed, d),
         fix_union_size=sum(L for L in lengths if L < order),
         degree=d,
     )
@@ -226,21 +227,22 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     square_free = _square_free_table(G.degree) if square_free_only else None
 
     def scan(level, codes, failing=None):
-        """Rows checked and rows failing in the coset of each coded image
-        of the first `level` base points; the failing rows are appended to
-        `failing` as lists, if given."""
-        n_checked = np.zeros(len(codes), np.intp)
+        """Rows checked (None when every row is) and rows failing in the
+        coset of each coded image of the first `level` base points; the
+        failing rows are appended to `failing` as lists, if given."""
+        n_checked = np.zeros(len(codes), np.intp) if square_free_only \
+            else None
         n_failed = np.zeros(len(codes), np.intp)
         reps = chain.representatives(codes, level)
         for first, _at, rows in chain.cosets(reps, level, _CHUNK_ENTRIES):
             k, m, d = rows.shape
             rows = rows.reshape(-1, d)
             regular, kept = _regular_cycles(rows, square_free)
-            if kept is None:
-                kept = np.ones(len(rows), bool)
-            fail = kept & (regular == 0)
+            fail = regular == 0
             # one sum per coset, over the piece of G_(level)
-            n_checked[first:first + k] += kept.reshape(k, m).sum(axis=1)
+            if kept is not None:
+                fail &= kept
+                n_checked[first:first + k] += kept.reshape(k, m).sum(axis=1)
             n_failed[first:first + k] += fail.reshape(k, m).sum(axis=1)
             if failing is not None:
                 failing += rows[fail].tolist()
@@ -255,7 +257,8 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
         if len(pairs) * (chain.order // (n[0] * n[1])) < rows1:
             level, orbits = 2, pairs
     counts, fails = scan(level, [orbit[0] for orbit in orbits])
-    checked = sum(c * len(orbit) for c, orbit in zip(counts.tolist(), orbits))
+    checked = chain.order if counts is None else sum(
+        c * len(orbit) for c, orbit in zip(counts.tolist(), orbits))
     failures: dict[int, int] = {}  # beta -> failing rows in its coset of G_b
     for orbit, count in zip(orbits, fails.tolist()):
         if count:
@@ -305,11 +308,12 @@ MAX_WORD_LENGTH = 40
 _TABLE_BYTES = 1 << 22
 
 
-def _letter_products(G1: PermGroup, G2: PermGroup):
+def _letter_products(G1: PermGroup, G2: PermGroup, samples: int):
     """(table, k): the image rows, in the diagonal action on d1 + d2
     points and in its point dtype, of every product of k letters that
     starts with a generator, and k, the largest whose table fits
-    _TABLE_BYTES (at least 1).
+    _TABLE_BYTES and has no more rows than `samples` words can read,
+    samples x MAX_WORD_LENGTH (k at least 1).
 
     The letters are 0, the identity, and i + 1, generator i: row i of G1
     followed by row i of G2 shifted by d1.  Letters l_0, ..., l_(k-1),
@@ -323,9 +327,10 @@ def _letter_products(G1: PermGroup, G2: PermGroup):
     """
     n, d1, d = len(G1.images), G1.degree, G1.degree + G2.degree
     base, dtype = n + 1, _point_dtype(d)
-    row_bytes = d * dtype.itemsize
+    most = min(_TABLE_BYTES // (d * dtype.itemsize),
+               samples * MAX_WORD_LENGTH)
     k = 1
-    while n * base ** k * row_bytes <= _TABLE_BYTES:
+    while n * base ** k <= most:
         k += 1
     rows = base ** (k - 1)
     shorter = np.empty((max(rows, base), d), dtype)
@@ -373,7 +378,8 @@ def compare_actions_monotonic(G1: PermGroup, G2: PermGroup,
     block of columns.
     """
     if len(G1.images) != len(G2.images):
-        raise ValueError("generator lists must have equal length")
+        raise ValueError("the two actions list different numbers of "
+                         "generators and cannot be compared word-by-word")
     if not len(G1.images):
         raise ValueError("the actions list no generators, so there are "
                          "no words to sample")
@@ -383,7 +389,7 @@ def compare_actions_monotonic(G1: PermGroup, G2: PermGroup,
     ngens = len(G1.images)
     rng = random.Random(seed)
     d1 = G1.degree
-    table, k = _letter_products(G1, G2)
+    table, k = _letter_products(G1, G2, samples)
     weights = [(ngens + 1) ** e for e in range(k - 1, -1, -1)]
     per_chunk = max(1, _CHUNK_ENTRIES // table.shape[1])
     rows = np.empty((per_chunk, table.shape[1]), table.dtype)

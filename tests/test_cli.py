@@ -92,6 +92,29 @@ class TestCheck:
         verified = json.loads(capsys.readouterr().out)
         assert data["element"] == verified["witness_cycles"][0]
 
+    def test_element_of_order_past_the_factorization_cap(self, tmp_path,
+                                                         capsys):
+        # the cyclic group of one cycle of each prime length below 110,
+        # on 1,480 points: its generator has order about 2**148
+        primes = [p for p in range(2, 110)
+                  if all(p % r for r in range(2, p))]
+        images, start = [], 0
+        for p in primes:
+            images += [start + (i + 1) % p for i in range(p)]
+            start += p
+        g = perm.cycle_string(images)
+        path = tmp_path / "cyc.grp"
+        path.write_text(f"degree {start}\n{g}\n")
+        code = main(["check", "--group", str(path), "--element", g,
+                     "--cap", str(10**45), "--json"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        data = json.loads(out)
+        assert data["order"] == math.prod(primes)
+        assert data["has_regular_cycle"] is False
+        assert (data["s_value_num"], data["s_value_den"]) == (28, 1)
+        assert data["fix_union_size"] == data["degree"] == 1480
+
     def test_whole_group_checked_count(self, alt5_file, capsys):
         assert main(["check", "--group", alt5_file, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -411,6 +434,17 @@ class TestBuildAction:
                      "sp6_2", "--epsilon", "-", "--out", str(out)]) == 0
         G = perm.parse_group_file(out.read_text())
         assert G.degree == 28
+
+    def test_forms_of_a_quadratic_space_are_refused(self, tmp_path,
+                                                   capsys):
+        # the one refusal, quadratic_forms_polarizing's
+        out = tmp_path / "o8p2_forms.grp"
+        assert main(["build-action", "--type", "forms", "--builtin",
+                     "o8p_2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: polarizing forms need a symplectic space in "
+            "characteristic 2\n")
+        assert not out.exists()
 
     def test_needs_matrix_source(self, capsys):
         assert main(["build-action", "--type", "maxts",
@@ -1031,13 +1065,27 @@ class TestCompare:
         assert "Traceback" not in err
 
     def test_mismatched_generators(self, tmp_path, capsys):
+        # 1 and 2 generators: the one refusal, compare_actions_monotonic's
         a1 = tmp_path / "a1.grp"
         a1.write_text(perm.emit_group_file(perm.cyclic_group(4)))
         a2 = tmp_path / "a2.grp"
         a2.write_text(perm.emit_group_file(perm.symmetric_group(4)))
         assert main(["compare", "--action1", str(a1),
                      "--action2", str(a2)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: the two actions list different numbers of "
+                       "generators and cannot be compared word-by-word\n")
 
+    def test_group_option_is_gone(self, tmp_path, capsys):
+        a1 = tmp_path / "a1.grp"
+        a1.write_text(perm.emit_group_file(perm.symmetric_group(4)))
+        assert main(["compare", "--action1", str(a1), "--action2", str(a1),
+                     "--group", "x"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("regcycles: error: unrecognized arguments: "
+                       "--group x\n")
 
     def test_generator_less_actions_are_refused(self, tmp_path, capsys):
         a1 = tmp_path / "a1.grp"

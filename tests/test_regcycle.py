@@ -298,6 +298,13 @@ class TestCompareActions:
         with pytest.raises(ValueError):
             rc.compare_actions_monotonic(G, G, samples=samples)
 
+    def test_unequal_generator_counts_are_refused(self):
+        with pytest.raises(ValueError, match="^the two actions list "
+                           "different numbers of generators and cannot "
+                           "be compared word-by-word$"):
+            rc.compare_actions_monotonic(cyclic_group(4),
+                                         symmetric_group(4), samples=10)
+
     def test_actions_without_generators_are_refused(self):
         G = PermGroup(3, [])
         with pytest.raises(ValueError, match="no generators"):
@@ -401,11 +408,45 @@ class TestLetterProducts:
         ("sym8-2sets-3sets", 10), ("sp6_2-points-nd2", 3),
         ("cyclic65600-twice", 3)])
     def test_the_widest_table_within_the_bound(self, name, width):
-        G1, G2, _samples, _seed = _compare_pair(name)
-        table, k = rc._letter_products(G1, G2)
+        G1, G2, samples, _seed = _compare_pair(name)
+        table, k = rc._letter_products(G1, G2, samples)
         assert k == width
         assert table.nbytes <= rc._TABLE_BYTES < (len(G1.images) + 1) \
             * table.nbytes
+
+    @pytest.mark.parametrize("name, width", [("sp6_2", 3), ("o8p_2", 2)])
+    def test_benchmark_pairs_keep_their_width_at_2000_words(self, name,
+                                                            width):
+        # 2,000 words read at most 80,000 rows: the byte bound decides
+        space, gens = geometry.builtin_matrix_group(name)
+        G1 = geometry.perm_image(gens, geometry.singular_points(space))
+        G2 = geometry.perm_image(gens,
+                                 geometry.nondegenerate_2_subspaces(space))
+        table, k = rc._letter_products(G1, G2, 2000)
+        n = len(G1.images)
+        assert k == width and len(table) == n * (n + 1) ** (k - 1)
+
+    @pytest.mark.parametrize("samples, width", [
+        (1, 3), (7, 5), (200, 8), (2000, 10)])
+    def test_the_words_bound_the_rows(self, monkeypatch, samples, width):
+        # Sym(5) on points with itself: the byte bound alone allows k = 12
+        # (354,294 rows); samples words read at most samples x 40 rows,
+        # and the table has no more
+        G = symmetric_group(5)
+        tables, build = [], rc._letter_products
+
+        def spy(*args):
+            tables.append(build(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(rc, "_letter_products", spy)
+        rep = rc.compare_actions_monotonic(G, G, samples=samples, seed=5)
+        assert rep == compare_actions_two_loops(G, G, samples=samples,
+                                                seed=5)
+        [(table, k)] = tables
+        reads = samples * rc.MAX_WORD_LENGTH
+        assert k == width and len(table) == 2 * 3 ** (k - 1)
+        assert len(table) <= reads < 3 * len(table)
 
     def test_table_rows_are_the_products_of_their_letters(self,
                                                           monkeypatch):
@@ -415,7 +456,7 @@ class TestLetterProducts:
         G1, G2 = geometry.k_set_action(5, 2), geometry.k_set_action(5, 1)
         n, d1, d = 2, 10, 15
         monkeypatch.setattr(rc, "_TABLE_BYTES", n * (n + 1) ** 2 * d)
-        table, k = rc._letter_products(G1, G2)
+        table, k = rc._letter_products(G1, G2, 1000)
         assert k == 3 and len(table) == n * (n + 1) ** 2
         letters = [np.arange(d)] + [
             np.concatenate([a, b + d1]) for a, b in
