@@ -13,7 +13,8 @@ primitive-prime-divisor counts for small l and a log tail beyond.
 
 Every term is an exact rational upper bound (a logarithm enters through
 numtheory.log2_upper, a half-integer power of q through an integer square
-root), so a verdict is the one exact comparison total < 1.  Data the
+root), so a verdict is the one exact comparison total < 1, which
+`BoundReport` makes once, from its own terms, when it is built.  Data the
 pipeline cannot derive (maximal element orders, minimal degrees, amended
 fixed-point-ratio bounds) comes from pluggable external tables; missing
 entries force conservative defaults or the "delegated-external" verdict,
@@ -382,34 +383,42 @@ class BoundTerm:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """The terms bounding S1 and S2, and what they imply, set once by
+    __post_init__: their exact sums and the verdict, "certified" iff the
+    total is < 1, else "inconclusive".  A delegated report has no terms;
+    its verdict is "delegated-external"."""
+
     case: str
     group: GroupId
     s1_terms: tuple
     s2_terms: tuple
-    verdict: str  # certified | inconclusive | delegated-external
     refinements: tuple = ()
     note: str = ""
+    delegated: bool = False
+    s1_bound: Fraction = field(init=False, repr=False, compare=False)
+    s2_bound: Fraction = field(init=False, repr=False, compare=False)
+    total: Fraction = field(init=False, repr=False, compare=False)
+    verdict: str = field(init=False, compare=False)
+
+    def __post_init__(self):
+        s1, s2 = self._total(self.s1_terms), self._total(self.s2_terms)
+        total = s1 + s2
+        object.__setattr__(self, "s1_terms", tuple(self.s1_terms))
+        object.__setattr__(self, "s2_terms", tuple(self.s2_terms))
+        object.__setattr__(self, "s1_bound", s1)
+        object.__setattr__(self, "s2_bound", s2)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "verdict", (
+            "delegated-external" if self.delegated
+            else "certified" if total < 1 else "inconclusive"))
 
     @staticmethod
     def _total(terms):
         return sum((t.value for t in terms), Fraction(0))
 
-    @property
-    def s1_bound(self):
-        return self._total(self.s1_terms)
-
-    @property
-    def s2_bound(self):
-        return self._total(self.s2_terms)
-
-    @property
-    def total(self):
-        return self.s1_bound + self.s2_bound
-
     def to_json_dict(self):
         def term(t):
             return {"label": t.label, "value": float(t.value)}
-        total = self.total
         return {
             "schema": 2,
             "case": self.case,
@@ -417,23 +426,14 @@ class BoundReport:
             "verdict": self.verdict,
             "s1_bound": float(self.s1_bound),
             "s2_bound": float(self.s2_bound),
-            "total": float(total),
-            "total_num": total.numerator,
-            "total_den": total.denominator,
+            "total": float(self.total),
+            "total_num": self.total.numerator,
+            "total_den": self.total.denominator,
             "s1_terms": [term(t) for t in self.s1_terms],
             "s2_terms": [term(t) for t in self.s2_terms],
             "refinements": list(self.refinements),
             "note": self.note,
         }
-
-
-def _verdict(s1_terms, s2_terms) -> str:
-    total = BoundReport._total([*s1_terms, *s2_terms])
-    return "certified" if total < 1 else "inconclusive"
-
-
-def _delegated(case, gid, note) -> BoundReport:
-    return BoundReport(case, gid, (), (), "delegated-external", note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -747,17 +747,14 @@ def certify_case(case: str, gid: GroupId,
         return _certify_case_iii(gid, tables)
     pair = _case_terms(case, gid)
     if pair is None:
-        return _delegated(case, gid, _DELEGATION_NOTES[case])
-    s1, s2 = pair
-    verdict = _verdict(s1, s2)
-    if verdict == "certified":
-        return BoundReport(case, gid, tuple(s1), tuple(s2), verdict)
-    if case == "ii" and gid.family in _ORTHOGONAL:
-        r1, r2, refinements = _refine_case_ii_orthogonal(gid)
-        if _verdict(r1, r2) == "certified":
-            return BoundReport(case, gid, tuple(r1), tuple(r2),
-                               "certified", refinements=refinements)
-    return BoundReport(case, gid, tuple(s1), tuple(s2), verdict)
+        return BoundReport(case, gid, (), (), note=_DELEGATION_NOTES[case],
+                           delegated=True)
+    report = BoundReport(case, gid, *pair)
+    if (report.verdict == "certified"
+            or not (case == "ii" and gid.family in _ORTHOGONAL)):
+        return report
+    refined = BoundReport(case, gid, *_refine_case_ii_orthogonal(gid))
+    return refined if refined.verdict == "certified" else report
 
 
 def _certify_case_iii(gid: GroupId, tables: ExternalTables) -> BoundReport:
@@ -783,7 +780,7 @@ def _certify_case_iii(gid: GroupId, tables: ExternalTables) -> BoundReport:
     else:
         raise ValueError(f"case iii needs Witt index >= 3 (or PSU_5); "
                          f"{gid} has m = {m}")
-    return BoundReport("iii", gid, tuple(s1), (), _verdict(s1, ()))
+    return BoundReport("iii", gid, s1, ())
 
 
 def triality_bound(q: int) -> BoundReport:
@@ -794,8 +791,7 @@ def triality_bound(q: int) -> BoundReport:
     w, label = _omega(nt.factorize(6 * e * p * (q**2 - 1)),
                       "omega(6ep(q^2-1))", exact="")
     term = BoundTerm(f"{label} times 4/(3q)", w * generic_fpr_bound(q))
-    return BoundReport("triality", gid, (term,), (),
-                       _verdict((term,), ()))
+    return BoundReport("triality", gid, (term,), ())
 
 
 def line22_contradiction(m: int, q: int) -> bool:

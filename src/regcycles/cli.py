@@ -107,7 +107,7 @@ def _cmd_certify(args):
         gid = bounds.GroupId(args.family, args.n, args.q)
         report = bounds.certify_case(args.case, gid, tables)
     lines = [f"{report.group} case {report.case}: {report.verdict}"]
-    if report.verdict != "delegated-external":
+    if not report.delegated:
         lines.append(f"  S1 <= {float(report.s1_bound):.6f}, "
                      f"S2 <= {float(report.s2_bound):.6f}, "
                      f"total {float(report.total):.6f}")

@@ -54,16 +54,6 @@ class Factorization:
     pairs: tuple[tuple[int, int], ...]
     unsplit: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        last = 1
-        for p, e in self.pairs:
-            if p <= last or e < 1:
-                raise ValueError("pairs must have strictly increasing primes "
-                                 "and positive exponents")
-            if not _strong_probable_prime(p):
-                raise ValueError(f"{p} is not prime")
-            last = p
-
     @property
     def value(self) -> int:
         n = math.prod(self.unsplit)

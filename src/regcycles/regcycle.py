@@ -9,7 +9,7 @@ g**(|g|/r), over primes r dividing |g|, misses some point.  In particular
 
 being < 1 forces a regular cycle.  The identity is handled by convention: a
 fixed point is a cycle of length |1| = 1, so the identity *has* a regular
-cycle on any nonempty domain (reports carry this convention explicitly).
+cycle on any nonempty domain (a report's ``identity_convention`` says so).
 
 Fixed-point counts come from one cycle decomposition: Fix(g**m) is the
 union of the cycles of g whose length divides m, so ``check``
@@ -45,7 +45,6 @@ call on the whole diagonal rows.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import random
@@ -70,13 +69,20 @@ from .perm import (
 class RegCycleReport:
     """Outcome of the fixed-union regular-cycle test for one element."""
 
-    has_regular_cycle: bool
     order: int
     witness: tuple[int, int] | None  # (start point, cycle length)
     s_value: Fraction
     fix_union_size: int
     degree: int
-    identity_convention: bool = False  # True when g = 1 decided by convention
+
+    @property
+    def has_regular_cycle(self) -> bool:
+        return self.witness is not None
+
+    @property
+    def identity_convention(self) -> bool:
+        """True when g = 1, decided by convention."""
+        return self.order == 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,15 +149,13 @@ def fix_union_test(g: Permutation) -> RegCycleReport:
     order = math.lcm(*lengths)
     witness = next(((c[0], order) for c in cycles if len(c) == order), None)
     if order == 1:
-        return RegCycleReport(True, 1, witness, Fraction(0), d, d,
-                              identity_convention=True)
+        return RegCycleReport(1, witness, Fraction(0), d, d)
     # Fix(g**(|g|/r)) is the union of the cycles whose length divides
     # |g|/r; over all primes r these are the cycles shorter than |g|.  The
     # primes of |g| are those of its cycle lengths, at most the degree.
     primes = {r for L in set(lengths) for r in numtheory.factorize(L).primes()}
     fixed = sum(L for r in primes for L in lengths if order // r % L == 0)
     return RegCycleReport(
-        has_regular_cycle=witness is not None,
         order=order,
         witness=witness,
         s_value=Fraction(fixed, d),
@@ -287,9 +291,12 @@ class MonotonicityReport:
     """Sampled check that action 1 never has more regular cycles of a word
     than action 2 does."""
 
-    monotone: bool
     samples: int
     violations: tuple[str, ...]  # word descriptions, at most a handful
+
+    @property
+    def monotone(self) -> bool:
+        return not self.violations
 
     def to_json_dict(self) -> dict:
         return {
@@ -414,15 +421,4 @@ def compare_actions_monotonic(G1: PermGroup, G2: PermGroup,
             for j in np.flatnonzero(more)[:5 - len(violations)]:
                 violations.append("g" + " g".join(str(i) for i in words[j]))
             words = []
-    return MonotonicityReport(not violations, samples, tuple(violations))
-
-
-def report_json(report, group_name: str = "") -> str:
-    """Stable JSON for any of the report dataclasses above."""
-    if isinstance(report, VerifyReport):
-        d = report.to_json_dict(group_name)
-    else:
-        d = report.to_json_dict()
-        if group_name:
-            d["group"] = group_name
-    return json.dumps(d, sort_keys=True)
+    return MonotonicityReport(samples, tuple(violations))

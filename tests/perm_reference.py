@@ -204,4 +204,4 @@ def compare_actions_two_loops(G1: PermGroup, G2: PermGroup,
             for j in np.flatnonzero(more)[:5 - len(violations)]:
                 violations.append("g" + " g".join(str(i) for i in words[j]))
             words, rows1, rows2 = [], [], []
-    return MonotonicityReport(not violations, samples, tuple(violations))
+    return MonotonicityReport(samples, tuple(violations))

@@ -10,6 +10,7 @@ compare against the library's answers.
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -280,24 +281,29 @@ def mobius(n):
     return sign
 
 
-def k_sets_in_regular_cycles(cycle_type, k):
-    """The k-sets that lie in a cycle of length exactly |g|, for g in
-    Sym(m) of the given cycle type: the sum over d | o of mu(o/d) fix(g^d),
-    o = |g|, where fix(g^d) is the x^k coefficient of the product of
+def k_sets_in_cycles_of_length(cycle_type, k, length):
+    """The k-sets that lie in a cycle of the given length, for g in Sym(m)
+    of the given cycle type: the sum over d | length of mu(length/d)
+    fix(g^d), where fix(g^d) is the x^k coefficient of the product of
     (1 + x^c) over the cycles c of g^d (a k-set fixed by g^d is a union of
     them).  A cycle of length L of g splits into gcd(L, d) cycles of g^d."""
-    o = math.lcm(*cycle_type)
 
     def fix(d):
         poly = [1] + [0] * k
-        for length in cycle_type:
-            c = length // math.gcd(length, d)
-            for _ in range(math.gcd(length, d)):
+        for part in cycle_type:
+            c = part // math.gcd(part, d)
+            for _ in range(math.gcd(part, d)):
                 poly = [poly[i] + (poly[i - c] if i >= c else 0)
                         for i in range(k + 1)]
         return poly[k]
 
-    return sum(mobius(o // d) * fix(d) for d in range(1, o + 1) if o % d == 0)
+    return sum(mobius(length // d) * fix(d)
+               for d in range(1, length + 1) if length % d == 0)
+
+
+def k_sets_in_regular_cycles(cycle_type, k):
+    """The k-sets that lie in a cycle of length exactly |g|."""
+    return k_sets_in_cycles_of_length(cycle_type, k, math.lcm(*cycle_type))
 
 
 def class_size(cycle_type):
@@ -345,6 +351,126 @@ class TestKSetClassOracle:
         two = [t for t in partitions(10) if not k_sets_in_regular_cycles(t, 2)]
         assert two == [(5, 3, 2)] and class_size((5, 3, 2)) == 120960
         assert all(k_sets_in_regular_cycles(t, 3) for t in partitions(10))
+
+
+# ---------------------------------------------------------------------------
+# 3d. Sym(m) wr Sym(2) on ordered pairs of k-sets: the paper's exceptional
+#     family for r = 2, from the classes of Sym(m) alone
+
+def k_set_cycles(cycle_type, k):
+    """{L: number of L-cycles} of g in Sym(m) of the given cycle type on
+    the k-sets (every L divides |g|)."""
+    o = math.lcm(*cycle_type)
+    counts = {length: k_sets_in_cycles_of_length(cycle_type, k, length)
+              for length in range(1, o + 1) if o % length == 0}
+    return {length: n // length for length, n in counts.items() if n}
+
+
+def base_cycles(c1, c2):
+    """The cycles of (g1, g2) on Omega x Omega from those of g1 and g2 on
+    Omega: an a-cycle and a b-cycle give gcd(a, b) cycles of length
+    lcm(a, b)."""
+    out = Counter()
+    for a, na in c1.items():
+        for b, nb in c2.items():
+            out[math.lcm(a, b)] += na * nb * math.gcd(a, b)
+    return out
+
+
+def top_cycles(c):
+    """The cycles of (g1, g2) tau, tau the coordinate swap, on Omega x
+    Omega from those of h = g1 g2 on Omega: with z = g1(y) it acts as
+    (x, z) -> (z, h x).  Two distinct h-cycles of lengths a and b give
+    gcd(a, b) cycles of length 2 lcm(a, b); one a-cycle with itself gives,
+    for odd a, one a-cycle and (a - 1)/2 cycles of length 2a, and for even
+    a, a/2 cycles of length 2a."""
+    out = Counter()
+    for (a, na), (b, nb) in itertools.combinations(c.items(), 2):
+        out[2 * math.lcm(a, b)] += na * nb * math.gcd(a, b)
+    for a, na in c.items():
+        out[2 * a] += na * (na - 1) // 2 * a
+        if a % 2:
+            out[a] += na
+            out[2 * a] += na * (a - 1) // 2
+        else:
+            out[2 * a] += na * a // 2
+    return +out  # drop the lengths counted 0 times
+
+
+def wreath_square_classes(m, k):
+    """(pair, cycles, size) for the element classes of Sym(m) wr Sym(2) on
+    the ordered pairs of k-sets: pair is ("base", t1, t2) for the (g1, g2)
+    with g1, g2 of cycle types t1, t2, or ("top", t) for the (g1, g2) tau
+    with g1 g2 of cycle type t, each such product standing for m! pairs;
+    cycles is {L: number of L-cycles} and size the number of elements."""
+    omega = {t: k_set_cycles(t, k) for t in partitions(m)}
+    for (t1, c1), (t2, c2) in itertools.product(omega.items(), repeat=2):
+        yield ("base", t1, t2), base_cycles(c1, c2), \
+            class_size(t1) * class_size(t2)
+    for t, c in omega.items():
+        yield ("top", t), top_cycles(c), class_size(t) * math.factorial(m)
+
+
+def cycle_key(cycles):
+    """A hashable cycle type: the sorted (length, count) pairs."""
+    return tuple(sorted(cycles.items()))
+
+
+def fails(cycles):
+    """No cycle has length |g|, the lcm of the lengths."""
+    return math.lcm(*cycles) not in cycles
+
+
+def enumerated_cycle_types(G):
+    """Counter of cycle_key over every element of G, by enumeration."""
+    rows = G.element_array().astype(np.intp)
+    types = Counter()
+    for start in range(0, len(rows), 4096):
+        sizes = np.sort(perm.cycle_sizes(rows[start:start + 4096]), axis=1)
+        unique, counts = np.unique(sizes, axis=0, return_counts=True)
+        for row, count in zip(unique.tolist(), counts.tolist()):
+            types[cycle_key(Counter(L for L in row if L))] += count
+    return types
+
+
+class TestWreathSquareClassOracle:
+    @pytest.mark.parametrize("m, k", [(3, 1), (4, 1), (4, 2), (5, 1),
+                                      (5, 2)])
+    def test_cycle_types_verdict_and_witnesses_match_enumeration(self, m, k):
+        expected, failing = Counter(), set()
+        for _pair, cycles, size in wreath_square_classes(m, k):
+            expected[cycle_key(cycles)] += size
+            if fails(cycles):
+                failing.add(cycle_key(cycles))
+        G = geo.product_action(geo.k_set_action(m, k), 2)
+        assert enumerated_cycle_types(G) == expected
+        report = verify_all_elements(G)
+        assert report.checked == 2 * math.factorial(m) ** 2
+        assert report.all_regular == (not failing)
+        assert len(report.witnesses) == min(
+            5, sum(expected[key] for key in failing))
+        for w in report.witnesses:
+            assert cycle_key(Counter(map(len, perm.cycle_decomposition(
+                w.images)))) in failing
+
+    def test_known_values(self):
+        def failing(m, k):
+            return {pair: size
+                    for pair, cycles, size in wreath_square_classes(m, k)
+                    if fails(cycles)}
+
+        assert not any(failing(m, 2) for m in range(5, 10))
+        assert not failing(7, 3) and not failing(10, 3)
+        t, one, seven = (5, 3, 2), (1,) * 10, (7, 1, 1, 1)
+        classes = list(wreath_square_classes(10, 2))
+        assert sum(size for *_, size in classes) == 26_336_378_880_000
+        assert {sum(L * n for L, n in cycles.items())
+                for _, cycles, _ in classes} == {2025}
+        bad = failing(10, 2)
+        assert set(bad) == {("base", t, one), ("base", one, t),
+                            ("base", seven, t), ("base", t, seven)}
+        assert sum(bad.values()) == 20_902_129_920
+        assert len(failing(12, 2)) == 42
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ pipeline can and cannot certify.
 
 import functools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from bounds_reference import omega_size
 from regcycles import bounds as bd
 from regcycles import numtheory as nt
 from regcycles.bounds import GroupId
+from regcycles.cli import main
+from test_certify_pool import load_pool_module
 
 
 def gid(family, n, q):
@@ -735,3 +738,51 @@ class TestReportSerialization:
         assert data["verdict"] == "delegated-external"
         assert data["s1_terms"] == []
         assert data["note"]
+
+
+class TestDerivedVerdict:
+    def report(self, *values):
+        terms = [bd.BoundTerm(f"term {i}", v) for i, v in enumerate(values)]
+        return bd.BoundReport("i", gid("PSL", 5, 11), terms[:1], terms[1:])
+
+    def test_total_below_one_is_certified(self):
+        report = self.report(Fraction(1, 2), Fraction(1, 3))
+        assert (report.s1_bound, report.s2_bound) == (Fraction(1, 2),
+                                                      Fraction(1, 3))
+        assert report.total == Fraction(5, 6)
+        assert report.verdict == "certified"
+
+    @pytest.mark.parametrize("second", [Fraction(1, 2), Fraction(2, 3)])
+    def test_total_of_at_least_one_is_inconclusive(self, second):
+        report = self.report(Fraction(1, 2), second)
+        assert report.total >= 1
+        assert report.verdict == "inconclusive"
+
+    def test_no_caller_states_a_verdict(self):
+        with pytest.raises(TypeError):
+            bd.BoundReport("i", gid("PSL", 5, 11), (), (),
+                           verdict="certified")
+        report = self.report(Fraction(2))
+        with pytest.raises(AttributeError):
+            report.verdict = "certified"
+
+    def test_delegation_is_the_one_stated_verdict(self):
+        report = bd.BoundReport("iv", gid("POmega+", 8, 2), (), (),
+                                delegated=True)
+        assert report.total == 0
+        assert report.verdict == "delegated-external"
+
+    def test_every_pool_verdict_is_its_exact_total(self, capsys):
+        pool = load_pool_module()
+        verdicts = Counter()
+        for entry in pool.load():
+            code = main(pool.argv(entry))
+            data = json.loads(capsys.readouterr().out)
+            verdict = data["verdict"]
+            verdicts[verdict] += 1
+            if verdict != "delegated-external":
+                below = data["total_num"] < data["total_den"]
+                assert (verdict == "certified") == below, entry
+            assert code == (0 if verdict == "certified" else 1)
+        assert verdicts == {"certified": 896, "inconclusive": 14,
+                            "delegated-external": 22}

@@ -21,6 +21,22 @@ PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
 PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
 
 
+@pytest.fixture(scope="module", autouse=True)
+def factorize_returns_proven_primes():
+    """Every prime that factorize returns in these tests passes is_prime
+    (Factorization itself no longer re-tests them)."""
+    factorize = nt.factorize
+
+    def checked(n):
+        f = factorize(n)
+        assert all(nt.is_prime(p) for p, _ in f.pairs), n
+        return f
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nt, "factorize", checked)
+        yield
+
+
 def sieve_omega(limit):
     """Independent oracle: omega(n) for all n < limit by a sieve."""
     w = [0] * limit

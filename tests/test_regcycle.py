@@ -1,7 +1,6 @@
 """Tests for the fixed-union regular-cycle machinery."""
 
 import itertools
-import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -56,16 +55,14 @@ def _reference_fix_union_test(g):
     witness = next(((c[0], order) for c in cycle_decomposition(g.images)
                     if len(c) == order), None)
     if order == 1:
-        return rc.RegCycleReport(True, 1, witness, Fraction(0), d, d,
-                                 identity_convention=True)
+        return rc.RegCycleReport(1, witness, Fraction(0), d, d)
     union, s_value = set(), Fraction(0)
     for r in numtheory.factorize(order).primes():
         x = power(g, order // r)
         fixed = {i for i in range(d) if x(i) == i}
         union |= fixed
         s_value += Fraction(len(fixed), d)
-    return rc.RegCycleReport(witness is not None, order, witness, s_value,
-                             len(union), d)
+    return rc.RegCycleReport(order, witness, s_value, len(union), d)
 
 
 class TestFixUnionTest:
@@ -127,7 +124,7 @@ class TestFixUnionTest:
 
     def test_json_record(self):
         rep = rc.fix_union_test(parse_cycles("(1 2 3)(4 5)(6 7)", 7))
-        d = json.loads(rc.report_json(rep, group_name="demo"))
+        d = rep.to_json_dict()
         assert d["schema"] == 1
         assert d["s_value_num"] == 1 and d["s_value_den"] == 1
         assert d["has_regular_cycle"] is False
