@@ -1,5 +1,6 @@
-"""Time `regcycles verify` and `regcycles compare` on the bundled
-classical-group actions.
+"""Time fresh `regcycles` processes: `verify` and `compare` on the bundled
+classical-group actions, `check` on one large element, and `certify` and
+`scan`.
 
     python3 scripts/verify_reach.py [NAME ...]
 
@@ -11,10 +12,11 @@ peak RSS (its own ru_maxrss, from os.wait4), its exit code, verdict and
 count of elements checked.
 
 Each pair of the compare table (both run when no NAME is given) is built
-the same way, its non-degenerate 2-subspaces through the library, as
-`build-action` has no such type, and compared by `compare --json
---samples 10000` in a fresh process.  Its JSON line gives that process's
-wall time and peak RSS, its exit code and whether the pair was monotone.
+the same way, its non-degenerate 2-subspaces through the library in a
+process of its own, as `build-action` has no such type, and compared by
+`compare --json --samples 10000` in a fresh process.  Its JSON line
+gives that process's wall time and peak RSS, its exit code and whether
+the pair was monotone.
 The script reads only the generator files bundled with the package, from
 the `src` directory of its own checkout.
 
@@ -23,6 +25,13 @@ The check table's one element, a cycle of each prime length below 110 on
 group file by this script, untimed, and checked by `check --json
 --element` in a fresh process.  Its JSON line gives that process's wall
 time and peak RSS, its exit code, the element's verdict and S(g).
+
+Each row of the certify table runs one `certify --json` case, and each row
+of the scan table one `scan --json --theorem`, in a fresh process, with
+nothing built first.  Its JSON line gives that process's wall time and
+peak RSS, its exit code and the verdict, or the number of groups flagged.
+A fresh process pays for every import its subcommand makes, so these rows
+time the start of the CLI as much as its work.
 """
 
 import json
@@ -34,6 +43,15 @@ import time
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 CLI = "import sys; from regcycles.cli import main; sys.exit(main())"
+# writes the group file (argv[2]) of a builtin group (argv[1]) on its
+# non-degenerate 2-subspaces
+BUILD_ND2 = """import sys
+from regcycles import geometry, perm
+space, gens = geometry.builtin_matrix_group(sys.argv[1])
+G = geometry.perm_image(gens, geometry.nondegenerate_2_subspaces(space))
+with open(sys.argv[2], "w", encoding="utf-8") as fh:
+    fh.write(perm.emit_group_file(G))
+"""
 
 # name: (builtin group, build-action type, verify --cap)
 REACH = {
@@ -54,8 +72,13 @@ COMPARE_SAMPLES = 10**4
 # name: the primes below which the element has one cycle of each prime
 # length, and check --cap
 CHECK = {"cyc1480-element": (110, 10**45)}
+# name: certify arguments
+CERTIFY = {"certify-PSL5-7": ["--case", "i", "--family", "PSL", "--n", "5",
+                              "--q", "7"]}
+# name: scan theorem
+SCAN = {"scan-dagger": "dagger"}
 DEFAULT = [name for name in REACH if name != "o7_3-points"] + list(COMPARE) \
-    + list(CHECK)
+    + list(CHECK) + list(CERTIFY) + list(SCAN)
 
 
 def run_cli(argv):
@@ -101,13 +124,11 @@ def compare(name, workdir):
     builtin = COMPARE[name]
     points = build(f"{name}-points", builtin, "singular-points", workdir)
     nd2 = os.path.join(workdir, f"{name}-nd2.grp")
-    if SRC not in sys.path:
-        sys.path.insert(0, SRC)
-    from regcycles import geometry, perm
-    space, gens = geometry.builtin_matrix_group(builtin)
-    G = geometry.perm_image(gens, geometry.nondegenerate_2_subspaces(space))
-    with open(nd2, "w", encoding="utf-8") as fh:
-        fh.write(perm.emit_group_file(G))
+    # built in a process of its own (untimed): a child's peak RSS counts
+    # what it shares with this process when it starts, so this process
+    # imports nothing of the package
+    subprocess.run([sys.executable, "-c", BUILD_ND2, builtin, nd2],
+                   env=dict(os.environ, PYTHONPATH=SRC), check=True)
     code, out, wall, rss = run_cli(["compare", "--json", "--action1", points,
                                     "--action2", nd2, "--samples",
                                     str(COMPARE_SAMPLES)])
@@ -140,17 +161,35 @@ def check(name, workdir):
             "peak_rss_mb": round(rss, 1)}
 
 
+def certify(name, workdir):
+    code, out, wall, rss = run_cli(["certify", "--json", *CERTIFY[name]])
+    report = json.loads(out) if code in (0, 1) else {}
+    return {"action": name, "exit": code, "verdict": report.get("verdict"),
+            "wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1)}
+
+
+def scan(name, workdir):
+    code, out, wall, rss = run_cli(["scan", "--json", "--theorem",
+                                    SCAN[name]])
+    return {"action": name, "exit": code,
+            "flagged": len(out.splitlines()) if code == 0 else None,
+            "wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1)}
+
+
+RUNS = {**dict.fromkeys(REACH, reach), **dict.fromkeys(COMPARE, compare),
+        **dict.fromkeys(CHECK, check), **dict.fromkeys(CERTIFY, certify),
+        **dict.fromkeys(SCAN, scan)}
+
+
 def main(names):
-    known = [*REACH, *COMPARE, *CHECK]
-    unknown = [name for name in names if name not in known]
+    unknown = [name for name in names if name not in RUNS]
     if unknown:
         raise SystemExit(f"unknown action(s) {', '.join(unknown)}; "
-                         f"known: {', '.join(known)}")
+                         f"known: {', '.join(RUNS)}")
     with tempfile.TemporaryDirectory() as workdir:
         for name in names or DEFAULT:
-            run = (reach if name in REACH else compare if name in COMPARE
-                   else check)
-            print(json.dumps(run(name, workdir), sort_keys=True), flush=True)
+            print(json.dumps(RUNS[name](name, workdir), sort_keys=True),
+                  flush=True)
 
 
 if __name__ == "__main__":

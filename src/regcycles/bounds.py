@@ -63,7 +63,8 @@ class GroupId:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {self.family!r} (the "
+                             f"families are {', '.join(FAMILIES)})")
         pe = nt.prime_power(self.q)
         if pe is None:
             raise ValueError(f"{self.q} is not a prime power")

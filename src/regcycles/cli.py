@@ -7,6 +7,15 @@ converts a matrix group (or combinatorial construction) into a group file
 plus domain labels, and ``compare`` runs the sampled monotonicity check
 between two compatible actions.
 
+Each subcommand imports the layers it runs, when it runs: ``certify`` and
+``scan`` import ``bounds`` (and with it ``numtheory``), and numpy only to
+read a ``--tables`` file; ``check``, ``verify`` and ``compare`` import
+``perm`` and ``regcycle``; ``build-action`` imports ``geometry`` and
+``perm``.  Building the parser imports nothing beyond the package root,
+which holds the element cap.  Handlers call through module attributes
+(``perm.parse_group_file``), so a wrapper set on a module attribute sees
+every call.
+
 Exit codes: 0 = success / certified / all-regular; 1 = computed but
 negative (a witness exists, or the bound is inconclusive); 2 = usage or
 input error, or a stdout closed before the output was written.  Every
@@ -23,8 +32,7 @@ import json
 import os
 import sys
 
-from . import bounds, geometry, perm, regcycle
-from .perm import DEFAULT_ELEMENT_CAP
+from . import DEFAULT_ELEMENT_CAP
 
 
 def _load(path, parse, what=""):
@@ -53,6 +61,8 @@ def _emit(args, data, text_lines):
 # subcommands
 
 def _cmd_check(args):
+    from . import perm, regcycle
+
     G = _load(args.group, perm.parse_group_file)
     if args.element is None:
         verified = regcycle.verify_all_elements(G, cap=args.cap,
@@ -84,6 +94,8 @@ def _cmd_check(args):
 
 
 def _cmd_verify(args):
+    from . import perm, regcycle
+
     G = _load(args.group, perm.parse_group_file)
     report = regcycle.verify_all_elements(
         G, cap=args.cap, square_free_only=args.square_free_only)
@@ -96,6 +108,8 @@ def _cmd_verify(args):
 
 
 def _cmd_certify(args):
+    from . import bounds
+
     tables = _load(args.tables, bounds.load_external_tables,
                    "bad external tables: ")
     if args.case == "triality":
@@ -122,6 +136,8 @@ def _cmd_certify(args):
 
 
 def _cmd_scan(args):
+    from . import bounds
+
     tables = _load(args.tables, bounds.load_external_tables,
                    "bad external tables: ")
     if args.theorem == "small-dim":
@@ -146,6 +162,8 @@ def _cmd_scan(args):
 
 
 def _matrix_domain(args):
+    from . import geometry
+
     if args.builtin:
         space, gens = geometry.builtin_matrix_group(args.builtin)
     elif args.matrix:
@@ -173,6 +191,8 @@ def _matrix_domain(args):
 
 
 def _cmd_build_action(args):
+    from . import geometry, perm
+
     if args.type == "ksets":
         if args.m is None:
             raise ValueError("--type ksets needs --m")
@@ -205,6 +225,8 @@ def _cmd_build_action(args):
 
 
 def _cmd_compare(args):
+    from . import perm, regcycle
+
     G1 = _load(args.action1, perm.parse_group_file)
     G2 = _load(args.action2, perm.parse_group_file)
     report = regcycle.compare_actions_monotonic(
@@ -263,7 +285,7 @@ def _build_parser():
     p = sub.add_parser("certify", help="exact bound certification")
     p.add_argument("--case", required=True,
                    choices=["i", "ii", "iii", "iv", "vi", "triality"])
-    p.add_argument("--family", choices=list(bounds.FAMILIES))
+    p.add_argument("--family")  # GroupId refuses an unknown one
     p.add_argument("--n", type=int)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--tables", help="external tables JSON file")

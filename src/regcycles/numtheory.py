@@ -26,9 +26,19 @@ from itertools import combinations
 # parameters); the cap just keeps runaway inputs from hanging a scan.
 FACTOR_CAP = 1 << 128
 
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(i for i, flag in enumerate(sieve) if flag)
+
+
 # the primes below 1000, the one trial-division table
-_SMALL_PRIMES = tuple(p for p in range(2, 1000)
-                      if all(p % d for d in range(2, math.isqrt(p) + 1)))
+_SMALL_PRIMES = _primes_below(1000)
 
 LOG2_BITS = 32  # log2_upper returns multiples of 2**-LOG2_BITS
 

@@ -29,8 +29,8 @@ from itertools import chain
 
 import numpy as np
 
-DEFAULT_ELEMENT_CAP = 10**7
-DEFAULT_DOMAIN_CAP = 10**6
+# both caps are defined in the package root, which imports no numpy
+from . import DEFAULT_DOMAIN_CAP, DEFAULT_ELEMENT_CAP
 
 
 class CapExceeded(OverflowError):

@@ -165,9 +165,50 @@ def fix_union_test(g: Permutation) -> RegCycleReport:
 
 
 # The kernel runs on chunks of at most this many entries (rows x degree),
-# which stay in cache: blocks of cosets x a piece of G_(l) from the chain,
-# or as many words as fit in compare_actions_monotonic.
-_CHUNK_ENTRIES = 1 << 15
+# which stay in cache: the verifier's coset rows, regrouped by
+# _kernel_calls, or as many words as fit in compare_actions_monotonic.
+# The kernel's temporaries hold 8 bytes per entry, 124 KiB each at
+# 2**14 - 2**9 entries: below glibc's default mmap threshold of 128 KiB,
+# so they come from the heap, not from fresh mappings that every call
+# page-faults in (at 2**15 entries, verify on Sp6(2) took about 1.5 times
+# as long).
+_CHUNK_ENTRIES = (1 << 14) - (1 << 9)
+
+
+def _kernel_calls(blocks, rows_per_call: int):
+    """The rows of the blocks (first, at, rows) of ``StabChain.cosets``,
+    k cosets x m rows each, copied into kernel calls of rows_per_call rows
+    (at least one), the last call of all possibly fewer.  A block may be
+    split between two calls, so no call is part empty where G_(l) comes
+    in pieces that do not tile a chunk.  Yields (rows, slices): the rows
+    of the call are, in order, rows start..stop-1 of each block slice
+    (first, m, start, stop), whose row i lies in the coset first + i // m
+    (``_owners``)."""
+    rows_per_call = max(1, rows_per_call)
+    buf, slices, held = None, [], 0
+    for first, _at, block in blocks:
+        m, d = block.shape[1:]
+        block = block.reshape(-1, d)
+        start = 0
+        while start < len(block):
+            if buf is None:
+                buf = np.empty((rows_per_call, d), block.dtype)
+            stop = min(len(block), start + rows_per_call - held)
+            buf[held:held + stop - start] = block[start:stop]
+            slices.append((first, m, start, stop))
+            held += stop - start
+            start = stop
+            if held == rows_per_call:
+                yield buf, slices
+                buf, slices, held = None, [], 0
+    if held:
+        yield buf[:held], slices
+
+
+def _owners(slices) -> np.ndarray:
+    """The coset of each row of a kernel call, from its block slices."""
+    return np.concatenate([first + np.arange(start, stop) // m
+                           for first, m, start, stop in slices])
 
 
 @dataclass(frozen=True)
@@ -213,8 +254,10 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     kernel chunk and the product n1 n2 of the first two orbit lengths, a
     lower bound for their rows, is below them, and level 2 is used only
     when its rows are fewer still.  The chain hands the cosets out in
-    blocks of at most _CHUNK_ENTRIES entries, cosets x a piece of G_(l)
-    (``StabChain.cosets``); one scan loop puts each through the kernel.
+    blocks of at most 2 * _CHUNK_ENTRIES entries, cosets x a piece of
+    G_(l) (``StabChain.cosets``); one scan loop copies their rows into
+    kernel calls of _CHUNK_ENTRIES // degree rows (``_kernel_calls``) and
+    sums each call's counts per coset.
 
     Witnesses are the lexicographically least failures: every element
     fixes the points below b1, so they are read from the level-1 cosets
@@ -238,18 +281,22 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
             else None
         n_failed = np.zeros(len(codes), np.intp)
         reps = chain.representatives(codes, level)
-        for first, _at, rows in chain.cosets(reps, level, _CHUNK_ENTRIES):
-            k, m, d = rows.shape
-            rows = rows.reshape(-1, d)
+        # blocks of two calls' entries: the chain cuts fewer of them, and
+        # they hold points, one or two bytes each, not the kernel's int64
+        blocks = chain.cosets(reps, level, 2 * _CHUNK_ENTRIES)
+        for rows, slices in _kernel_calls(blocks, _CHUNK_ENTRIES // G.degree):
             regular, kept = _regular_cycles(rows, square_free)
             fail = regular == 0
-            # one sum per coset, over the piece of G_(level)
+            # one sum per coset; the owners are only read where needed
             if kept is not None:
                 fail &= kept
-                n_checked[first:first + k] += kept.reshape(k, m).sum(axis=1)
-            n_failed[first:first + k] += fail.reshape(k, m).sum(axis=1)
-            if failing is not None:
-                failing += rows[fail].tolist()
+                n_checked += np.bincount(_owners(slices)[kept],
+                                         minlength=len(codes))
+            if fail.any():
+                n_failed += np.bincount(_owners(slices)[fail],
+                                        minlength=len(codes))
+                if failing is not None:
+                    failing += rows[fail].tolist()
         return n_checked, n_failed
 
     level, orbits = 1, chain.stabilizer_orbits()

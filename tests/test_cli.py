@@ -195,6 +195,60 @@ class TestClosedStdout:
         assert proc.returncode == 2
 
 
+class TestSubcommandImports:
+    """A fresh process loads only the layers its subcommand runs: certify
+    and scan never import numpy."""
+
+    # run main, then list on stderr every module the process has loaded
+    LIST_MODULES = ("import sys\n"
+                    "from regcycles.cli import main\n"
+                    "code = main(sys.argv[1:])\n"
+                    "print(' '.join(sys.modules), file=sys.stderr)\n"
+                    "sys.exit(code)\n")
+    NUMERIC = {"numpy", "regcycles.geometry", "regcycles.perm",
+               "regcycles.regcycle"}
+    ARGVS = {
+        "certify": (["certify", "--case", "i", "--family", "PSL", "--n",
+                     "5", "--q", "7"], NUMERIC),
+        "certify-triality": (["certify", "--case", "triality", "--q", "3"],
+                             NUMERIC),
+        "scan": (["scan", "--theorem", "dagger", "--json"], NUMERIC),
+        "verify": (["verify", "--group", "ALT5"],
+                   {"regcycles.bounds", "regcycles.geometry"}),
+        "check": (["check", "--group", "ALT5"],
+                  {"regcycles.bounds", "regcycles.geometry"}),
+        "check-element": (["check", "--group", "ALT5", "--element",
+                           "(1 2 3)"],
+                          {"regcycles.bounds", "regcycles.geometry"}),
+        "compare": (["compare", "--action1", "ALT5", "--action2", "ALT5",
+                     "--samples", "10"],
+                    {"regcycles.bounds", "regcycles.geometry"}),
+        "build-action-ksets": (["build-action", "--type", "ksets", "--m",
+                                "5", "--k", "2", "--out", "OUT"],
+                               {"regcycles.bounds", "regcycles.regcycle"}),
+        "build-action-builtin": (["build-action", "--builtin", "sp6_2",
+                                  "--type", "singular-points", "--out",
+                                  "OUT"],
+                                 {"regcycles.bounds", "regcycles.regcycle"}),
+    }
+
+    @pytest.mark.parametrize("argv, unloaded", ARGVS.values(), ids=ARGVS)
+    def test_loads_only_its_layers(self, tmp_path, alt5_file, argv,
+                                   unloaded):
+        paths = {"ALT5": alt5_file, "OUT": str(tmp_path / "out.grp")}
+        argv = [paths.get(a, a) for a in argv]
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", self.LIST_MODULES,
+                               *argv], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stderr.split())
+        assert "regcycles.cli" in loaded
+        assert not loaded & unloaded
+
+
 # q**n past 2**4096: GroupId refuses these before it forms q**n, which for
 # n = 10**10, q = 3 alone would take about 2 GB
 _PAST_THE_QN_CAP = [
@@ -234,6 +288,15 @@ class TestCertify:
 
     def test_missing_family(self):
         assert main(["certify", "--case", "i", "--q", "3"]) == 2
+
+    def test_unknown_family_names_the_families(self, capsys):
+        # GroupId is the one refusal of a family, and lists bounds.FAMILIES
+        assert main(["certify", "--case", "i", "--family", "PSX", "--n", "5",
+                     "--q", "7"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: unknown family 'PSX' (the families are PSL, "
+                       "PSU, PSp, POmega, POmega+, POmega-)\n")
 
     @pytest.mark.parametrize("argv", [
         ["--case", "vi", "--family", "PSp", "--n", "44", "--q", "8"],

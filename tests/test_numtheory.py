@@ -87,6 +87,13 @@ class TestFactorize:
     def test_square_of_the_largest_trial_prime(self):
         assert nt.factorize(999983**2).pairs == ((999983, 2),)
 
+    def test_trial_table_is_the_168_primes_below_1000(self):
+        # the sieve's table against trial division by every smaller integer
+        by_trial = tuple(p for p in range(2, 1000)
+                         if all(p % d for d in range(2, p)))
+        assert nt._SMALL_PRIMES == by_trial
+        assert len(nt._SMALL_PRIMES) == 168 and nt._SMALL_PRIMES[-1] == 997
+
     def test_small_inputs_leave_the_prime_table_unbuilt(self):
         # trial division ends at 997, the last prime below 1000
         assert nt.factorize(2**5 * 991 * 997).pairs == \

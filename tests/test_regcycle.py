@@ -234,10 +234,9 @@ class TestVerifyAllElements:
     def test_sp6_2_reads_one_coset_per_pair_orbit(self, monkeypatch):
         # Sp6(2) on 63 points: 40 orbits of G_(2) (720 elements) on the
         # 63 x 32 base-point pairs, 28,800 rows; one coset per G_b-orbit
-        # would be 3 x 23,040 = 69,120 rows.  G_(2) comes in pieces of 480
-        # and 240 rows (10 and 5 cosets of G_(3), 48 x 63 entries each),
-        # so every kernel call holds 480 rows: one coset's 480-row piece,
-        # or the 240-row piece of two cosets
+        # would be 3 x 23,040 = 69,120 rows.  The rows are regrouped into
+        # kernel calls of 15,872 // 63 = 251 rows, so the 28,800 rows take
+        # 114 full calls and one of 186 rows
         space, gens = geometry.builtin_matrix_group("sp6_2")
         G = geometry.perm_image(gens, geometry.singular_points(space))
         rows, kernel = [], rc._regular_cycles
@@ -251,7 +250,25 @@ class TestVerifyAllElements:
         assert report.all_regular  # so no witness pass reads a row
         assert report.checked == 1451520
         assert sum(rows) == 28800
-        assert len(rows) == 60
+        assert rows == [251] * 114 + [186]
+
+    def test_kernel_calls_split_blocks_and_keep_their_owners(self):
+        # blocks of 2 x 3 and 1 x 4 rows of degree 2, in calls of 4 rows:
+        # the first block's last two rows go with the second block's first
+        # two, and every row keeps the coset it came from
+        rows = np.arange(20).reshape(10, 2)
+        blocks = [(0, 0, rows[:6].reshape(2, 3, 2)),
+                  (5, 3, rows[6:].reshape(1, 4, 2))]
+        calls = [(r.copy(), rc._owners(slices))
+                 for r, slices in rc._kernel_calls(iter(blocks), 4)]
+        assert [owner.tolist() for _, owner in calls] == \
+            [[0, 0, 0, 1], [1, 1, 5, 5], [5, 5]]
+        assert np.array_equal(np.concatenate([r for r, _ in calls]), rows)
+
+    def test_kernel_chunk_stays_below_the_mmap_threshold(self):
+        # each int64 temporary of a full chunk comes from the heap, below
+        # glibc's default mmap threshold of 128 KiB
+        assert rc._CHUNK_ENTRIES * 8 < 128 * 1024
 
     def test_stabilizer_is_never_held_whole(self):
         space, gens = geometry.builtin_matrix_group("sp6_2")
