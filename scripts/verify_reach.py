@@ -1,6 +1,7 @@
 """Time fresh `regcycles` processes: `verify` and `compare` on the bundled
-classical-group actions, `check` on one large element, and `certify` and
-`scan`.
+classical-group actions, `check` on one large element, `certify` and
+`scan` with and without a tables file, and `verify` refusing a group past
+its cap.
 
     python3 scripts/verify_reach.py [NAME ...]
 
@@ -28,10 +29,16 @@ time and peak RSS, its exit code, the element's verdict and S(g).
 
 Each row of the certify table runs one `certify --json` case, and each row
 of the scan table one `scan --json --theorem`, in a fresh process, with
-nothing built first.  Its JSON line gives that process's wall time and
-peak RSS, its exit code and the verdict, or the number of groups flagged.
-A fresh process pays for every import its subcommand makes, so these rows
+nothing built first but the one-entry tables file that a `--tables` row
+reads (`TABLES`).  Its JSON line gives that process's wall time and peak
+RSS, its exit code and the verdict, or the number of groups flagged.  A
+fresh process pays for every import its subcommand makes, so these rows
 time the start of the CLI as much as its work.
+
+Each row of the refusal table writes Sym(m), as an m-cycle and a
+transposition, to a group file, untimed, and runs `verify --cap CAP` on
+it in a fresh process.  Its JSON line gives that process's wall time and
+peak RSS, its exit code and its one line on stderr.
 """
 
 import json
@@ -72,22 +79,35 @@ COMPARE_SAMPLES = 10**4
 # name: the primes below which the element has one cycle of each prime
 # length, and check --cap
 CHECK = {"cyc1480-element": (110, 10**45)}
+# the tables file of the --tables rows, which stand "TABLES" for its path
+TABLES = '{"PSL:5:7": {"min_degree": 100}}'
 # name: certify arguments
-CERTIFY = {"certify-PSL5-7": ["--case", "i", "--family", "PSL", "--n", "5",
-                              "--q", "7"]}
-# name: scan theorem
-SCAN = {"scan-dagger": "dagger"}
+CERTIFY = {
+    "certify-PSL5-7": ["--case", "i", "--family", "PSL", "--n", "5",
+                       "--q", "7"],
+    "certify-PSL5-7-tables": ["--case", "i", "--family", "PSL", "--n", "5",
+                              "--q", "7", "--tables", "TABLES"],
+}
+# name: scan arguments
+SCAN = {
+    "scan-dagger": ["--theorem", "dagger"],
+    "scan-nonsubspace-tables": ["--theorem", "nonsubspace", "--tables",
+                                "TABLES"],
+}
+# name: the degree m of Sym(m), and verify --cap
+REFUSE = {"sym20000-cap100": (20000, 100)}
 DEFAULT = [name for name in REACH if name != "o7_3-points"] + list(COMPARE) \
-    + list(CHECK) + list(CERTIFY) + list(SCAN)
+    + list(CHECK) + list(CERTIFY) + list(SCAN) + list(REFUSE)
 
 
-def run_cli(argv):
-    """Run the CLI in a fresh process: (exit code, stdout, wall seconds,
-    peak RSS in MB of that process)."""
+def run_cli(argv, stderr=None):
+    """Run the CLI in a fresh process, its stderr to the file `stderr` if
+    given: (exit code, stdout, wall seconds, peak RSS in MB of that
+    process)."""
     env = dict(os.environ, PYTHONPATH=SRC)
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-c", CLI, *argv], env=env,
-                            stdout=subprocess.PIPE)
+                            stdout=subprocess.PIPE, stderr=stderr)
     out = proc.stdout.read()
     proc.stdout.close()
     _pid, status, usage = os.wait4(proc.pid, 0)
@@ -161,24 +181,50 @@ def check(name, workdir):
             "peak_rss_mb": round(rss, 1)}
 
 
+def with_tables(argv, workdir):
+    """argv with "TABLES" replaced by the path of the TABLES file, written
+    untimed."""
+    path = os.path.join(workdir, "tables.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(TABLES)
+    return [path if a == "TABLES" else a for a in argv]
+
+
 def certify(name, workdir):
-    code, out, wall, rss = run_cli(["certify", "--json", *CERTIFY[name]])
+    code, out, wall, rss = run_cli(["certify", "--json",
+                                    *with_tables(CERTIFY[name], workdir)])
     report = json.loads(out) if code in (0, 1) else {}
     return {"action": name, "exit": code, "verdict": report.get("verdict"),
             "wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1)}
 
 
 def scan(name, workdir):
-    code, out, wall, rss = run_cli(["scan", "--json", "--theorem",
-                                    SCAN[name]])
+    code, out, wall, rss = run_cli(["scan", "--json",
+                                    *with_tables(SCAN[name], workdir)])
     return {"action": name, "exit": code,
             "flagged": len(out.splitlines()) if code == 0 else None,
             "wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1)}
 
 
+def refuse(name, workdir):
+    m, cap = REFUSE[name]
+    path = os.path.join(workdir, f"{name}.grp")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"degree {m}\n({' '.join(map(str, range(1, m + 1)))})\n"
+                 "(1 2)\n")
+    with tempfile.TemporaryFile() as err:
+        code, _out, wall, rss = run_cli(["verify", "--group", path, "--cap",
+                                         str(cap)], stderr=err)
+        err.seek(0)
+        line = err.read().decode().strip()
+    return {"action": name, "degree": m, "cap": cap, "exit": code,
+            "stderr": line, "wall_s": round(wall, 3),
+            "peak_rss_mb": round(rss, 1)}
+
+
 RUNS = {**dict.fromkeys(REACH, reach), **dict.fromkeys(COMPARE, compare),
         **dict.fromkeys(CHECK, check), **dict.fromkeys(CERTIFY, certify),
-        **dict.fromkeys(SCAN, scan)}
+        **dict.fromkeys(SCAN, scan), **dict.fromkeys(REFUSE, refuse)}
 
 
 def main(names):

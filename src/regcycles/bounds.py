@@ -40,6 +40,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import numtheory as nt
+from . import read_ints
 
 FAMILIES = ("PSL", "PSU", "PSp", "POmega", "POmega+", "POmega-")
 
@@ -299,37 +300,15 @@ def generic_fpr_bound(q: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ExternalTables:
-    """Pluggable per-group data from external computations: minimal
-    faithful degree, maximal element order, amended fixed-point bounds
-    and iota exponents.  Keys are "family:n:q"."""
+    """Pluggable per-group data from external computations, as typed by
+    `load_external_tables`: ints `max_order` and `min_degree`, Fractions
+    `amended_fpr` and `iota`.  Keys are "family:n:q"."""
 
     entries: dict = field(default_factory=dict)
 
-    @staticmethod
-    def _key(gid: GroupId) -> str:
-        return f"{gid.family}:{gid.n}:{gid.q}"
-
-    def _get(self, gid, name):
-        return self.entries.get(self._key(gid), {}).get(name)
-
-    def max_order(self, gid):
-        return self._get(gid, "max_order")
-
-    def min_degree(self, gid):
-        return self._get(gid, "min_degree")
-
-    def _fraction(self, gid, name):
-        """The fraction of the fields name_num and name_den, or None."""
-        entry = self.entries.get(self._key(gid), {})
-        if f"{name}_num" in entry:
-            return Fraction(entry[f"{name}_num"], entry[f"{name}_den"])
-        return None
-
-    def amended_fpr(self, gid):
-        return self._fraction(gid, "amended_fpr")
-
-    def iota(self, gid):
-        return self._fraction(gid, "iota")
+    def get(self, gid: GroupId, name: str):
+        """The named field of gid's entry, or None."""
+        return self.entries.get(f"{gid.family}:{gid.n}:{gid.q}", {}).get(name)
 
 
 def _is_int(value, least=None) -> bool:
@@ -338,10 +317,7 @@ def _is_int(value, least=None) -> bool:
 
 
 def _json_int(digits: str) -> int:
-    """A JSON integer, read by `perm.read_ints`, which takes no sign."""
-    # imported here: importing perm, and numpy with it, before the CLI's
-    # other modules raised its peak RSS by about 1 MB
-    from .perm import read_ints
+    """A JSON integer, read by `read_ints`, which takes no sign."""
     [value] = read_ints([digits.lstrip("-")])
     return -value if digits[0] == "-" else value
 
@@ -350,6 +326,8 @@ def load_external_tables(text: str) -> ExternalTables:
     """Parse and validate a tables file: an object of per-group objects,
     with integer `max_order`/`min_degree` >= 1 and each `*_num`/`*_den`
     pair given together as integers with den >= 1 (ValueError otherwise).
+    Each entry keeps only what was checked: the two ints, and each pair
+    as one Fraction under its stem; a bare "iota" key, say, is dropped.
     """
     try:
         data = json.loads(text, parse_int=_json_int)
@@ -358,19 +336,25 @@ def load_external_tables(text: str) -> ExternalTables:
     if not isinstance(data, dict) or not all(
             isinstance(entry, dict) for entry in data.values()):
         raise ValueError("external tables must be a JSON object of objects")
+    entries = {}
     for key, entry in data.items():
-        for name in ("max_order", "min_degree"):
+        # None where absent, so that no pair stands in for either
+        typed = {name: entry.get(name)
+                 for name in ("max_order", "min_degree")}
+        for name in typed:
             if name in entry and not _is_int(entry[name], 1):
                 raise ValueError(f"{key}: {name} must be an integer >= 1")
         stems = {name[:-4] for name in entry
                  if name.endswith(("_num", "_den"))}
         for stem in sorted(stems):
-            if not (_is_int(entry.get(stem + "_num"))
-                    and _is_int(entry.get(stem + "_den"), 1)):
+            num, den = entry.get(stem + "_num"), entry.get(stem + "_den")
+            if not (_is_int(num) and _is_int(den, 1)):
                 raise ValueError(f"{key}: {stem}_num and {stem}_den must be "
                                  f"given together as integers, with "
                                  f"{stem}_den >= 1")
-    return ExternalTables(data)
+            typed.setdefault(stem, Fraction(num, den))
+        entries[key] = typed
+    return ExternalTables(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +747,7 @@ def _certify_case_iii(gid: GroupId, tables: ExternalTables) -> BoundReport:
         raise ValueError("maximal totally singular subspaces need a form; "
                          "PSL is out of scope for case iii")
     m = gid.m
-    o = tables.max_order(gid)
+    o = tables.get(gid, "max_order")
     if o is None:
         # conservative default: element orders are below q0**n
         o = gid.q0**gid.n
@@ -869,12 +853,12 @@ def nonsubspace_scan(tables: ExternalTables | None = None):
     tables = tables or ExternalTables()
 
     def test(gid):
-        front = tables.amended_fpr(gid) or generic_fpr_bound(gid.q)
-        min_deg = tables.min_degree(gid)
+        front = tables.get(gid, "amended_fpr") or generic_fpr_bound(gid.q)
+        min_deg = tables.get(gid, "min_degree")
         if min_deg is None:
             class_term = 1.0
         else:
-            iota = tables.iota(gid)
+            iota = tables.get(gid, "iota")
             if iota is None:
                 iota = Fraction(1, 4)
             class_term = min_deg ** float(-Fraction(1, 2)

@@ -8,13 +8,12 @@ plus domain labels, and ``compare`` runs the sampled monotonicity check
 between two compatible actions.
 
 Each subcommand imports the layers it runs, when it runs: ``certify`` and
-``scan`` import ``bounds`` (and with it ``numtheory``), and numpy only to
-read a ``--tables`` file; ``check``, ``verify`` and ``compare`` import
-``perm`` and ``regcycle``; ``build-action`` imports ``geometry`` and
-``perm``.  Building the parser imports nothing beyond the package root,
-which holds the element cap.  Handlers call through module attributes
-(``perm.parse_group_file``), so a wrapper set on a module attribute sees
-every call.
+``scan`` import ``bounds`` (and with it ``numtheory``) and never numpy;
+``check``, ``verify`` and ``compare`` import ``perm`` and ``regcycle``;
+``build-action`` imports ``geometry`` and ``perm``.  Building the parser
+imports nothing beyond the package root, which holds the element cap.
+Handlers call through module attributes (``perm.parse_group_file``), so a
+wrapper set on a module attribute sees every call.
 
 Exit codes: 0 = success / certified / all-regular; 1 = computed but
 negative (a witness exists, or the bound is inconclusive); 2 = usage or

@@ -37,12 +37,12 @@ provides:
     values at once, forward through the generator matrix itself, and
     invert the permutation found.  The image rows become `PermGroup.images`;
   * a plain text file format for matrix generators, read by the line and
-    integer readers of group files (`perm.file_lines`, `perm.read_ints`),
+    integer readers of the package root (`file_lines`, `read_ints`),
     whose generators are checked for singularity by one batched Gaussian
     elimination (`singular_matrices`).
 
 Caps raise OverflowError before the arrays they guard: `FIELD_CAP` on the
-field order, `VECTOR_ENUM_CAP` on q**n and `perm.DEFAULT_DOMAIN_CAP` on every
+field order, `VECTOR_ENUM_CAP` on q**n and `DEFAULT_DOMAIN_CAP` on every
 domain, which `subspaces` applies to the bases it keeps; the first two keep
 the float32 matmuls of `combine` and of the pair incidence exact.
 
@@ -62,9 +62,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import DEFAULT_DOMAIN_CAP, file_lines, read_ints
 from .numtheory import floor_log, is_prime, prime_power
-from .perm import (DEFAULT_DOMAIN_CAP, GroupFileError, PermGroup, file_lines,
-                   read_ints)
+from .perm import GroupFileError, PermGroup
 
 FIELD_CAP = 512
 VECTOR_ENUM_CAP = 10**6
@@ -390,12 +390,6 @@ class SemilinearMap:
     matrix: tuple[tuple[int, ...], ...]
     twist: int = 0
     duality: bool = False
-
-
-def duality_map(space: FormSpace) -> SemilinearMap:
-    """The involution W -> W^perp (with respect to space.gram)."""
-    identity = np.eye(space.n, dtype=int).tolist()
-    return SemilinearMap(tuple(map(tuple, identity)), duality=True)
 
 
 # ---------------------------------------------------------------------------
@@ -976,7 +970,7 @@ def parse_matrix_file(text: str):
     Format: `GF p e [c0 c1 ... ce]`, `dim n`, `form kind [epsilon]`, then
     per generator a `gen` line followed by n rows of n field elements,
     optionally followed by `twist t` and/or `duality` lines.  `#` starts a
-    comment, and every integer is read by `perm.read_ints`.  A malformed
+    comment, and every integer is read by `read_ints`.  A malformed
     file raises `perm.GroupFileError` with its line.
     """
     lines, end = file_lines(text)

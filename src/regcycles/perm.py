@@ -14,10 +14,11 @@ in blocks of a caller's size, so results are exactly reproducible.
 Every cap raises an OverflowError: every question that needs the chain
 raises CapExceeded iff the group order exceeds its element cap (default
 10**7), and every domain constructor refuses more than DEFAULT_DOMAIN_CAP =
-10**6 points.  Group files and the matrix files of ``geometry`` share one
-line reader (``file_lines``) and one integer reader (``read_ints``).  A
-malformed file, a group file past that cap included, raises
-GroupFileError, the one file-format error (a ValueError), with its line.
+10**6 points.  Group files are read by the line and integer readers of
+the package root (``file_lines``, ``read_ints``), which the matrix files
+of ``geometry`` and the tables of ``bounds`` share.  A malformed file, a
+group file past that cap included, raises GroupFileError, the one
+file-format error (a ValueError), with its line.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from itertools import chain
 
 import numpy as np
 
-# both caps are defined in the package root, which imports no numpy
-from . import DEFAULT_DOMAIN_CAP, DEFAULT_ELEMENT_CAP
+# defined in the package root, which imports no numpy
+from . import DEFAULT_DOMAIN_CAP, DEFAULT_ELEMENT_CAP, file_lines, read_ints
 
 
 class CapExceeded(OverflowError):
@@ -44,56 +45,6 @@ class GroupFileError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
-
-
-def file_lines(text: str) -> tuple[list[tuple[int, str]], int]:
-    """The (number, text) of each line of a group or matrix file that
-    holds more than a '#' comment, and the number of the line after the
-    last, at which an error at the end of the file is reported."""
-    raw = text.splitlines()
-    lines = []
-    for lineno, line in enumerate(raw, start=1):
-        if line := line.partition("#")[0].strip():
-            lines.append((lineno, line))
-    return lines, len(raw) + 1
-
-
-def read_ints(tokens: list[str], most: int | None = None,
-              bad: str = "expected an integer, got {!r}",
-              over: str = "integer {} is too long") -> list[int]:
-    """The values of integer fields of a group or matrix file: runs of
-    ASCII digits, zeros in front allowed (int() would also take a sign,
-    '_' and other scripts' digits).  A field capped at `most` is compared
-    with the cap by digit count before int() sees it.  ValueError(bad)
-    names the first token that is not an integer, else ValueError(over)
-    the first past the cap or past int()'s digit limit, without its zeros
-    in front; '{}' in a message is the token, cut short past 60 characters.
-    """
-    joined = "".join(tokens)
-    if joined.isdigit() and joined.isascii() and most is not None \
-            and max(map(len, tokens)) <= len(str(most)):
-        values = list(map(int, tokens))  # the common case
-        if max(values) <= most:
-            return values
-    message, values = bad, []
-    token = next((t for t in tokens if not (t.isascii() and t.isdigit())),
-                 None)
-    if token is None:
-        message = over
-        for token in (t.lstrip("0") or "0" for t in tokens):
-            try:
-                if most is not None and len(token) > len(str(most)):
-                    raise ValueError
-                values.append(int(token))
-                if most is not None and values[-1] > most:
-                    raise ValueError
-            except ValueError:
-                break
-        else:
-            return values
-    if len(token) > 60:
-        token = f"{token[:20]}... ({len(token)} characters)"
-    raise ValueError(message.format(token))
 
 
 class Permutation:
@@ -269,7 +220,7 @@ class _Level:
 
     __slots__ = ("point", "gens", "orbit", "pos", "trans", "inv")
 
-    def __init__(self, point: int, gens: np.ndarray):
+    def __init__(self, point: int, gens: np.ndarray, cap: int, order: int):
         d = gens.shape[1]
         self.point = point
         self.gens = gens
@@ -278,15 +229,17 @@ class _Level:
         self.pos[point] = 0
         self.trans = np.arange(d, dtype=gens.dtype)[None]
         self.inv = self.trans
-        self._grow()
+        self._grow(cap, order)
 
-    def add_gen(self, h: np.ndarray) -> None:
+    def add_gen(self, h: np.ndarray, cap: int, order: int) -> None:
         self.gens = np.vstack([self.gens, h])
-        self._grow()
+        self._grow(cap, order)
 
-    def _grow(self) -> None:
+    def _grow(self, cap: int, order: int) -> None:
         """Close the orbit under the generators, breadth-first over points
-        (each new point y = s(x) records x and s), then build the new
+        (each new point y = s(x) records x and s), raise CapExceeded if the
+        chain's product of orbit lengths (``order`` before this growth)
+        passes ``cap`` with the closed orbit, then build the new
         transversal rows u_y = (u_x then s) by pointer doubling: row y holds
         a map taking u_{up[y]} to u_y, and each round composes it with its
         pointer's map and doubles the pointer, until every pointer is the
@@ -307,6 +260,8 @@ class _Level:
         m = len(points)
         if m == old:
             return
+        if order // old * m > cap:
+            raise CapExceeded(f"more than {cap} elements")
         trans = np.concatenate([self.trans, self.gens[via]])
         up = np.array(src)
         rows = np.arange(m)[:, None]
@@ -359,8 +314,7 @@ class StabChain:
         moved = images != np.arange(degree)
         first = int(np.argmax(moved.any(axis=0)))  # 0 if nothing moves
         self.degree = degree
-        self.levels = [_Level(first, images[moved.any(axis=1)])]
-        self._check_order(cap)
+        self.levels = [_Level(first, images[moved.any(axis=1)], cap, 1)]
         i = 0
         while i >= 0:
             found = None
@@ -374,18 +328,17 @@ class StabChain:
             h, j = found
             if j == len(self.levels):
                 point = int(np.flatnonzero(h != np.arange(degree))[0])
-                self.levels.append(_Level(point, h[None]))
+                self.levels.append(_Level(point, h[None], cap, self.order))
             else:
-                self.levels[j].add_gen(h)
+                self.levels[j].add_gen(h, cap, self.order)
             for lev in self.levels[i + 1:j]:
-                lev.add_gen(h)
-            self._check_order(cap)
+                lev.add_gen(h, cap, self.order)
             i = j
-        self.order = math.prod(self.orbit_lengths)
 
-    def _check_order(self, cap: int) -> None:
-        if math.prod(self.orbit_lengths) > cap:
-            raise CapExceeded(f"more than {cap} elements")
+    @property
+    def order(self) -> int:
+        """The product of the orbit lengths: |G| once the chain is built."""
+        return math.prod(self.orbit_lengths)
 
     @property
     def base(self) -> list[int]:
@@ -698,19 +651,3 @@ def symmetric_group(m: int) -> PermGroup:
     if m == 1:
         return PermGroup(1, [[0]])
     return PermGroup(m, [(1, 0, *range(2, m)), (*range(1, m), 0)])
-
-
-def alternating_group(m: int) -> PermGroup:
-    """Alt(m) on m points (3-cycle plus an even long cycle)."""
-    if m < 3:
-        return PermGroup(max(m, 1), [range(max(m, 1))])
-    three = (1, 2, 0, *range(3, m))
-    if m % 2 == 1:
-        long = (*range(1, m), 0)
-    else:
-        long = (0, *range(2, m), 1)
-    return PermGroup(m, [three, long])
-
-
-def cyclic_group(m: int) -> PermGroup:
-    return PermGroup(m, [(*range(1, m), 0)])

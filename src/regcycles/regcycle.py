@@ -213,17 +213,21 @@ def _owners(slices) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Bulk verdict over a whole group."""
+    """Bulk verdict over a whole group, derived from its failing count."""
 
-    verdict: str  # "all-regular" or "failures"
     checked: int
+    failing: int  # checked elements without a regular cycle
     group_order: int
     witnesses: tuple[Permutation, ...]  # lexicographically least failures
     square_free_only: bool
 
     @property
     def all_regular(self) -> bool:
-        return self.verdict == "all-regular"
+        return not self.failing
+
+    @property
+    def verdict(self) -> str:
+        return "all-regular" if self.all_regular else "failures"
 
     def to_json_dict(self, group_name: str = "") -> dict:
         return {
@@ -328,9 +332,8 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     least: list[list[int]] = []
     scan(1, wanted, least)
     witnesses = tuple(map(Permutation, sorted(least)[:max_witnesses]))
-    verdict = "all-regular" if not failures else "failures"
-    return VerifyReport(verdict, checked, chain.order, witnesses,
-                        square_free_only)
+    return VerifyReport(checked, sum(failures.values()), chain.order,
+                        witnesses, square_free_only)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ points of their domain, whose stabilizer chains start past point 0.
 
 import itertools
 
+from perm_reference import alternating_group, cyclic_group
 from regcycles import geometry, perm
 from regcycles.perm import PermGroup, Permutation
 
@@ -122,23 +123,23 @@ def two_cycle_group(a: int, b: int) -> PermGroup:
 def corpus_groups():
     """Yield (name, PermGroup) pairs; deterministic order and content."""
     for m in range(2, 41):
-        yield f"cyclic-{m}", perm.cyclic_group(m)
+        yield f"cyclic-{m}", cyclic_group(m)
     for m in range(3, 41):
         yield f"dihedral-{m}", dihedral(m)
     for m in range(2, 9):
         yield f"sym-{m}", perm.symmetric_group(m)
     for m in range(3, 9):
-        yield f"alt-{m}", perm.alternating_group(m)
+        yield f"alt-{m}", alternating_group(m)
     for m, k in ((5, 2), (6, 2), (6, 3), (7, 2), (7, 3), (8, 2)):
         yield f"sym-{m}-on-{k}-sets", geometry.k_set_action(m, k)
         yield f"alt-{m}-on-{k}-sets", set_action(
-            perm.alternating_group(m), k)
+            alternating_group(m), k)
     for m, r in ((3, 2), (4, 2), (5, 2), (3, 3)):
         yield (f"sym-{m}-product-{r}",
                geometry.product_action(perm.symmetric_group(m), r))
     for m, r in ((4, 2), (5, 2)):
         yield (f"alt-{m}-product-{r}",
-               geometry.product_action(perm.alternating_group(m), r))
+               geometry.product_action(alternating_group(m), r))
     for m, r in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3),
                  (3, 4), (4, 2), (4, 3), (5, 2)):
         yield f"sym-{m}-wr-{r}", wreath_imprimitive(m, r)
@@ -159,8 +160,8 @@ def corpus_groups():
     for a in (4, 5):
         for b in range(2, 7):
             yield (f"alt-{a}-plus-cyclic-{b}",
-                   direct_sum(perm.alternating_group(a),
-                              perm.cyclic_group(b)))
+                   direct_sum(alternating_group(a),
+                              cyclic_group(b)))
     for m in (4, 5, 6, 7):
         yield f"sym-{m}-on-ordered-pairs", ordered_pairs_action(m)
     for a, b in ((2, 3), (3, 4), (4, 5), (3, 5), (5, 6), (2, 5), (3, 7),
@@ -168,4 +169,4 @@ def corpus_groups():
         yield f"two-cycles-{a}-{b}", two_cycle_group(a, b)
     for k, m in ((1, 4), (2, 5), (3, 6)):
         yield f"fixed-{k}-plus-sym-{m}", fixing(k, perm.symmetric_group(m))
-    yield "fixed-1-plus-alt-7", fixing(1, perm.alternating_group(7))
+    yield "fixed-1-plus-alt-7", fixing(1, alternating_group(7))

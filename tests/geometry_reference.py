@@ -316,6 +316,11 @@ def apply_vector(g: SemilinearMap, space: FormSpace, v):
     return vec_mat(K, v, g.matrix)
 
 
+def duality_map(space: FormSpace) -> SemilinearMap:
+    """The involution W -> W^perp (with respect to space.gram)."""
+    return SemilinearMap(mat_identity(space.n), duality=True)
+
+
 def sl_generators(n: int, field: Fq):
     """Generators of SL_n(q): the transvections I + z**k * E_{12} for a
     field generator z (one per coefficient of an additive basis) and the

@@ -6,10 +6,11 @@ kernel (`perm.cycle_sizes`) and walks single elements' cycles with
 `perm.cycle_decomposition`.  The helpers here work the direct way, one
 Permutation at a time: composition, inverses and powers; cycle lengths
 from their own scalar walk, cycle types and orders; the sorted element
-list and the conjugacy classes; fixed-point ratios and regular-cycle
-counts; the whole-array transversal product that `StabChain.cosets`
-lists in pieces, as the coset of the identity; and the two-action word loop
-that `compare_actions_monotonic` replaced with one diagonal action.
+list and the conjugacy classes; the stock groups Alt(m) and C_m, which
+only the tests build; fixed-point ratios and regular-cycle counts; the
+whole-array transversal product that `StabChain.cosets` lists in pieces,
+as the coset of the identity; and the two-action word loop that
+`compare_actions_monotonic` replaced with one diagonal action.
 """
 
 import math
@@ -92,6 +93,22 @@ def cycle_type(g: Permutation) -> CycleType:
 
 def element_order(g: Permutation) -> int:
     return math.lcm(*cycle_lengths(g.images))
+
+
+def alternating_group(m: int) -> PermGroup:
+    """Alt(m) on m points (3-cycle plus an even long cycle)."""
+    if m < 3:
+        return PermGroup(max(m, 1), [range(max(m, 1))])
+    three = (1, 2, 0, *range(3, m))
+    if m % 2 == 1:
+        long = (*range(1, m), 0)
+    else:
+        long = (0, *range(2, m), 1)
+    return PermGroup(m, [three, long])
+
+
+def cyclic_group(m: int) -> PermGroup:
+    return PermGroup(m, [(*range(1, m), 0)])
 
 
 def enumerate_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP):

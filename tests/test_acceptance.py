@@ -17,11 +17,12 @@ import numpy as np
 import pytest
 
 from corpus import MAX_DEGREE, MAX_ORDER, corpus_groups
-from geometry_reference import (map_order, mat_identity, mat_mul,
-                                polarized_quad_value,
+from geometry_reference import (duality_map, map_order, mat_identity,
+                                mat_mul, polarized_quad_value,
                                 semisimple_decomposition, sl_generators,
                                 subspace_contains, subspace_intersection_dim,
                                 vec_mat)
+from perm_reference import alternating_group
 from regcycles import bounds as bd
 from regcycles import geometry as geo
 from regcycles import numtheory as nt
@@ -111,7 +112,7 @@ class TestSymmetricAlternatingBaseline:
 
     def test_smallest_alternating_groups_are_all_regular(self):
         for m in (5, 6):
-            report = verify_all_elements(perm.alternating_group(m))
+            report = verify_all_elements(alternating_group(m))
             assert report.all_regular
 
 
@@ -336,6 +337,7 @@ class TestKSetClassOracle:
         report = verify_all_elements(geo.k_set_action(m, k))
         assert report.checked == report.group_order == math.factorial(m)
         assert report.all_regular == (not failing)
+        assert report.failing == sum(failing.values())
         assert len(report.witnesses) == min(5, sum(failing.values()))
         for w in report.witnesses:
             assert point_cycle_type(w, m, k) in failing
@@ -447,6 +449,7 @@ class TestWreathSquareClassOracle:
         report = verify_all_elements(G)
         assert report.checked == 2 * math.factorial(m) ** 2
         assert report.all_regular == (not failing)
+        assert report.failing == sum(expected[key] for key in failing)
         assert len(report.witnesses) == min(
             5, sum(expected[key] for key in failing))
         for w in report.witnesses:
@@ -964,7 +967,7 @@ class TestTotallySingularComplements:
 
     def test_duality_extended_pair_action_is_all_regular_sampled(self):
         space = geo.standard_form("trivial", 5, 2)
-        gens = sl_generators(5, space.field) + [geo.duality_map(space)]
+        gens = sl_generators(5, space.field) + [duality_map(space)]
         _, perp = geo.pair_domains(space, 1)
         G = geo.perm_image(gens, perp)
         assert G.degree == 496

@@ -633,6 +633,18 @@ class TestScans:
         for family, n, q in TABLE_NONSUBSPACE:
             assert GroupId(family, n, q) in flagged, (family, n, q)
 
+    def test_nonsubspace_ignores_a_bare_fraction_key(self):
+        # only the _num/_den pair is read: PSL_5(25) is visited and kept
+        # unflagged, and amended_fpr_num = amended_fpr_den = 1 flags it
+        g = GroupId("PSL", 5, 25)
+        bare = bd.load_external_tables(
+            '{"PSL:5:25": {"amended_fpr": 1, "iota": 0.5}}')
+        pair = bd.load_external_tables(
+            '{"PSL:5:25": {"amended_fpr_num": 1, "amended_fpr_den": 1}}')
+        assert g not in bd.nonsubspace_scan()
+        assert bd.nonsubspace_scan(bare) == bd.nonsubspace_scan()
+        assert g in bd.nonsubspace_scan(pair)
+
     def test_nonsubspace_tables_shrink(self):
         tables = bd.load_external_tables(
             '{"PSL:6:11": {"min_degree": 1000000000, '
@@ -706,9 +718,14 @@ class TestExternalTables:
             '{"PSL:6:11": {"min_degree": 100, "iota_num": -1, '
             '"iota_den": 4, "amended_fpr_num": 1, "amended_fpr_den": 9}, '
             '"PSp:6:2": {"max_order": 15}}')
-        assert tables.iota(gid("PSL", 6, 11)) == Fraction(-1, 4)
-        assert tables.amended_fpr(gid("PSL", 6, 11)) == Fraction(1, 9)
-        assert tables.max_order(gid("PSp", 6, 2)) == 15
+        assert tables.get(gid("PSL", 6, 11), "iota") == Fraction(-1, 4)
+        assert tables.get(gid("PSL", 6, 11), "amended_fpr") == Fraction(1, 9)
+        assert tables.get(gid("PSp", 6, 2), "max_order") == 15
+
+    def test_a_pair_never_stands_in_for_an_integer_field(self):
+        tables = bd.load_external_tables(
+            '{"PSp:6:2": {"max_order_num": 1, "max_order_den": 2}}')
+        assert tables.get(gid("PSp", 6, 2), "max_order") is None
 
 
 class TestReportSerialization:

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from perm_reference import alternating_group, cyclic_group
 from regcycles import bounds, cli, geometry, perm
 from regcycles.cli import main
 
@@ -27,14 +28,14 @@ from regcycles.cli import main
 @pytest.fixture
 def alt8_file(tmp_path):
     path = tmp_path / "alt8.grp"
-    path.write_text(perm.emit_group_file(perm.alternating_group(8)))
+    path.write_text(perm.emit_group_file(alternating_group(8)))
     return str(path)
 
 
 @pytest.fixture
 def alt5_file(tmp_path):
     path = tmp_path / "alt5.grp"
-    path.write_text(perm.emit_group_file(perm.alternating_group(5)))
+    path.write_text(perm.emit_group_file(alternating_group(5)))
     return str(path)
 
 
@@ -139,6 +140,24 @@ class TestVerify:
     def test_cap(self, alt8_file, capsys):
         assert main(["verify", "--group", alt8_file, "--cap", "100"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--cap", "100"],
+        ["check", "--element", "(1 2)", "--cap", "100"]],
+        ids=["verify", "check-element"])
+    def test_cap_refuses_before_the_first_transversal(self, tmp_path, capsys,
+                                                      argv):
+        # Sym(20000) as a 20,000-cycle and a transposition: its first
+        # orbit passes the cap, so the chain refuses before it builds a
+        # 20,000 x 20,000 transversal
+        path = tmp_path / "sym20000.grp"
+        path.write_text(perm.emit_group_file(perm.symmetric_group(20000)))
+        start = time.perf_counter()
+        code = main([argv[0], "--group", str(path), *argv[1:]])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", "error: more than 100 elements\n")
+        assert elapsed < 1
+
 
 class TestClosedStdout:
     """A reader that closes stdout early ends the run in one line, exit 2,
@@ -197,7 +216,7 @@ class TestClosedStdout:
 
 class TestSubcommandImports:
     """A fresh process loads only the layers its subcommand runs: certify
-    and scan never import numpy."""
+    and scan never import numpy, with a tables file or without."""
 
     # run main, then list on stderr every module the process has loaded
     LIST_MODULES = ("import sys\n"
@@ -210,6 +229,11 @@ class TestSubcommandImports:
     ARGVS = {
         "certify": (["certify", "--case", "i", "--family", "PSL", "--n",
                      "5", "--q", "7"], NUMERIC),
+        "certify-tables": (["certify", "--case", "i", "--family", "PSL",
+                            "--n", "5", "--q", "7", "--tables", "TABLES"],
+                           NUMERIC),
+        "scan-tables": (["scan", "--theorem", "nonsubspace", "--tables",
+                         "TABLES"], NUMERIC),
         "certify-triality": (["certify", "--case", "triality", "--q", "3"],
                              NUMERIC),
         "scan": (["scan", "--theorem", "dagger", "--json"], NUMERIC),
@@ -235,7 +259,10 @@ class TestSubcommandImports:
     @pytest.mark.parametrize("argv, unloaded", ARGVS.values(), ids=ARGVS)
     def test_loads_only_its_layers(self, tmp_path, alt5_file, argv,
                                    unloaded):
-        paths = {"ALT5": alt5_file, "OUT": str(tmp_path / "out.grp")}
+        tables = tmp_path / "tables.json"
+        tables.write_text('{"PSL:5:7": {"min_degree": 100}}')
+        paths = {"ALT5": alt5_file, "OUT": str(tmp_path / "out.grp"),
+                 "TABLES": str(tables)}
         argv = [paths.get(a, a) for a in argv]
         src = str(Path(__file__).parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -1130,7 +1157,7 @@ class TestCompare:
     def test_mismatched_generators(self, tmp_path, capsys):
         # 1 and 2 generators: the one refusal, compare_actions_monotonic's
         a1 = tmp_path / "a1.grp"
-        a1.write_text(perm.emit_group_file(perm.cyclic_group(4)))
+        a1.write_text(perm.emit_group_file(cyclic_group(4)))
         a2 = tmp_path / "a2.grp"
         a2.write_text(perm.emit_group_file(perm.symmetric_group(4)))
         assert main(["compare", "--action1", str(a1),

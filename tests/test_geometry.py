@@ -19,6 +19,7 @@ from geometry_reference import (
     apply_vector,
     bilinear,
     conj,
+    duality_map,
     is_singular_vector,
     least_anisotropic_constant,
     map_order,
@@ -49,7 +50,6 @@ from regcycles.geometry import (
     DomainNotPreservedError,
     SemilinearMap,
     Subspace,
-    duality_map,
     field_build,
     perm_image,
     standard_form,

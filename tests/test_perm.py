@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perm_reference import (
+    alternating_group,
     compose,
     conjugacy_classes,
     cycle_lengths,
     cycle_type,
+    cyclic_group,
     element_order,
     enumerate_elements,
     inverse,
@@ -28,7 +30,6 @@ from regcycles.perm import (
     GroupFileError,
     PermGroup,
     Permutation,
-    alternating_group,
     cycle_decomposition,
     cycle_sizes,
     emit_group_file,
@@ -220,7 +221,7 @@ class TestGroups:
         assert alternating_group(5).is_primitive()
 
     def test_cyclic6_imprimitive(self):
-        G = perm.cyclic_group(6)
+        G = cyclic_group(6)
         assert G.is_transitive()
         assert not G.is_primitive()
 
@@ -248,8 +249,8 @@ class TestGroups:
         cases = [
             alternating_group(5),
             symmetric_group(4),
-            perm.cyclic_group(6),
-            perm.cyclic_group(5),
+            cyclic_group(6),
+            cyclic_group(5),
             PermGroup(6, [parse_cycles("(1 2 3 4 5 6)", 6),
                           parse_cycles("(1 4)", 6)]),
             PermGroup(8, [parse_cycles("(1 2 3 4 5 6 7 8)", 8)]),
@@ -284,7 +285,7 @@ class TestGroups:
         assert len(conjugacy_classes(symmetric_group(5))) == 7
 
     def test_conjugacy_classes_cyclic6(self):
-        assert len(conjugacy_classes(perm.cyclic_group(6))) == 6
+        assert len(conjugacy_classes(cyclic_group(6))) == 6
 
 
 def closure(degree, gens):
@@ -413,6 +414,20 @@ class TestStabilizerChain:
                         call(G)
                 else:
                     call(G)
+
+    def test_refuses_past_the_cap_before_a_transversal(self):
+        # the first orbit of Sym(4000) alone passes a cap of 100, so the
+        # chain refuses before it builds that level's 4000 x 4000
+        # transversal (32 MB of two-byte points, and its inverse)
+        G = symmetric_group(4000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="^more than 100 elements$"):
+                G.stabilizer_chain(100)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("degree, dihedral", [(256, False), (257, False),
                                                   (257, True)])

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perm_reference import (
+    alternating_group,
     compare_actions_two_loops,
     count_regular_cycles,
     cycle_lengths,
     cycle_type,
+    cyclic_group,
     element_order,
     enumerate_elements,
     fpr_exact,
@@ -25,9 +27,7 @@ from regcycles import regcycle as rc
 from regcycles.perm import (
     PermGroup,
     Permutation,
-    alternating_group,
     cycle_decomposition,
-    cyclic_group,
     has_regular_cycle_direct,
     identity,
     parse_cycles,
@@ -225,6 +225,19 @@ class TestVerifyAllElements:
         assert rep.all_regular
         assert rep.group_order == 2
 
+    @pytest.mark.parametrize("G, failing", [
+        (symmetric_group(5), 20),  # type 3.2
+        (symmetric_group(6), 120),  # type 3.2.1
+        (alternating_group(7), 210),  # type 3.2.2
+    ], ids=["sym5", "sym6", "alt7"])
+    def test_failing_counts_every_failing_element(self, G, failing):
+        assert failing == sum(not has_regular_cycle_direct(g)
+                              for g in enumerate_elements(G))
+        for square_free_only in (False, True):
+            rep = rc.verify_all_elements(G, square_free_only=square_free_only)
+            assert rep.failing == failing
+            assert rep.verdict == "failures" and not rep.all_regular
+
     def test_witness_is_lexicographically_least(self):
         rep = rc.verify_all_elements(symmetric_group(5))
         failing = [g for g in enumerate_elements(symmetric_group(5))
@@ -248,6 +261,7 @@ class TestVerifyAllElements:
         monkeypatch.setattr(rc, "_regular_cycles", counted)
         report = rc.verify_all_elements(G)
         assert report.all_regular  # so no witness pass reads a row
+        assert report.failing == 0 and report.verdict == "all-regular"
         assert report.checked == 1451520
         assert sum(rows) == 28800
         assert rows == [251] * 114 + [186]
