@@ -35,12 +35,20 @@ RSS, its exit code and the verdict, or the number of groups flagged.  A
 fresh process pays for every import its subcommand makes, so these rows
 time the start of the CLI as much as its work.
 
+Each row of the build table writes one group file in a fresh process:
+`build-action --builtin` for an action of the bundled groups, or, for
+O7(3), its non-degenerate 2-subspaces (66,339 points) built and written
+through the library.  Its JSON line gives that process's wall time and
+peak RSS, its exit code, the degree and the SHA-256 of the file written,
+so that two checkouts can be compared byte for byte.
+
 Each row of the refusal table writes Sym(m), as an m-cycle and a
 transposition, to a group file, untimed, and runs `verify --cap CAP` on
 it in a fresh process.  Its JSON line gives that process's wall time and
 peak RSS, its exit code and its one line on stderr.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -94,19 +102,26 @@ SCAN = {
     "scan-nonsubspace-tables": ["--theorem", "nonsubspace", "--tables",
                                 "TABLES"],
 }
+# name: the build-action arguments of a fresh-process build, or the builtin
+# group whose non-degenerate 2-subspaces the library builds (BUILD_ND2)
+BUILD = {
+    "build-o7_3-ns1": ["--builtin", "o7_3", "--type", "ns1"],
+    "build-su5_2-maxts": ["--builtin", "su5_2", "--type", "maxts"],
+    "build-o7_3-nd2": "o7_3",
+}
 # name: the degree m of Sym(m), and verify --cap
 REFUSE = {"sym20000-cap100": (20000, 100)}
 DEFAULT = [name for name in REACH if name != "o7_3-points"] + list(COMPARE) \
-    + list(CHECK) + list(CERTIFY) + list(SCAN) + list(REFUSE)
+    + list(CHECK) + list(CERTIFY) + list(SCAN) + list(BUILD) + list(REFUSE)
 
 
-def run_cli(argv, stderr=None):
-    """Run the CLI in a fresh process, its stderr to the file `stderr` if
-    given: (exit code, stdout, wall seconds, peak RSS in MB of that
-    process)."""
+def run_cli(argv, stderr=None, code=CLI):
+    """Run the CLI, or other Python `code`, in a fresh process with
+    arguments `argv`, its stderr to the file `stderr` if given: (exit
+    code, stdout, wall seconds, peak RSS in MB of that process)."""
     env = dict(os.environ, PYTHONPATH=SRC)
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-c", CLI, *argv], env=env,
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], env=env,
                             stdout=subprocess.PIPE, stderr=stderr)
     out = proc.stdout.read()
     proc.stdout.close()
@@ -206,6 +221,22 @@ def scan(name, workdir):
             "wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1)}
 
 
+def build_row(name, workdir):
+    spec = BUILD[name]
+    path = os.path.join(workdir, f"{name}.grp")
+    if isinstance(spec, str):
+        code, _out, wall, rss = run_cli([spec, path], code=BUILD_ND2)
+    else:
+        code, _out, wall, rss = run_cli(["build-action", *spec, "--out",
+                                         path])
+    with open(path, "rb") as fh:
+        text = fh.read()
+    return {"action": name, "exit": code,
+            "degree": int(text.split(b"\n", 1)[0].split()[1]),
+            "sha256": hashlib.sha256(text).hexdigest(),
+            "wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1)}
+
+
 def refuse(name, workdir):
     m, cap = REFUSE[name]
     path = os.path.join(workdir, f"{name}.grp")
@@ -224,7 +255,8 @@ def refuse(name, workdir):
 
 RUNS = {**dict.fromkeys(REACH, reach), **dict.fromkeys(COMPARE, compare),
         **dict.fromkeys(CHECK, check), **dict.fromkeys(CERTIFY, certify),
-        **dict.fromkeys(SCAN, scan), **dict.fromkeys(REFUSE, refuse)}
+        **dict.fromkeys(SCAN, scan), **dict.fromkeys(BUILD, build_row),
+        **dict.fromkeys(REFUSE, refuse)}
 
 
 def main(names):

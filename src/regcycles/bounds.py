@@ -213,7 +213,10 @@ def a_nq(gid: GroupId) -> float:
     if gid.family == "PSL" and gid.n == 2 and gid.q in (4, 5, 7):
         # PSL2(4) = PSL2(5) and PSL2(7) are excluded outright
         raise ValueError(f"{gid} is excluded from the a(n,q) bound")
-    part = p_prime_part(aut_order(gid), gid.p)
+    # |Aut| = q**a * prod(pieces) / d * |Out|, and every piece is +-1 mod
+    # p: the p'-part is read off the factors, not divided out of |Aut|
+    _a, pieces, d = _order_factors(gid)
+    part = math.prod(pieces) // d * p_prime_part(_out_order(gid), gid.p)
     if part < 26:
         raise ValueError(f"|Aut|_p' = {part} < 26 for {gid}")
     return 1 + nt.robin_bound(part)

@@ -28,14 +28,19 @@ provides:
     same numpy evaluation of the form;
   * conversion of matrix/semilinear generators into `perm.PermGroup`
     instances acting on those domains, with a strict domain-preservation
-    check.  Each generator is computed once as a permutation of the
+    check.  The generators' arrays go through whole-array passes: every
+    generator of one Frobenius twist is computed as a permutation of the
     projective points (`ProjectivePoints`, numpy arrays over the field
-    tables); a subspace is held as the sorted array of its point indices,
-    so every point, subspace and pair domain is mapped by array gathers
-    through that one permutation.  Duality maps each image basis to the
-    points orthogonal to all its rows.  Form domains map their table of
-    values at once, forward through the generator matrix itself, and
-    invert the permutation found.  The image rows become `PermGroup.images`;
+    tables) by one matmul, its matrices side by side; a subspace is held
+    as the sorted array of its point indices, so every point, subspace
+    and pair domain is mapped by array gathers through those
+    permutations, and the images of all generators are looked up at once
+    per label position.  Duality maps each image basis to the points
+    orthogonal to all its rows.  Form domains map their table of values
+    at once, one generator at a time, forward through the generator
+    matrix itself, and invert the permutation found.  A single element is
+    the one-generator case (`ActionDomain.image`).  The image rows become
+    `PermGroup.images`;
   * a plain text file format for matrix generators, read by the line and
     integer readers of the package root (`file_lines`, `read_ints`),
     whose generators are checked for singularity by one batched Gaussian
@@ -69,9 +74,13 @@ from .perm import GroupFileError, PermGroup
 FIELD_CAP = 512
 VECTOR_ENUM_CAP = 10**6
 
-# Digit sums one matmul of ProjectivePoints.combine holds at once (4 MB of
-# float32); longer products run in blocks of coefficient rows.
-_COMBINE_BLOCK = 1 << 20
+# Multiply-adds one matmul of ProjectivePoints.combine does at once; longer
+# products run in blocks of coefficient rows.  OpenBLAS splits an sgemm of
+# more than about 10**6 multiply-adds across its threads, and on a shared
+# 2-vCPU host such a call took about 8 ms against 0.05 ms on one thread.
+# perm_image maps as many generators at once as hold about this many
+# entries of point vectors and label rows.
+_COMBINE_BLOCK = 1 << 19
 
 _field_cache: dict = {}
 
@@ -443,7 +452,7 @@ class ProjectivePoints:
         (k e, n e) matrix over GF(p) and a coefficient vector is k e
         digits; their matmul, reduced mod p, gives the digits of the sums.
         Rows that are one matrix take a 2-D matmul over the coefficient
-        vectors, in blocks of about `_COMBINE_BLOCK` digit sums, expanding
+        vectors, in blocks of about `_COMBINE_BLOCK` multiply-adds, expanding
         the operand with fewer entries into matrices ((coeffs rows)^T =
         rows^T coeffs^T); other rows take a batched one.  Each sum is an
         integer at most k e (p - 1)**2 <= 19 * 511**2 < 2**24 (k <= n,
@@ -457,7 +466,8 @@ class ProjectivePoints:
             rows = rows.reshape(k, n)
             if coeffs.size < rows.size:
                 return self.combine(rows.T, coeffs.T).T.reshape(shape)
-            blocks = -(-len(coeffs) * n * K.e // _COMBINE_BLOCK)
+            blocks = min(len(coeffs),
+                         -(-len(coeffs) * k * n * K.e**2 // _COMBINE_BLOCK))
             if blocks > 1:
                 return np.concatenate([
                     self.combine(part, rows)
@@ -482,9 +492,22 @@ class ProjectivePoints:
         vectors = self.field.frobenius_table(g.twist)[vectors]
         return self.combine(vectors, np.array(g.matrix, dtype=np.int16))
 
-    def image(self, g: SemilinearMap):
-        """The permutation of the points induced by v -> v^(p^twist) M."""
-        return self.index[self.codes(self.apply(g, self.vectors))]
+    def images(self, generators):
+        """The permutations of the points induced by the generators' maps
+        v -> v^(p^twist) M, one row each, -1 where a singular map sends a
+        point to 0: one combine per twist, its generators' matrices side
+        by side as one (n, k n) operand."""
+        K, (size, n) = self.field, self.vectors.shape
+        out = np.empty((len(generators), size), np.int32)
+        twists = [g.twist % K.e for g in generators]
+        for t in set(twists):
+            at = [i for i, s in enumerate(twists) if s == t]
+            mats = np.array([generators[i].matrix for i in at], np.int16)
+            vectors = self.combine(K.frobenius_table(t)[self.vectors],
+                                   mats.swapaxes(0, 1).reshape(n, -1))
+            out[at] = self.index[
+                self.codes(vectors.reshape(size, len(at), n))].T
+        return out
 
     def span_points(self, bases):
         """Sorted point indices of the spans of k-row bases, (S, k, n) ->
@@ -662,56 +685,111 @@ class ActionDomain:
         return parts, _RowIndex(self.members) if len(parts) > 1 else None
 
     def image(self, g: SemilinearMap) -> np.ndarray:
-        """The image row of the permutation g induces on the labels: the
-        image of every label at once, then one lookup.  Point, subspace and
-        pair domains map the point sets of their components through the one
-        point permutation of g; form domains map their table of values."""
+        """The image row of the permutation g induces on the labels."""
+        return self.images([g])[0]
+
+    def images(self, generators) -> np.ndarray:
+        """The image rows of the permutations the generators induce on the
+        labels, one row each.  Point, subspace and pair domains map the
+        point sets of their components through the point permutations of
+        all the generators at once (``ProjectivePoints.images``), in
+        batches of about _COMBINE_BLOCK entries of point and label rows;
+        form domains map their table of values, one generator at a time.
+
+        The error raised is the first generator's that does not act, in
+        the order given; within one generator, a duality on a point
+        domain comes first, then a singular map, then a label mapped
+        outside the domain."""
         if self.kind == "form":
+            return self._form_rows(generators)
+        if self.kind not in ("point", "subspace", "pair"):
+            raise ValueError(f"unknown domain kind {self.kind!r}")
+        if not self.degree:
+            for g in generators:
+                if why := self._refusal(g, False):
+                    raise DomainNotPreservedError(why)
+            return np.empty((len(generators), 0), np.intp)
+        pts = projective_points(self.space.field, self.space.n)
+        per = pts.vectors.size + sum(rows.size for rows, _ in self._parts[0])
+        step = max(1, _COMBINE_BLOCK // per)
+        out = np.empty((len(generators), self.degree), np.intp)
+        for a in range(0, len(generators), step):
+            batch = generators[a:a + step]
+            points = pts.images(batch)
+            why = list(map(self._refusal, batch, (points < 0).any(axis=1)))
+            # the generators before the first that does not act on points
+            acts = next((i for i, w in enumerate(why) if w), len(batch))
+            out[a:a + acts] = self._member_rows(batch[:acts], points)
+            self._refuse_outside(out[a:a + acts])
+            if acts < len(batch):
+                raise DomainNotPreservedError(why[acts])
+        return out
+
+    def _refusal(self, g: SemilinearMap, singular) -> str | None:
+        """Why g does not act on the points of the domain, if it does not."""
+        if g.duality and self.kind == "point":
+            return f"duality does not act on the point domain {self.name}"
+        if singular:
+            return f"a singular generator does not act on {self.name}"
+        return None
+
+    def _member_rows(self, generators, points):
+        """The image rows of generators that act on the points, from the
+        first rows of their point permutations: at each position, the
+        sorted image point sets of the plain generators and the perps of
+        the dualities' image bases, found in one lookup; then the pairs
+        of component images, found among the members in one more."""
+        parts, lookup = self._parts
+        pts = projective_points(self.space.field, self.space.n)
+        plain = [k for k, g in enumerate(generators) if not g.duality]
+        dual = [k for k, g in enumerate(generators) if g.duality]
+        moved = np.empty((len(generators), self.degree, len(parts)), np.intp)
+        for j, (rows, target) in enumerate(parts):
+            # duality sends W to W^perp, which swaps the halves of a pair;
+            # the perp of the image is read from the image of the basis
+            i, width = len(parts) - 1 - j, rows.shape[1]
+            images = [np.sort(points[plain][:, rows], axis=2)
+                      .reshape(-1, width)]
+            for k in dual:
+                perp = _perp_points(self.space, pts.apply(generators[k],
+                                                          self.components[i]))
+                # a perp of another dimension is no label: rows of -1
+                images.append(perp if perp.shape[1] == width
+                              else np.full((len(perp), width), -1))
+            found = target.find(np.concatenate(images))
+            plain_found = found[:len(plain) * len(rows)].reshape(-1, len(rows))
+            moved[plain, :, j] = plain_found[:, self.members[:, j]]
+            dual_found = found[len(plain) * len(rows):].reshape(
+                len(dual), len(self.components[i]))
+            moved[dual, :, j] = dual_found[:, self.members[:, i]]
+        if lookup is None:
+            return moved[..., 0]
+        return lookup.find(moved.reshape(-1, len(parts))).reshape(
+            len(generators), self.degree)
+
+    def _form_rows(self, generators):
+        """The image rows of generators on a form domain, one at a time."""
+        out = np.empty((len(generators), self.degree), np.intp)
+        lookup = self._parts[1]
+        for k, g in enumerate(generators):
             if g.twist or g.duality:
                 raise DomainNotPreservedError(
                     "form domains only support plain matrix generators")
-        elif self.kind not in ("point", "subspace", "pair"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        elif g.duality and self.kind == "point":
-            raise DomainNotPreservedError(
-                f"duality does not act on the point domain {self.name}")
-        if not self.degree:
-            return np.arange(0)
-        parts, lookup = self._parts
-        if self.kind == "form":
-            forms = self.components[0][:, 0]
-            images = lookup.find(self._form_images(g, forms))
-        else:
-            images = self._member_images(g, parts)
-            images = images[:, 0] if lookup is None else lookup.find(images)
-        outside = np.flatnonzero(images < 0)
+            images = lookup.find(
+                self._form_images(g, self.components[0][:, 0]))
+            self._refuse_outside(images)
+            # the forms were mapped by Q -> Q o g, the inverse of the action
+            out[k] = np.argsort(images)
+        return out
+
+    def _refuse_outside(self, rows):
+        """Raise for the first label that a row maps to -1, rows in order."""
+        outside = np.flatnonzero(rows.ravel() < 0)
         if outside.size:
             raise DomainNotPreservedError(
-                f"generator maps label {self.labels[outside[0]]!r} of domain "
+                f"generator maps label "
+                f"{self.labels[outside[0] % self.degree]!r} of domain "
                 f"{self.name} outside the domain")
-        if self.kind == "form":
-            # the forms were mapped by Q -> Q o g, the inverse of the action
-            images = np.argsort(images)
-        return images
-
-    def _member_images(self, g: SemilinearMap, parts):
-        pts = projective_points(self.space.field, self.space.n)
-        point_perm = pts.image(g)
-        if point_perm.min() < 0:
-            raise DomainNotPreservedError(
-                f"a singular generator does not act on {self.name}")
-        moved = []
-        for j, (_, target) in enumerate(parts):
-            # duality sends W to W^perp, which swaps the halves of a pair;
-            # the perp of the image is read from the image of the basis
-            i = len(parts) - 1 - j if g.duality else j
-            if g.duality:
-                rows = _perp_points(self.space,
-                                    pts.apply(g, self.components[i]))
-            else:
-                rows = np.sort(point_perm[parts[i][0]], axis=1)
-            moved.append(target.find(rows)[self.members[:, i]])
-        return np.stack(moved, axis=1)
 
     def _form_images(self, g: SemilinearMap, table):
         # Q -> Q o g, whose inverse is the action Q -> Q o g^{-1}; so no
@@ -753,7 +831,7 @@ def perm_image(generators, domain: ActionDomain) -> PermGroup:
     if domain.degree > DEFAULT_DOMAIN_CAP:
         raise OverflowError(f"domain size {domain.degree} exceeds cap "
                             f"{DEFAULT_DOMAIN_CAP}")
-    return PermGroup(domain.degree, [domain.image(g) for g in generators])
+    return PermGroup(domain.degree, domain.images(list(generators)))
 
 
 # -- the individual domains --------------------------------------------------

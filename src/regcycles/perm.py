@@ -6,6 +6,10 @@ writing permutations as products of disjoint cycles.
 
 A group's generators cross module boundaries as one array of image rows
 (``PermGroup.images``); ``Permutation`` is the type of single elements.
+Arrays of rows go through the pointer-doubling kernel's least-point
+labels (``cycle_sizes``), and so does the group-file writer
+(``emit_group_file``); single elements keep the scalar cycle walk
+(``cycle_decomposition``, ``cycle_string``).
 A group is held as a stabilizer chain (``StabChain``), built lazily by a
 deterministic Schreier-Sims algorithm on such arrays.  It gives the
 order without enumeration, membership by sifting, and the elements,
@@ -115,10 +119,30 @@ def cycle_decomposition(images) -> list[tuple[int, ...]]:
     return cycles
 
 
+# The kernel runs on chunks of at most this many entries (rows x degree),
+# which stay in cache: the verifier's coset rows, regrouped by
+# regcycle._kernel_calls, as many words as fit in
+# regcycle.compare_actions_monotonic, or as many generators as
+# emit_group_file writes at once.  The kernel's temporaries hold 8 bytes
+# per entry, 124 KiB each at 2**14 - 2**9 entries: below glibc's default
+# mmap threshold of 128 KiB, so they come from the heap, not from fresh
+# mappings that every call page-faults in (at 2**15 entries, verify on
+# Sp6(2) took about 1.5 times as long).
+_CHUNK_ENTRIES = (1 << 14) - (1 << 9)
+
+
 def cycle_sizes(rows) -> np.ndarray:
     """The cycles of every row of an (r x d) array of image rows: an
     (r x d) intp array holding each cycle's length at its least point and
-    0 at every other point.
+    0 at every other point."""
+    r, d = rows.shape
+    return np.bincount(_cycle_labels(rows), minlength=r * d).reshape(r, d)
+
+
+def _cycle_labels(rows) -> np.ndarray:
+    """The least point of every point's cycle, for every row of an (r x d)
+    array of image rows, flat: entry i d + x is i d + (the least point of
+    the cycle of x in row i).
 
     Pointer doubling (Wyllie's list ranking): every point starts labelled
     with itself, and each round lowers a point's label to that of the
@@ -134,7 +158,7 @@ def cycle_sizes(rows) -> np.ndarray:
     while True:
         lower = np.minimum(label, label[step])
         if np.array_equal(lower, label):
-            return np.bincount(label, minlength=r * d).reshape(r, d)
+            return label
         label, step = lower, step[step]
 
 
@@ -632,10 +656,69 @@ def parse_group_file(text: str) -> PermGroup:
 
 
 def emit_group_file(G: PermGroup) -> str:
-    lines = [f"degree {G.degree}"]
-    # one row's Python ints at a time
-    lines.extend(cycle_string(row.tolist()) for row in G.images)
-    return "\n".join(lines) + "\n"
+    """The group file of G: "degree <d>", then each generator as
+    ``cycle_string`` writes it, formatted from arrays as many rows at a
+    time as fill a kernel chunk (``_cycle_text``)."""
+    per = max(1, _CHUNK_ENTRIES // G.degree)
+    text = [f"degree {G.degree}\n".encode()]
+    text += [_cycle_text(G.images[a:a + per])
+             for a in range(0, len(G.images), per)]
+    return b"".join(text).decode("ascii")
+
+
+def _cycle_text(rows) -> bytes:
+    """The lines of ``cycle_string`` for the (r x d) image rows, each
+    ending in a newline, as bytes.
+
+    The kernel's labels (``_cycle_labels``) give each point its cycle's
+    least point, and a second pointer doubling, over the inverse and
+    stopped at the least points, its distance from it.  The moved points
+    are scattered into output order (rows, then cycles by least point,
+    then distance), and every character into one byte buffer: each point
+    is "(" or " " and its digits, a last point adds ")", and a row ends in
+    a newline, after "id" if it moves nothing."""
+    r, d = rows.shape
+    label = _cycle_labels(rows)
+    back = np.empty(r * d, np.intp)
+    back[(rows + np.arange(0, r * d, d)[:, None]).ravel()] = np.arange(r * d)
+    least = label == np.arange(r * d)
+    back[least] = label[least]
+    dist = (~least).astype(np.intp)
+    while not np.array_equal(up := back[back], back):
+        dist += dist[back]
+        back = up
+    size = np.bincount(label, minlength=r * d)
+    size[size == 1] = 0  # fixed points are not written
+    moved = np.flatnonzero(size[label])
+    order = np.empty_like(moved)
+    order[(np.cumsum(size) - size)[label[moved]] + dist[moved]] = moved
+    # the tokens: the moved points in output order, each "(" or " ", its
+    # digits and, last in its cycle, ")"
+    row, value = np.divmod(order, d)
+    value += 1
+    digits = np.ones_like(value)
+    for power in range(1, len(str(d))):
+        digits += value >= 10**power
+    first = dist[order] == 0
+    last = dist[order] + 1 == size[label[order]]
+    width = 1 + digits + last
+    # a row ends in "\n", or "id\n" where it moves nothing
+    ends = np.where(np.bincount(row, minlength=r), 1, 3)
+    start = np.cumsum(width) - width + (np.cumsum(ends) - ends)[row]
+    done = np.cumsum(np.bincount(row, width, r).astype(np.intp) + ends)
+    text = np.full(done[-1], ord(" "), np.uint8)
+    text[start[first]] = ord("(")
+    text[(start + width - 1)[last]] = ord(")")
+    at = start + digits
+    for _ in range(digits.max(initial=0)):
+        text[at] = ord("0") + value % 10
+        value //= 10
+        keep = value > 0
+        at, value = at[keep] - 1, value[keep]
+    text[done - 1] = ord("\n")
+    empty = done[ends == 3]
+    text[empty - 3], text[empty - 2] = ord("i"), ord("d")
+    return text.tobytes()
 
 
 # -- stock constructions ------------------------------------------------------

@@ -55,6 +55,7 @@ import numpy as np
 
 from . import numtheory
 from .perm import (
+    _CHUNK_ENTRIES,
     DEFAULT_ELEMENT_CAP,
     PermGroup,
     Permutation,
@@ -162,17 +163,6 @@ def fix_union_test(g: Permutation) -> RegCycleReport:
         fix_union_size=sum(L for L in lengths if L < order),
         degree=d,
     )
-
-
-# The kernel runs on chunks of at most this many entries (rows x degree),
-# which stay in cache: the verifier's coset rows, regrouped by
-# _kernel_calls, or as many words as fit in compare_actions_monotonic.
-# The kernel's temporaries hold 8 bytes per entry, 124 KiB each at
-# 2**14 - 2**9 entries: below glibc's default mmap threshold of 128 KiB,
-# so they come from the heap, not from fresh mappings that every call
-# page-faults in (at 2**15 entries, verify on Sp6(2) took about 1.5 times
-# as long).
-_CHUNK_ENTRIES = (1 << 14) - (1 << 9)
 
 
 def _kernel_calls(blocks, rows_per_call: int):

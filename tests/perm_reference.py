@@ -9,8 +9,10 @@ from their own scalar walk, cycle types and orders; the sorted element
 list and the conjugacy classes; the stock groups Alt(m) and C_m, which
 only the tests build; fixed-point ratios and regular-cycle counts; the
 whole-array transversal product that `StabChain.cosets` lists in pieces,
-as the coset of the identity; and the two-action word loop that
-`compare_actions_monotonic` replaced with one diagonal action.
+as the coset of the identity; the two-action word loop that
+`compare_actions_monotonic` replaced with one diagonal action; and the
+group-file writer that formats one `cycle_string` per generator, which
+`perm.emit_group_file` replaced with whole-array passes.
 """
 
 import math
@@ -21,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from regcycles.perm import (DEFAULT_ELEMENT_CAP, PermGroup, Permutation,
-                            cycle_decomposition)
+                            cycle_decomposition, cycle_string)
 from regcycles.regcycle import (_CHUNK_ENTRIES, MAX_WORD_LENGTH,
                                 MonotonicityReport, _regular_cycles)
 
@@ -39,6 +41,14 @@ class CycleType:
     @property
     def order(self) -> int:
         return math.lcm(*self.lengths) if self.lengths else 1
+
+
+def emit_group_file(G: PermGroup) -> str:
+    """The group file as the scalar walk writes it: one ``cycle_string``
+    per generator row."""
+    lines = [f"degree {G.degree}"]
+    lines.extend(cycle_string(row.tolist()) for row in G.images)
+    return "\n".join(lines) + "\n"
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:

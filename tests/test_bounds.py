@@ -145,6 +145,35 @@ class TestANQ:
                 assert a >= bd.aut_prime_set(g).count, (family, n, q)
 
 
+    def test_p_prime_part_is_read_off_the_order_factors(self, monkeypatch):
+        # a_nq takes |Aut|_p' as prod(pieces) / d times |Out|_p'; for every
+        # group the three scans visit it is the p'-part of |Aut| itself
+        seen, post_init = [], GroupId.__post_init__
+
+        def recorded(self):
+            post_init(self)
+            seen.append(self)
+
+        monkeypatch.setattr(GroupId, "__post_init__", recorded)
+        bd.small_dim_scan()
+        bd.nonsubspace_scan()
+        bd.dagger_scan()
+        parts, robin_bound = [], nt.robin_bound
+
+        def read(part):
+            parts.append(part)
+            return robin_bound(part)
+
+        monkeypatch.setattr(nt, "robin_bound", read)
+        for g in seen:
+            try:
+                bd.a_nq(g)
+            except ValueError:
+                continue  # excluded, or A' < 26
+            assert parts.pop() == bd.p_prime_part(bd.aut_order(g), g.p), g
+        assert len(seen) > 700
+
+
 class TestTableConstants:
     def test_mstar_msharp(self):
         assert bd.mstar_msharp(gid("PSp", 6, 2)) == (3, 2)

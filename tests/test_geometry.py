@@ -1045,6 +1045,59 @@ class TestGoldenOutputs:
             assert len(set(dom.labels)) == dom.degree == len(lines)
 
 
+class TestBatchedImages:
+    """perm_image maps all generators at once, in batches: it must give
+    each generator's row, as the one-generator case gives it, and raise
+    the error of the first generator that does not act."""
+
+    @pytest.mark.parametrize("name, action, arg", [case[:3] for case in
+                                                   _GOLDEN],
+                             ids=[f"{name}-{action}-{arg}"
+                                  for name, action, arg, *_ in _GOLDEN])
+    def test_rows_are_the_single_images(self, name, action, arg):
+        space, gens = ge.builtin_matrix_group(name)
+        dom = TestGoldenOutputs._domain(space, action, arg)
+        assert (perm_image(gens, dom).images
+                == np.array([dom.image(g) for g in gens])).all()
+
+    def test_twists_and_dualities_among_plain_generators(self):
+        # GF(4): the twist is the Frobenius map; on pairs, duality swaps
+        # the halves of each pair
+        space = standard_form("trivial", 3, 2**2)
+        mats = _random_generators(space, random.Random(5))
+        gens = [SemilinearMap(mats[0]), SemilinearMap(mats[1], twist=1),
+                SemilinearMap(mats[2], duality=True),
+                SemilinearMap(mats[0], 1, True), SemilinearMap(mats[2])]
+        for dom in ge.pair_domains(space, 1):
+            assert perm_image(gens, dom).images.tolist() == [
+                list(reference_permutation(dom, g).images) for g in gens]
+
+    def test_the_first_generator_that_does_not_act_is_named(self):
+        # the similarity of test_similarity_swaps_ns1_orbits maps labels
+        # of NS1+ outside it; a singular matrix maps points to 0
+        F = standard_form("quadratic", 8, 3, "+")
+        plus, _minus = ge.nondegenerate_points(F)
+        outside = SemilinearMap(tuple(
+            tuple(2 if i % 2 and i == j else int(i == j) for j in range(8))
+            for i in range(8)))
+        singular = SemilinearMap(((1,) + (0,) * 7,) * 8)
+        plain = SemilinearMap(mat_identity(8))
+        label = "generator maps label (0, 0, 0, 0, 0, 0, 1, 1) of domain "
+        for gens, message in [
+                ([outside, singular], label),
+                ([plain, singular, outside], "a singular generator"),
+                ([plain, SemilinearMap(singular.matrix, duality=True),
+                  outside], "duality does not act"),
+                ([plain] * 40 + [outside, singular], label)]:
+            with pytest.raises(DomainNotPreservedError) as batched:
+                perm_image(gens, plus)
+            with pytest.raises(DomainNotPreservedError) as single:
+                for g in gens:
+                    plus.image(g)
+            assert str(batched.value) == str(single.value)
+            assert str(batched.value).startswith(message)
+
+
 class TestCombinatorialActions:
     def test_k_set_action(self):
         G = ge.k_set_action(5, 2)
@@ -1156,8 +1209,8 @@ class TestDomainCap:
         space, gens = ge.builtin_matrix_group("sp6_2")
         domain = ge.singular_points(space)
         monkeypatch.setattr(ge, "DEFAULT_DOMAIN_CAP", 62)
-        monkeypatch.setattr(ge.ActionDomain, "image",
-                            lambda self, g: pytest.fail("image computed"))
+        monkeypatch.setattr(ge.ActionDomain, "images",
+                            lambda self, gens: pytest.fail("image computed"))
         with pytest.raises(OverflowError,
                            match="^domain size 63 exceeds cap 62$"):
             ge.perm_image(gens, domain)

@@ -18,6 +18,7 @@ from perm_reference import (
     cycle_type,
     cyclic_group,
     element_order,
+    emit_group_file as reference_group_file,
     enumerate_elements,
     inverse,
     power,
@@ -168,6 +169,68 @@ class TestCycleSizes:
         assert cycle_sizes(rows).tolist() == [[3, 0, 0, 2, 0, 1],
                                               [1, 1, 1, 1, 1, 1],
                                               [6, 0, 0, 0, 0, 0]]
+
+
+@st.composite
+def writer_rows(draw):
+    """(degree, rows): random image rows of one degree, with identity
+    rows, fixed points, one long cycle and sparse rows among them."""
+    degree = draw(st.sampled_from([1, 2, 3, 9, 10, 11, 99, 100, 101, 1000,
+                                   1001, 12345]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["identity", "power", "cycle", "sparse"]), max_size=6)):
+        row = np.arange(degree)
+        if kind == "power":
+            # a random power of a random permutation: fixed points too
+            p = rng.permutation(degree)
+            for _ in range(rng.integers(1, 13)):
+                row = p[row]
+        elif kind == "cycle":
+            points = rng.permutation(degree)
+            row[points] = np.roll(points, -1)
+        elif kind == "sparse":
+            points = rng.permutation(degree)[:rng.integers(0, 8)]
+            row[points] = np.roll(points, -1)
+        rows.append(row)
+    return degree, rows
+
+
+class TestGroupFileWriter:
+    """emit_group_file against the scalar writer, one cycle_string per
+    row, and read back by parse_group_file."""
+
+    @given(writer_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_writes_what_the_scalar_walk_writes(self, case):
+        degree, rows = case
+        G = PermGroup(degree, rows)
+        text = emit_group_file(G)
+        assert text == reference_group_file(G)
+        assert (parse_group_file(text).images == G.images).all()
+
+    def test_sparse_rows_of_a_million_points(self):
+        # points of 1 to 7 digits, and rows across many writer blocks
+        d = 10**6
+        rows = [np.arange(d) for _ in range(3)]
+        rows[0][[0, 9, 99, 999, 9999, 99999, d - 1]] = \
+            [9, 99, 999, 9999, 99999, d - 1, 0]
+        rows[2][[5, d - 2]] = [d - 2, 5]
+        G = PermGroup(d, rows)
+        text = emit_group_file(G)
+        assert text == reference_group_file(G) == (
+            f"degree {d}\n(1 10 100 1000 10000 100000 {d})\nid\n"
+            f"(6 {d - 1})\n")
+        assert (parse_group_file(text).images == G.images).all()
+
+    def test_many_small_rows_span_blocks(self):
+        G = PermGroup(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0], list(range(5))]
+                      * 5000)
+        assert emit_group_file(G) == reference_group_file(G)
+
+    def test_no_generators(self):
+        assert emit_group_file(PermGroup(4, [])) == "degree 4\n"
 
 
 class TestGroups:
