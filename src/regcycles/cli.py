@@ -344,6 +344,11 @@ def _fail(line: str) -> int:
 
 
 def main(argv=None) -> int:
+    # set before any handler imports numpy: OpenBLAS starts its thread
+    # pool when it loads, about 70 ms of a fresh `import numpy` on two
+    # cores, and no product here is large enough to use it.  A setting of
+    # the user's own wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

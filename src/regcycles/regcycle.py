@@ -15,16 +15,18 @@ Fixed-point counts come from one cycle decomposition: Fix(g**m) is the
 union of the cycles of g whose length divides m, so ``check``
 (``fix_union_test``) takes S and the primes of |g| from the distinct
 cycle lengths and never factors |g|.  The bulk verifier reads
-cycle types (a class function) from one coset of G_(l) per G_(l)-orbit on
-the images of the first l base points, G_(l) their pointwise stabilizer,
-in blocks from the chain's one coset recursion (``perm.StabChain.cosets``).
-The level l is 1 or 2, whichever reads fewer rows, #orbits x |G_(l)|; the
-level-2 orbits are only computed when the level-1 rows pass one kernel
-chunk and n1 n2, the product of the first two orbit lengths and a lower
-bound for their rows, is below them.  The verifier only counts elements
-of square-free order when asked to, which is sound for the "all-regular"
-verdict: if some element has no regular cycle, a suitable power of
-square-free order also has none.
+cycle types (a class function) from cosets of the chain's stabilizers
+G_(l), G_(l) fixing the first l base points, in blocks from the chain's
+one coset recursion (``perm.StabChain.cosets``).  The cosets
+{g : g(b1) = beta} of one G_(1)-orbit have the same cycle types, and each
+orbit is read the way that takes the fewest rows (``_orbit_readings``):
+its coset whole, one coset of G_(2) per G_(2)-orbit on the base-point
+pairs over it, or, for the orbits of b1 and of b2, split by the chain's
+own stabilizers, down the whole chain for G_(1) itself.  Below one
+kernel chunk every coset is read whole.  The verifier only counts
+elements of square-free order when asked to, which is sound for the
+"all-regular" verdict: if some element has no regular cycle, a suitable
+power of square-free order also has none.
 
 Bulk questions, the verifier's cosets and the sampled words of
 ``compare_actions_monotonic``, go through one kernel, ``perm.cycle_sizes``,
@@ -45,6 +47,7 @@ call on the whole diagonal rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -59,6 +62,7 @@ from .perm import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
     Permutation,
+    _orbits,
     _point_dtype,
     cycle_decomposition,
     cycle_sizes,
@@ -232,32 +236,109 @@ class VerifyReport:
         }
 
 
+def _orbit_readings(chain, k: int = 0):
+    """How to read G_(k) by cycle types, as (orbits, pieces): orbits has
+    one entry (O, rows, kind) per orbit O of G_(k+1) on the orbit of
+    b = b_(k+1) (at k = 0, on the images of b1, the orbits of
+    ``stabilizer_orbits``), the reading chosen for O and the kernel rows
+    it takes, and pieces (level, xs, weights, owners) are the cosets
+    read: x G_(level) for each row x of xs, standing for `weight` cosets
+    of G_(level) with its cycle types, in the reading of orbit number
+    `owner`.  Each orbit takes the fewest rows of these readings:
+
+    - "whole": the coset {g : g(b) = O[0]} of G_(k+1), weight |O|;
+    - "branch", for O = {b}: that coset is G_(k+1), read the same way
+      one level down;
+    - "split", for O the orbit of the next base point b': split the
+      coset {g : g(b) = b'} by delta = g(b').  G_(k+2) fixes b and b',
+      so conjugation maps the piece of delta onto that of its image, and
+      one coset of G_(k+2) per G_(k+2)-orbit on the deltas is read,
+      weight |O| times the orbit length;
+    - "pairs", at k = 0 only: one coset of G_(2) per orbit of G_(2) on
+      the base-point pairs over O (``stabilizer_orbits(2)``), weight its
+      length.  They take at least |O| n2 rows, n2 the second orbit
+      length, so they are only computed when that is below |G_(1)|.  Over
+      {b1} and the orbit of b2 they read at least the rows of the branch
+      and of the split, so they are only weighed for other orbits.
+
+    A tie keeps the whole coset."""
+    levels, d, n = chain.levels, chain.degree, chain.orbit_lengths
+    depth, lev = len(levels), levels[k]
+    sizes = [math.prod(n[j:]) for j in range(depth + 1)]  # |G_(j)|
+
+    def orbits(j, points):  # the orbits of G_(j) on the points
+        return _orbits(sorted(points),
+                       levels[j].gens.tolist() if j < depth else [])
+
+    parts = orbits(k + 1, lev.orbit.tolist())
+    reps = lev.trans[lev.pos[[orbit[0] for orbit in parts]]]
+    # every coset is read whole where G_(k+1) is trivial, and at k = 0
+    # where the whole cosets fit one kernel chunk: one call reads them all
+    if k + 1 == depth or k == 0 \
+            and len(parts) * sizes[1] * d <= _CHUNK_ENTRIES:
+        return ([(orbit, sizes[k + 1], "whole") for orbit in parts],
+                [(k + 1, reps, [len(orbit) for orbit in parts],
+                  range(len(parts)))])
+    nxt, pairs = levels[k + 1], None  # pairs: first point -> pair orbits
+    found, pieces = [], []
+    for i, orbit in enumerate(parts):
+        readings = [(sizes[k + 1], "whole",
+                     [(k + 1, reps[i:i + 1], [len(orbit)])])]
+        if orbit == [lev.point]:
+            below, blocks = _orbit_readings(chain, k + 1)
+            readings.append((sum(r[1] for r in below), "branch",
+                             [block[:3] for block in blocks]))
+        elif nxt.point in orbit:
+            j = lev.pos[nxt.point]
+            u, back = lev.trans[j], lev.inv[j]  # u(b) = b'
+            deltas = orbits(k + 2, u[nxt.orbit].tolist())
+            v = nxt.trans[nxt.pos[back[[delta[0] for delta in deltas]]]]
+            readings.append((len(deltas) * sizes[k + 2], "split", [
+                (k + 2, u[v], [len(orbit) * len(delta)
+                               for delta in deltas])]))
+        elif k == 0 and len(orbit) * len(nxt.orbit) < sizes[1]:
+            if pairs is None:
+                pairs = {}
+                for codes in chain.stabilizer_orbits(2):
+                    pairs.setdefault(codes[0] // d, []).append(codes)
+            over = [codes for beta in orbit for codes in pairs.get(beta, ())]
+            readings.append((len(over) * sizes[2], "pairs", [
+                (2, chain.representatives([c[0] for c in over], 2),
+                 [len(codes) for codes in over])]))
+        rows, kind, blocks = min(readings, key=operator.itemgetter(0))
+        found.append((orbit, rows, kind))
+        pieces += [(level, xs, weights, [i] * len(weights))
+                   for level, xs, weights in blocks]
+    return found, pieces
+
+
 def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
                         square_free_only: bool = False,
                         max_witnesses: int = 5) -> VerifyReport:
     """Check every element of G (or every square-free-order element).
 
     Take the stabilizer chain of G with base b1, b2, ..., and let G_(l) fix
-    b1, ..., bl.  The elements split into the cosets {g : g(b_i) = beta_i
-    for i <= l}, one per image (beta_1, ..., beta_l) of (b1, ..., bl).
-    Conjugation by h in G_(l) maps the coset of an image onto that of its
-    h-image and keeps cycle types, so one coset per G_(l)-orbit on the
-    images is checked and its counts are weighted by the orbit length.
-    The level l is 1 or 2, whichever reads fewer rows, #orbits x |G_(l)|:
-    the level-2 orbits are computed only when the level-1 rows pass one
-    kernel chunk and the product n1 n2 of the first two orbit lengths, a
-    lower bound for their rows, is below them, and level 2 is used only
-    when its rows are fewer still.  The chain hands the cosets out in
+    b1, ..., bl.  The elements split into the cosets {g : g(b1) = beta},
+    one per image beta of b1.  Conjugation by h in G_(1) maps the coset of
+    beta onto that of h(beta) and keeps cycle types, so the cosets of one
+    G_(1)-orbit O have the same counts, and each orbit is read the way
+    that takes the fewest kernel rows (``_orbit_readings``): its coset
+    whole, one coset of G_(2) per G_(2)-orbit on the base-point pairs
+    over O, the chain's own stabilizers splitting G_(1) itself (O = {b1})
+    or the coset of b2 (O the orbit of b2).  Each coset read is weighted
+    by the number of cosets it stands for.  Those readings are only
+    weighed when the orbits' whole cosets pass one kernel chunk; below
+    that every coset is read whole.  The chain hands the cosets out in
     blocks of at most 2 * _CHUNK_ENTRIES entries, cosets x a piece of
     G_(l) (``StabChain.cosets``); one scan loop copies their rows into
     kernel calls of _CHUNK_ENTRIES // degree rows (``_kernel_calls``) and
     sums each call's counts per coset.
 
     Witnesses are the lexicographically least failures: every element
-    fixes the points below b1, so they are read from the level-1 cosets
+    fixes the points below b1, so they are read from the cosets
     {g : g(b1) = beta} in ascending beta, as many as hold max_witnesses
-    failures; a coset of beta holds the failures of the counted cosets of
-    its images (beta, ...).  Only failing rows become lists.
+    failures; every coset of an orbit holds the same number.  Only
+    failing rows become lists.
 
     The "all-regular" verdict of the square-free-only run equals that of the
     exhaustive run: an element without a regular cycle powers down to a
@@ -267,49 +348,61 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     chain = G.stabilizer_chain(cap)
     square_free = _square_free_table(G.degree) if square_free_only else None
 
-    def scan(level, codes, failing=None):
-        """Rows checked (None when every row is) and rows failing in the
-        coset of each coded image of the first `level` base points; the
-        failing rows are appended to `failing` as lists, if given."""
-        n_checked = np.zeros(len(codes), np.intp) if square_free_only \
-            else None
-        n_failed = np.zeros(len(codes), np.intp)
-        reps = chain.representatives(codes, level)
-        # blocks of two calls' entries: the chain cuts fewer of them, and
-        # they hold points, one or two bytes each, not the kernel's int64
-        blocks = chain.cosets(reps, level, 2 * _CHUNK_ENTRIES)
-        for rows, slices in _kernel_calls(blocks, _CHUNK_ENTRIES // G.degree):
+    def scan(pieces, failing=None):
+        """Rows checked (None when every row is) and rows failing in each
+        coset x G_(level), x a row of reps, of the pieces (level, reps),
+        in order; the failing rows are appended to `failing` as lists, if
+        given."""
+        total = sum(len(reps) for _level, reps in pieces)
+        n_checked = np.zeros(total, np.intp) if square_free_only else None
+        n_failed = np.zeros(total, np.intp)
+
+        def blocks():
+            offset = 0
+            # blocks of two calls' entries: the chain cuts fewer of them,
+            # and they hold points, one or two bytes each, not the
+            # kernel's int64
+            for level, reps in pieces:
+                for first, at, rows in chain.cosets(reps, level,
+                                                    2 * _CHUNK_ENTRIES):
+                    yield offset + first, at, rows
+                offset += len(reps)
+
+        for rows, slices in _kernel_calls(blocks(),
+                                          _CHUNK_ENTRIES // G.degree):
             regular, kept = _regular_cycles(rows, square_free)
             fail = regular == 0
             # one sum per coset; the owners are only read where needed
             if kept is not None:
                 fail &= kept
                 n_checked += np.bincount(_owners(slices)[kept],
-                                         minlength=len(codes))
+                                         minlength=total)
             if fail.any():
                 n_failed += np.bincount(_owners(slices)[fail],
-                                        minlength=len(codes))
+                                        minlength=total)
                 if failing is not None:
                     failing += rows[fail].tolist()
         return n_checked, n_failed
 
-    level, orbits = 1, chain.stabilizer_orbits()
-    n = chain.orbit_lengths
-    rows1 = len(orbits) * (chain.order // n[0])
-    if len(n) > 1 and n[0] * n[1] < rows1 \
-            and rows1 * G.degree > _CHUNK_ENTRIES:
-        pairs = chain.stabilizer_orbits(2)
-        if len(pairs) * (chain.order // (n[0] * n[1])) < rows1:
-            level, orbits = 2, pairs
-    counts, fails = scan(level, [orbit[0] for orbit in orbits])
+    orbits, pieces = _orbit_readings(chain)
+    # the cosets of one level together: the chain hands them out in one
+    # recursion
+    by_level = operator.itemgetter(0)
+    pieces.sort(key=by_level)
+    counts, fails = scan([
+        (level, np.concatenate([xs for _level, xs, _w, _o in group]))
+        for level, group in itertools.groupby(pieces, by_level)])
+    weights = [w for piece in pieces for w in piece[2]]
+    owners = [i for piece in pieces for i in piece[3]]
     checked = chain.order if counts is None else sum(
-        c * len(orbit) for c, orbit in zip(counts.tolist(), orbits))
+        map(operator.mul, counts.tolist(), weights))
+    per_orbit = [0] * len(orbits)  # failing rows over each orbit's cosets
+    for j in np.flatnonzero(fails).tolist():
+        per_orbit[owners[j]] += int(fails[j]) * weights[j]
     failures: dict[int, int] = {}  # beta -> failing rows in its coset of G_b
-    for orbit, count in zip(orbits, fails.tolist()):
+    for (orbit, _rows, _kind), count in zip(orbits, per_orbit):
         if count:
-            for code in orbit:
-                beta = code // G.degree ** (level - 1)
-                failures[beta] = failures.get(beta, 0) + count
+            failures.update(dict.fromkeys(orbit, count // len(orbit)))
     # the fewest cosets, in ascending beta, that hold max_witnesses failures;
     # every row fixes the points below b and maps b to its beta, so sorting
     # their failing rows sorts by beta first
@@ -320,7 +413,7 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
         wanted.append(beta)
         found += failures[beta]
     least: list[list[int]] = []
-    scan(1, wanted, least)
+    scan([(1, chain.representatives(wanted, 1))], least)
     witnesses = tuple(map(Permutation, sorted(least)[:max_witnesses]))
     return VerifyReport(checked, sum(failures.values()), chain.order,
                         witnesses, square_free_only)

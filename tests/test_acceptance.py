@@ -16,19 +16,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from corpus import MAX_DEGREE, MAX_ORDER, corpus_groups
+from corpus import (MAX_DEGREE, MAX_ORDER, corpus_groups, dihedral,
+                    direct_sum, projective_line_group)
 from geometry_reference import (duality_map, map_order, mat_identity,
                                 mat_mul, polarized_quad_value,
                                 semisimple_decomposition, sl_generators,
                                 subspace_contains, subspace_intersection_dim,
                                 vec_mat)
-from perm_reference import alternating_group
+from perm_reference import alternating_group, cyclic_group
 from regcycles import bounds as bd
 from regcycles import geometry as geo
 from regcycles import numtheory as nt
 from regcycles import perm, regcycle
 from regcycles.bounds import GroupId
-from regcycles.perm import Permutation, has_regular_cycle_direct
+from regcycles.perm import (PermGroup, Permutation,
+                             has_regular_cycle_direct)
 from regcycles.regcycle import (compare_actions_monotonic, fix_union_test,
                                 verify_all_elements)
 from test_bounds import DAGGER, TABLE_NONSUBSPACE, TABLE_SMALL_DIM
@@ -160,9 +162,14 @@ class TestSquareFreeReduction:
 # 3b. one coset per stabilizer orbit stands for the whole group
 
 def brute_force_verify(G, max_witnesses=5):
-    """{square_free_only: (checked, verdict, witnesses)} from one scan of
-    every row of the sorted enumeration, with its own cycle walk."""
+    """({square_free_only: (checked, failing, verdict, witnesses)}, images)
+    from one scan of every row of the sorted enumeration, with its own
+    cycle walk; images are those of the least point G moves (0 if none)
+    under the failing elements."""
+    moved = [x for g in G.generators for x in range(G.degree) if g(x) != x]
+    point = min(moved, default=0)
     out = {sf: [0, 0, []] for sf in (False, True)}  # checked, failing, least
+    images = set()
     for row in G.element_array(MAX_ORDER + 1).tolist():
         seen = [False] * len(row)
         lengths = []
@@ -176,6 +183,8 @@ def brute_force_verify(G, max_witnesses=5):
                 lengths.append(n)
         order = math.lcm(*lengths)
         square_free = all(order % (p * p) for p in range(2, order + 1))
+        if order not in lengths:
+            images.add(row[point])
         for sf in (False, True):
             if sf and not square_free:
                 continue
@@ -185,60 +194,131 @@ def brute_force_verify(G, max_witnesses=5):
                 tally[1] += 1
                 if len(tally[2]) < max_witnesses:
                     tally[2].append(tuple(row))
-    return {sf: (checked, "failures" if failures else "all-regular",
+    return {sf: (checked, failing, "failures" if failing else "all-regular",
                  tuple(witnesses))
-            for sf, (checked, failures, witnesses) in out.items()}
+            for sf, (checked, failing, witnesses) in out.items()}, images
+
+
+def relabelled(G, seed=SEED):
+    """G with its points renamed by a seeded random permutation s: each
+    generator g becomes s g s^-1."""
+    s = list(range(G.degree))
+    random.Random(seed).shuffle(s)
+    gens = []
+    for g in G.generators:
+        images = [0] * G.degree
+        for x, y in enumerate(g.images):
+            images[s[x]] = s[y]
+        gens.append(Permutation(images))
+    return PermGroup(G.degree, gens)
+
+
+def one_level_rows(chain):
+    """The kernel rows of one coset of G_(l) per G_(l)-orbit on the images
+    of the first l base points, for the one level l that reads fewer, 1 or
+    2, with level 2 weighed only past one kernel chunk and when n1 n2, a
+    lower bound for its rows, is below those of level 1."""
+    n = chain.orbit_lengths
+    stabilizer = chain.order // n[0]
+    rows = len(chain.stabilizer_orbits()) * stabilizer
+    if len(n) > 1 and n[0] * n[1] < rows \
+            and rows * chain.degree > regcycle._CHUNK_ENTRIES:
+        rows = min(rows, len(chain.stabilizer_orbits(2)) * stabilizer // n[1])
+    return rows
+
+
+def read_rows(chain):
+    """The kernel rows of the counting pass, from its readings, after
+    checking that each orbit's rows are those of the cosets read for it."""
+    orbits, pieces = regcycle._orbit_readings(chain)
+    rows = [0] * len(orbits)
+    for level, xs, weights, owners in pieces:
+        assert len(xs) == len(weights) == len(owners)
+        for i in owners:
+            rows[i] += chain.order // math.prod(chain.orbit_lengths[:level])
+    assert rows == [r for _orbit, r, _kind in orbits]
+    return sum(rows)
 
 
 class TestOrbitRepresentativeReduction:
-    @pytest.fixture
-    def levels(self, monkeypatch):
-        """The level of every StabChain.cosets call, in call order; a
-        verify run's first is the level of its counting pass."""
-        levels, cosets = [], perm.StabChain.cosets
+    # besides the corpus: two groups on relabelled points, so that their
+    # transversals and least failures differ from those of the corpus's
+    # copies (PSL2(29) passes one kernel chunk, Sym(7) has failures), one
+    # whose second base point lies outside the orbit of the first, and one
+    # whose G_(2) is trivial, also past one kernel chunk
+    EXTRA = [("psl2-29-relabelled", relabelled(projective_line_group(29))),
+             ("sym-7-relabelled", relabelled(perm.symmetric_group(7))),
+             ("cyclic-3-plus-sym-6",
+              direct_sum(cyclic_group(3), perm.symmetric_group(6))),
+             ("dihedral-127", dihedral(127))]
 
-        def recorded(chain, reps, level, entries):
-            levels.append(level)
-            return cosets(chain, reps, level, entries)
+    def test_extra_groups_have_their_shapes(self):
+        groups = dict(self.EXTRA)
+        chain = groups["cyclic-3-plus-sym-6"].stabilizer_chain()
+        assert chain.base[1] not in chain.levels[0].orbit
+        chain = groups["dihedral-127"].stabilizer_chain()
+        assert chain.orbit_lengths == [127, 2]  # G_(2) = 1
+        assert len(chain.stabilizer_orbits()) * 2 * 127 \
+            > regcycle._CHUNK_ENTRIES
 
-        monkeypatch.setattr(perm.StabChain, "cosets", recorded)
-        return levels
-
-    def test_matches_brute_force_scan_on_whole_corpus(self, corpus, levels):
-        late_base_with_failures, counted_at = [], {1: [], 2: []}
-        for name, G in corpus:
-            expected = brute_force_verify(G)
+    def test_matches_brute_force_scan_on_whole_corpus(self, corpus):
+        late_base_with_failures = []
+        read, failing_under = {}, {}  # reading -> groups with an orbit so read
+        for name, G in corpus + self.EXTRA:
+            expected, images = brute_force_verify(G)
             for sf in (False, True):
-                levels.clear()
                 report = verify_all_elements(G, cap=MAX_ORDER + 1,
                                              square_free_only=sf)
-                got = (report.checked, report.verdict,
+                got = (report.checked, report.failing, report.verdict,
                        tuple(w.images for w in report.witnesses))
                 assert got == expected[sf], (name, sf)
-            counted_at[levels[0]].append((name, expected[False][1]))
-            if (G.stabilizer_chain().base[0] > 0
-                    and expected[False][1] == "failures"):
+            chain = G.stabilizer_chain()
+            orbits, _pieces = regcycle._orbit_readings(chain)
+            for orbit, _rows, kind in orbits:
+                read.setdefault(kind, []).append(name)
+                if images & set(orbit):
+                    failing_under.setdefault(kind, []).append(name)
+            if chain.base[0] > 0 and images:
                 late_base_with_failures.append(name)
         assert any(not G.is_transitive() for _, G in corpus)
         assert late_base_with_failures
-        # both levels are exercised, level 2 with failures too
-        assert counted_at[1] and counted_at[2]
-        assert any(verdict == "failures" for _, verdict in counted_at[2])
+        # every reading is used, and the branch and the split over orbits
+        # that hold failures
+        assert set(read) == {"whole", "pairs", "branch", "split"}
+        assert failing_under["branch"] and failing_under["split"]
 
-    def test_level_two_only_past_one_kernel_chunk(self, sp6, levels):
-        # the level-1 rows of Sym(7), 2 cosets of 720 rows of 7 points,
-        # fit one kernel chunk, so its pair orbits are not computed, though
-        # level 2 would read 7 x 120 rows; those of Sym(8) (2 x 5,040 x 8
-        # entries) and Sp6(2) (3 x 23,040 x 63) do not, and their level 2
-        # reads fewer
+    def test_readings_only_past_one_kernel_chunk(self, sp6):
+        # the whole cosets of Sym(7), 2 cosets of 720 rows of 7 points,
+        # fit one kernel chunk, so they are read whole, though the branch
+        # and the split would read fewer rows; those of Sym(8) (2 x 5,040
+        # x 8 entries) and Sp6(2) (3 x 23,040 x 63) do not
         space, gens = sp6
-        for G, level in ((perm.symmetric_group(7), 1),
-                         (perm.symmetric_group(8), 2),
-                         (geo.perm_image(gens, geo.singular_points(space)),
-                          2)):
-            levels.clear()
+        for G, kinds in (
+                (perm.symmetric_group(7), ["whole", "whole"]),
+                (perm.symmetric_group(8), ["branch", "split"]),
+                (geo.perm_image(gens, geo.singular_points(space)),
+                 ["branch", "split", "pairs"])):
+            orbits, _pieces = regcycle._orbit_readings(G.stabilizer_chain())
+            assert [kind for _orbit, _rows, kind in orbits] == kinds
             assert verify_all_elements(G).checked == G.order()
-            assert levels[0] == level, G
+
+    def test_never_reads_more_rows_than_one_level(self, corpus, sp6, su5):
+        for name, G in corpus + self.EXTRA:
+            chain = G.stabilizer_chain()
+            assert read_rows(chain) <= one_level_rows(chain), name
+        # PSL2(47) on 48 points: one level reads 2 x 1,081 rows; G_b and
+        # the coset of b2 each take 3 cosets of G_(2) of 23 elements
+        chain = dict(corpus)["psl2-47"].stabilizer_chain()
+        assert (read_rows(chain), one_level_rows(chain)) == (138, 2162)
+        # rows of Sp6(2) on points, SU5(2) on points and on maximal
+        # totally singular subspaces, against those of one level
+        for (space, gens), domain, rows in (
+                (sp6, geo.singular_points, (13776, 28800)),
+                (su5, geo.singular_points, (24864, 89424)),
+                (su5, geo.maximal_totally_singular, (55710, 93312))):
+            chain = geo.perm_image(gens, domain(space)).stabilizer_chain(
+                2 * 10**7)
+            assert (read_rows(chain), one_level_rows(chain)) == rows
 
     def test_coset_over_several_kernel_chunks(self):
         # Sym(8) on 8 points: a coset of G_b has 5,040 rows, more than one
@@ -248,10 +328,10 @@ class TestOrbitRepresentativeReduction:
         stab_order = chain.order // len(chain.levels[0].orbit)
         assert stab_order == 5040
         assert stab_order * G.degree > regcycle._CHUNK_ENTRIES
-        expected = brute_force_verify(G)
+        expected, _images = brute_force_verify(G)
         for sf in (False, True):
             report = verify_all_elements(G, square_free_only=sf)
-            got = (report.checked, report.verdict,
+            got = (report.checked, report.failing, report.verdict,
                    tuple(w.images for w in report.witnesses))
             assert got == expected[sf], sf
 

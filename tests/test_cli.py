@@ -276,6 +276,42 @@ class TestSubcommandImports:
         assert not loaded & unloaded
 
 
+class TestOpenBlasThreads:
+    """A fresh process runs numpy's OpenBLAS on one thread, unless its
+    environment names a count of its own: ``main`` sets the default
+    before any handler imports numpy, which starts the thread pool."""
+
+    # run main, then print on stderr the thread count setting and, where
+    # /proc lists them, the threads of the process
+    SHOW = ("import os, sys\n"
+            "from regcycles.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "tasks = '/proc/self/task'\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+            "      len(os.listdir(tasks)) if os.path.isdir(tasks) else '-',\n"
+            "      'numpy' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(code)\n")
+
+    @pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset"])
+    def test_one_thread_unless_set(self, alt5_file, preset):
+        src = str(Path(__file__).parents[1] / "src")
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", self.SHOW, "verify",
+                               "--group", alt5_file], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        setting, threads, numpy_loaded = proc.stderr.split()
+        assert numpy_loaded == "True"
+        assert setting == (preset or "1")
+        if preset is None and threads != "-":
+            assert threads == "1"
+
+
 # q**n past 2**4096: GroupId refuses these before it forms q**n, which for
 # n = 10**10, q = 3 alone would take about 2 GB
 _PAST_THE_QN_CAP = [

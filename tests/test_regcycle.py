@@ -245,11 +245,17 @@ class TestVerifyAllElements:
         assert rep.witnesses[0] == min(failing)
 
     def test_sp6_2_reads_one_coset_per_pair_orbit(self, monkeypatch):
-        # Sp6(2) on 63 points: 40 orbits of G_(2) (720 elements) on the
-        # 63 x 32 base-point pairs, 28,800 rows; one coset per G_b-orbit
-        # would be 3 x 23,040 = 69,120 rows.  The rows are regrouped into
-        # kernel calls of 15,872 // 63 = 251 rows, so the 28,800 rows take
-        # 114 full calls and one of 186 rows
+        # Sp6(2) on 63 points, base orbits 63, 32, 15, 6, 4, 2: G_b has
+        # three orbits, {b1}, the 32 points of b2 and 30 more.  One coset
+        # of G_(2) (720 elements) per G_(2)-orbit on the 63 x 32 base-point
+        # pairs would read 40 x 720 = 28,800 rows, and one coset per
+        # G_b-orbit 3 x 23,040 = 69,120.  Each orbit is read its cheapest
+        # way: G_b itself through the chain's stabilizers (2,256 rows),
+        # the coset of b2 split by the image of b2 (4 x 720 = 2,880) and
+        # the last orbit one coset per pair orbit (12 x 720 = 8,640),
+        # 13,776 rows.  They are regrouped into kernel calls of
+        # 15,872 // 63 = 251 rows, so they take 54 full calls and one of
+        # 222 rows
         space, gens = geometry.builtin_matrix_group("sp6_2")
         G = geometry.perm_image(gens, geometry.singular_points(space))
         rows, kernel = [], rc._regular_cycles
@@ -263,8 +269,8 @@ class TestVerifyAllElements:
         assert report.all_regular  # so no witness pass reads a row
         assert report.failing == 0 and report.verdict == "all-regular"
         assert report.checked == 1451520
-        assert sum(rows) == 28800
-        assert rows == [251] * 114 + [186]
+        assert sum(rows) == 13776
+        assert rows == [251] * 54 + [222]
 
     def test_kernel_calls_split_blocks_and_keep_their_owners(self):
         # blocks of 2 x 3 and 1 x 4 rows of degree 2, in calls of 4 rows:
