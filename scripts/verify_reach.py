@@ -12,8 +12,10 @@ another.  One JSON line per action gives the verify process's wall time and
 peak RSS (its own ru_maxrss, from os.wait4), its exit code, verdict and
 count of elements checked, and the kernel rows its counting pass reads,
 from the readings the chain chooses (``regcycle._orbit_readings``),
-computed in a third, untimed process.  A verdict of failures also reads
-whole cosets of G_(1) for its witnesses, which that count leaves out.
+computed in a third, untimed process: in all, and by the reading of the
+orbits of G_(1) they are read for (whole, branch or pairs).  A verdict
+of failures also reads whole cosets of G_(1) for its witnesses, which
+that count leaves out.
 
 Each pair of the compare table (both run when no NAME is given) is built
 the same way, its non-degenerate 2-subspaces through the library in a
@@ -71,13 +73,16 @@ with open(sys.argv[2], "w", encoding="utf-8") as fh:
     fh.write(perm.emit_group_file(G))
 """
 # prints the kernel rows of verify's counting pass on the group file
-# argv[1] at --cap argv[2]
-VERIFY_ROWS = """import sys
+# argv[1] at --cap argv[2], as JSON, by the reading of the orbits of G_(1)
+VERIFY_ROWS = """import json, sys
 from regcycles import perm, regcycle
 with open(sys.argv[1], encoding="utf-8") as fh:
     G = perm.parse_group_file(fh.read())
 chain = G.stabilizer_chain(int(sys.argv[2]))
-print(sum(rows for _orbit, rows, _kind in regcycle._orbit_readings(chain)[0]))
+by_kind = {}
+for _orbit, rows, kind in regcycle._orbit_readings(chain)[0]:
+    by_kind[kind] = by_kind.get(kind, 0) + rows
+print(json.dumps(by_kind))
 """
 
 # name: (builtin group, build-action type, verify --cap)
@@ -161,15 +166,17 @@ def reach(name, workdir):
     code, out, wall, rss = run_cli(["verify", "--group", path, "--json",
                                     "--cap", str(cap)])
     report = json.loads(out) if code in (0, 1) else {}
-    rows = None
+    by_kind = None
     if report:
         _code, text, _wall, _rss = run_cli([path, str(cap)],
                                            code=VERIFY_ROWS)
-        rows = int(text)
+        by_kind = json.loads(text)
     return {"action": name, "degree": degree, "cap": cap, "exit": code,
             "verdict": report.get("verdict"),
-            "checked": report.get("checked"), "kernel_rows": rows,
-            "wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1)}
+            "checked": report.get("checked"),
+            "kernel_rows": by_kind and sum(by_kind.values()),
+            "kernel_rows_by_kind": by_kind, "wall_s": round(wall, 3),
+            "peak_rss_mb": round(rss, 1)}
 
 
 def compare(name, workdir):

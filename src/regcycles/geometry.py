@@ -230,9 +230,6 @@ class Subspace(NamedTuple):
 # ---------------------------------------------------------------------------
 # classical form spaces
 
-_QUAD_KINDS = {"+", "-", "o"}
-
-
 class FormSpace:
     """A vector space over GF(q0) with a fixed non-degenerate classical form.
 
@@ -246,21 +243,16 @@ class FormSpace:
 
     Basis convention: hyperbolic pairs are interleaved, so basis vectors
     2i, 2i+1 form the i-th hyperbolic pair, followed by the anisotropic
-    tail (if any).
+    tail (if any).  ``standard_form`` builds these spaces and refuses
+    every invalid argument; the constructor takes its arguments as given.
     """
 
     def __init__(self, kind, n, field: Fq, epsilon=None, upper=None):
-        if kind not in ("trivial", "symplectic", "hermitian", "quadratic"):
-            raise ValueError(f"unknown form kind {kind!r}")
-        if kind == "quadratic" and epsilon not in _QUAD_KINDS:
-            raise ValueError("quadratic form needs epsilon in {+, -, o}")
         self.kind = kind
         self.n = n
         self.field = field
         self.epsilon = epsilon if kind == "quadratic" else None
         if kind == "hermitian":
-            if field.e % 2:
-                raise ValueError("hermitian form needs a field GF(q**2)")
             self.q = field.p**(field.e // 2)
             self.conj_table = field.frobenius_table(field.e // 2)
         else:
@@ -292,11 +284,10 @@ class FormSpace:
         n = self.n
         if self.kind == "trivial":
             return n
-        if self.kind in ("symplectic",):
-            return n // 2
-        if self.kind == "hermitian":
-            return n // 2
-        return {"+": n // 2, "-": n // 2 - 1, "o": (n - 1) // 2}[self.epsilon]
+        if self.kind == "quadratic":
+            return {"+": n // 2, "-": n // 2 - 1,
+                    "o": (n - 1) // 2}[self.epsilon]
+        return n // 2  # symplectic and hermitian
 
     # -- form values in bulk ------------------------------------------------
 
@@ -362,7 +353,7 @@ def standard_form(kind, n, q, epsilon=None, modulus=None) -> FormSpace:
         return FormSpace(kind, n, field)
     if kind != "quadratic":
         raise ValueError(f"unknown form kind {kind!r}")
-    if epsilon not in _QUAD_KINDS:
+    if epsilon not in ("+", "-", "o"):
         raise ValueError("quadratic form needs epsilon in {+, -, o}")
     if epsilon == "o" and n % 2 == 0:
         raise ValueError("epsilon 'o' needs odd dimension")

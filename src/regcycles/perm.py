@@ -422,44 +422,17 @@ class StabChain:
                 yield a, at, np.take(reps[a:a + width], piece, axis=1)
             at += len(piece)
 
-    def stabilizer_orbits(self, level: int = 1) -> list[list[int]]:
-        """The orbits of G_(level) on the images (g(b1), ..., g(b_level)),
-        g in G, of the first ``level`` base points, level 1 or 2 (level 2
-        needs a second level).  An image is coded as g(b1) at level 1 and
-        as g(b1) * degree + g(b2) at level 2, so that codes order images
-        lexicographically; the orbits are ordered by least code, each
-        listed breadth first from it.
+    def stabilizer_orbits(self) -> list[list[int]]:
+        """The orbits of G_(1) on the images of the first base point,
+        ordered by least point, each listed breadth first from it."""
+        gens = self.levels[1].gens.tolist() if len(self.levels) > 1 else []
+        return _orbits(sorted(self.levels[0].orbit.tolist()), gens)
 
-        The pairs are (t1(b1), t1(gamma)), t1 a row of the first
-        transversal and gamma a point of the second orbit; the strong
-        generators of G_(2) act on their sorted codes through one
-        searchsorted."""
-        top, d = self.levels[0], self.degree
-        gens = (self.levels[level].gens if level < len(self.levels)
-                else np.empty((0, d), np.intp))
-        if level == 1:
-            return _orbits(sorted(top.orbit.tolist()), gens.tolist())
-        codes = np.sort((top.orbit[:, None] * d
-                         + top.trans[:, self.levels[1].orbit]).ravel())
-        first, second = np.divmod(codes, d)
-        gens = gens.astype(np.intp)
-        images = np.searchsorted(codes, gens[:, first] * d + gens[:, second])
-        codes = codes.tolist()
-        return [[codes[i] for i in orbit]
-                for orbit in _orbits(range(len(codes)), images.tolist())]
-
-    def representatives(self, codes, level: int) -> np.ndarray:
-        """One element per coded image of ``stabilizer_orbits(level)``,
-        as rows: t1 with t1(b1) = beta1 at level 1; at level 2, "t2 then
-        t1" with t2 the row of the second transversal that maps b2 to
-        t1^-1(beta2)."""
-        top, d = self.levels[0], self.degree
-        codes = np.asarray(codes, dtype=np.intp)
-        if level == 1:
-            return top.trans[top.pos[codes]]
-        k1, second = top.pos[codes // d], self.levels[1]
-        t2 = second.trans[second.pos[top.inv[k1, codes % d]]]
-        return top.trans[k1[:, None], t2]
+    def representatives(self, betas) -> np.ndarray:
+        """One element per image beta of the first base point, as rows:
+        the row t of the first transversal with t(b1) = beta."""
+        top = self.levels[0]
+        return top.trans[top.pos[np.asarray(betas, dtype=np.intp)]]
 
 
 def _orbits(points, gens) -> list[list[int]]:
@@ -552,7 +525,7 @@ class PermGroup:
         out = np.empty((chain.order, d), dtype=dtype)
         betas = sorted(chain.levels[0].orbit.tolist())
         blocks = out.reshape(len(betas), -1, d)  # one per coset of G_b
-        reps = chain.representatives(betas, 1)
+        reps = chain.representatives(betas)
         for first, at, rows in chain.cosets(reps, 1, _ARRAY_ENTRIES):
             k, m = rows.shape[:2]
             blocks[first:first + k, at:at + m] = rows

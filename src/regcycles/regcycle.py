@@ -20,13 +20,13 @@ G_(l), G_(l) fixing the first l base points, in blocks from the chain's
 one coset recursion (``perm.StabChain.cosets``).  The cosets
 {g : g(b1) = beta} of one G_(1)-orbit have the same cycle types, and each
 orbit is read the way that takes the fewest rows (``_orbit_readings``):
-its coset whole, one coset of G_(2) per G_(2)-orbit on the base-point
-pairs over it, or, for the orbits of b1 and of b2, split by the chain's
-own stabilizers, down the whole chain for G_(1) itself.  Below one
-kernel chunk every coset is read whole.  The verifier only counts
-elements of square-free order when asked to, which is sound for the
-"all-regular" verdict: if some element has no regular cycle, a suitable
-power of square-free order also has none.
+its coset whole, one coset of G_(2) per G_(2)-orbit on the pairs
+(g(b1), g(b2)) over it (over b2 alone, for the orbit of b2), or, for
+{b1}, G_(1) itself by the same three readings one level down, to the
+end of the chain.  Below one kernel chunk every coset is read whole.
+The verifier only counts elements of square-free order when asked to,
+which is sound for the "all-regular" verdict: if some element has no
+regular cycle, a suitable power of square-free order also has none.
 
 Bulk questions, the verifier's cosets and the sampled words of
 ``compare_actions_monotonic``, go through one kernel, ``perm.cycle_sizes``,
@@ -249,28 +249,24 @@ def _orbit_readings(chain, k: int = 0):
     - "whole": the coset {g : g(b) = O[0]} of G_(k+1), weight |O|;
     - "branch", for O = {b}: that coset is G_(k+1), read the same way
       one level down;
-    - "split", for O the orbit of the next base point b': split the
-      coset {g : g(b) = b'} by delta = g(b').  G_(k+2) fixes b and b',
-      so conjugation maps the piece of delta onto that of its image, and
-      one coset of G_(k+2) per G_(k+2)-orbit on the deltas is read,
-      weight |O| times the orbit length;
-    - "pairs", at k = 0 only: one coset of G_(2) per orbit of G_(2) on
-      the base-point pairs over O (``stabilizer_orbits(2)``), weight its
-      length.  They take at least |O| n2 rows, n2 the second orbit
-      length, so they are only computed when that is below |G_(1)|.  Over
-      {b1} and the orbit of b2 they read at least the rows of the branch
-      and of the split, so they are only weighed for other orbits.
+    - "pairs", for O other than {b}: the cosets {g : g(b) = beta} split
+      by gamma = g(b'), b' the next base point.  G_(k+2) fixes b and b',
+      so conjugation maps the piece of (beta, gamma) onto that of its
+      image, and one coset of G_(k+2) is read per G_(k+2)-orbit on the
+      pairs, weight its length.  The first coordinates beta run through
+      O, or only through b' when O holds it: conjugation by G_(k+1) maps
+      the coset of b' onto the others, so each piece then also stands for
+      |O|.  The pairs take at least (first coordinates) x n' rows, n' the
+      length of the orbit of b', so their orbits are only computed when
+      that is below |G_(k+1)|.  (Over {b} they would be the whole
+      readings of the branch's orbits, so the branch never reads more.)
 
     A tie keeps the whole coset."""
     levels, d, n = chain.levels, chain.degree, chain.orbit_lengths
     depth, lev = len(levels), levels[k]
     sizes = [math.prod(n[j:]) for j in range(depth + 1)]  # |G_(j)|
-
-    def orbits(j, points):  # the orbits of G_(j) on the points
-        return _orbits(sorted(points),
-                       levels[j].gens.tolist() if j < depth else [])
-
-    parts = orbits(k + 1, lev.orbit.tolist())
+    parts = _orbits(sorted(lev.orbit.tolist()),
+                    levels[k + 1].gens.tolist() if k + 1 < depth else [])
     reps = lev.trans[lev.pos[[orbit[0] for orbit in parts]]]
     # every coset is read whole where G_(k+1) is trivial, and at k = 0
     # where the whole cosets fit one kernel chunk: one call reads them all
@@ -279,35 +275,40 @@ def _orbit_readings(chain, k: int = 0):
         return ([(orbit, sizes[k + 1], "whole") for orbit in parts],
                 [(k + 1, reps, [len(orbit) for orbit in parts],
                   range(len(parts)))])
-    nxt, pairs = levels[k + 1], None  # pairs: first point -> pair orbits
+    nxt = levels[k + 1]
     found, pieces = [], []
-    for i, orbit in enumerate(parts):
+    for owner, orbit in enumerate(parts):
         readings = [(sizes[k + 1], "whole",
-                     [(k + 1, reps[i:i + 1], [len(orbit)])])]
+                     [(k + 1, reps[owner:owner + 1], [len(orbit)])])]
+        firsts = [nxt.point] if nxt.point in orbit else orbit
         if orbit == [lev.point]:
             below, blocks = _orbit_readings(chain, k + 1)
             readings.append((sum(r[1] for r in below), "branch",
                              [block[:3] for block in blocks]))
-        elif nxt.point in orbit:
-            j = lev.pos[nxt.point]
-            u, back = lev.trans[j], lev.inv[j]  # u(b) = b'
-            deltas = orbits(k + 2, u[nxt.orbit].tolist())
-            v = nxt.trans[nxt.pos[back[[delta[0] for delta in deltas]]]]
-            readings.append((len(deltas) * sizes[k + 2], "split", [
-                (k + 2, u[v], [len(orbit) * len(delta)
-                               for delta in deltas])]))
-        elif k == 0 and len(orbit) * len(nxt.orbit) < sizes[1]:
-            if pairs is None:
-                pairs = {}
-                for codes in chain.stabilizer_orbits(2):
-                    pairs.setdefault(codes[0] // d, []).append(codes)
-            over = [codes for beta in orbit for codes in pairs.get(beta, ())]
-            readings.append((len(over) * sizes[2], "pairs", [
-                (2, chain.representatives([c[0] for c in over], 2),
-                 [len(codes) for codes in over])]))
+        elif len(firsts) * n[k + 1] < sizes[k + 1]:
+            # pair i m + j is (beta, t(delta)): beta = firsts[i], t the
+            # transversal row taking b to beta, delta = nxt.orbit[j]; a
+            # strong generator h of G_(k+2) maps it to (h(beta),
+            # h(t(delta))), whose i and j are read back through t^-1
+            m = n[k + 1]
+            t = lev.pos[firsts]
+            at = np.zeros(d, np.intp)  # beta -> i m
+            at[firsts] = range(0, len(firsts) * m, m)
+            h = levels[k + 2].gens
+            hb = h[:, firsts, None]
+            images = at[hb] + nxt.pos[lev.inv[lev.pos[hb], h[
+                :, lev.trans[t[:, None], nxt.orbit]]]]
+            pairs = _orbits(range(len(firsts) * m),
+                            images.reshape(len(h), -1).tolist())
+            # t v, v the row of the next transversal taking b' to delta
+            i, j = np.divmod([pair[0] for pair in pairs], m)
+            readings.append((len(pairs) * sizes[k + 2], "pairs", [
+                (k + 2, lev.trans[t[i, None], nxt.trans[j]],
+                 [len(orbit) // len(firsts) * len(pair)
+                  for pair in pairs])]))
         rows, kind, blocks = min(readings, key=operator.itemgetter(0))
         found.append((orbit, rows, kind))
-        pieces += [(level, xs, weights, [i] * len(weights))
+        pieces += [(level, xs, weights, [owner] * len(weights))
                    for level, xs, weights in blocks]
     return found, pieces
 
@@ -323,12 +324,12 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     beta onto that of h(beta) and keeps cycle types, so the cosets of one
     G_(1)-orbit O have the same counts, and each orbit is read the way
     that takes the fewest kernel rows (``_orbit_readings``): its coset
-    whole, one coset of G_(2) per G_(2)-orbit on the base-point pairs
-    over O, the chain's own stabilizers splitting G_(1) itself (O = {b1})
-    or the coset of b2 (O the orbit of b2).  Each coset read is weighted
-    by the number of cosets it stands for.  Those readings are only
-    weighed when the orbits' whole cosets pass one kernel chunk; below
-    that every coset is read whole.  The chain hands the cosets out in
+    whole, one coset of G_(2) per G_(2)-orbit on the pairs (g(b1), g(b2))
+    with g(b1) in O (only g(b1) = b2 when O holds b2), or, for O = {b1},
+    G_(1) itself, read by the same rule one level down.  Each coset read
+    is weighted by the number of cosets it stands for.  Those readings
+    are only weighed when the orbits' whole cosets pass one kernel chunk;
+    below that every coset is read whole.  The chain hands the cosets out in
     blocks of at most 2 * _CHUNK_ENTRIES entries, cosets x a piece of
     G_(l) (``StabChain.cosets``); one scan loop copies their rows into
     kernel calls of _CHUNK_ENTRIES // degree rows (``_kernel_calls``) and
@@ -413,7 +414,7 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
         wanted.append(beta)
         found += failures[beta]
     least: list[list[int]] = []
-    scan([(1, chain.representatives(wanted, 1))], least)
+    scan([(1, chain.representatives(wanted))], least)
     witnesses = tuple(map(Permutation, sorted(least)[:max_witnesses]))
     return VerifyReport(checked, sum(failures.values()), chain.order,
                         witnesses, square_free_only)

@@ -9,7 +9,9 @@ from their own scalar walk, cycle types and orders; the sorted element
 list and the conjugacy classes; the stock groups Alt(m) and C_m, which
 only the tests build; fixed-point ratios and regular-cycle counts; the
 whole-array transversal product that `StabChain.cosets` lists in pieces,
-as the coset of the identity; the two-action word loop that
+as the coset of the identity; the count of G_(2)-orbits on the images of
+the first two base points, against which the verifier's readings are
+weighed; the two-action word loop that
 `compare_actions_monotonic` replaced with one diagonal action; and the
 group-file writer that formats one `cycle_string` per generator, which
 `perm.emit_group_file` replaced with whole-array passes.
@@ -138,6 +140,28 @@ def stabilizer_rows(chain, level: int = 1) -> np.ndarray:
         # it builds it)
         rows = np.take(lev.trans, rows, axis=1).reshape(-1, chain.degree)
     return rows
+
+
+def base_pair_orbit_count(chain) -> int:
+    """The number of orbits of G_(2) on the images (g(b1), g(b2)), g in G,
+    of the chain's first two base points, by a breadth-first search over
+    the pairs as tuples.  The pairs are (t(b1), t(gamma)), t a row of the
+    first transversal and gamma a point of the second orbit."""
+    top, second = chain.levels[:2]
+    gens = chain.levels[2].gens.tolist() if len(chain.levels) > 2 else []
+    pairs = {(t[top.point], t[gamma]) for t in top.trans.tolist()
+             for gamma in second.orbit.tolist()}
+    count = 0
+    while pairs:
+        count += 1
+        queue = [pairs.pop()]
+        for beta, gamma in queue:
+            for g in gens:
+                image = (g[beta], g[gamma])
+                if image in pairs:
+                    pairs.remove(image)
+                    queue.append(image)
+    return count
 
 
 def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP):

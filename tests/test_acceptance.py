@@ -23,7 +23,8 @@ from geometry_reference import (duality_map, map_order, mat_identity,
                                 semisimple_decomposition, sl_generators,
                                 subspace_contains, subspace_intersection_dim,
                                 vec_mat)
-from perm_reference import alternating_group, cyclic_group
+from perm_reference import (alternating_group, base_pair_orbit_count,
+                            cyclic_group)
 from regcycles import bounds as bd
 from regcycles import geometry as geo
 from regcycles import numtheory as nt
@@ -223,8 +224,22 @@ def one_level_rows(chain):
     rows = len(chain.stabilizer_orbits()) * stabilizer
     if len(n) > 1 and n[0] * n[1] < rows \
             and rows * chain.degree > regcycle._CHUNK_ENTRIES:
-        rows = min(rows, len(chain.stabilizer_orbits(2)) * stabilizer // n[1])
+        rows = min(rows, base_pair_orbit_count(chain) * stabilizer // n[1])
     return rows
+
+
+def branch_readings(chain):
+    """The readings of G_(k), (k, orbits, pieces) of
+    ``regcycle._orbit_readings(chain, k)``, at depth 0 and then at every
+    depth the branch reaches: k + 1 while the orbit {b_(k+1)} of depth k
+    is read by the branch."""
+    k = 0
+    while True:
+        orbits, pieces = regcycle._orbit_readings(chain, k)
+        yield k, orbits, pieces
+        if "branch" not in [kind for _orbit, _rows, kind in orbits]:
+            return
+        k += 1
 
 
 def read_rows(chain):
@@ -264,6 +279,7 @@ class TestOrbitRepresentativeReduction:
     def test_matches_brute_force_scan_on_whole_corpus(self, corpus):
         late_base_with_failures = []
         read, failing_under = {}, {}  # reading -> groups with an orbit so read
+        deep_pairs = []  # groups read by pairs at some depth below 0
         for name, G in corpus + self.EXTRA:
             expected, images = brute_force_verify(G)
             for sf in (False, True):
@@ -277,27 +293,58 @@ class TestOrbitRepresentativeReduction:
             for orbit, _rows, kind in orbits:
                 read.setdefault(kind, []).append(name)
                 if images & set(orbit):
-                    failing_under.setdefault(kind, []).append(name)
+                    # the pair reading of the orbit of b2 is over b2 alone
+                    over_b2 = kind == "pairs" and chain.base[1] in orbit
+                    failing_under.setdefault(
+                        "pairs over b2" if over_b2 else kind, []).append(name)
+            if any(kind == "pairs" for k, found, _pieces
+                   in branch_readings(chain) if k
+                   for _orbit, _rows, kind in found):
+                deep_pairs.append(name)
             if chain.base[0] > 0 and images:
                 late_base_with_failures.append(name)
         assert any(not G.is_transitive() for _, G in corpus)
         assert late_base_with_failures
-        # every reading is used, and the branch and the split over orbits
-        # that hold failures
-        assert set(read) == {"whole", "pairs", "branch", "split"}
-        assert failing_under["branch"] and failing_under["split"]
+        # every reading is used, and the branch and the pairs over b2 over
+        # orbits that hold failures; pairs are read below depth 0 too
+        assert set(read) == {"whole", "pairs", "branch"}
+        assert failing_under["branch"] and failing_under["pairs over b2"]
+        assert {"sym-8", "sym-5-product-2"} <= set(deep_pairs)
+
+    def test_pieces_stand_for_every_element_at_every_depth(self, corpus,
+                                                           sp6, su5):
+        # at every depth k, each orbit's pieces stand for its |O| cosets
+        # of G_(k+1), so all of them together for G_(k); every piece's
+        # representatives lie in G_(k)
+        groups = corpus + self.EXTRA + [
+            ("sp6_2-points", geo.perm_image(sp6[1],
+                                            geo.singular_points(sp6[0]))),
+            ("su5_2-maxts", geo.perm_image(
+                su5[1], geo.maximal_totally_singular(su5[0])))]
+        for name, G in groups:
+            chain = G.stabilizer_chain(2 * 10**7)
+            n, base = chain.orbit_lengths, chain.base
+            for k, orbits, pieces in branch_readings(chain):
+                stands = [0] * len(orbits)
+                for level, xs, weights, owners in pieces:
+                    assert (xs[:, base[:k]] == base[:k]).all(), (name, k)
+                    for weight, owner in zip(weights, owners):
+                        stands[owner] += weight * math.prod(n[level:])
+                assert stands == [len(orbit) * math.prod(n[k + 1:])
+                                  for orbit, _rows, _kind in orbits], (name, k)
+                assert sum(stands) == math.prod(n[k:]), (name, k)
 
     def test_readings_only_past_one_kernel_chunk(self, sp6):
         # the whole cosets of Sym(7), 2 cosets of 720 rows of 7 points,
         # fit one kernel chunk, so they are read whole, though the branch
-        # and the split would read fewer rows; those of Sym(8) (2 x 5,040
-        # x 8 entries) and Sp6(2) (3 x 23,040 x 63) do not
+        # and the pairs over b2 would read fewer rows; those of Sym(8)
+        # (2 x 5,040 x 8 entries) and Sp6(2) (3 x 23,040 x 63) do not
         space, gens = sp6
         for G, kinds in (
                 (perm.symmetric_group(7), ["whole", "whole"]),
-                (perm.symmetric_group(8), ["branch", "split"]),
+                (perm.symmetric_group(8), ["branch", "pairs"]),
                 (geo.perm_image(gens, geo.singular_points(space)),
-                 ["branch", "split", "pairs"])):
+                 ["branch", "pairs", "pairs"])):
             orbits, _pieces = regcycle._orbit_readings(G.stabilizer_chain())
             assert [kind for _orbit, _rows, kind in orbits] == kinds
             assert verify_all_elements(G).checked == G.order()
@@ -313,9 +360,9 @@ class TestOrbitRepresentativeReduction:
         # rows of Sp6(2) on points, SU5(2) on points and on maximal
         # totally singular subspaces, against those of one level
         for (space, gens), domain, rows in (
-                (sp6, geo.singular_points, (13776, 28800)),
-                (su5, geo.singular_points, (24864, 89424)),
-                (su5, geo.maximal_totally_singular, (55710, 93312))):
+                (sp6, geo.singular_points, (13200, 28800)),
+                (su5, geo.singular_points, (24330, 89424)),
+                (su5, geo.maximal_totally_singular, (52992, 93312))):
             chain = geo.perm_image(gens, domain(space)).stabilizer_chain(
                 2 * 10**7)
             assert (read_rows(chain), one_level_rows(chain)) == rows

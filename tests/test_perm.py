@@ -585,22 +585,25 @@ class TestChainPieces:
         elements = G.element_array().astype(np.intp)
         for level in (1, 2):
             base = chain.base[:level]
-            # the coded images of the first `level` base points
+            # the images of the first `level` base points
             images = sorted(set(map(tuple, elements[:, base].tolist())))
-            codes = [image[0] if level == 1 else image[0] * G.degree
-                     + image[1] for image in images]
             # the orbits of G_(level) on them, from its elements
             stabilizer = elements[(elements[:, base] == base).all(axis=1)]
-            orbits = {frozenset(codes[images.index(tuple(h[list(image)]))]
-                                for h in stabilizer)
+            orbits = {frozenset(tuple(h[list(image)]) for h in stabilizer)
                       for image in images}
-            got = chain.stabilizer_orbits(level)
-            assert list(map(sorted, got)) == sorted(map(sorted, orbits))
-            assert all(orbit[0] == min(orbit) for orbit in got)
-            # every image, and a few out of order
-            for picked in (images, images[::-3]):
+            if level == 1:
+                got = chain.stabilizer_orbits()
+                assert [[(beta,) for beta in sorted(orbit)]
+                        for orbit in got] == sorted(map(sorted, orbits))
+                assert all(orbit[0] == min(orbit) for orbit in got)
+            # every image, a few out of order, and one per orbit
+            for picked in (images, images[::-3], sorted(map(min, orbits))):
+                # the chain's transversal rows at level 1; at level 2 the
+                # least element with each image
                 reps = chain.representatives(
-                    [codes[images.index(image)] for image in picked], level)
+                    [image[0] for image in picked]) if level == 1 else \
+                    np.array([elements[(elements[:, base] == image).all(
+                        axis=1)][0] for image in picked])
                 inverses = np.argsort(reps, axis=1)
                 for entries in (1, 3 * G.degree + 1, 40 * G.degree, bound):
                     got = {k: [] for k in range(len(picked))}
@@ -655,7 +658,7 @@ class TestChainPieces:
             return cosets(reps, level, entries)
 
         monkeypatch.setattr(chain, "cosets", recorded)
-        assert list(chain.cosets(chain.representatives([], 1), 1, 100)) == []
+        assert list(chain.cosets(chain.representatives([]), 1, 100)) == []
         assert levels == [1]
 
 

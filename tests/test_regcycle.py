@@ -250,12 +250,12 @@ class TestVerifyAllElements:
         # of G_(2) (720 elements) per G_(2)-orbit on the 63 x 32 base-point
         # pairs would read 40 x 720 = 28,800 rows, and one coset per
         # G_b-orbit 3 x 23,040 = 69,120.  Each orbit is read its cheapest
-        # way: G_b itself through the chain's stabilizers (2,256 rows),
-        # the coset of b2 split by the image of b2 (4 x 720 = 2,880) and
-        # the last orbit one coset per pair orbit (12 x 720 = 8,640),
-        # 13,776 rows.  They are regrouped into kernel calls of
-        # 15,872 // 63 = 251 rows, so they take 54 full calls and one of
-        # 222 rows
+        # way: G_b itself through the chain's stabilizers (1,680 rows),
+        # the coset of b2 one coset per pair orbit over b2 (4 x 720 =
+        # 2,880) and the last orbit one per pair orbit over it (12 x 720
+        # = 8,640), 13,200 rows.  They are regrouped into kernel calls of
+        # 15,872 // 63 = 251 rows, so they take 52 full calls and one of
+        # 148 rows
         space, gens = geometry.builtin_matrix_group("sp6_2")
         G = geometry.perm_image(gens, geometry.singular_points(space))
         rows, kernel = [], rc._regular_cycles
@@ -269,8 +269,8 @@ class TestVerifyAllElements:
         assert report.all_regular  # so no witness pass reads a row
         assert report.failing == 0 and report.verdict == "all-regular"
         assert report.checked == 1451520
-        assert sum(rows) == 13776
-        assert rows == [251] * 54 + [222]
+        assert sum(rows) == 13200
+        assert rows == [251] * 52 + [148]
 
     def test_kernel_calls_split_blocks_and_keep_their_owners(self):
         # blocks of 2 x 3 and 1 x 4 rows of degree 2, in calls of 4 rows:
