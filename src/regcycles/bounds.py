@@ -668,38 +668,6 @@ _DELEGATION_NOTES = {
 }
 
 
-def s1_bound(case: str, gid: GroupId):
-    return BoundReport._total(_closed_form_terms(case, gid)[0])
-
-
-def s2_bound(case: str, gid: GroupId):
-    return BoundReport._total(_closed_form_terms(case, gid)[1])
-
-
-def _closed_form_terms(case, gid):
-    """The (S1, S2) terms of the case pipeline; a ValueError where the
-    case is delegated to external verification."""
-    pair = _case_terms(case, gid)
-    if pair is None:
-        raise ValueError(f"{gid} is delegated to external verification "
-                         f"in case {case}")
-    return pair
-
-
-def _case_terms(case, gid):
-    if case not in _S1S2:
-        if case in ("v", "vii"):
-            raise ValueError(
-                f"case {case} has no closed-form pipeline; see the pair "
-                f"domains (geometry.pair_domains) and the complement "
-                f"count (line22_contradiction)")
-        if case == "iii":
-            raise ValueError("case iii is a single-term bound; use "
-                             "certify_case")
-        raise ValueError(f"unknown case {case!r}")
-    return _S1S2[case](gid)
-
-
 def _refine_case_ii_orthogonal(gid: GroupId):
     """Post-hoc refinement for the orthogonal non-degenerate-point action:
     exact omega(ep(q-1)) in S1, and in S2 each residual prime contributes
@@ -733,7 +701,14 @@ def certify_case(case: str, gid: GroupId,
     tables = tables or ExternalTables()
     if case == "iii":
         return _certify_case_iii(gid, tables)
-    pair = _case_terms(case, gid)
+    if case not in _S1S2:
+        if case in ("v", "vii"):
+            raise ValueError(
+                f"case {case} has no closed-form pipeline; see the pair "
+                f"domains (geometry.pair_domains) and the complement "
+                f"count (line22_contradiction)")
+        raise ValueError(f"unknown case {case!r}")
+    pair = _S1S2[case](gid)
     if pair is None:
         return BoundReport(case, gid, (), (), note=_DELEGATION_NOTES[case],
                            delegated=True)

@@ -98,11 +98,11 @@ def _cmd_verify(args):
     G = _load(args.group, perm.parse_group_file)
     report = regcycle.verify_all_elements(
         G, cap=args.cap, square_free_only=args.square_free_only)
+    data = report.to_json_dict(group_name=args.group)
     lines = [f"group order {report.group_order}, degree {G.degree}",
              f"checked {report.checked} element(s): {report.verdict}"]
-    for w in report.witnesses:
-        lines.append(f"  witness: {perm.cycle_string(w.images)}")
-    _emit(args, report.to_json_dict(group_name=args.group), lines)
+    lines += [f"  witness: {w}" for w in data["witness_cycles"]]
+    _emit(args, data, lines)
     return 0 if report.all_regular else 1
 
 

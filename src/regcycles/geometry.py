@@ -558,13 +558,10 @@ def _row_keys(rows):
 
 def _lex_sorted(rows):
     """The order that sorts an array by its entries after the first axis,
-    compared lexicographically, and whether two of those entries are
-    equal."""
+    compared lexicographically."""
     flat = rows.reshape(len(rows), int(np.prod(rows.shape[1:])))
     # entries of size 0 (the bases of the zero subspace) are all equal
-    order = np.lexsort(flat.T[::-1]) if flat.size else np.arange(len(flat))
-    flat = flat[order]
-    return order, bool((flat[1:] == flat[:-1]).all(axis=1).any())
+    return np.lexsort(flat.T[::-1]) if flat.size else np.arange(len(flat))
 
 
 def subspaces(space: FormSpace, k: int, row_ok=None):
@@ -623,20 +620,16 @@ class ActionDomain:
         self.name = name
         self.kind = kind
         self.space = space
-        self.components, columns, repeats = [], [], False
+        self.components, columns = [], []
         for comps, column in zip(components, np.asarray(members).T):
-            order, repeated = _lex_sorted(comps)
+            order = _lex_sorted(comps)
             rank = np.empty(len(order), dtype=np.int32)
             rank[order] = np.arange(len(order), dtype=np.int32)
             bases = comps if comps.ndim == 3 else comps[:, None]
             self.components.append(bases[order])
             columns.append(rank[column])
-            repeats |= repeated
         members = np.stack(columns, axis=1)
-        order, repeated = _lex_sorted(members)
-        self.members = members[order]
-        if repeats or repeated:
-            raise ValueError("duplicate labels")
+        self.members = members[_lex_sorted(members)]
 
     @property
     def degree(self):
@@ -693,8 +686,6 @@ class ActionDomain:
         outside the domain."""
         if self.kind == "form":
             return self._form_rows(generators)
-        if self.kind not in ("point", "subspace", "pair"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
         if not self.degree:
             for g in generators:
                 if why := self._refusal(g, False):

@@ -27,6 +27,8 @@ end of the chain.  Below one kernel chunk every coset is read whole.
 The verifier only counts elements of square-free order when asked to,
 which is sound for the "all-regular" verdict: if some element has no
 regular cycle, a suitable power of square-free order also has none.
+Its witnesses, the lexicographically least failures, are sorted out of
+the failing rows as arrays; only the witnesses become lists.
 
 Bulk questions, the verifier's cosets and the sampled words of
 ``compare_actions_monotonic``, go through one kernel, ``perm.cycle_sizes``,
@@ -34,11 +36,11 @@ on chunks of at most _CHUNK_ENTRIES image entries.  It finds every cycle
 of every row at once by pointer doubling, and one rule
 (``_regular_counts``) reads the answers from the lengths without
 computing an order (an lcm of many cycle lengths can pass 2**63): g has
-a regular cycle iff every cycle length divides the longest, its regular
-cycles are then those of the longest length, and its order is
-square-free iff every cycle length is.  Single elements
-(``fix_union_test``, ``perm.has_regular_cycle_direct``) keep the scalar
-cycle walk.  Two actions of one group, on Omega1 and Omega2, are
+a regular cycle iff every cycle length divides the longest, and its
+regular cycles are then those of the longest length; its order is
+square-free iff every cycle length is (``_square_free_table``).  Single
+elements (``fix_union_test``, ``perm.has_regular_cycle_direct``) keep the
+scalar cycle walk.  Two actions of one group, on Omega1 and Omega2, are
 compared in its diagonal action on their disjoint union: each sampled
 word is read k letters at a time, right to left, from one table of the
 k-letter products, and the counts of both actions come from one kernel
@@ -101,20 +103,6 @@ class RegCycleReport:
             "fix_union_size": self.fix_union_size,
             "identity_convention": self.identity_convention,
         }
-
-
-def _regular_cycles(rows: np.ndarray, square_free=None):
-    """The regular-cycle count of every image row, and, given a table
-    ``square_free`` of the square-free lengths, the mask of rows of
-    square-free order (else None).  One kernel call gives the cycle
-    lengths, and ``_regular_counts`` reads the counts from them; the
-    order is square-free iff every cycle length is.
-    """
-    sizes = cycle_sizes(rows)
-    counts = _regular_counts(sizes)
-    if square_free is None:
-        return counts, None
-    return counts, square_free[sizes].all(axis=1)
 
 
 def _regular_counts(sizes: np.ndarray) -> np.ndarray:
@@ -332,14 +320,18 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     below that every coset is read whole.  The chain hands the cosets out in
     blocks of at most 2 * _CHUNK_ENTRIES entries, cosets x a piece of
     G_(l) (``StabChain.cosets``); one scan loop copies their rows into
-    kernel calls of _CHUNK_ENTRIES // degree rows (``_kernel_calls``) and
-    sums each call's counts per coset.
+    kernel calls of _CHUNK_ENTRIES // degree rows (``_kernel_calls``),
+    reads each call's cycle lengths once (``perm.cycle_sizes``), and sums
+    its counts per coset: a row fails when ``_regular_counts`` finds no
+    regular cycle and, with square_free_only, every cycle length is
+    square-free.
 
     Witnesses are the lexicographically least failures: every element
     fixes the points below b1, so they are read from the cosets
     {g : g(b1) = beta} in ascending beta, as many as hold max_witnesses
-    failures; every coset of an orbit holds the same number.  Only
-    failing rows become lists.
+    failures; every coset of an orbit holds the same number.  Their
+    failing rows stay arrays, one ``np.lexsort`` picks the least, and
+    only the witnesses become lists.
 
     The "all-regular" verdict of the square-free-only run equals that of the
     exhaustive run: an element without a regular cycle powers down to a
@@ -352,8 +344,8 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     def scan(pieces, failing=None):
         """Rows checked (None when every row is) and rows failing in each
         coset x G_(level), x a row of reps, of the pieces (level, reps),
-        in order; the failing rows are appended to `failing` as lists, if
-        given."""
+        in order; each call's failing rows are appended to `failing` as
+        one array, if given."""
         total = sum(len(reps) for _level, reps in pieces)
         n_checked = np.zeros(total, np.intp) if square_free_only else None
         n_failed = np.zeros(total, np.intp)
@@ -371,10 +363,11 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
 
         for rows, slices in _kernel_calls(blocks(),
                                           _CHUNK_ENTRIES // G.degree):
-            regular, kept = _regular_cycles(rows, square_free)
-            fail = regular == 0
+            sizes = cycle_sizes(rows)
+            fail = _regular_counts(sizes) == 0
             # one sum per coset; the owners are only read where needed
-            if kept is not None:
+            if square_free_only:
+                kept = square_free[sizes].all(axis=1)
                 fail &= kept
                 n_checked += np.bincount(_owners(slices)[kept],
                                          minlength=total)
@@ -382,7 +375,7 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
                 n_failed += np.bincount(_owners(slices)[fail],
                                         minlength=total)
                 if failing is not None:
-                    failing += rows[fail].tolist()
+                    failing.append(rows[fail])
         return n_checked, n_failed
 
     orbits, pieces = _orbit_readings(chain)
@@ -413,11 +406,12 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
             break
         wanted.append(beta)
         found += failures[beta]
-    least: list[list[int]] = []
+    least = [np.empty((0, G.degree), np.intp)]
     scan([(1, chain.representatives(wanted))], least)
-    witnesses = tuple(map(Permutation, sorted(least)[:max_witnesses]))
+    rows = np.concatenate(least)
+    witnesses = rows[np.lexsort(rows.T[::-1])[:max_witnesses]].tolist()
     return VerifyReport(checked, sum(failures.values()), chain.order,
-                        witnesses, square_free_only)
+                        tuple(map(Permutation, witnesses)), square_free_only)
 
 
 @dataclass(frozen=True)

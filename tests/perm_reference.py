@@ -25,9 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from regcycles.perm import (DEFAULT_ELEMENT_CAP, PermGroup, Permutation,
-                            cycle_decomposition, cycle_string)
+                            cycle_decomposition, cycle_sizes, cycle_string)
 from regcycles.regcycle import (_CHUNK_ENTRIES, MAX_WORD_LENGTH,
-                                MonotonicityReport, _regular_cycles)
+                                MonotonicityReport, _regular_counts)
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ def count_regular_cycles(g) -> int:
     Accepts a Permutation or a raw image sequence.
     """
     images = g.images if isinstance(g, Permutation) else g
-    return int(_regular_cycles(np.array([images]))[0][0])
+    return int(_regular_counts(cycle_sizes(np.array([images])))[0])
 
 
 def compare_actions_two_loops(G1: PermGroup, G2: PermGroup,
@@ -250,8 +250,8 @@ def compare_actions_two_loops(G1: PermGroup, G2: PermGroup,
         rows1.append(w1)
         rows2.append(w2)
         if len(words) == per_chunk or k == samples - 1:
-            more = (_regular_cycles(np.array(rows1))[0]
-                    > _regular_cycles(np.array(rows2))[0])
+            more = (_regular_counts(cycle_sizes(np.array(rows1)))
+                    > _regular_counts(cycle_sizes(np.array(rows2))))
             for j in np.flatnonzero(more)[:5 - len(violations)]:
                 violations.append("g" + " g".join(str(i) for i in words[j]))
             words, rows1, rows2 = [], [], []

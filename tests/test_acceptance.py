@@ -895,14 +895,17 @@ class TestCertificationFrontiers:
                            GroupId("POmega+", 10, 3)}
 
     def test_orthogonal_q7_needs_refinement(self):
-        # before the residual-prime refinement exactly two groups exceed 1
+        # before the residual-prime refinement exactly two groups exceed 1;
+        # it runs only there, so these are the groups that used it or are
+        # still not certified
         over = []
         for fam, ns in (("POmega", range(7, 16, 2)),
                         ("POmega+", range(8, 17, 2)),
                         ("POmega-", range(8, 17, 2))):
             for n in ns:
                 g = GroupId(fam, n, 7)
-                if bd.s1_bound("ii", g) + bd.s2_bound("ii", g) >= 1:
+                report = bd.certify_case("ii", g)
+                if report.refinements or report.verdict != "certified":
                     over.append(g)
         assert over == [GroupId("POmega", 7, 7), GroupId("POmega+", 8, 7)]
         for g in over:

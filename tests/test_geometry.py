@@ -1028,8 +1028,11 @@ class TestGoldenOutputs:
         space, gens = ge.builtin_matrix_group(name)
         dom = self._domain(space, action, arg)
         text = perm.emit_group_file(perm_image(gens, dom))
-        lines = "\n".join(dom.label_lines()) + "\n"
+        label_lines = dom.label_lines()
+        lines = "\n".join(label_lines) + "\n"
         assert dom.degree == degree
+        # every constructor builds its labels distinct
+        assert len(set(label_lines)) == degree
         assert hashlib.sha256(text.encode()).hexdigest() == grp
         assert hashlib.sha256(lines.encode()).hexdigest() == labels
 

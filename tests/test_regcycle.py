@@ -164,7 +164,9 @@ class TestCountRegularCycles:
         # in a chunk of the bulk scan its row fails, and its order (a
         # product of distinct primes) passes the square-free filter
         rows = np.array([list(range(381)), images, images[::-1]])
-        counts, kept = rc._regular_cycles(rows, rc._square_free_table(381))
+        sizes = rc.cycle_sizes(rows)
+        counts = rc._regular_counts(sizes)
+        kept = rc._square_free_table(381)[sizes].all(axis=1)
         lengths = cycle_lengths(images[::-1])
         assert counts.tolist() == [381, 0,
                                    lengths.count(math.lcm(*lengths))]
@@ -258,13 +260,13 @@ class TestVerifyAllElements:
         # 148 rows
         space, gens = geometry.builtin_matrix_group("sp6_2")
         G = geometry.perm_image(gens, geometry.singular_points(space))
-        rows, kernel = [], rc._regular_cycles
+        rows, kernel = [], rc.cycle_sizes
 
-        def counted(chunk, square_free=None):
+        def counted(chunk):
             rows.append(len(chunk))
-            return kernel(chunk, square_free)
+            return kernel(chunk)
 
-        monkeypatch.setattr(rc, "_regular_cycles", counted)
+        monkeypatch.setattr(rc, "cycle_sizes", counted)
         report = rc.verify_all_elements(G)
         assert report.all_regular  # so no witness pass reads a row
         assert report.failing == 0 and report.verdict == "all-regular"
