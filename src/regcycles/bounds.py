@@ -268,8 +268,6 @@ def fprell_bound(case: str, gid: GroupId, ellp: int) -> Fraction:
         if fam == "PSU":
             return Fraction(2, q0**ellp)
         if fam in _ORTHOGONAL:
-            if gid.n < 7:
-                raise ValueError("orthogonal branch needs n >= 7")
             return Fraction(36, 13 * q0**ellp)
         raise ValueError(f"case ii undefined for {fam}")
     raise ValueError(f"no l'-bound for case {case!r}")
@@ -571,8 +569,6 @@ def _s1_s2_case_ii(gid: GroupId):
         return s1, _tail_terms(gid, ratio, window=(2, 3))
     if fam not in _ORTHOGONAL:
         raise ValueError(f"case ii undefined for {fam}")
-    if n < 7:
-        raise ValueError("orthogonal case ii needs n >= 7")
     if q == 2:
         return None
     front = _orthogonal_ns1_front(gid)
@@ -590,8 +586,6 @@ def _s1_s2_case_iv(gid: GroupId):
     n, q, p, e = gid.n, gid.q, gid.p, gid.e
     if gid.family not in _ORTHOGONAL:
         raise ValueError("case iv needs an orthogonal family")
-    if n < 7:
-        raise ValueError("case iv needs n >= 7")
     if q == 2:
         return None
     # f(n,q) = 3/q**(n/2-2) + 1/q**(n/2-1) + 1/q**2, rounded up for odd n

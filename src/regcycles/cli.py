@@ -183,10 +183,9 @@ def _matrix_domain(args):
         return gens, geometry.maximal_totally_singular(space)
     if kind == "forms":
         return gens, geometry.quadratic_forms_polarizing(space, args.epsilon)
-    if kind in ("pairs-le", "pairs-perp"):
-        leq, perp = geometry.pair_domains(space, args.k)
-        return gens, (leq if kind == "pairs-le" else perp)
-    raise ValueError(f"unknown action type {kind!r}")
+    # argparse's choices leave only the two pair types
+    leq, perp = geometry.pair_domains(space, args.k)
+    return gens, (leq if kind == "pairs-le" else perp)
 
 
 def _cmd_build_action(args):

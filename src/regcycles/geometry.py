@@ -38,9 +38,8 @@ provides:
     per label position.  Duality maps each image basis to the points
     orthogonal to all its rows.  Form domains map their table of values
     at once, one generator at a time, forward through the generator
-    matrix itself, and invert the permutation found.  A single element is
-    the one-generator case (`ActionDomain.image`).  The image rows become
-    `PermGroup.images`;
+    matrix itself, and invert the permutation found.  The image rows
+    become `PermGroup.images`;
   * a plain text file format for matrix generators, read by the line and
     integer readers of the package root (`file_lines`, `read_ints`),
     whose generators are checked for singularity by one batched Gaussian
@@ -81,8 +80,6 @@ VECTOR_ENUM_CAP = 10**6
 # perm_image maps as many generators at once as hold about this many
 # entries of point vectors and label rows.
 _COMBINE_BLOCK = 1 << 19
-
-_field_cache: dict = {}
 
 
 class DomainNotPreservedError(ValueError):
@@ -182,12 +179,14 @@ class Fq:
         return f"Fq({self.p}, {self.e})"
 
 
+_cached_field = cache(Fq)
+
+
 def field_build(p: int, e: int, modulus=None) -> Fq:
-    """Build (and cache) GF(p^e) with the default or an explicit modulus."""
-    key = (p, e, tuple(modulus) if modulus is not None else None)
-    if key not in _field_cache:
-        _field_cache[key] = Fq(p, e, modulus)
-    return _field_cache[key]
+    """Build (and cache) GF(p^e) with the default or an explicit modulus,
+    given as a tuple or None to the cache, so that omitting it and passing
+    None give one field."""
+    return _cached_field(p, e, None if modulus is None else tuple(modulus))
 
 
 # ---------------------------------------------------------------------------
@@ -667,10 +666,6 @@ class ActionDomain:
             rows = pts.span_points(comps)
             parts.append((rows, _RowIndex(rows)))
         return parts, _RowIndex(self.members) if len(parts) > 1 else None
-
-    def image(self, g: SemilinearMap) -> np.ndarray:
-        """The image row of the permutation g induces on the labels."""
-        return self.images([g])[0]
 
     def images(self, generators) -> np.ndarray:
         """The image rows of the permutations the generators induce on the

@@ -83,19 +83,10 @@ class Factorization:
                                      for m in set(self.unsplit))
 
     def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self._exact_pairs())
-
-    def __iter__(self):
-        return iter(self._exact_pairs())
-
-    def __len__(self):
-        return len(self._exact_pairs())
-
-    def _exact_pairs(self):
         if self.unsplit:
             raise ArithmeticError(f"cannot factor {self.unsplit[0]} within "
                                   "the rho budget or prove it prime")
-        return self.pairs
+        return tuple(p for p, _ in self.pairs)
 
 
 def floor_log(n: int, b: int) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -51,23 +52,20 @@ class GroupFileError(ValueError):
         self.lineno = lineno
 
 
+@dataclass(frozen=True, order=True, slots=True)
 class Permutation:
     """Immutable bijection of {0, ..., d-1} in image-array form."""
 
-    __slots__ = ("images", "_hash")
+    images: tuple[int, ...]
 
-    def __init__(self, images):
-        images = tuple(map(int, images))
+    def __post_init__(self):
+        images = tuple(map(int, self.images))
         # d distinct images, all in range(d)
         d = len(images)
         if d and (min(images) < 0 or max(images) >= d
                   or len(set(images)) != d):
             raise ValueError("images do not form a bijection of 0..d-1")
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_hash", hash(images))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     @property
     def degree(self) -> int:
@@ -76,21 +74,9 @@ class Permutation:
     def __call__(self, point: int) -> int:
         return self.images[point]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return (f"Permutation({cycle_string(self.images)!r}, "
                 f"degree={self.degree})")
-
-    def is_identity(self) -> bool:
-        return all(i == x for x, i in enumerate(self.images))
 
 
 def identity(degree: int) -> Permutation:
@@ -553,49 +539,31 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
 
-    def _minimal_block(self, beta: int) -> int:
-        """Size of the minimal block containing {0, beta} (union-find)."""
-        d = self.degree
-        parent = list(range(d))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        parent[find(beta)] = find(0)
-        queue = [(0, beta)]
-        gens = self.images.tolist()
-        while queue:
-            u, v = queue.pop()
-            for g in gens:
-                a, b = find(g[u]), find(g[v])
-                if a != b:
-                    parent[b] = a
-                    queue.append((a, b))
-        root = find(0)
-        return sum(1 for x in range(d) if find(x) == root)
-
     def is_primitive(self) -> bool:
-        """Transitive with no nontrivial block system.
+        """Transitive with no nontrivial block system: by Higman's
+        criterion (1967; Dixon and Mortimer, *Permutation Groups*, 1996),
+        with every orbital graph but the diagonal connected.
 
-        A transitive group on more than one point moves every point, so the
-        first base point is 0, and a block containing 0 is a union of orbits
-        of the stabilizer G_0 (Atkinson 1975): the minimal block containing
-        {0, beta} is the same for every beta of one G_0-orbit.  So {0, beta}
-        is closed to a minimal block for one beta per G_0-orbit other than
-        {0}: primitive iff every such closure is the whole domain.  No
-        element cap applies: the chain gives G_0 without listing elements.
+        A transitive group on more than one point moves every point, so
+        the first base point is 0.  The elements taking 0 to x are u_x G_0,
+        u_x the transversal row, so the orbital graph of a G_0-orbit O
+        joins x to u_x(O): one search from 0 per G_0-orbit but {0}
+        decides.  No element cap applies: the chain gives G_0 without
+        listing elements.
         """
-        if not self.is_transitive():
+        chain = self.stabilizer_chain(math.inf)
+        top = chain.levels[0]
+        if len(top.orbit) != self.degree:
             return False
-        d = self.degree
-        if d == 1:
-            return True
-        orbits = self.stabilizer_chain(math.inf).stabilizer_orbits()
-        return all(self._minimal_block(orbit[0]) == d
-                   for orbit in orbits[1:])
+        for orbit in chain.stabilizer_orbits()[1:]:
+            reached, new = np.zeros(self.degree, dtype=bool), [0]
+            while len(new):
+                reached[new] = True
+                new = np.unique(top.trans[top.pos[new][:, None], orbit])
+                new = new[~reached[new]]
+            if not reached.all():
+                return False
+        return True
 
 
 # -- group file format -------------------------------------------------------

@@ -10,6 +10,7 @@ compare against the library's answers.
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -133,6 +134,24 @@ class TestCorpusAgreement:
             assert G.degree <= MAX_DEGREE, name
             assert G.order(MAX_ORDER + 1) <= MAX_ORDER, name
 
+    def test_primitive_groups_of_the_corpus(self, corpus):
+        # the transitive groups of prime degree, Sym and Alt, their k-set
+        # actions but on 3-sets of 6 points (complements pair into blocks),
+        # their product actions, and AGL1, PSL2, PGL2 and the Frobenius
+        # groups of a prime degree; no wreath product, ordered pairs or
+        # intransitive group
+        def expected(name):
+            if m := re.fullmatch(r"(cyclic|dihedral)-(\d+)", name):
+                return nt.is_prime(int(m[2]))
+            if m := re.fullmatch(r"(sym|alt)-(\d+)-on-(\d+)-sets", name):
+                return int(m[2]) != 2 * int(m[3])
+            return bool(re.fullmatch(r"(sym|alt)-\d+(-product-\d+)?"
+                                     r"|(agl1|psl2|pgl2|frobenius)-.*", name))
+
+        primitive = [name for name, G in corpus if G.is_primitive()]
+        assert primitive == [name for name, _ in corpus if expected(name)]
+        assert len(corpus) == 207 and len(primitive) == 102
+
     def test_fix_union_agrees_with_direct_everywhere(self, corpus):
         for name, G in corpus:
             for row in G.element_array(MAX_ORDER + 1):
@@ -140,7 +159,7 @@ class TestCorpusAgreement:
                 report = fix_union_test(g)
                 direct = has_regular_cycle_direct(g)
                 assert report.has_regular_cycle == direct, (name, row)
-                if not g.is_identity():
+                if not report.identity_convention:
                     # the covering criterion, read from fixed sets alone
                     covered = report.fix_union_size == G.degree
                     assert covered == (not direct), (name, row)
@@ -678,7 +697,7 @@ def semisimple_sample(space, gens, excluded_primes, want):
 
 
 def fixed_labels(dom, m):
-    p = dom.image(geo.SemilinearMap(m))
+    p = dom.images([geo.SemilinearMap(m)])[0]
     return [dom.labels[i] for i in range(dom.degree) if p[i] == i]
 
 
@@ -1114,7 +1133,7 @@ class TestArithmeticInvariants:
                                          2**5 * 3**4 * 5**3 * 7**2]:
             fact = nt.factorize(n)
             prod = 1
-            for p, e in fact:
+            for p, e in fact.pairs:
                 assert nt.is_prime(p)
                 prod *= p**e
             assert prod == n == fact.value

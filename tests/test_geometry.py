@@ -596,7 +596,7 @@ class TestPairsAndDuality:
         F = standard_form("trivial", 5, 2)
         _le, perp = ge.pair_domains(F, 1)
         g = duality_map(F)
-        p = perp.image(g).tolist()
+        p = perp.images([g])[0].tolist()
         assert sorted(p) == list(range(perp.degree))
         # involution
         assert all(p[p[i]] == i for i in range(perp.degree))
@@ -625,7 +625,7 @@ class TestPairsAndDuality:
         # 3-space, outside the domain
         F = standard_form("hermitian", 5, 2)
         with pytest.raises(DomainNotPreservedError):
-            ge.maximal_totally_singular(F).image(duality_map(F))
+            ge.maximal_totally_singular(F).images([duality_map(F)])[0]
 
 
 class TestSemisimpleDecomposition:
@@ -675,13 +675,13 @@ class TestPermImage:
         diag = tuple(tuple((2 if (i % 2 and i == j) else (1 if i == j else 0))
                            for j in range(8)) for i in range(8))
         with pytest.raises(DomainNotPreservedError):
-            plus.image(SemilinearMap(diag))
+            plus.images([SemilinearMap(diag)])[0]
 
     def test_duality_rejected_on_points(self):
         F = standard_form("trivial", 4, 2)
         dom = ge.singular_points(F)
         with pytest.raises(DomainNotPreservedError):
-            dom.image(duality_map(F))
+            dom.images([duality_map(F)])[0]
 
     @pytest.mark.parametrize("build", [ge.maximal_totally_singular,
                                        ge.nondegenerate_2_subspaces])
@@ -693,7 +693,7 @@ class TestPermImage:
             tuple(1 if i == j or (i, j) == (0, 2) else 0 for j in range(6))
             for i in range(6)))
         with pytest.raises(DomainNotPreservedError):
-            dom.image(shear)
+            dom.images([shear])[0]
         with pytest.raises(DomainNotPreservedError):
             reference_permutation(dom, shear)
 
@@ -704,7 +704,7 @@ class TestPermImage:
         for g in (SemilinearMap(singular),
                   SemilinearMap(singular, duality=True)):
             with pytest.raises(DomainNotPreservedError):
-                perp.image(g)
+                perp.images([g])[0]
 
 
 # -- the induced point action against the per-label reference ----------------
@@ -870,7 +870,7 @@ class TestInducedPointAction:
         duality = data.draw(st.booleans()) \
             if _admits_duality(kind, space) else False
         g = SemilinearMap(word, twist, duality)
-        assert Permutation(dom.image(g)) == reference_permutation(dom, g)
+        assert Permutation(dom.images([g])[0]) == reference_permutation(dom, g)
 
     def test_every_space_kind_is_covered(self):
         kinds = {(params[0], params[3]) for kind in _DOMAIN_KINDS
@@ -894,7 +894,7 @@ class TestInducedPointAction:
         for _ in range(data.draw(st.integers(1, 4))):
             word = mat_mul(space.field, word, rng.choice(gens))
         g = SemilinearMap(word)
-        assert Permutation(dom.image(g)) == reference_permutation(dom, g)
+        assert Permutation(dom.images([g])[0]) == reference_permutation(dom, g)
 
     @pytest.mark.parametrize("eps", "+-")
     def test_form_action_rejects_non_isometries(self, eps):
@@ -909,14 +909,14 @@ class TestInducedPointAction:
         for m in (shear, scalar, ((1, 0, 0, 0),) * 4):
             with pytest.raises(DomainNotPreservedError,
                                match="does not preserve the form"):
-                dom.image(SemilinearMap(m))
+                dom.images([SemilinearMap(m)])[0]
 
     def test_form_action_rejects_twist_and_duality(self):
         dom = _domain("forms-", ("symplectic", 4, 4, None))
         for g in (SemilinearMap(mat_identity(4), twist=1),
                   SemilinearMap(mat_identity(4), duality=True)):
             with pytest.raises(DomainNotPreservedError):
-                dom.image(g)
+                dom.images([g])[0]
             with pytest.raises(DomainNotPreservedError):
                 reference_permutation(dom, g)
 
@@ -1061,7 +1061,7 @@ class TestBatchedImages:
         space, gens = ge.builtin_matrix_group(name)
         dom = TestGoldenOutputs._domain(space, action, arg)
         assert (perm_image(gens, dom).images
-                == np.array([dom.image(g) for g in gens])).all()
+                == np.array([dom.images([g])[0] for g in gens])).all()
 
     def test_twists_and_dualities_among_plain_generators(self):
         # GF(4): the twist is the Frobenius map; on pairs, duality swaps
@@ -1096,7 +1096,7 @@ class TestBatchedImages:
                 perm_image(gens, plus)
             with pytest.raises(DomainNotPreservedError) as single:
                 for g in gens:
-                    plus.image(g)
+                    plus.images([g])[0]
             assert str(batched.value) == str(single.value)
             assert str(batched.value).startswith(message)
 

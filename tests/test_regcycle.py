@@ -218,7 +218,7 @@ class TestVerifyAllElements:
         for degree in (1, 3, 4, 63, 1000):
             table = rc._square_free_table(degree)
             assert table.tolist() == [
-                n == 0 or all(e == 1 for _p, e in numtheory.factorize(n))
+                n == 0 or all(e == 1 for _p, e in numtheory.factorize(n).pairs)
                 for n in range(degree + 1)]
 
     def test_degree_above_65535(self):
