@@ -43,8 +43,11 @@ elements (``fix_union_test``, ``perm.has_regular_cycle_direct``) keep the
 scalar cycle walk.  Two actions of one group, on Omega1 and Omega2, are
 compared in its diagonal action on their disjoint union: each sampled
 word is read k letters at a time, right to left, from one table of the
-k-letter products, and the counts of both actions come from one kernel
-call on the whole diagonal rows.
+k-letter products.  The kernel counts action 1 on its own columns, and
+the longest cycle there, the word's order o on Omega1, lets the
+fix-union test count action 2 from the powers w**o and w**(o/r) alone
+(``_fix_union_counts``); only the rows that test cannot decide go
+through the kernel on their action-2 columns.
 """
 
 from __future__ import annotations
@@ -419,8 +422,8 @@ class MonotonicityReport:
     """Sampled check that action 1 never has more regular cycles of a word
     than action 2 does."""
 
-    samples: int
-    violations: tuple[str, ...]  # word descriptions, at most a handful
+    samples: int  # words requested; sampling stops at the fifth violation
+    violations: tuple[str, ...]  # the first five violating words, at most
 
     @property
     def monotone(self) -> bool:
@@ -439,7 +442,8 @@ class MonotonicityReport:
 MAX_WORD_LENGTH = 40
 
 # compare_actions_monotonic's table of k-letter products holds at most this
-# many bytes (unless its k = 1 table, the generators alone, is larger)
+# many bytes (unless its k = 1 table, the generators alone, is larger), and
+# so do its chunks of words (unless one word is larger)
 _TABLE_BYTES = 1 << 22
 
 
@@ -487,6 +491,47 @@ def _letter_products(G1: PermGroup, G2: PermGroup, samples: int):
     return table, k
 
 
+def _fix_union_counts(rows, shift: int, order: int, primes) -> np.ndarray:
+    """The regular-cycle count of each row of an (m x d) array of image
+    rows whose points are shifted by `shift` (the action-2 columns of
+    diagonal rows), from the fix-union test at `order`, whose primes are
+    `primes`; -1 where that test cannot decide.
+
+    Let w be a row, x a point on a cycle of length L, and P the number of
+    points moved by every w**(order/r), r in primes.  If w**order = 1,
+    every L divides order, and w**(order/r) fixes x iff L divides
+    order/r, which holds for some r unless L = order.  So P points lie on
+    cycles of length order; if P > 0, that is the order of w, and w has
+    P/order regular cycles.  Otherwise (w**order != 1, or P = 0: the
+    order of w is a proper divisor) the row is left undecided.
+
+    The powers are read by one binary exponentiation of the m rows at
+    once, with their points numbered i d + x for row i, so that each
+    product of powers is one ``take``.
+    """
+    m, d = rows.shape
+    x = (rows + (np.arange(0, m * d, d) - shift)[:, None]).ravel()
+    ident = np.arange(m * d)
+    exponents = {order} | {order // r for r in primes}
+    powers: dict[int, np.ndarray] = {}
+    square, bit = x, 1  # square = x**bit
+    while True:
+        for e in exponents:
+            if e & bit:
+                powers[e] = powers[e].take(square) if e in powers \
+                    else square
+        bit <<= 1
+        if bit > order:
+            break
+        square = square.take(square)
+    whole = (powers[order] == ident).reshape(m, d).all(axis=1)
+    moved = np.ones(m * d, bool)
+    for r in primes:
+        moved &= powers[order // r] != ident
+    regular = moved.reshape(m, d).sum(axis=1)
+    return np.where(whole & (regular > 0), regular // order, -1)
+
+
 def compare_actions_monotonic(G1: PermGroup, G2: PermGroup,
                               samples: int = 10**4,
                               seed: int = 1729) -> MonotonicityReport:
@@ -499,18 +544,29 @@ def compare_actions_monotonic(G1: PermGroup, G2: PermGroup,
     points of both domains (generator i acts on the last d2 as row i of
     G2 shifted by d1).  Sampling uses a fixed seed, so runs are
     reproducible.  At least one word is sampled, and the actions need at
-    least one generator.
+    least one generator.  `samples` is the number of words requested, and
+    the report carries it: the report lists the first five violations in
+    sample order, so sampling stops after the chunk of words that holds
+    the fifth.
 
     Each word, padded at its end with identity letters to a multiple of
     k, is read in blocks of k letters from one table of every k-letter
     product that starts with a generator (``_letter_products``), right
     to left: the partial product starts as the last block's row and is
     then taken at each earlier block's row, so its random reads stay in
-    one cached row.  The words' rows are
-    counted a chunk of words at a time, by one call of the kernel that
-    ``verify_all_elements`` uses on the whole diagonal row; no cycle
-    crosses column d1, so the counts of each action are read from its
-    block of columns.
+    one cached row.  The words' rows are counted a chunk of words at a
+    time, _CHUNK_ENTRIES // d1 of them (fewer where their diagonal rows
+    would pass _TABLE_BYTES).  No cycle crosses column d1, so the kernel
+    that ``verify_all_elements`` uses counts action 1 on its block of
+    columns alone.  A word without a regular cycle there cannot be a
+    violation, and its action-2 columns are never read.  The others
+    have order o on Omega1, their longest cycle there (so at most d1),
+    and the fix-union test at o counts action 2 (``_fix_union_counts``),
+    on pieces of at most _CHUNK_ENTRIES // d2 words of one order: a
+    word or two at a time where d2 is large, many where it is small.
+    The rows it cannot decide, where w**o != 1 on Omega2 or no point
+    there lies on a cycle of length o, go through the kernel on their
+    action-2 columns in pieces of the same size.
     """
     if len(G1.images) != len(G2.images):
         raise ValueError("the two actions list different numbers of "
@@ -523,11 +579,14 @@ def compare_actions_monotonic(G1: PermGroup, G2: PermGroup,
 
     ngens = len(G1.images)
     rng = random.Random(seed)
-    d1 = G1.degree
+    d1, d2 = G1.degree, G2.degree
     table, k = _letter_products(G1, G2, samples)
     weights = [(ngens + 1) ** e for e in range(k - 1, -1, -1)]
-    per_chunk = max(1, _CHUNK_ENTRIES // table.shape[1])
-    rows = np.empty((per_chunk, table.shape[1]), table.dtype)
+    per_chunk = max(1, min(_CHUNK_ENTRIES // d1,
+                           _TABLE_BYTES // table[0].nbytes))
+    per_piece = max(1, _CHUNK_ENTRIES // d2)
+    rows = np.empty((per_chunk, d1 + d2), table.dtype)
+    primes: dict[int, tuple[int, ...]] = {}  # of each order met
     words = []
     violations: list[str] = []
     for sample in range(samples):
@@ -542,11 +601,30 @@ def compare_actions_monotonic(G1: PermGroup, G2: PermGroup,
             w = w.take(table[row])  # apply that block, then w
         rows[len(words)] = w
         words.append(word)
-        if len(words) == per_chunk or sample == samples - 1:
-            sizes = cycle_sizes(rows[:len(words)])
-            more = (_regular_counts(sizes[:, :d1])
-                    > _regular_counts(sizes[:, d1:]))
-            for j in np.flatnonzero(more)[:5 - len(violations)]:
-                violations.append("g" + " g".join(str(i) for i in words[j]))
-            words = []
+        if len(words) < per_chunk and sample < samples - 1:
+            continue
+        chunk = rows[:len(words)]
+        sizes = cycle_sizes(chunk[:, :d1])
+        counts1 = _regular_counts(sizes)
+        counts2 = np.zeros_like(counts1)
+        live = np.flatnonzero(counts1)
+        orders = sizes.max(axis=1)[live]
+        for order in np.unique(orders).tolist():
+            if order not in primes:
+                primes[order] = numtheory.factorize(order).primes()
+            same = live[orders == order]
+            for i in range(0, len(same), per_piece):
+                piece = same[i:i + per_piece]
+                counts2[piece] = _fix_union_counts(
+                    chunk[piece, d1:], d1, order, primes[order])
+        undecided = live[counts2[live] < 0]
+        for i in range(0, len(undecided), per_piece):
+            piece = undecided[i:i + per_piece]
+            counts2[piece] = _regular_counts(
+                cycle_sizes(chunk[piece, d1:] - d1))
+        for j in np.flatnonzero(counts1 > counts2)[:5 - len(violations)]:
+            violations.append("g" + " g".join(str(i) for i in words[j]))
+        if len(violations) == 5:
+            break
+        words = []
     return MonotonicityReport(samples, tuple(violations))

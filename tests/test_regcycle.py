@@ -368,6 +368,101 @@ class TestCompareActions:
             assert rep == compare_actions_two_loops(a, b, samples=1000,
                                                     seed=3)
 
+    @staticmethod
+    def _kernel_rows(monkeypatch):
+        """The rows the kernel reads, summed by their width."""
+        rows, kernel = {}, rc.cycle_sizes
+
+        def counted(chunk):
+            rows[chunk.shape[1]] = rows.get(chunk.shape[1], 0) + len(chunk)
+            return kernel(chunk)
+
+        monkeypatch.setattr(rc, "cycle_sizes", counted)
+        return rows
+
+    @pytest.mark.parametrize("rows, order, primes, counts", [
+        # one 6-cycle and a 2-cycle: w**6 = 1 and 6 points on 6-cycles
+        ([[1, 2, 3, 4, 5, 0, 7, 6]], 6, (2, 3), [1]),
+        # two 3-cycles at order 6 (3 = 6/2): w**6 = 1 but no point moved
+        # by both w**3 and w**2, so the order is a proper divisor
+        ([[1, 2, 0, 4, 5, 3, 6, 7]], 6, (2, 3), [-1]),
+        # a 4-cycle at order 6: w**6 != 1
+        ([[1, 2, 3, 0, 4, 5, 6, 7]], 6, (2, 3), [-1]),
+        # the identity at order 1: every point a regular 1-cycle
+        ([list(range(8))], 1, (), [8]),
+        # two rows of order 4 at once: (0 1 2 3)(4 5 6 7), (0 1 2 3)(4 5)
+        ([[1, 2, 3, 0, 5, 6, 7, 4], [1, 2, 3, 0, 5, 4, 6, 7]], 4, (2,),
+         [2, 1]),
+    ])
+    def test_fix_union_counts_decide_or_defer(self, rows, order, primes,
+                                              counts):
+        # the rows are read as the action-2 columns of diagonal rows,
+        # shifted by d1 = 3
+        shifted = np.array(rows, np.uint8) + 3
+        assert rc._fix_union_counts(shifted, 3, order, primes).tolist() \
+            == counts
+
+    @pytest.mark.parametrize("sign_first", [True, False])
+    def test_rows_the_powers_cannot_decide_reach_the_kernel(
+            self, monkeypatch, sign_first):
+        # Sym(5) on points against its sign action on 2 points: the
+        # transposition swaps them and the 5-cycle fixes them.  As action
+        # 1, the sign action gives an odd word order 2 and an even one
+        # order 1, at which w**o != 1 on the points for most words; as
+        # action 2, a 3-cycle has o = 3 and acts trivially, so no point
+        # there is moved by w: P = 0
+        G = symmetric_group(5)
+        sign = PermGroup(2, [(1, 0), (0, 1)])
+        G1, G2 = (sign, G) if sign_first else (G, sign)
+        rows = self._kernel_rows(monkeypatch)
+        rep = rc.compare_actions_monotonic(G1, G2, samples=200, seed=11)
+        assert rep == compare_actions_two_loops(G1, G2, samples=200,
+                                                seed=11)
+        assert rows[G1.degree] == 200
+        assert rows[G2.degree] > 0
+
+    def test_sp6_2_points_against_nd2_never_needs_the_kernel_twice(
+            self, monkeypatch):
+        # the fix-union test decides action 2 for all 1,000 words: the
+        # kernel reads their 63 action-1 columns and nothing of the 336
+        # action-2 columns
+        G1, G2 = _sp6_2_points_and_nd2()
+        rows = self._kernel_rows(monkeypatch)
+        rep = rc.compare_actions_monotonic(G1, G2, samples=1000, seed=3)
+        assert rep.monotone and rep.samples == 1000
+        assert rows == {63: 1000}
+
+    def test_sampling_stops_at_the_fifth_violation(self, monkeypatch):
+        # Sym(8) on 3-sets against 2-sets holds five violations in its
+        # first chunk of 15,872 // 56 = 283 words, so the rest of the
+        # 3,000 words requested are never read
+        G1, G2 = geometry.k_set_action(8, 3), geometry.k_set_action(8, 2)
+        rows = self._kernel_rows(monkeypatch)
+        rep = rc.compare_actions_monotonic(G1, G2, samples=3000, seed=7)
+        assert rep == compare_actions_two_loops(G1, G2, samples=3000,
+                                                seed=7)
+        assert len(rep.violations) == 5 and rep.samples == 3000
+        assert rows[56] == 283 < 3000
+
+    def test_a_chunk_of_words_stays_within_the_table_bound(self):
+        # a trivial action on 1 point against C_65600: 15,872 // d1 words
+        # of 65,601 points each would take 4 GB.  The table and the chunk
+        # each hold at most _TABLE_BYTES, and every word's action-2
+        # columns go through the kernel (at o = 1, w**o != 1 on them),
+        # whose temporaries for one row of 65,600 points take about 3 MB
+        C = cyclic_group(65600)
+        trivial = PermGroup(1, [[0]])
+        tracemalloc.start()
+        try:
+            rep = rc.compare_actions_monotonic(trivial, C, samples=20,
+                                               seed=3)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep == compare_actions_two_loops(trivial, C, samples=20,
+                                                seed=3)
+        assert peak < 3 * rc._TABLE_BYTES
+
 
 def _sp6_2_points_and_nd2():
     space, gens = geometry.builtin_matrix_group("sp6_2")
