@@ -74,7 +74,8 @@ def build_sp6_2():
         if not any(v):
             continue
         cand = gens + [transvection(space, v)]
-        new_order = ge.perm_image(cand, dom).order(cap=2 * 10**6)
+        chain = ge.perm_image(cand, dom).stabilizer_chain(2 * 10**6)
+        new_order = chain.order
         if new_order > order:
             gens, order = cand, new_order
         if order == 1451520:

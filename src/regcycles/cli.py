@@ -64,15 +64,14 @@ def _cmd_check(args):
 
     G = _load(args.group, perm.parse_group_file)
     if args.element is None:
-        verified = regcycle.verify_all_elements(G, cap=args.cap,
-                                                max_witnesses=1)
+        verified = regcycle.verify_all_elements(G, cap=args.cap)
         checked, witnesses = verified.checked, verified.witnesses
     else:
         try:
             g = perm.parse_cycles(args.element, G.degree)
         except ValueError as exc:
             raise ValueError(f"bad --element: {exc}") from exc
-        if not G.contains(g, args.cap):
+        if not G.stabilizer_chain(args.cap).contains(g.images):
             raise ValueError(f"--element {args.element} is not in "
                              "the group")
         checked, witnesses = 1, (g,)
@@ -176,6 +175,8 @@ def _matrix_domain(args):
         dom = geometry.nondegenerate_points(space)
         if isinstance(dom, tuple):
             dom = dom[0] if args.orbit == "plus" else dom[1]
+        elif args.orbit == "minus":
+            raise ValueError(f"--orbit minus: {dom.name} is a single orbit")
         return gens, dom
     if kind == "aniso2":
         return gens, geometry.anisotropic_2_subspaces(space)
@@ -229,8 +230,10 @@ def _cmd_compare(args):
     G2 = _load(args.action2, perm.parse_group_file)
     report = regcycle.compare_actions_monotonic(
         G1, G2, samples=args.samples, seed=args.seed)
-    lines = [f"{args.samples} sampled words: "
-             + ("monotone" if report.monotone else "VIOLATIONS")]
+    head = (f"sampling stopped at the fifth violation ({args.samples} words "
+            "requested)" if len(report.violations) == 5
+            else f"{args.samples} sampled words")
+    lines = [f"{head}: " + ("monotone" if report.monotone else "VIOLATIONS")]
     lines += [f"  violating word: {w}" for w in report.violations]
     _emit(args, report.to_json_dict(), lines)
     return 0 if report.monotone else 1

@@ -11,10 +11,11 @@ labels (``cycle_sizes``), and so does the group-file writer
 (``emit_group_file``); single elements keep the scalar cycle walk
 (``cycle_decomposition``, ``cycle_string``).
 A group is held as a stabilizer chain (``StabChain``), built lazily by a
-deterministic Schreier-Sims algorithm on such arrays.  It gives the
-order without enumeration, membership by sifting, and the elements,
-coset by coset, from one recursion over its levels (``StabChain.cosets``)
-in blocks of a caller's size, so results are exactly reproducible.
+deterministic Schreier-Sims algorithm on such arrays; only it reads its
+levels.  It gives the order, membership by sifting, the orbits of its
+stabilizers, on points and base-point pairs, their transversal rows, and
+the elements coset by coset from one recursion over its levels, in blocks
+of a caller's size (``cosets``), so results are exactly reproducible.
 Every cap raises an OverflowError: every question that needs the chain
 raises CapExceeded iff the group order exceeds its element cap (default
 10**7), and every domain constructor refuses more than DEFAULT_DOMAIN_CAP =
@@ -378,7 +379,9 @@ class StabChain:
         return rows[moved.any(axis=1).argmax()], len(self.levels)
 
     def contains(self, images) -> bool:
-        return self._residue(np.array([images], dtype=np.intp), 0) is None
+        """True iff the row is an element (no row of another degree is)."""
+        return len(images) == self.degree and self._residue(
+            np.array([images], dtype=np.intp), 0) is None
 
     def cosets(self, reps, level: int, entries: int):
         """The cosets x G_(level) of the representative rows x, G_(level)
@@ -408,17 +411,46 @@ class StabChain:
                 yield a, at, np.take(reps[a:a + width], piece, axis=1)
             at += len(piece)
 
-    def stabilizer_orbits(self) -> list[list[int]]:
-        """The orbits of G_(1) on the images of the first base point,
-        ordered by least point, each listed breadth first from it."""
-        gens = self.levels[1].gens.tolist() if len(self.levels) > 1 else []
-        return _orbits(sorted(self.levels[0].orbit.tolist()), gens)
+    def _gens(self, level: int) -> np.ndarray:
+        """The strong generators of G_(level) (none past the last level)."""
+        return self.levels[level].gens if level < len(self.levels) \
+            else np.empty((0, self.degree), np.intp)
 
-    def representatives(self, betas) -> np.ndarray:
-        """One element per image beta of the first base point, as rows:
-        the row t of the first transversal with t(b1) = beta."""
-        top = self.levels[0]
-        return top.trans[top.pos[np.asarray(betas, dtype=np.intp)]]
+    def orbits(self, level: int = 0) -> list[list[int]]:
+        """The orbits of G_(level+1) on the orbit of b_(level+1) under
+        G_(level), by least point, each breadth first from it."""
+        return _orbits(sorted(self.levels[level].orbit.tolist()),
+                       self._gens(level + 1).tolist())
+
+    def representatives(self, points, level: int = 0) -> np.ndarray:
+        """One element of G_(level) per point beta of the orbit of
+        b = b_(level+1), as rows: the row t of that level's transversal
+        with t(b) = beta."""
+        lev = self.levels[level]
+        return lev.trans[lev.pos[np.asarray(points, dtype=np.intp)]]
+
+    def pair_orbits(self, level: int, firsts):
+        """The orbits of G_(level+2) on the pairs (g(b), g(b')), b and b'
+        the base points b_(level+1) and b_(level+2) and g in G_(level)
+        with g(b) in ``firsts``, points that G_(level+2) permutes, as
+        (rows, lengths): per orbit, an element of G_(level) taking (b, b')
+        to its first pair, and its length.  Pair i m + j is (beta,
+        t(delta)): beta = firsts[i], t the transversal row taking b to
+        beta, delta = the j-th of the m points of the orbit of b'; h in
+        G_(level+2) maps it to (h(beta), h(t(delta))), read back through
+        t^-1.  Its row is t v, v the next level's row taking b' to delta."""
+        lev, nxt = self.levels[level:level + 2]
+        m, t = len(nxt.orbit), lev.pos[firsts]
+        at = np.zeros(self.degree, np.intp)  # beta -> i m
+        at[firsts] = range(0, len(firsts) * m, m)
+        h = self._gens(level + 2)
+        hb = h[:, firsts, None]
+        images = at[hb] + nxt.pos[lev.inv[lev.pos[hb], h[
+            :, lev.trans[t[:, None], nxt.orbit]]]]
+        pairs = _orbits(range(len(firsts) * m),
+                        images.reshape(len(h), len(firsts) * m).tolist())
+        i, j = np.divmod([pair[0] for pair in pairs], m)
+        return lev.trans[t[i, None], nxt.trans[j]], list(map(len, pairs))
 
 
 def _orbits(points, gens) -> list[list[int]]:
@@ -444,7 +476,7 @@ def _orbits(points, gens) -> list[list[int]]:
 class PermGroup:
     """Finitely generated permutation group: its generators, Permutations
     or image rows, held as one read-only (k x degree) array in the point
-    dtype (``images``), and a lazily built, cached stabilizer chain."""
+    dtype (``images``), and a cached chain (``stabilizer_chain``)."""
 
     def __init__(self, degree: int, generators):
         if degree < 1:
@@ -509,7 +541,7 @@ class PermGroup:
         dtype = _point_dtype(d).newbyteorder(">")
         row = np.dtype((np.void, d * dtype.itemsize))
         out = np.empty((chain.order, d), dtype=dtype)
-        betas = sorted(chain.levels[0].orbit.tolist())
+        betas = sorted(x for orbit in chain.orbits() for x in orbit)
         blocks = out.reshape(len(betas), -1, d)  # one per coset of G_b
         reps = chain.representatives(betas)
         for first, at, rows in chain.cosets(reps, 1, _ARRAY_ENTRIES):
@@ -518,16 +550,6 @@ class PermGroup:
         for block in blocks:
             block.view(row).sort(axis=0)
         return out
-
-    def order(self, cap: int = DEFAULT_ELEMENT_CAP) -> int:
-        return self.stabilizer_chain(cap).order
-
-    def contains(self, g: Permutation, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
-        """True iff g is an element of the group, decided by sifting g
-        through the stabilizer chain (CapExceeded iff |G| > cap)."""
-        if g.degree != self.degree:
-            return False
-        return self.stabilizer_chain(cap).contains(g.images)
 
     # -- orbit structure ----------------------------------------------------
 
@@ -552,14 +574,13 @@ class PermGroup:
         listing elements.
         """
         chain = self.stabilizer_chain(math.inf)
-        top = chain.levels[0]
-        if len(top.orbit) != self.degree:
+        if chain.orbit_lengths[0] != self.degree:
             return False
-        for orbit in chain.stabilizer_orbits()[1:]:
+        for orbit in chain.orbits()[1:]:
             reached, new = np.zeros(self.degree, dtype=bool), [0]
             while len(new):
                 reached[new] = True
-                new = np.unique(top.trans[top.pos[new][:, None], orbit])
+                new = np.unique(chain.representatives(new)[:, orbit])
                 new = new[~reached[new]]
             if not reached.all():
                 return False

@@ -14,10 +14,10 @@ cycle on any nonempty domain (a report's ``identity_convention`` says so).
 Fixed-point counts come from one cycle decomposition: Fix(g**m) is the
 union of the cycles of g whose length divides m, so ``check``
 (``fix_union_test``) takes S and the primes of |g| from the distinct
-cycle lengths and never factors |g|.  The bulk verifier reads
-cycle types (a class function) from cosets of the chain's stabilizers
-G_(l), G_(l) fixing the first l base points, in blocks from the chain's
-one coset recursion (``perm.StabChain.cosets``).  The cosets
+cycle lengths and never factors |g|.  The bulk verifier reads cycle
+types (a class function) from cosets of the chain's stabilizers G_(l),
+G_(l) fixing the first l base points, through the chain's accessors
+(``perm.StabChain.orbits``, ``pair_orbits`` and ``cosets``).  The cosets
 {g : g(b1) = beta} of one G_(1)-orbit have the same cycle types, and each
 orbit is read the way that takes the fewest rows (``_orbit_readings``):
 its coset whole, one coset of G_(2) per G_(2)-orbit on the pairs
@@ -67,7 +67,6 @@ from .perm import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
     Permutation,
-    _orbits,
     _point_dtype,
     cycle_decomposition,
     cycle_sizes,
@@ -230,73 +229,54 @@ class VerifyReport:
 def _orbit_readings(chain, k: int = 0):
     """How to read G_(k) by cycle types, as (orbits, pieces): orbits has
     one entry (O, rows, kind) per orbit O of G_(k+1) on the orbit of
-    b = b_(k+1) (at k = 0, on the images of b1, the orbits of
-    ``stabilizer_orbits``), the reading chosen for O and the kernel rows
-    it takes, and pieces (level, xs, weights, owners) are the cosets
-    read: x G_(level) for each row x of xs, standing for `weight` cosets
-    of G_(level) with its cycle types, in the reading of orbit number
-    `owner`.  Each orbit takes the fewest rows of these readings:
+    b = b_(k+1) (``StabChain.orbits(k)``; at k = 0, on the images of b1),
+    the reading chosen for O and the kernel rows it takes, and pieces
+    (level, xs, weights, owners) are the cosets read: x G_(level) for
+    each row x of xs, standing for `weight` cosets of G_(level) with its
+    cycle types, in the reading of orbit number `owner`.  Each orbit
+    takes the fewest rows of these readings:
 
     - "whole": the coset {g : g(b) = O[0]} of G_(k+1), weight |O|;
     - "branch", for O = {b}: that coset is G_(k+1), read the same way
       one level down;
-    - "pairs", for O other than {b}: the cosets {g : g(b) = beta} split
-      by gamma = g(b'), b' the next base point.  G_(k+2) fixes b and b',
-      so conjugation maps the piece of (beta, gamma) onto that of its
-      image, and one coset of G_(k+2) is read per G_(k+2)-orbit on the
-      pairs, weight its length.  The first coordinates beta run through
-      O, or only through b' when O holds it: conjugation by G_(k+1) maps
-      the coset of b' onto the others, so each piece then also stands for
-      |O|.  The pairs take at least (first coordinates) x n' rows, n' the
-      length of the orbit of b', so their orbits are only computed when
-      that is below |G_(k+1)|.  (Over {b} they would be the whole
-      readings of the branch's orbits, so the branch never reads more.)
+    - "pairs", for O other than {b}: the cosets {g : g(b) = beta} split by
+      gamma = g(b'), b' the next base point.  G_(k+2) fixes b and b', so
+      conjugation maps the piece of (beta, gamma) onto that of its image,
+      and one coset of G_(k+2) is read per G_(k+2)-orbit on the pairs
+      (``StabChain.pair_orbits``), weight its length.  The first
+      coordinates beta run through O, or only through b' when O holds it:
+      conjugation by G_(k+1) maps the coset of b' onto the others, so each
+      piece then also stands for |O|.  The pair orbits are computed only
+      when (first coordinates) x n', n' the length of the orbit of b' and
+      a lower bound for their rows, is below |G_(k+1)|.  (Over {b} they
+      would be the branch's whole readings: the branch never reads more.)
 
     A tie keeps the whole coset."""
-    levels, d, n = chain.levels, chain.degree, chain.orbit_lengths
-    depth, lev = len(levels), levels[k]
-    sizes = [math.prod(n[j:]) for j in range(depth + 1)]  # |G_(j)|
-    parts = _orbits(sorted(lev.orbit.tolist()),
-                    levels[k + 1].gens.tolist() if k + 1 < depth else [])
-    reps = lev.trans[lev.pos[[orbit[0] for orbit in parts]]]
+    base, d, n = chain.base, chain.degree, chain.orbit_lengths
+    sizes = [math.prod(n[j:]) for j in range(len(n) + 1)]  # |G_(j)|
+    parts = chain.orbits(k)
+    reps = chain.representatives([orbit[0] for orbit in parts], k)
     # every coset is read whole where G_(k+1) is trivial, and at k = 0
     # where the whole cosets fit one kernel chunk: one call reads them all
-    if k + 1 == depth or k == 0 \
+    if k + 1 == len(n) or k == 0 \
             and len(parts) * sizes[1] * d <= _CHUNK_ENTRIES:
         return ([(orbit, sizes[k + 1], "whole") for orbit in parts],
                 [(k + 1, reps, [len(orbit) for orbit in parts],
                   range(len(parts)))])
-    nxt = levels[k + 1]
     found, pieces = [], []
     for owner, orbit in enumerate(parts):
         readings = [(sizes[k + 1], "whole",
                      [(k + 1, reps[owner:owner + 1], [len(orbit)])])]
-        firsts = [nxt.point] if nxt.point in orbit else orbit
-        if orbit == [lev.point]:
+        firsts = [base[k + 1]] if base[k + 1] in orbit else orbit
+        if orbit == [base[k]]:
             below, blocks = _orbit_readings(chain, k + 1)
             readings.append((sum(r[1] for r in below), "branch",
                              [block[:3] for block in blocks]))
         elif len(firsts) * n[k + 1] < sizes[k + 1]:
-            # pair i m + j is (beta, t(delta)): beta = firsts[i], t the
-            # transversal row taking b to beta, delta = nxt.orbit[j]; a
-            # strong generator h of G_(k+2) maps it to (h(beta),
-            # h(t(delta))), whose i and j are read back through t^-1
-            m = n[k + 1]
-            t = lev.pos[firsts]
-            at = np.zeros(d, np.intp)  # beta -> i m
-            at[firsts] = range(0, len(firsts) * m, m)
-            h = levels[k + 2].gens
-            hb = h[:, firsts, None]
-            images = at[hb] + nxt.pos[lev.inv[lev.pos[hb], h[
-                :, lev.trans[t[:, None], nxt.orbit]]]]
-            pairs = _orbits(range(len(firsts) * m),
-                            images.reshape(len(h), -1).tolist())
-            # t v, v the row of the next transversal taking b' to delta
-            i, j = np.divmod([pair[0] for pair in pairs], m)
-            readings.append((len(pairs) * sizes[k + 2], "pairs", [
-                (k + 2, lev.trans[t[i, None], nxt.trans[j]],
-                 [len(orbit) // len(firsts) * len(pair)
-                  for pair in pairs])]))
+            xs, lengths = chain.pair_orbits(k, firsts)
+            readings.append((len(lengths) * sizes[k + 2], "pairs", [
+                (k + 2, xs, [len(orbit) // len(firsts) * length
+                             for length in lengths])]))
         rows, kind, blocks = min(readings, key=operator.itemgetter(0))
         found.append((orbit, rows, kind))
         pieces += [(level, xs, weights, [owner] * len(weights))
@@ -305,8 +285,7 @@ def _orbit_readings(chain, k: int = 0):
 
 
 def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
-                        square_free_only: bool = False,
-                        max_witnesses: int = 5) -> VerifyReport:
+                        square_free_only: bool = False) -> VerifyReport:
     """Check every element of G (or every square-free-order element).
 
     Take the stabilizer chain of G with base b1, b2, ..., and let G_(l) fix
@@ -329,12 +308,12 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     regular cycle and, with square_free_only, every cycle length is
     square-free.
 
-    Witnesses are the lexicographically least failures: every element
-    fixes the points below b1, so they are read from the cosets
-    {g : g(b1) = beta} in ascending beta, as many as hold max_witnesses
-    failures; every coset of an orbit holds the same number.  Their
-    failing rows stay arrays, one ``np.lexsort`` picks the least, and
-    only the witnesses become lists.
+    Witnesses are the five lexicographically least failures: every
+    element fixes the points below b1, so they are read from the cosets
+    {g : g(b1) = beta} in ascending beta, as many as hold five failures;
+    every coset of an orbit holds the same number.  Their failing rows
+    stay arrays, one ``np.lexsort`` picks the least, and only the
+    witnesses become lists.
 
     The "all-regular" verdict of the square-free-only run equals that of the
     exhaustive run: an element without a regular cycle powers down to a
@@ -400,19 +379,16 @@ def verify_all_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP,
     for (orbit, _rows, _kind), count in zip(orbits, per_orbit):
         if count:
             failures.update(dict.fromkeys(orbit, count // len(orbit)))
-    # the fewest cosets, in ascending beta, that hold max_witnesses failures;
-    # every row fixes the points below b and maps b to its beta, so sorting
-    # their failing rows sorts by beta first
-    wanted, found = [], 0
-    for beta in sorted(failures):
-        if found >= max_witnesses:
-            break
-        wanted.append(beta)
-        found += failures[beta]
+    # the fewest cosets, in ascending beta, that hold five failures: up to
+    # the first whose running count reaches 5; every row fixes the points
+    # below b and maps b to its beta, so sorting their failing rows sorts
+    # by beta first
+    held = itertools.accumulate(failures[beta] for beta in sorted(failures))
+    wanted = sorted(failures)[:1 + sum(count < 5 for count in held)]
     least = [np.empty((0, G.degree), np.intp)]
     scan([(1, chain.representatives(wanted))], least)
     rows = np.concatenate(least)
-    witnesses = rows[np.lexsort(rows.T[::-1])[:max_witnesses]].tolist()
+    witnesses = rows[np.lexsort(rows.T[::-1])[:5]].tolist()
     return VerifyReport(checked, sum(failures.values()), chain.order,
                         tuple(map(Permutation, witnesses)), square_free_only)
 

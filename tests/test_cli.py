@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perm_reference import alternating_group, cyclic_group
-from regcycles import bounds, cli, geometry, perm
+from regcycles import bounds, cli, geometry, perm, regcycle
 from regcycles.cli import main
 
 
@@ -494,7 +494,7 @@ class TestBuildAction:
         assert code == 0
         G = perm.parse_group_file(out.read_text())
         assert G.degree == 10
-        assert G.order() == 120
+        assert G.stabilizer_chain().order == 120
         labels = (tmp_path / "s5_on_pairs.grp.labels").read_text()
         assert len(labels.strip().splitlines()) == 10
         # the emitted file verifies cleanly (Sym(5) on pairs is all-regular
@@ -507,7 +507,7 @@ class TestBuildAction:
                      "--r", "2", "--out", str(out)]) == 0
         G = perm.parse_group_file(out.read_text())
         assert G.degree == 9
-        assert G.order() == 72
+        assert G.stabilizer_chain().order == 72
 
     def test_product_of_k_sets(self, tmp_path):
         # Sym(5) wr Sym(2) on pairs of 2-sets
@@ -516,7 +516,8 @@ class TestBuildAction:
                      "--k", "2", "--r", "2", "--out", str(out)]) == 0
         G = perm.parse_group_file(out.read_text())
         assert G.degree == 100
-        assert G.order() == 2 * math.factorial(5) ** 2 == 28800
+        assert G.stabilizer_chain().order \
+            == 2 * math.factorial(5) ** 2 == 28800
         labels = (tmp_path / "s5pairs_wr2.grp.labels").read_text()
         assert labels.splitlines()[0] == "1 2 | 1 2"
         assert len(labels.splitlines()) == 100
@@ -552,7 +553,7 @@ class TestBuildAction:
         assert code == 0
         G = perm.parse_group_file(out.read_text())
         assert G.degree == 63
-        assert G.order() == 1451520
+        assert G.stabilizer_chain().order == 1451520
 
     def test_forms_domain(self, tmp_path):
         out = tmp_path / "sp62_forms.grp"
@@ -830,6 +831,30 @@ _PAST_THE_CAP = [perm.DEFAULT_DOMAIN_CAP + 1, 3 * 10**6, 10**100]
 _M = st.one_of(st.integers(-1, 8), st.sampled_from(_PAST_THE_CAP))
 _K_OR_R = st.one_of(st.integers(-1, 4),
                     st.sampled_from([21, 400000, 16000000, 10**50]))
+
+
+class TestNondegeneratePointOrbits:
+    @pytest.mark.parametrize("builtin, name", [
+        ("o8p_2", "ns1[quadratic,8,2]"), ("su5_2", "ns1[hermitian,5,2]")])
+    def test_minus_on_a_single_orbit_is_refused(self, tmp_path, capsys,
+                                                builtin, name):
+        out = tmp_path / "ns1.grp"
+        assert main(["build-action", "--builtin", builtin, "--type", "ns1",
+                     "--orbit", "minus", "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == f"error: --orbit minus: {name} is a single orbit\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("builtin, orbit, degree", [
+        ("o8p_2", "plus", 120), ("su5_2", "plus", 176),
+        ("o7_3", "plus", 378), ("o7_3", "minus", 351)])
+    def test_an_orbit_that_exists_is_built(self, tmp_path, builtin, orbit,
+                                           degree):
+        out = tmp_path / "ns1.grp"
+        assert main(["build-action", "--builtin", builtin, "--type", "ns1",
+                     "--orbit", orbit, "--out", str(out)]) == 0
+        assert perm.parse_group_file(out.read_text()).degree == degree
 
 
 class TestBuildActionArguments:
@@ -1212,6 +1237,35 @@ class TestCompare:
         assert out == ""
         assert err == ("regcycles: error: unrecognized arguments: "
                        "--group x\n")
+
+    def test_text_says_when_sampling_stopped(self, tmp_path, capsys):
+        # Sym(8) on 3-sets against 2-sets at seed 7 reads 283 of the
+        # 3,000 words requested, then stops at the fifth violation; the
+        # JSON still carries the words requested
+        a1, a2 = tmp_path / "a1.grp", tmp_path / "a2.grp"
+        a1.write_text(perm.emit_group_file(geometry.k_set_action(8, 3)))
+        a2.write_text(perm.emit_group_file(geometry.k_set_action(8, 2)))
+        argv = ["compare", "--action1", str(a1), "--action2", str(a2),
+                "--samples", "3000", "--seed", "7"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("sampling stopped at the fifth violation "
+                            "(3000 words requested): VIOLATIONS")
+        assert len(lines) == 6
+        assert all(line.startswith("  violating word: g")
+                   for line in lines[1:])
+        assert main(argv + ["--json"]) == 1
+        report = regcycle.compare_actions_monotonic(
+            geometry.k_set_action(8, 3), geometry.k_set_action(8, 2),
+            samples=3000, seed=7)
+        assert capsys.readouterr().out == json.dumps(
+            report.to_json_dict(), sort_keys=True) + "\n"
+        assert report.to_json_dict()["schema"] == 1
+        assert report.samples == 3000 and len(report.violations) == 5
+        # fewer than five violations: the words requested were all read
+        assert main(["compare", "--action1", str(a2), "--action2", str(a2),
+                     "--samples", "300"]) == 0
+        assert capsys.readouterr().out == "300 sampled words: monotone\n"
 
     def test_generator_less_actions_are_refused(self, tmp_path, capsys):
         a1 = tmp_path / "a1.grp"

@@ -1104,7 +1104,7 @@ class TestBatchedImages:
 class TestCombinatorialActions:
     def test_k_set_action(self):
         G = ge.k_set_action(5, 2)
-        assert G.degree == 10 and G.order() == 120
+        assert G.degree == 10 and G.stabilizer_chain().order == 120
 
     def test_product_action_trivial_r(self):
         base = ge.k_set_action(5, 2)
@@ -1118,7 +1118,7 @@ class TestCombinatorialActions:
     def test_product_action_order(self):
         # Sym(3) wr Sym(2) in product action on 9 points
         G = ge.product_action(ge.k_set_action(3, 1), 2)
-        assert G.degree == 9 and G.order() == 72
+        assert G.degree == 9 and G.stabilizer_chain().order == 72
 
     def test_cap(self):
         with pytest.raises(OverflowError):
@@ -1243,7 +1243,7 @@ class TestMatrixFiles:
     def test_builtin_sp6_order(self):
         space, gens = ge.builtin_matrix_group("sp6_2")
         G = perm_image(gens, ge.singular_points(space))
-        assert G.order(cap=2 * 10**6) == 1451520
+        assert G.stabilizer_chain(2 * 10**6).order == 1451520
 
     def test_builtins_preserve_forms(self):
         for name in ("o8p_2", "su5_2"):

@@ -21,6 +21,7 @@ from perm_reference import (
     enumerate_elements,
     fpr_exact,
     power,
+    stabilizer_rows,
 )
 from regcycles import geometry, numtheory
 from regcycles import regcycle as rc
@@ -308,6 +309,96 @@ class TestVerifyAllElements:
             tracemalloc.stop()
         assert pieces.all_regular and pieces.checked == 1451520
         assert peak < stab_bytes
+
+
+class _AccessorChain:
+    """A stand-in for a stabilizer chain that holds only what the verifier
+    may read of it: the accessors orbits, representatives and
+    pair_orbits, and base, orbit_lengths, cosets, order and degree.  Any
+    other read, of the levels above all, raises AttributeError."""
+
+    __slots__ = ("orbits", "representatives", "pair_orbits", "base",
+                 "orbit_lengths", "cosets", "order", "degree")
+
+    def __init__(self, chain):
+        for name in self.__slots__:
+            setattr(self, name, getattr(chain, name))
+
+
+def _plain(readings):
+    """_orbit_readings' (orbits, pieces) with arrays and ranges as lists."""
+    orbits, pieces = readings
+    return orbits, [(level, xs.tolist(), list(weights), list(owners))
+                    for level, xs, weights, owners in pieces]
+
+
+def _boundary_group(name):
+    if name == "sym8":
+        return symmetric_group(8), 10**7
+    space, gens = geometry.builtin_matrix_group(name)
+    return (geometry.perm_image(gens, geometry.singular_points(space)),
+            10**9)
+
+
+class TestChainBoundary:
+    """The verifier reads the stabilizer chain through its accessors only,
+    and pair_orbits gives the orbits of G_(l+2) on base-point pairs."""
+
+    @pytest.mark.parametrize("name", ["sp6_2", "sym8", "o8p_2"])
+    def test_readings_use_the_accessors_alone(self, name):
+        G, cap = _boundary_group(name)
+        chain = G.stabilizer_chain(cap)
+        depth = 0
+        while True:
+            got = rc._orbit_readings(_AccessorChain(chain), depth)
+            assert _plain(got) == _plain(rc._orbit_readings(chain, depth))
+            if "branch" not in [kind for _o, _r, kind in got[0]]:
+                break
+            depth += 1
+        assert depth >= 1  # the branch was read through the stand-in too
+
+    @pytest.mark.parametrize("name", ["sp6_2", "sym8"])
+    def test_verify_reads_the_chain_through_the_accessors(self, monkeypatch,
+                                                           name):
+        G, cap = _boundary_group(name)
+        expected = [rc.verify_all_elements(G, cap, square_free_only)
+                    for square_free_only in (False, True)]
+        chain = G.stabilizer_chain(cap)
+        monkeypatch.setattr(PermGroup, "stabilizer_chain",
+                            lambda self, cap=None: _AccessorChain(chain))
+        assert [rc.verify_all_elements(G, cap, square_free_only)
+                for square_free_only in (False, True)] == expected
+        # Sym(8) fails, so its witness pass reads the stand-in too
+        assert expected[0].all_regular == (name == "sp6_2")
+        assert len(expected[0].witnesses) == (0 if name == "sp6_2" else 5)
+
+    @pytest.mark.parametrize("name", ["sp6_2", "sym8"])
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_pair_orbits_partition_the_pairs(self, name, level):
+        G, cap = _boundary_group(name)
+        chain = G.stabilizer_chain(cap)
+        b, n = chain.base, chain.orbit_lengths
+        # G_(level+2), every element, by the reference's own products
+        below = stabilizer_rows(chain, level + 2)
+        choices = [orbit for orbit in chain.orbits(level)
+                   if orbit != [b[level]]]
+        choices = [[b[level + 1]] if b[level + 1] in orbit else orbit
+                   for orbit in choices]
+        choices.append(sorted(x for o in chain.orbits(level) for x in o))
+        for firsts in choices:
+            rows, lengths = chain.pair_orbits(level, firsts)
+            assert len(rows) == len(lengths)
+            assert sum(lengths) == len(firsts) * n[level + 1]
+            assert (rows[:, b[:level]] == b[:level]).all()
+            assert set(rows[:, b[level]].tolist()) <= set(firsts)
+            assert all(chain.contains(row) for row in rows.tolist())
+            seen = set()
+            for row, length in zip(rows.tolist(), lengths):
+                pair = (row[b[level]], row[b[level + 1]])
+                orbit = {(h[pair[0]], h[pair[1]]) for h in below.tolist()}
+                assert len(orbit) == length
+                assert not orbit & seen  # no two rows in one orbit
+                seen |= orbit
 
 
 class TestCompareActions:
